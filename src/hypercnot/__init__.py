@@ -38,23 +38,22 @@ from .protocols import (
     TruthTableRow,
     analyze_hyper_bell,
     bell_decoding_table,
-    cz_stage,
     expected_truth_table_output,
     feed_forward,
     hyper_bell_state,
     hyper_cnot,
     hyper_cnot_checkpoints,
     hyper_cnot_state,
+    pass_matrix,
     photon_registers,
     photon_state,
-    polarization_stage_matrix,
     prepare_cluster,
     prepare_cluster_stages,
-    spatial_stage_matrix,
     spin_readout,
     spin_register,
     truth_table,
     uniform_two_photon_state,
+    ZeroSurvivalError,
 )
 from .analysis import (
     PerformancePoint,
@@ -63,7 +62,6 @@ from .analysis import (
     REFERENCE_POINTS,
     REFERENCE_TOLERANCE,
     SweepResult,
-    efficiency_oracle,
     formula_performance,
     performance_point,
     reference_check,

@@ -21,6 +21,7 @@ and measures the spins directly. Both are reported side by side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from . import __version__
 from .cavity import CavityParams, ReflectionPair, reflect_cold, reflect_hot
 from .hilbert import StateVector, fidelity_up_to_global_phase
-from .protocols import hyper_cnot_state, uniform_two_photon_state
+from .protocols import ZeroSurvivalError, hyper_cnot_state, uniform_two_photon_state
 
 
 @dataclass(frozen=True)
@@ -67,12 +68,16 @@ def simulated_performance(
     Runs the gate with the complex reflection amplitudes and in ideal mode
     on the same input (uniform superposition by default). Fidelity is the
     branch-probability-weighted overlap of the corrected outputs with the
-    ideal output; efficiency is the survival probability.
+    ideal output; efficiency is the survival probability. At zero survival
+    the fidelity is undefined and ``(nan, 0.0)`` is returned.
     """
     joint = input_state if input_state is not None else uniform_two_photon_state()
     ideal_runs = hyper_cnot_state(joint, None)
     ideal_final = ideal_runs[0].final_state
-    physical_runs = hyper_cnot_state(joint, ReflectionPair.from_params(params))
+    try:
+        physical_runs = hyper_cnot_state(joint, ReflectionPair.from_params(params))
+    except ZeroSurvivalError:
+        return math.nan, 0.0
     eta = physical_runs[0].survival_probability
     fid = sum(
         run.branch_probability
@@ -115,12 +120,13 @@ def sweep(
 
     A degenerate range (equal endpoints) with resolution 1 yields a single
     point, which is how one reproduces an individual benchmark value.
+    Non-finite range ends or ``gamma`` raise ValueError.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
     for name, (lo, hi) in (("g", g_range), ("kappa_s", kappa_s_range)):
-        if lo < 0 or hi < lo:
-            raise ValueError(f"{name} range must satisfy 0 <= lo <= hi, got {(lo, hi)}")
+        if not 0 <= lo <= hi < math.inf:
+            raise ValueError(f"{name} range must satisfy 0 <= lo <= hi < inf, got {(lo, hi)}")
     g_values = np.linspace(g_range[0], g_range[1], resolution)
     ks_values = np.linspace(kappa_s_range[0], kappa_s_range[1], resolution)
     grid = [
@@ -185,13 +191,3 @@ def reference_check(gamma: float = 0.1) -> list[ReferenceCheckRow]:
         )
         rows.append(ReferenceCheckRow(point, f, eta))
     return rows
-
-
-def efficiency_oracle(params: CavityParams) -> float:
-    """Four-reflection counting prediction for the survival probability.
-
-    Independent of the circuit path: uses only the reflection magnitudes.
-    """
-    u = abs(reflect_cold(params))
-    v = abs(reflect_hot(params))
-    return float(((u**2 + v**2) / 2) ** 4)

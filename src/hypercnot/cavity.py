@@ -15,6 +15,7 @@ coupling leaves a residual phase error that feeds the fidelity loss.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -43,10 +44,14 @@ class CavityParams:
     exciton_detuning: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kappa <= 0.0:
-            raise ValueError("kappa must be positive")
-        if self.g < 0.0 or self.kappa_s < 0.0 or self.gamma < 0.0:
-            raise ValueError("g, kappa_s and gamma must be non-negative")
+        # chained comparisons are False for NaN, so every check rejects it too
+        if not 0.0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa!r}")
+        g, kappa_s, gamma = self.g, self.kappa_s, self.gamma
+        if not (0.0 <= g < math.inf and 0.0 <= kappa_s < math.inf and 0.0 <= gamma < math.inf):
+            raise ValueError("g, kappa_s and gamma must be non-negative and finite")
+        if not (math.isfinite(self.detuning) and math.isfinite(self.exciton_detuning)):
+            raise ValueError("detuning and exciton_detuning must be finite")
 
 
 def reflect_cold(params: CavityParams) -> complex:
@@ -87,7 +92,7 @@ class ReflectionPair:
     def from_params(cls, params: CavityParams) -> "ReflectionPair":
         if params.kappa_s >= SIDE_LEAKAGE_WARNING * params.kappa:
             warnings.warn(
-                f"kappa_s = {params.kappa_s:g} kappa exceeds the "
+                f"kappa_s = {params.kappa_s:g} kappa is at or above the "
                 f"{SIDE_LEAKAGE_WARNING:g} kappa guidance for reaching the "
                 "-pi/2 relative reflection phase",
                 UserWarning,

@@ -1,17 +1,21 @@
 """Command-line frontend: truth tables, gate runs, cluster preparation,
 Bell-state analysis, parameter sweeps, and benchmark checks.
 
-Exit codes: 0 success, 1 validation failure (a mismatch or an out-of-
-tolerance value), 2 usage error. Output is deterministic for a fixed
+Exit codes: 0 success, 1 validation failure (a mismatch, an out-of-
+tolerance value, or a run the physics leaves undefined, such as zero
+survival), 2 usage error. Output is deterministic for a fixed
 (config, seed); sweeps rerun byte-identical.
 
-A flat key=value config file can seed any option; command-line flags win.
+A flat key=value config file can seed any value-taking option. Its values
+go through the same argparse types and choices as flags, command-line flags
+win, and keys the running command does not define are ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -28,6 +32,7 @@ from .cavity import CavityParams, ReflectionPair
 from .hilbert import fidelity_up_to_global_phase, tensor_product
 from .protocols import (
     HyperBellState,
+    ZeroSurvivalError,
     analyze_hyper_bell,
     hyper_cnot_state,
     photon_state,
@@ -36,36 +41,40 @@ from .protocols import (
     uniform_two_photon_state,
 )
 
-_CONFIG_KEYS = {
-    "mode",
-    "g",
-    "kappa_s",
-    "gamma",
-    "detuning",
-    "seed",
-    "out",
-    "format",
-    "tolerance",
-    "input",
-    "g_min",
-    "g_max",
-    "kappa_s_min",
-    "kappa_s_max",
-    "resolution",
-    "pol",
-    "spatial",
-}
 
-_FLOAT_KEYS = {
-    "g", "kappa_s", "gamma", "detuning", "tolerance",
-    "g_min", "g_max", "kappa_s_min", "kappa_s_max",
-}
-_INT_KEYS = {"seed", "resolution", "pol", "spatial"}
+def _finite_float(raw: str) -> float:
+    """argparse type for every float option: NaN and +-inf are usage errors."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}")
+    return value
 
 
-def load_config(path: str) -> dict:
-    """Parse a flat key = value file; '#' starts a comment."""
-    values: dict = {}
+def _config_flags(parser: argparse.ArgumentParser) -> dict[str, dict[str, str]]:
+    """Command -> {config key: flag} for its value-taking options except --config."""
+    # argparse has no public accessor for a parser's actions
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {
+            action.dest: action.option_strings[0]
+            for action in sub._actions
+            if action.option_strings and action.nargs != 0 and action.dest != "config"
+        }
+        for name, sub in commands.choices.items()
+    }
+
+
+def load_config(path: str) -> dict[str, str]:
+    """Parse a flat key = value file into raw strings; '#' starts a comment.
+
+    Every key must name a value-taking option of some command. Values stay
+    strings: main() passes them through that option's own type and choices.
+    """
+    known = set().union(*_config_flags(build_parser()).values())
+    values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -75,48 +84,19 @@ def load_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _CONFIG_KEYS:
+            if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            value = value.strip()
-            if key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _INT_KEYS:
-                values[key] = int(value)
-            else:
-                values[key] = value
+            values[key] = value.strip()
     return values
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Fill in options the command line left unset from the config file."""
-    if not getattr(args, "config", None):
-        return args
-    try:
-        values = load_config(args.config)
-    except (OSError, ValueError) as exc:
-        parser.error(str(exc))
-    for key, value in values.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-    return args
-
-
-def _cavity_params(args: argparse.Namespace, parser: argparse.ArgumentParser) -> CavityParams:
+def _reflection(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ReflectionPair | None:
+    if args.mode == "ideal":
+        return None
     if args.g is None:
         parser.error("physical mode requires --g (or g in the config file)")
-    return CavityParams(
-        g=args.g,
-        kappa_s=args.kappa_s if args.kappa_s is not None else 0.0,
-        gamma=args.gamma if args.gamma is not None else 0.1,
-        detuning=args.detuning if args.detuning is not None else 0.5,
-    )
-
-
-def _reflection(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ReflectionPair | None:
-    mode = args.mode or "ideal"
-    if mode == "ideal":
-        return None
-    return ReflectionPair.from_params(_cavity_params(args, parser))
+    params = CavityParams(g=args.g, kappa_s=args.kappa_s, gamma=args.gamma, detuning=args.detuning)
+    return ReflectionPair.from_params(params)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -127,47 +107,40 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_amplitude_pair(raw: str, flag: str, parser: argparse.ArgumentParser):
-    parts = raw.split(",")
-    if len(parts) != 2:
-        parser.error(f"{flag} expects two comma-separated amplitudes, got {raw!r}")
+def _amplitude_pair(raw: str) -> np.ndarray:
+    """argparse type for 'c0,c1': two finite complex amplitudes, not both zero."""
     try:
-        pair = np.array([complex(p.strip()) for p in parts])
+        pair = np.array([complex(part.strip()) for part in raw.split(",")])
     except ValueError:
-        parser.error(f"{flag}: could not parse {raw!r} as complex amplitudes")
-    norm = float(np.linalg.norm(pair))
-    if norm <= 0:
-        parser.error(f"{flag}: zero amplitudes")
-    if abs(norm - 1.0) > 1e-6:
-        print(
-            f"warning: {flag} renormalized (norm was {norm:.9g})",
-            file=sys.stderr,
+        raise argparse.ArgumentTypeError(f"could not parse {raw!r} as complex amplitudes") from None
+    if len(pair) != 2 or not np.all(np.isfinite(pair)) or not np.any(pair):
+        raise argparse.ArgumentTypeError(
+            f"expected two finite comma-separated amplitudes, not both zero, got {raw!r}"
         )
-    return pair / norm
+    return pair
 
 
 def _input_state(args: argparse.Namespace, parser: argparse.ArgumentParser):
     pairs = {}
-    for flag, attr in (
-        ("--a-pol", "a_pol"),
-        ("--a-spatial", "a_spatial"),
-        ("--b-pol", "b_pol"),
-        ("--b-spatial", "b_spatial"),
-    ):
-        raw = getattr(args, attr, None)
-        if raw is not None:
-            pairs[attr] = _parse_amplitude_pair(raw, flag, parser)
-    preset = args.input or "uniform"
+    for attr in ("a_pol", "a_spatial", "b_pol", "b_spatial"):
+        pair = getattr(args, attr)
+        if pair is None:
+            continue
+        norm = float(np.linalg.norm(pair))
+        if abs(norm - 1.0) > 1e-6:
+            flag = "--" + attr.replace("_", "-")
+            print(f"warning: {flag} renormalized (norm was {norm:.9g})", file=sys.stderr)
+        pairs[attr] = pair / norm
     if pairs:
         s2 = 1 / np.sqrt(2.0)
         default = np.array([s2, s2])
         a = photon_state("a", pairs.get("a_pol", default), pairs.get("a_spatial", default))
         b = photon_state("b", pairs.get("b_pol", default), pairs.get("b_spatial", default))
         return tensor_product(a, b)
-    if preset == "uniform":
+    if args.input == "uniform":
         return uniform_two_photon_state()
-    if preset.startswith("basis:"):
-        names = [n.strip() for n in preset[len("basis:"):].split(",")]
+    if args.input.startswith("basis:"):
+        names = [n.strip() for n in args.input[len("basis:"):].split(",")]
         if len(names) != 4:
             parser.error("basis preset needs four names, e.g. basis:L,a2,R,b1")
         try:
@@ -176,7 +149,7 @@ def _input_state(args: argparse.Namespace, parser: argparse.ArgumentParser):
         except ValueError as exc:
             parser.error(str(exc))
         return tensor_product(a, b)
-    parser.error(f"unknown input preset {preset!r}")
+    parser.error(f"unknown input preset {args.input!r}")
 
 
 def _unit_pair(names: tuple[str, str], chosen: str):
@@ -325,18 +298,13 @@ def cmd_bell_analyze(args, parser) -> int:
 
 
 def cmd_sweep(args, parser) -> int:
-    g_range = (
-        args.g_min if args.g_min is not None else 0.0,
-        args.g_max if args.g_max is not None else 3.0,
-    )
-    ks_range = (
-        args.kappa_s_min if args.kappa_s_min is not None else 0.0,
-        args.kappa_s_max if args.kappa_s_max is not None else 2.0,
-    )
-    resolution = args.resolution if args.resolution is not None else 101
-    gamma = args.gamma if args.gamma is not None else 0.1
     try:
-        result = sweep(g_range, ks_range, resolution, gamma)
+        result = sweep(
+            (args.g_min, args.g_max),
+            (args.kappa_s_min, args.kappa_s_max),
+            args.resolution,
+            args.gamma,
+        )
     except ValueError as exc:
         parser.error(str(exc))
     lines = ["g_over_kappa,kappa_s_over_kappa,gamma_over_kappa,F,eta"]
@@ -350,8 +318,7 @@ def cmd_sweep(args, parser) -> int:
 
 
 def cmd_paper_check(args, parser) -> int:
-    tolerance = args.tolerance if args.tolerance is not None else REFERENCE_TOLERANCE
-    gamma = args.gamma if args.gamma is not None else 0.1
+    tolerance, gamma = args.tolerance, args.gamma
     rows = reference_check(gamma)
     lines = [
         f"{'g/k':>6} {'ks/k':>5} {'F ref':>7} {'F calc':>8} {'|dF|':>8} "
@@ -406,8 +373,8 @@ def cmd_paper_check(args, parser) -> int:
     return 0 if all_ok else 1
 
 
-def _render(lines: list[str], payload: dict, fmt: str | None) -> str:
-    if (fmt or "text") == "json":
+def _render(lines: list[str], payload: dict, fmt: str) -> str:
+    if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     return "\n".join(lines) + "\n"
 
@@ -415,15 +382,27 @@ def _render(lines: list[str], payload: dict, fmt: str | None) -> str:
 # -- parser ---------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, formats=("text", "json")) -> None:
+def _command(commands, name: str, func, help: str, cavity: bool = True, formats: bool = True):
+    """Add one subcommand with the options it shares with the others."""
+    sub = commands.add_parser(name, help=help, allow_abbrev=False)
+    sub.set_defaults(func=func)
     sub.add_argument("--config", help="flat key=value config file; flags override it")
-    sub.add_argument("--mode", choices=["ideal", "physical"], default=None)
-    sub.add_argument("--g", type=float, default=None, help="coupling strength, units of kappa")
-    sub.add_argument("--kappa-s", type=float, default=None, help="side leakage rate, units of kappa")
-    sub.add_argument("--gamma", type=float, default=None, help="dipole decay rate, units of kappa")
-    sub.add_argument("--detuning", type=float, default=None, help="probe minus cavity frequency")
-    sub.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    sub.add_argument("--format", choices=list(formats), default=None)
+    sub.add_argument("--out", help="write output to a file instead of stdout")
+    if formats:
+        sub.add_argument("--format", choices=["text", "json"], default="text")
+    if cavity:
+        sub.add_argument("--mode", choices=["ideal", "physical"], default="ideal")
+        sub.add_argument("--g", type=_finite_float, help="coupling strength, units of kappa")
+        sub.add_argument(
+            "--kappa-s", type=_finite_float, default=0.0, help="side leakage rate, units of kappa"
+        )
+        sub.add_argument(
+            "--detuning", type=_finite_float, default=0.5, help="probe minus cavity frequency"
+        )
+    sub.add_argument(
+        "--gamma", type=_finite_float, default=0.1, help="dipole decay rate, units of kappa"
+    )
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,55 +413,65 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hypercnot {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("truth-table", help="run all 16 basis inputs and verify the logic")
-    _add_common(p)
-    p.set_defaults(func=cmd_truth_table)
+    _command(
+        commands, "truth-table", cmd_truth_table, "run all 16 basis inputs and verify the logic"
+    )
 
-    p = commands.add_parser("gate", help="run the gate on a configurable input state")
-    _add_common(p)
-    p.add_argument("--input", default=None, help="'uniform' or 'basis:R,a1,R,b1'")
-    p.add_argument("--a-pol", default=None, help="control polarization amplitudes 'c0,c1'")
-    p.add_argument("--a-spatial", default=None, help="control spatial amplitudes 'c0,c1'")
-    p.add_argument("--b-pol", default=None, help="target polarization amplitudes 'c0,c1'")
-    p.add_argument("--b-spatial", default=None, help="target spatial amplitudes 'c0,c1'")
-    p.add_argument("--seed", type=int, default=None, help="sample one spin branch with this seed")
-    p.set_defaults(func=cmd_gate)
+    p = _command(commands, "gate", cmd_gate, "run the gate on a configurable input state")
+    p.add_argument("--input", default="uniform", help="'uniform' or 'basis:R,a1,R,b1'")
+    p.add_argument("--a-pol", type=_amplitude_pair, help="control polarization amplitudes 'c0,c1'")
+    p.add_argument("--a-spatial", type=_amplitude_pair, help="control spatial amplitudes 'c0,c1'")
+    p.add_argument("--b-pol", type=_amplitude_pair, help="target polarization amplitudes 'c0,c1'")
+    p.add_argument("--b-spatial", type=_amplitude_pair, help="target spatial amplitudes 'c0,c1'")
+    p.add_argument("--seed", type=int, help="sample one spin branch with this seed")
 
-    p = commands.add_parser("cluster", help="prepare the two-photon four-qubit cluster state")
-    _add_common(p)
-    p.set_defaults(func=cmd_cluster)
+    _command(commands, "cluster", cmd_cluster, "prepare the two-photon four-qubit cluster state")
 
-    p = commands.add_parser("bell-analyze", help="decode hyperentangled Bell states")
-    _add_common(p)
-    p.add_argument("--pol", type=int, default=None, help="analyze a single state: pol index 0..3")
-    p.add_argument("--spatial", type=int, default=None, help="spatial index 0..3")
-    p.set_defaults(func=cmd_bell_analyze)
+    p = _command(commands, "bell-analyze", cmd_bell_analyze, "decode hyperentangled Bell states")
+    p.add_argument("--pol", type=int, choices=range(4), help="analyze a single state: pol index")
+    p.add_argument("--spatial", type=int, choices=range(4), help="spatial index")
 
-    p = commands.add_parser("sweep", help="grid of closed-form performance figures as CSV")
-    _add_common(p, formats=("csv",))
-    p.add_argument("--g-min", type=float, default=None)
-    p.add_argument("--g-max", type=float, default=None)
-    p.add_argument("--kappa-s-min", type=float, default=None)
-    p.add_argument("--kappa-s-max", type=float, default=None)
-    p.add_argument("--resolution", type=int, default=None, help="lattice points per axis (default 101)")
-    p.set_defaults(func=cmd_sweep)
+    p = _command(
+        commands, "sweep", cmd_sweep, "grid of closed-form performance figures as CSV",
+        cavity=False, formats=False,
+    )
+    p.add_argument("--g-min", type=_finite_float, default=0.0)
+    p.add_argument("--g-max", type=_finite_float, default=3.0)
+    p.add_argument("--kappa-s-min", type=_finite_float, default=0.0)
+    p.add_argument("--kappa-s-max", type=_finite_float, default=2.0)
+    p.add_argument(
+        "--resolution", type=int, default=101, help="lattice points per axis (default %(default)s)"
+    )
 
-    p = commands.add_parser("paper-check", help="compare against the published benchmark values")
-    _add_common(p)
-    p.add_argument("--tolerance", type=float, default=None, help=f"default {REFERENCE_TOLERANCE}")
+    p = _command(
+        commands, "paper-check", cmd_paper_check, "compare against the published benchmark values",
+        cavity=False,
+    )
+    p.add_argument(
+        "--tolerance", type=_finite_float, default=REFERENCE_TOLERANCE, help="default %(default)s"
+    )
     p.add_argument("--simulate", action="store_true", help="also report circuit-level figures")
-    p.set_defaults(func=cmd_paper_check)
-
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    args = _merge_config(args, parser)
+    if args.config:
+        try:
+            values = load_config(args.config)
+        except (OSError, ValueError) as exc:
+            parser.error(str(exc))
+        # config values go in front of the command's own flags, so flags win;
+        # keys this command does not define are ignored
+        flags = _config_flags(parser)[args.command]
+        seeded = [f"{flags[key]}={value}" for key, value in values.items() if key in flags]
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + seeded + argv[at:])
     try:
         return args.func(args, parser)
-    except OSError as exc:
+    except (OSError, ZeroSurvivalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,10 +2,9 @@
 
 Each element is an exact constant matrix bound to a circuit symbol; there
 are no tunable wave-plate angles. The circular-basis polarizing beam
-splitter (CPBS) is deliberately absent from the matrix table: it routes R
-and L into distinct physical paths, and the simulator folds every
-CPBS/half-wave-plate/cavity sandwich into a single composite operator (see
-protocols).
+splitter (CPBS) has no entry: it routes R and L into distinct physical
+paths, and every CPBS/half-wave-plate/cavity sandwich is folded into the
+single cavity-pass operator (see protocols.pass_matrix).
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ _SQRT2 = np.sqrt(2.0)
 
 class ElementKind(Enum):
     BS = "bs"  # 50:50 beam splitter: Hadamard on a spatial-mode register
-    CPBS = "cpbs"  # circular-basis polarizing beam splitter: routing only
     HWP_X = "hwp_x"  # polarization bit flip R <-> L
     HWP_H = "hwp_h"  # polarization Hadamard
     WP_U1 = "wp_u1"  # global -i phase plate (relative phase between paths)
@@ -50,12 +48,7 @@ _MATRICES: dict[ElementKind, np.ndarray] = {
 
 
 def element_matrix(kind: ElementKind) -> np.ndarray:
-    """The 2x2 matrix of an element; CPBS has none and raises."""
-    if kind is ElementKind.CPBS:
-        raise ValueError(
-            "CPBS routes polarizations into separate paths and has no "
-            "fixed-register matrix; use the composite stage operators"
-        )
+    """The 2x2 matrix of an element."""
     return _MATRICES[kind].copy()
 
 

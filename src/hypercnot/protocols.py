@@ -1,6 +1,6 @@
-"""Multi-stage gate protocols: the hybrid CZ stage, the full hyper-CNOT
-with spin measurement and feed-forward, cluster-state preparation, and
-hyperentangled-Bell-state analysis.
+"""Multi-stage gate protocols: the hyper-CNOT with spin measurement and
+feed-forward, cluster-state preparation, and hyperentangled-Bell-state
+analysis.
 
 Circuit structure
 -----------------
@@ -9,15 +9,16 @@ photon's spatial mode to the first spin, the other couples its polarization
 to the second spin. The spatial pass hides the polarization from the cavity
 with a CPBS / bit-flip-plate sandwich: the two polarization components are
 routed so that both scatter in the same circular branch, which turns the
-pass into a pure (path, spin) interaction. Composing the sandwich pieces,
-both passes reduce to the same diagonal on (path-or-pol, spin):
+pass into a pure (path, spin) interaction. Composed, both passes reduce to
+the same diagonal on (path-or-pol, spin), built directly by pass_matrix:
 
     diag(r_cold, r_hot, -i r_hot, -i r_cold)
 
 where the -i comes from the phase plate placed in the second path (spatial
-pass) or acting on L (polarization pass). With the ideal reflections
-(-i, 1) this is diag(-i, 1, -i, -1): a controlled-Z up to a spin-local
-phase that the spin preparation absorbs.
+pass) or acting on L (polarization pass). The tests derive this diagonal
+from the sandwich pieces once. With the ideal reflections (-i, 1) this is
+diag(-i, 1, -i, -1): a controlled-Z up to a spin-local phase that the spin
+preparation absorbs.
 
 The target photon is framed by Hadamards on both degrees of freedom, the
 spins are rotated between the two photons' passes and measured at the end,
@@ -34,7 +35,7 @@ from itertools import product
 
 import numpy as np
 
-from .cavity import ReflectionPair, qd_scatter, scatter_matrix
+from .cavity import ReflectionPair, qd_scatter
 from .hilbert import (
     MeasurementRecord,
     Register,
@@ -51,7 +52,7 @@ from .hilbert import (
     tensor_product,
     tensor_state,
 )
-from .optics import ElementKind, apply_element, conditional_element, element_matrix
+from .optics import ElementKind, apply_element, conditional_element
 
 A_POL = "a.pol"
 A_SPATIAL = "a.spatial"
@@ -89,70 +90,18 @@ def uniform_two_photon_state() -> StateVector:
     )
 
 
-# -- composite cavity stages -------------------------------------------
+# -- the cavity pass -----------------------------------------------------
 
 
-def _sandwich_spin_action(reflection: ReflectionPair, scatter_branch: int) -> np.ndarray:
-    """Spin action of one CPBS / bit-flip / cavity / bit-flip / CPBS sandwich.
+def pass_matrix(reflection: ReflectionPair | None = None) -> np.ndarray:
+    """Operator of one cavity pass on (path-or-polarization, spin).
 
-    ``scatter_branch`` is the circular component (0 = R, 1 = L) every photon
-    component is routed into before hitting the cavity. The composite of
-    the pieces factors as identity on polarization times a spin diagonal;
-    the spin diagonal is returned.
-    """
-    q = scatter_matrix(reflection)
-    eye = np.eye(2, dtype=np.complex128)
-    flip = np.kron(element_matrix(ElementKind.HWP_X), eye)
-    keep = np.kron(np.diag([1.0 - scatter_branch, float(scatter_branch)]), eye)
-    reroute = np.kron(np.diag([float(scatter_branch), 1.0 - scatter_branch]), eye)
-    composite = q @ keep + flip @ q @ flip @ reroute
-    spin_action = composite[:2, :2]
-    # the sandwich erases the polarization dependence entirely
-    if not np.allclose(composite, np.kron(eye, spin_action), atol=1e-14):
-        raise AssertionError("sandwich composite failed to factor out polarization")
-    return spin_action
-
-
-def spatial_stage_matrix(reflection: ReflectionPair | None = None) -> np.ndarray:
-    """Composite pass operator on (spatial mode, spin).
-
-    Path 1 carries the scatter-as-R sandwich, path 2 the scatter-as-L
-    sandwich followed by the global -i plate. The placement is fixed by
-    requiring the stage to reproduce the hybrid CZ output, and the tests
-    pin it.
+    ``diag(r_cold, r_hot, -i r_hot, -i r_cold)`` for both kinds of pass (see
+    the module docstring); ``reflection=None`` selects the ideal pair.
     """
     refl = reflection if reflection is not None else ReflectionPair.ideal()
-    path1 = _sandwich_spin_action(refl, 0)
-    path2 = element_matrix(ElementKind.WP_U1)[0, 0] * _sandwich_spin_action(refl, 1)
-    top = np.diag([1.0, 0.0]).astype(np.complex128)
-    bottom = np.diag([0.0, 1.0]).astype(np.complex128)
-    return np.kron(top, path1) + np.kron(bottom, path2)
-
-
-def polarization_stage_matrix(reflection: ReflectionPair | None = None) -> np.ndarray:
-    """Composite pass operator on (polarization, spin).
-
-    The photon scatters directly (no sandwich), then the diag(1, -i) plate
-    acts on the polarization in both spatial paths.
-    """
-    refl = reflection if reflection is not None else ReflectionPair.ideal()
-    eye = np.eye(2, dtype=np.complex128)
-    plate = np.kron(element_matrix(ElementKind.WP_U2), eye)
-    return plate @ scatter_matrix(refl)
-
-
-# -- hybrid CZ stage ----------------------------------------------------
-
-
-def cz_stage(state: StateVector, reflection: ReflectionPair | None = None) -> StateVector:
-    """Both control-photon passes: spins become phase controls.
-
-    Expects registers a.pol, a.spatial, e1, e2 with the spins prepared in
-    (i|up> + |down>)/sqrt2. Afterwards spin e1 controls a pi phase on the
-    second spatial mode and spin e2 controls a pi phase on L.
-    """
-    state = apply_operator(state, [A_SPATIAL, SPIN_1], spatial_stage_matrix(reflection))
-    return apply_operator(state, [A_POL, SPIN_2], polarization_stage_matrix(reflection))
+    c, h = refl.r_cold, refl.r_hot
+    return np.diag(np.array([c, h, -1j * h, -1j * c], dtype=np.complex128))
 
 
 # -- the hyper-CNOT gate -------------------------------------------------
@@ -177,6 +126,10 @@ class GateRun:
     seed: int | None = None
 
 
+class ZeroSurvivalError(ValueError):
+    """Every photon component was lost before the spin measurement."""
+
+
 def _require_labels(state: StateVector, labels: tuple[str, ...], role: str) -> None:
     missing = [label for label in labels if label not in state.labels]
     if missing:
@@ -198,9 +151,10 @@ def _circuit_checkpoints(
     st = apply_element(st, ElementKind.SPIN_ROT_PLUS, SPIN_2)
     stages: dict[str, StateVector] = {"spins_prepared": st}
 
-    st = apply_operator(st, [A_SPATIAL, SPIN_1], spatial_stage_matrix(reflection))
+    cavity_pass = pass_matrix(reflection)
+    st = apply_operator(st, [A_SPATIAL, SPIN_1], cavity_pass)
     stages["control_spatial"] = st
-    st = apply_operator(st, [A_POL, SPIN_2], polarization_stage_matrix(reflection))
+    st = apply_operator(st, [A_POL, SPIN_2], cavity_pass)
     stages["hybrid_cz"] = st
 
     st = apply_element(st, ElementKind.BS, B_SPATIAL)
@@ -211,8 +165,8 @@ def _circuit_checkpoints(
     st = apply_element(st, ElementKind.SPIN_ROT_PLUS, SPIN_2)
     stages["spin_rotations"] = st
 
-    st = apply_operator(st, [B_SPATIAL, SPIN_1], spatial_stage_matrix(reflection))
-    st = apply_operator(st, [B_POL, SPIN_2], polarization_stage_matrix(reflection))
+    st = apply_operator(st, [B_SPATIAL, SPIN_1], cavity_pass)
+    st = apply_operator(st, [B_POL, SPIN_2], cavity_pass)
     stages["target_scattered"] = st
 
     st = apply_element(st, ElementKind.SPIN_H, SPIN_1)
@@ -236,30 +190,22 @@ def hyper_cnot_checkpoints(
     return _circuit_checkpoints(tensor_product(control_state, target_state), reflection)
 
 
-def feed_forward(state: StateVector, outcomes: tuple[int, int]) -> StateVector:
+_SIGN_FLIP = np.diag([1.0, -1.0]).astype(np.complex128)
+
+
+def feed_forward(
+    state: StateVector, outcomes: tuple[int, int]
+) -> tuple[StateVector, tuple[str, ...]]:
     """Classically conditioned corrections after the spin measurement.
 
     A down outcome on e1 flips the sign of the control photon's second
     spatial mode; a down outcome on e2 flips the sign of its L component.
+    Returns the corrected state and the registers that were flipped.
     """
-    corrected, _ = _feed_forward_with_ops(state, outcomes)
-    return corrected
-
-
-_SIGN_FLIP = np.diag([1.0, -1.0]).astype(np.complex128)
-
-
-def _feed_forward_with_ops(
-    state: StateVector, outcomes: tuple[int, int]
-) -> tuple[StateVector, tuple[str, ...]]:
-    ops: list[str] = []
-    if outcomes[0] == 1:
-        state = apply_operator(state, [A_SPATIAL], _SIGN_FLIP)
-        ops.append(A_SPATIAL)
-    if outcomes[1] == 1:
-        state = apply_operator(state, [A_POL], _SIGN_FLIP)
-        ops.append(A_POL)
-    return state, tuple(ops)
+    ops = tuple(label for label, outcome in zip((A_SPATIAL, A_POL), outcomes) if outcome == 1)
+    for label in ops:
+        state = apply_operator(state, [label], _SIGN_FLIP)
+    return state, ops
 
 
 def _finish_branch(
@@ -270,7 +216,7 @@ def _finish_branch(
     branch_probability: float,
     seed: int | None,
 ) -> GateRun:
-    corrected, ops = _feed_forward_with_ops(branch_state, outcomes)
+    corrected, ops = feed_forward(branch_state, outcomes)
     final = discard_register(discard_register(corrected, SPIN_2), SPIN_1)
     return GateRun(
         mode=mode,
@@ -294,10 +240,18 @@ def hyper_cnot_state(
     ``branch_mode="enumerate"`` returns all four spin branches, skipping
     probability-zero ones; ``"sample"`` draws one branch with a seeded PRNG.
     In ideal mode all enumerated branches carry the same corrected state.
+    Raises ZeroSurvivalError when no amplitude reaches the spin measurement.
     """
+    if branch_mode not in ("enumerate", "sample"):
+        raise ValueError(f"branch_mode must be 'enumerate' or 'sample', got {branch_mode!r}")
     mode = "ideal" if reflection is None else "physical"
     pre = _circuit_checkpoints(joint, reflection)["pre_measurement"]
     survival = pre.norm2
+    if survival == 0.0:
+        raise ZeroSurvivalError(
+            "zero survival: no photon amplitude reaches the spin measurement, "
+            "so the gate output is undefined"
+        )
 
     if branch_mode == "sample":
         rng = np.random.default_rng(seed)
@@ -307,8 +261,6 @@ def hyper_cnot_state(
         return _finish_branch(
             st, (rec1.outcome, rec2.outcome), mode, survival, branch_probability, seed
         )
-    if branch_mode != "enumerate":
-        raise ValueError(f"branch_mode must be 'enumerate' or 'sample', got {branch_mode!r}")
 
     runs = []
     for o1, p1, st1 in measure_all_branches(pre, SPIN_1):

@@ -9,7 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from hypercnot import StateVector, photon_registers, spin_register, state_from_terms
+from hypercnot import (
+    CavityParams,
+    StateVector,
+    photon_registers,
+    reflect_cold,
+    reflect_hot,
+    spin_register,
+    state_from_terms,
+)
 
 SQ2 = np.sqrt(2.0)
 
@@ -255,3 +263,13 @@ def cnot_cnot_permutation() -> np.ndarray:
 def random_amplitude_pair(rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     return v / np.linalg.norm(v)
+
+
+def efficiency_oracle(params: CavityParams) -> float:
+    """Four-reflection counting prediction for the survival probability.
+
+    Independent of the circuit path: uses only the reflection magnitudes.
+    """
+    u = abs(reflect_cold(params))
+    v = abs(reflect_hot(params))
+    return float(((u**2 + v**2) / 2) ** 4)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from hypercnot import (
     CavityParams,
     REFERENCE_POINTS,
     ReflectionPair,
-    efficiency_oracle,
     formula_performance,
     performance_point,
     photon_state,
@@ -14,7 +15,7 @@ from hypercnot import (
     sweep,
     tensor_product,
 )
-from oracles import random_amplitude_pair
+from oracles import efficiency_oracle, random_amplitude_pair
 
 SQ2 = np.sqrt(2.0)
 
@@ -89,7 +90,30 @@ def test_performance_point_with_simulation():
     assert 0.0 <= point.F_sim <= 1.0
 
 
+def test_simulated_performance_at_zero_survival():
+    # matched side leakage on resonance: both reflections vanish
+    f, eta = simulated_performance(CavityParams(g=0.0, kappa_s=1.0, detuning=0.0))
+    assert math.isnan(f)
+    assert eta == 0.0
+
+
 # -- sweeps ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "slot", ["g_lo", "g_hi", "kappa_s_lo", "kappa_s_hi", "gamma"]
+)
+def test_sweep_rejects_non_finite_inputs(slot, bad):
+    args = {"g_lo": 0.0, "g_hi": 1.0, "kappa_s_lo": 0.0, "kappa_s_hi": 1.0, "gamma": 0.1}
+    args[slot] = bad
+    with pytest.raises(ValueError):
+        sweep(
+            (args["g_lo"], args["g_hi"]),
+            (args["kappa_s_lo"], args["kappa_s_hi"]),
+            3,
+            args["gamma"],
+        )
 
 
 def test_sweep_lattice_shape_and_order():

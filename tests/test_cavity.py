@@ -108,6 +108,21 @@ def test_ideal_pair_values():
     assert abs(pair.delta_phi - np.pi / 2) < 1e-15
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "name", ["g", "kappa", "kappa_s", "gamma", "detuning", "exciton_detuning"]
+)
+def test_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name}.* finite"):
+        params(**{name: value})
+
+
+def test_side_leakage_warning_at_exact_threshold():
+    with pytest.warns(UserWarning, match="at or above") as record:
+        ReflectionPair.from_params(params(kappa_s=1.3))
+    assert len(record) == 1
+
+
 def test_side_leakage_warning_threshold():
     with pytest.warns(UserWarning):
         ReflectionPair.from_params(params(kappa_s=1.4))

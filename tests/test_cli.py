@@ -1,8 +1,13 @@
+import gzip
 import json
+from pathlib import Path
 
 import pytest
 
 from hypercnot.cli import load_config, main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -201,6 +206,140 @@ def test_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["truth-table", "--config", str(cfg)])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command,line",
+    [
+        ("truth-table", "format = xml"),
+        ("truth-table", "g = abc"),
+        ("truth-table", "g = nan"),
+        ("truth-table", "mode = lossy"),
+        ("sweep", "resolution = 1.5"),
+    ],
+)
+def test_config_values_get_flag_type_and_choice_checks(command, line, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as err:
+        main([command, "--config", str(cfg)])
+    assert err.value.code == 2
+
+
+def test_config_sets_amplitude_options(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("a-pol = 0,1\na_spatial = 0,1\nb_pol = 1,0\nb_spatial = 1,0\n")
+    code, out, _ = run_cli(capsys, "gate", "--config", str(cfg))
+    assert code == 0
+    assert "|L,a2,L,b2>" in out
+
+
+def test_config_keys_of_other_commands_are_ignored(capsys):
+    # sample.cfg sets mode, g, kappa_s, detuning and format, which sweep lacks
+    _, plain, _ = run_cli(capsys, "sweep", "--resolution", "3")
+    code, seeded, _ = run_cli(
+        capsys, "sweep", "--config", str(REPO_ROOT / "scripts" / "sample.cfg"), "--resolution", "3"
+    )
+    assert code == 0
+    assert seeded == plain
+
+
+# -- options and inputs that are rejected ------------------------------------------
+
+FLOAT_OPTIONS = [
+    (command, flag)
+    for command in ("truth-table", "gate", "cluster", "bell-analyze")
+    for flag in ("--g", "--kappa-s", "--gamma", "--detuning")
+] + [
+    ("sweep", flag)
+    for flag in ("--gamma", "--g-min", "--g-max", "--kappa-s-min", "--kappa-s-max")
+] + [("paper-check", "--gamma"), ("paper-check", "--tolerance")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command,flag", FLOAT_OPTIONS)
+def test_non_finite_float_options_are_usage_errors(command, flag, value, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([command, f"{flag}={value}"])
+    assert err.value.code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--detuning", "0"],
+        ["sweep", "--mode", "physical"],
+        ["sweep", "--g", "1"],
+        ["sweep", "--kappa-s", "0.1"],
+        ["sweep", "--format", "csv"],
+        ["paper-check", "--g", "1"],
+        ["paper-check", "--mode", "physical"],
+        ["paper-check", "--kappa-s", "0.1"],
+        ["paper-check", "--detuning", "0.1"],
+    ],
+)
+def test_options_a_command_ignores_are_rejected(argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("extra", [[], ["--seed", "1"]])
+def test_gate_at_zero_survival_is_one_error_line(extra, capsys):
+    argv = ["gate", "--mode", "physical", "--g", "0", "--kappa-s", "1", "--detuning", "0"]
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: zero survival")
+
+
+# -- golden outputs captured before the CLI refactor ---------------------------------
+
+GOLDEN_CASES = [
+    # (golden file, exit code, argv); .csv and .csv.gz cases write through --out
+    ("truth-table.txt", 0, "truth-table"),
+    ("truth-table_g2.4.txt", 0, "truth-table --mode physical --g 2.4"),
+    ("truth-table_g0.5.txt", 0, "truth-table --mode physical --g 0.5"),
+    ("truth-table_sample-cfg.txt", 0, "truth-table --config scripts/sample.cfg"),
+    ("gate.txt", 0, "gate"),
+    ("gate_g2.4.txt", 0, "gate --mode physical --g 2.4"),
+    ("gate_g0.5.txt", 0, "gate --mode physical --g 0.5"),
+    ("gate_basis.txt", 0, "gate --input basis:L,a2,R,b1"),
+    ("gate_seed5.txt", 0, "gate --seed 5"),
+    ("cluster.txt", 0, "cluster"),
+    ("cluster_g2.4.txt", 0, "cluster --mode physical --g 2.4"),
+    ("cluster_g0.5.txt", 0, "cluster --mode physical --g 0.5"),
+    ("bell-analyze.txt", 0, "bell-analyze"),
+    ("bell-analyze_g2.4.txt", 0, "bell-analyze --mode physical --g 2.4"),
+    ("bell-analyze_g0.5.txt", 0, "bell-analyze --mode physical --g 0.5"),
+    ("paper-check.txt", 0, "paper-check"),
+    ("paper-check_simulate.txt", 0, "paper-check --simulate"),
+    ("paper-check_tolerance.txt", 1, "paper-check --tolerance 0.0001"),
+    ("sweep.csv.gz", 0, "sweep"),
+    ("sweep_resolution5.csv", 0, "sweep --resolution 5"),
+    ("sweep_gamma0.2.csv.gz", 0, "sweep --gamma 0.2"),
+]
+
+
+@pytest.mark.parametrize("golden,expected_code,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_golden_output(golden, expected_code, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(REPO_ROOT)  # config paths are relative to the repo root
+    argv = argv.split()
+    out_file = tmp_path / "out.csv"
+    if ".csv" in golden:
+        argv += ["--out", str(out_file)]
+    code = main(argv)
+    stdout = capsys.readouterr().out.encode()
+    want = (GOLDEN_DIR / golden).read_bytes()
+    if golden.endswith(".gz"):
+        want = gzip.decompress(want)
+    got = out_file.read_bytes() if ".csv" in golden else stdout
+    assert code == expected_code
+    assert got == want
+    if ".csv" in golden:
+        assert stdout == b""
 
 
 # -- generic ------------------------------------------------------------------------

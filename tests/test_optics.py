@@ -21,21 +21,15 @@ POL = Register("a.pol", ("R", "L"))
 SPATIAL = Register("a.spatial", ("a1", "a2"))
 SPIN = Register("e1", ("up", "down"))
 
-MATRIX_KINDS = [k for k in ElementKind if k is not ElementKind.CPBS]
+ALL_KINDS = list(ElementKind)
 
-
-def test_cpbs_has_no_matrix():
-    with pytest.raises(ValueError):
-        element_matrix(ElementKind.CPBS)
-
-
-@pytest.mark.parametrize("kind", MATRIX_KINDS)
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_every_element_is_unitary(kind):
     m = element_matrix(kind)
     np.testing.assert_allclose(m.conj().T @ m, np.eye(2), atol=1e-14)
 
 
-@pytest.mark.parametrize("kind", MATRIX_KINDS)
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_element_then_inverse_restores_state(kind, rng):
     st_ = random_state((POL,), rng)
     m = element_matrix(kind)
@@ -130,7 +124,7 @@ def test_conditional_identity_is_identity(rng):
 def test_conditional_matches_block_diagonal_oracle(seed, control_value):
     gen = np.random.default_rng(seed)
     st_ = random_state((POL, SPATIAL, SPIN), gen)
-    kind = gen.choice(MATRIX_KINDS)
+    kind = gen.choice(ALL_KINDS)
     out = conditional_element(st_, kind, "a.pol", "a.spatial", control_value)
     mat = element_matrix(kind)
     block = np.zeros((4, 4), dtype=complex)

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercnot import (
+    ElementKind,
     GateRun,
     HyperBellState,
     ReflectionPair,
     StateVector,
     analyze_hyper_bell,
     bell_decoding_table,
-    cz_stage,
+    element_matrix,
     expected_truth_table_output,
     feed_forward,
     fidelity_up_to_global_phase,
@@ -18,11 +21,10 @@ from hypercnot import (
     hyper_cnot_state,
     measure_all_branches,
     normalize,
+    pass_matrix,
     photon_state,
-    polarization_stage_matrix,
     prepare_cluster,
     prepare_cluster_stages,
-    spatial_stage_matrix,
     spin_readout,
     spin_register,
     state_from_terms,
@@ -31,7 +33,7 @@ from hypercnot import (
     truth_table,
     uniform_two_photon_state,
 )
-from hypercnot.cavity import CavityParams
+from hypercnot.cavity import CavityParams, scatter_matrix
 from oracles import (
     PHOTON_REGS,
     SYSTEM_REGS,
@@ -64,21 +66,68 @@ def joint_input(alpha, gamma, beta, delta):
     )
 
 
-# -- composite stage operators ----------------------------------------------
+# -- the cavity pass: derived from the optical elements ----------------------
+
+EYE2 = np.eye(2, dtype=np.complex128)
+
+
+def sandwich_spin_action(reflection, scatter_branch):
+    """Spin action of one CPBS / bit-flip / cavity / bit-flip / CPBS sandwich.
+
+    ``scatter_branch`` is the circular component (0 = R, 1 = L) every photon
+    component is routed into before hitting the cavity: the CPBS sends the
+    other component through the bit-flip plates. The composite must factor
+    as identity on polarization times a spin diagonal.
+    """
+    q = scatter_matrix(reflection)
+    flip = np.kron(element_matrix(ElementKind.HWP_X), EYE2)
+    keep = np.kron(np.diag([1.0 - scatter_branch, float(scatter_branch)]), EYE2)
+    reroute = np.kron(np.diag([float(scatter_branch), 1.0 - scatter_branch]), EYE2)
+    composite = q @ keep + flip @ q @ flip @ reroute
+    spin_action = composite[:2, :2]
+    np.testing.assert_allclose(composite, np.kron(EYE2, spin_action), rtol=0, atol=1e-14)
+    return spin_action
+
+
+def derived_pass_matrices(reflection):
+    """Spatial and polarization passes composed from their optical elements.
+
+    Spatial: path 1 carries the scatter-as-R sandwich, path 2 the
+    scatter-as-L sandwich followed by the global -i plate. Polarization:
+    direct scattering, then the diag(1, -i) plate on the polarization.
+    """
+    path1 = sandwich_spin_action(reflection, 0)
+    path2 = element_matrix(ElementKind.WP_U1)[0, 0] * sandwich_spin_action(reflection, 1)
+    spatial = np.kron(np.diag([1.0, 0.0]), path1) + np.kron(np.diag([0.0, 1.0]), path2)
+    plate = np.kron(element_matrix(ElementKind.WP_U2), EYE2)
+    return spatial, plate @ scatter_matrix(reflection)
 
 
 def test_stage_matrices_reduce_to_known_diagonal(rng):
-    for pair in (ReflectionPair.ideal(), ReflectionPair(-0.8j, 0.9), ReflectionPair(0.7 * np.exp(0.3j), 0.95 * np.exp(-0.2j))):
-        c, h = pair.r_cold, pair.r_hot
-        expected = np.diag([c, h, -1j * h, -1j * c])
-        np.testing.assert_allclose(spatial_stage_matrix(pair), expected, atol=1e-14)
-        np.testing.assert_allclose(polarization_stage_matrix(pair), expected, atol=1e-14)
+    lossy = ReflectionPair.from_params(CavityParams(g=1.56, kappa_s=0.2))
+    for pair in (
+        ReflectionPair.ideal(),
+        ReflectionPair(-0.8j, 0.9),
+        ReflectionPair(0.7 * np.exp(0.3j), 0.95 * np.exp(-0.2j)),
+        lossy,
+    ):
+        for derived in derived_pass_matrices(pair):
+            np.testing.assert_allclose(derived, pass_matrix(pair), rtol=0, atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mags=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    phases=st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
+)
+def test_pass_matrix_matches_sandwich_for_passive_pairs(mags, phases):
+    pair = ReflectionPair(mags[0] * np.exp(1j * phases[0]), mags[1] * np.exp(1j * phases[1]))
+    for derived in derived_pass_matrices(pair):
+        np.testing.assert_allclose(derived, pass_matrix(pair), rtol=0, atol=1e-14)
 
 
 def test_ideal_stage_matrix_phases():
-    np.testing.assert_allclose(
-        spatial_stage_matrix(None), np.diag([-1j, 1, -1j, -1]), atol=1e-15
-    )
+    np.testing.assert_allclose(pass_matrix(None), np.diag([-1j, 1, -1j, -1]), atol=1e-15)
 
 
 # -- the hybrid CZ stage ------------------------------------------------------
@@ -91,6 +140,21 @@ def prepared_system(alpha, gamma, beta, delta):
         joint_input(alpha, gamma, beta, delta),
         tensor_state([(spin_register("e1"), spin), (spin_register("e2"), spin)]),
     )
+
+
+def hybrid_cz_checkpoint(alpha, gamma, beta, delta):
+    """Circuit state after both control-photon passes (the hybrid CZ stage)."""
+    control, target = photon_state("a", alpha, gamma), photon_state("b", beta, delta)
+    return hyper_cnot_checkpoints(control, target)["hybrid_cz"]
+
+
+def test_spins_prepared_checkpoint_matches_prepared_system(rng):
+    alpha, gamma, beta, delta = random_coefficients(rng)
+    control, target = photon_state("a", alpha, gamma), photon_state("b", beta, delta)
+    got = hyper_cnot_checkpoints(control, target)
+    want = prepared_system(alpha, gamma, beta, delta)
+    assert got["spins_prepared"].labels == want.labels
+    np.testing.assert_allclose(got["spins_prepared"].amplitudes, want.amplitudes, atol=1e-15)
 
 
 def test_control_spatial_pass_matches_oracle(rng):
@@ -106,13 +170,13 @@ def test_control_spatial_pass_matches_oracle(rng):
 def test_cz_stage_matches_oracle(rng):
     for _ in range(5):
         alpha, gamma, beta, delta = random_coefficients(rng)
-        got = cz_stage(prepared_system(alpha, gamma, beta, delta))
+        got = hybrid_cz_checkpoint(alpha, gamma, beta, delta)
         want = hybrid_cz_expected(alpha, gamma, beta, delta)
         assert fidelity_up_to_global_phase(got, want) >= 1 - FID_TOL
 
 
 def test_cz_stage_entangles_path_with_first_spin():
-    got = cz_stage(prepared_system((1, 0), PLUS, (1, 0), (1, 0)))
+    got = hybrid_cz_checkpoint((1, 0), PLUS, (1, 0), (1, 0))
     want = hybrid_cz_expected((1, 0), PLUS, (1, 0), (1, 0))
     assert fidelity_up_to_global_phase(got, want) >= 1 - FID_TOL
     # the spatial mode and spin 1 form a maximally entangled pair
@@ -126,7 +190,7 @@ def test_cz_stage_entangles_path_with_first_spin():
 
 
 def test_cz_stage_trivial_controls_stay_product():
-    got = cz_stage(prepared_system((1, 0), (1, 0), (1, 0), (1, 0)))
+    got = hybrid_cz_checkpoint((1, 0), (1, 0), (1, 0), (1, 0))
     # both spins end in (up+down)/sqrt2, photon untouched
     want = state_from_terms(
         SYSTEM_REGS,
@@ -147,7 +211,7 @@ def test_cz_stage_equals_double_cz_oracle(rng):
     full = embed_matrix(6, [4, 1], cz) @ embed_matrix(6, [5, 0], cz)
     for _ in range(5):
         alpha, gamma, beta, delta = random_coefficients(rng)
-        got = cz_stage(prepared_system(alpha, gamma, beta, delta))
+        got = hybrid_cz_checkpoint(alpha, gamma, beta, delta)
         plus_spin = (1 / SQ2, 1 / SQ2)
         reference_in = tensor_product(
             joint_input(alpha, gamma, beta, delta),
@@ -161,7 +225,7 @@ def test_cz_stage_equals_double_cz_oracle(rng):
 
 def test_cz_stage_requires_registers(rng):
     with pytest.raises(ValueError):
-        cz_stage(photon_state("a", PLUS, PLUS))
+        hyper_cnot_checkpoints(photon_state("a", PLUS, PLUS), photon_state("a", PLUS, PLUS))
 
 
 # -- staged checkpoints of the full gate --------------------------------------
@@ -343,26 +407,38 @@ def test_gate_input_validation(rng):
         hyper_cnot_state(spoiled)
 
 
+@pytest.mark.parametrize("branch_mode", ["enumerate", "sample"])
+def test_zero_survival_is_a_named_error(branch_mode):
+    # matched side leakage on resonance: both reflections vanish
+    dead = ReflectionPair.from_params(CavityParams(g=0.0, kappa_s=1.0, detuning=0.0))
+    assert dead.r_cold == 0 and dead.r_hot == 0
+    with pytest.raises(ValueError, match="zero survival"):
+        hyper_cnot_state(uniform_two_photon_state(), dead, branch_mode=branch_mode, seed=1)
+
+
 # -- feed-forward ----------------------------------------------------------------
 
 
 def test_feed_forward_identity_on_up_up(rng):
     st = joint_input(*random_coefficients(rng))
-    out = feed_forward(st, (0, 0))
+    out, ops = feed_forward(st, (0, 0))
+    assert ops == ()
     np.testing.assert_allclose(out.amplitudes, st.amplitudes, atol=1e-15)
 
 
 def test_feed_forward_flips_second_path_sign():
     gamma = (0.6, 0.8)
     st = joint_input((1, 0), gamma, (1, 0), (1, 0))
-    out = feed_forward(st, (1, 0))
+    out, ops = feed_forward(st, (1, 0))
+    assert ops == ("a.spatial",)
     assert abs(out.amplitude("R", "a1", "R", "b1") - 0.6) < 1e-15
     assert abs(out.amplitude("R", "a2", "R", "b1") + 0.8) < 1e-15
 
 
 def test_feed_forward_flips_l_sign():
     st = joint_input((0.6, 0.8), (1, 0), (1, 0), (1, 0))
-    out = feed_forward(st, (0, 1))
+    out, ops = feed_forward(st, (0, 1))
+    assert ops == ("a.pol",)
     assert abs(out.amplitude("R", "a1", "R", "b1") - 0.6) < 1e-15
     assert abs(out.amplitude("L", "a1", "R", "b1") + 0.8) < 1e-15
 
