@@ -38,6 +38,7 @@ from .protocols import (
     TruthTableRow,
     analyze_hyper_bell,
     bell_decoding_table,
+    branch_outputs,
     expected_truth_table_output,
     feed_forward,
     hyper_bell_state,
@@ -45,6 +46,7 @@ from .protocols import (
     hyper_cnot_checkpoints,
     hyper_cnot_state,
     pass_matrix,
+    photon_columns,
     photon_registers,
     photon_state,
     prepare_cluster,

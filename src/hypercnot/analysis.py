@@ -11,8 +11,11 @@ folds in the two auxiliary-photon spin readouts, hence the sixth power of
 the per-pass overlap. Both reduce to 1 when u = v = 1, and F alone reaches
 1 whenever u = v because balanced loss renormalizes away.
 
-The simulated figures re-run the full circuit with the complex reflection
-amplitudes. Simulated efficiency matches the closed form exactly (norms
+The simulated figures run the full circuit with the complex reflection
+amplitudes, through the batched gate engine (protocols.branch_outputs). One
+engine call covers every point of a sweep, and the ideal pair rides in the
+same batch, so the ideal reference is computed once per call rather than
+once per point. Simulated efficiency matches the closed form exactly (norms
 ignore phases). Simulated fidelity differs from the closed form in general:
 the closed form assumes ideal reflection phases and charges for the two
 readout reflections, while the circuit-level number keeps the true phases
@@ -22,14 +25,21 @@ and measures the spins directly. Both are reported side by side.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .cavity import CavityParams, ReflectionPair, reflect_cold, reflect_hot
-from .hilbert import StateVector, fidelity_up_to_global_phase
-from .protocols import ZeroSurvivalError, hyper_cnot_state, uniform_two_photon_state
+from .cavity import (
+    SIDE_LEAKAGE_WARNING,
+    CavityParams,
+    ReflectionPair,
+    reflect_cold,
+    reflect_hot,
+)
+from .hilbert import StateVector
+from .protocols import branch_outputs, photon_columns, uniform_two_photon_state
 
 
 @dataclass(frozen=True)
@@ -60,31 +70,62 @@ def formula_performance(params: CavityParams) -> tuple[float, float]:
     return per_pass**6, ((u**2 + v**2) / 2) ** 4
 
 
+def _simulated_figures(
+    pairs: list[ReflectionPair], photons: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Circuit-level fidelity and efficiency arrays, one entry per pair.
+
+    ``photons`` is one input in engine columns. The ideal pair goes first in
+    the same engine call; its (up, up) branch is the reference, since every
+    ideal branch carries the same corrected output. With out_o the corrected
+    branch outputs, eta = sum_o |out_o|**2 and F = sum_o |<ideal|out_o>|**2 / eta
+    (the ideal output normalized), which is the branch-probability-weighted
+    fidelity of the normalized branches. Where eta = 0, F is nan.
+    """
+    ideal = ReflectionPair.ideal()
+    r_cold = np.array([ideal.r_cold] + [pair.r_cold for pair in pairs])
+    r_hot = np.array([ideal.r_hot] + [pair.r_hot for pair in pairs])
+    out = branch_outputs(r_cold, r_hot, photons)
+    reference, physical = out[0, 0, 0], out[1:]
+    eta = np.sum(np.abs(physical) ** 2, axis=(1, 2, 3, 4))
+    overlap2 = np.abs(np.tensordot(physical, reference.conj(), axes=([3, 4], [0, 1]))) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fidelity = overlap2.sum(axis=(1, 2)) / (np.sum(np.abs(reference) ** 2) * eta)
+    return np.where(eta > 0.0, fidelity, math.nan), eta
+
+
 def simulated_performance(
     params: CavityParams, input_state: StateVector | None = None
 ) -> tuple[float, float]:
     """Circuit-level (fidelity, efficiency) for one parameter point.
 
     Runs the gate with the complex reflection amplitudes and in ideal mode
-    on the same input (uniform superposition by default). Fidelity is the
-    branch-probability-weighted overlap of the corrected outputs with the
-    ideal output; efficiency is the survival probability. At zero survival
-    the fidelity is undefined and ``(nan, 0.0)`` is returned.
+    on the same input (uniform superposition by default), with the photon
+    registers in any order. Fidelity is the branch-probability-weighted
+    overlap of the corrected outputs with the ideal output; efficiency is
+    the survival probability. At zero survival the fidelity is undefined
+    and ``(nan, 0.0)`` is returned.
     """
     joint = input_state if input_state is not None else uniform_two_photon_state()
-    ideal_runs = hyper_cnot_state(joint, None)
-    ideal_final = ideal_runs[0].final_state
-    try:
-        physical_runs = hyper_cnot_state(joint, ReflectionPair.from_params(params))
-    except ZeroSurvivalError:
-        return math.nan, 0.0
-    eta = physical_runs[0].survival_probability
-    fid = sum(
-        run.branch_probability
-        * fidelity_up_to_global_phase(run.final_state, ideal_final)
-        for run in physical_runs
+    fidelity, eta = _simulated_figures(
+        [ReflectionPair.from_params(params)], photon_columns(joint)
     )
-    return float(fid), float(eta)
+    return float(fidelity[0]), float(eta[0])
+
+
+def _performance_point(
+    params: CavityParams, f_sim: float | None = None, eta_sim: float | None = None
+) -> PerformancePoint:
+    f_formula, eta_formula = formula_performance(params)
+    return PerformancePoint(
+        g_over_kappa=params.g,
+        kappa_s_over_kappa=params.kappa_s,
+        gamma_over_kappa=params.gamma,
+        F_formula=f_formula,
+        eta_formula=eta_formula,
+        F_sim=f_sim,
+        eta_sim=eta_sim,
+    )
 
 
 def performance_point(
@@ -94,19 +135,9 @@ def performance_point(
     include_simulation: bool = False,
 ) -> PerformancePoint:
     params = CavityParams(g=g, kappa_s=kappa_s, gamma=gamma)
-    f_formula, eta_formula = formula_performance(params)
-    f_sim = eta_sim = None
     if include_simulation:
-        f_sim, eta_sim = simulated_performance(params)
-    return PerformancePoint(
-        g_over_kappa=g,
-        kappa_s_over_kappa=kappa_s,
-        gamma_over_kappa=gamma,
-        F_formula=f_formula,
-        eta_formula=eta_formula,
-        F_sim=f_sim,
-        eta_sim=eta_sim,
-    )
+        return _performance_point(params, *simulated_performance(params))
+    return _performance_point(params)
 
 
 def sweep(
@@ -121,6 +152,11 @@ def sweep(
     A degenerate range (equal endpoints) with resolution 1 yields a single
     point, which is how one reproduces an individual benchmark value.
     Non-finite range ends or ``gamma`` raise ValueError.
+
+    ``include_simulation`` adds the circuit-level figures from one engine
+    call over the whole lattice. ``provenance["side_leakage_points"]``
+    counts the points at or above the side-leakage guidance; a simulated
+    sweep emits one UserWarning naming that count, not one per point.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
@@ -129,17 +165,39 @@ def sweep(
             raise ValueError(f"{name} range must satisfy 0 <= lo <= hi < inf, got {(lo, hi)}")
     g_values = np.linspace(g_range[0], g_range[1], resolution)
     ks_values = np.linspace(kappa_s_range[0], kappa_s_range[1], resolution)
-    grid = [
-        performance_point(float(g), float(ks), gamma, include_simulation)
+    points = (
+        CavityParams(g=float(g), kappa_s=float(ks), gamma=gamma)
         for g in g_values
         for ks in ks_values
-    ]
+    )
     defaults = CavityParams(g=0.0)
+    leaky_columns = np.count_nonzero(ks_values >= SIDE_LEAKAGE_WARNING * defaults.kappa)
+    leaky = resolution * int(leaky_columns)
+    if include_simulation:
+        points = list(points)
+        if leaky:
+            warnings.warn(
+                f"{leaky} of {len(points)} lattice points have kappa_s at or above the "
+                f"{SIDE_LEAKAGE_WARNING:g} kappa guidance for reaching the -pi/2 "
+                "relative reflection phase",
+                UserWarning,
+                stacklevel=2,
+            )
+        # built directly: from_params would warn once per point
+        pairs = [ReflectionPair(reflect_cold(p), reflect_hot(p)) for p in points]
+        f_sim, eta_sim = _simulated_figures(pairs, photon_columns(uniform_two_photon_state()))
+        grid = [
+            _performance_point(p, f, eta)
+            for p, f, eta in zip(points, f_sim.tolist(), eta_sim.tolist())
+        ]
+    else:
+        grid = [_performance_point(p) for p in points]
     provenance = {
         "package": f"hypercnot {__version__}",
         "detuning": repr(defaults.detuning),
         "exciton_detuning": repr(defaults.exciton_detuning),
         "gamma_over_kappa": repr(gamma),
+        "side_leakage_points": str(leaky),
     }
     return SweepResult(gamma_over_kappa=gamma, grid=grid, provenance=provenance)
 

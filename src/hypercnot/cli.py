@@ -304,15 +304,21 @@ def cmd_sweep(args, parser) -> int:
             (args.kappa_s_min, args.kappa_s_max),
             args.resolution,
             args.gamma,
+            include_simulation=args.simulate,
         )
     except ValueError as exc:
         parser.error(str(exc))
-    lines = ["g_over_kappa,kappa_s_over_kappa,gamma_over_kappa,F,eta"]
+    simulate = args.simulate
+    header = "g_over_kappa,kappa_s_over_kappa,gamma_over_kappa,F,eta"
+    lines = [header + ",F_sim,eta_sim" if simulate else header]
     for point in result.grid:
-        lines.append(
+        line = (
             f"{point.g_over_kappa:.10g},{point.kappa_s_over_kappa:.10g},"
             f"{point.gamma_over_kappa:.10g},{point.F_formula:.10g},{point.eta_formula:.10g}"
         )
+        if simulate:
+            line += f",{point.F_sim:.10g},{point.eta_sim:.10g}"
+        lines.append(line)
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -434,6 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(
         commands, "sweep", cmd_sweep, "grid of closed-form performance figures as CSV",
         cavity=False, formats=False,
+    )
+    p.add_argument(
+        "--simulate", action="store_true", help="add circuit-level F_sim,eta_sim columns"
     )
     p.add_argument("--g-min", type=_finite_float, default=0.0)
     p.add_argument("--g-max", type=_finite_float, default=3.0)

@@ -25,6 +25,19 @@ spins are rotated between the two photons' passes and measured at the end,
 and classically conditioned sign flips on the control photon make every
 measurement branch yield the same corrected output: a CNOT on the spatial
 modes and a CNOT on the polarizations, both controlled by photon a.
+
+Two representations of the gate
+-------------------------------
+The step path (_circuit_checkpoints, hyper_cnot_state, GateRun) pushes one
+labelled StateVector through the circuit one operator at a time. It yields
+the named checkpoints, measurement sampling and enumerated GateRuns, and it
+is the reference the other representation is tested against.
+
+The batched engine (branch_outputs) runs the same 14 stages on plain arrays
+for N reflection pairs and m input columns at once, with the feed-forward
+folded in. It returns the corrected, unnormalized output of every spin
+branch; given the identity as input these are the gate's four 16x16 Kraus
+operators. Parameter sweeps and simulated_performance use it.
 """
 
 from __future__ import annotations
@@ -48,11 +61,12 @@ from .hilbert import (
     measure_all_branches,
     normalize,
     outcome_weights,
+    reorder_registers,
     state_from_terms,
     tensor_product,
     tensor_state,
 )
-from .optics import ElementKind, apply_element, conditional_element
+from .optics import ElementKind, apply_element, conditional_element, element_matrix
 
 A_POL = "a.pol"
 A_SPATIAL = "a.spatial"
@@ -93,6 +107,14 @@ def uniform_two_photon_state() -> StateVector:
 # -- the cavity pass -----------------------------------------------------
 
 
+def _pass_diagonal(r_cold, r_hot) -> np.ndarray:
+    """``(r_cold, r_hot, -i r_hot, -i r_cold)`` along a new last axis.
+
+    Takes scalars or equal-shape arrays of reflection amplitudes.
+    """
+    return np.stack([r_cold, r_hot, -1j * r_hot, -1j * r_cold], axis=-1).astype(np.complex128)
+
+
 def pass_matrix(reflection: ReflectionPair | None = None) -> np.ndarray:
     """Operator of one cavity pass on (path-or-polarization, spin).
 
@@ -100,8 +122,7 @@ def pass_matrix(reflection: ReflectionPair | None = None) -> np.ndarray:
     the module docstring); ``reflection=None`` selects the ideal pair.
     """
     refl = reflection if reflection is not None else ReflectionPair.ideal()
-    c, h = refl.r_cold, refl.r_hot
-    return np.diag(np.array([c, h, -1j * h, -1j * c], dtype=np.complex128))
+    return np.diag(_pass_diagonal(refl.r_cold, refl.r_hot))
 
 
 # -- the hyper-CNOT gate -------------------------------------------------
@@ -136,14 +157,18 @@ def _require_labels(state: StateVector, labels: tuple[str, ...], role: str) -> N
         raise ValueError(f"{role} is missing registers {missing}; has {state.labels}")
 
 
-def _circuit_checkpoints(
-    joint: StateVector, reflection: ReflectionPair | None
-) -> dict[str, StateVector]:
-    """Run the circuit up to (not including) the spin measurement."""
+def _check_two_photon_input(joint: StateVector) -> None:
     _require_labels(joint, PHOTON_LABELS, "two-photon input")
     for spin in (SPIN_1, SPIN_2):
         if spin in joint.labels:
             raise ValueError(f"input already contains the internal spin register {spin!r}")
+
+
+def _circuit_checkpoints(
+    joint: StateVector, reflection: ReflectionPair | None
+) -> dict[str, StateVector]:
+    """Run the circuit up to (not including) the spin measurement."""
+    _check_two_photon_input(joint)
 
     st = attach_register(joint, spin_register(SPIN_1), (1, 0))
     st = attach_register(st, spin_register(SPIN_2), (1, 0))
@@ -192,6 +217,9 @@ def hyper_cnot_checkpoints(
 
 _SIGN_FLIP = np.diag([1.0, -1.0]).astype(np.complex128)
 
+# register sign-flipped by a down outcome of e1 and of e2, respectively
+_FEED_FORWARD_TARGETS = (A_SPATIAL, A_POL)
+
 
 def feed_forward(
     state: StateVector, outcomes: tuple[int, int]
@@ -202,7 +230,7 @@ def feed_forward(
     spatial mode; a down outcome on e2 flips the sign of its L component.
     Returns the corrected state and the registers that were flipped.
     """
-    ops = tuple(label for label, outcome in zip((A_SPATIAL, A_POL), outcomes) if outcome == 1)
+    ops = tuple(label for label, outcome in zip(_FEED_FORWARD_TARGETS, outcomes) if outcome == 1)
     for label in ops:
         state = apply_operator(state, [label], _SIGN_FLIP)
     return state, ops
@@ -285,6 +313,80 @@ def hyper_cnot(
     _require_labels(target_state, (B_POL, B_SPATIAL), "target photon")
     joint = tensor_product(control_state, target_state)
     return hyper_cnot_state(joint, reflection, branch_mode, seed)
+
+
+# -- the batched gate engine ---------------------------------------------
+
+# axes of the engine's state tensor; axis 0 indexes the reflection pair and
+# the last axis the input column
+_AXIS = {A_POL: 1, A_SPATIAL: 2, B_POL: 3, B_SPATIAL: 4, SPIN_1: 5, SPIN_2: 6}
+
+
+def _element(t: np.ndarray, kind: ElementKind, label: str) -> np.ndarray:
+    axis = _AXIS[label]
+    return np.moveaxis(np.tensordot(element_matrix(kind), t, axes=(1, axis)), 0, axis)
+
+
+def _cavity_pass(t: np.ndarray, diagonal: np.ndarray, photon: str, spin: str) -> np.ndarray:
+    # the photon axis precedes the spin axis, matching pass_matrix's row order
+    shape = [len(diagonal)] + [1] * (t.ndim - 1)
+    shape[_AXIS[photon]] = shape[_AXIS[spin]] = 2
+    return t * diagonal.reshape(shape)
+
+
+def photon_columns(joint: StateVector) -> np.ndarray:
+    """Amplitudes of a joint input as engine columns, shape (16, m).
+
+    Rows follow PHOTON_LABELS (most significant first); registers beyond the
+    four photon ones become the m = 2**k columns, in their input order.
+    """
+    _check_two_photon_input(joint)
+    rest = [label for label in joint.labels if label not in PHOTON_LABELS]
+    return reorder_registers(joint, list(PHOTON_LABELS) + rest).amplitudes.reshape(16, -1)
+
+
+def branch_outputs(r_cold, r_hot, photons) -> np.ndarray:
+    """Corrected, unnormalized gate outputs for N reflection pairs at once.
+
+    ``r_cold`` and ``r_hot`` hold N reflection amplitudes each; ``photons``
+    has shape (16, m): m input columns over PHOTON_LABELS, most significant
+    first (see photon_columns). Runs the stages of _circuit_checkpoints,
+    projects the spins onto each outcome pair and applies its feed-forward.
+    Returns shape (N, 2, 2, 16, m): pair, e1 outcome, e2 outcome, output
+    amplitude, input column. A branch's squared norm is its probability
+    times the survival; with the identity as input each (16, 16) slice is
+    that branch's Kraus operator.
+    """
+    diagonal = _pass_diagonal(np.ravel(r_cold), np.ravel(r_hot))
+    photons = np.asarray(photons, dtype=np.complex128)
+    if photons.ndim != 2 or photons.shape[0] != 16:
+        raise ValueError(f"photons must have shape (16, m), got {photons.shape}")
+    m = photons.shape[1]
+
+    t = np.zeros((1, 16, 2, 2, m), dtype=np.complex128)
+    t[0, :, 0, 0] = photons  # both spins start up
+    t = t.reshape(1, 2, 2, 2, 2, 2, 2, m)
+    t = _element(t, ElementKind.SPIN_ROT_PLUS, SPIN_1)
+    t = _element(t, ElementKind.SPIN_ROT_PLUS, SPIN_2)
+    t = _cavity_pass(t, diagonal, A_SPATIAL, SPIN_1)
+    t = _cavity_pass(t, diagonal, A_POL, SPIN_2)
+    t = _element(t, ElementKind.BS, B_SPATIAL)
+    t = _element(t, ElementKind.HWP_H, B_POL)
+    t = _element(t, ElementKind.SPIN_ROT_PLUS, SPIN_1)
+    t = _element(t, ElementKind.SPIN_ROT_PLUS, SPIN_2)
+    t = _cavity_pass(t, diagonal, B_SPATIAL, SPIN_1)
+    t = _cavity_pass(t, diagonal, B_POL, SPIN_2)
+    t = _element(t, ElementKind.SPIN_H, SPIN_1)
+    t = _element(t, ElementKind.SPIN_H, SPIN_2)
+    t = _element(t, ElementKind.BS, B_SPATIAL)
+    t = _element(t, ElementKind.HWP_H, B_POL)
+
+    # feed-forward: a down outcome flips the sign of its target's second basis state
+    for spin, target in zip((SPIN_1, SPIN_2), _FEED_FORWARD_TARGETS):
+        flipped = [slice(None)] * t.ndim
+        flipped[_AXIS[spin]] = flipped[_AXIS[target]] = 1
+        t[tuple(flipped)] *= -1
+    return np.moveaxis(t.reshape(-1, 16, 2, 2, m), 1, 3)
 
 
 # -- spin readout --------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,17 +8,37 @@ from hypercnot import (
     CavityParams,
     REFERENCE_POINTS,
     ReflectionPair,
+    Register,
+    fidelity_up_to_global_phase,
     formula_performance,
+    hyper_cnot_state,
     performance_point,
     photon_state,
     reference_check,
+    reorder_registers,
     simulated_performance,
     sweep,
     tensor_product,
+    uniform_two_photon_state,
 )
+from hypercnot.cavity import SIDE_LEAKAGE_WARNING
+from conftest import random_state
 from oracles import efficiency_oracle, random_amplitude_pair
 
 SQ2 = np.sqrt(2.0)
+
+
+def step_path_figures(params, joint):
+    """(F, eta) from enumerated step-path GateRuns: the per-point reference."""
+    ideal_final = hyper_cnot_state(joint, None)[0].final_state
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # side-leakage guidance
+        runs = hyper_cnot_state(joint, ReflectionPair.from_params(params))
+    fidelity = sum(
+        run.branch_probability * fidelity_up_to_global_phase(run.final_state, ideal_final)
+        for run in runs
+    )
+    return fidelity, runs[0].survival_probability
 
 
 def test_perfect_magnitudes_give_unit_figures():
@@ -72,9 +93,24 @@ def test_simulated_performance_accepts_custom_input(rng):
         photon_state("a", random_amplitude_pair(rng), random_amplitude_pair(rng)),
         photon_state("b", random_amplitude_pair(rng), random_amplitude_pair(rng)),
     )
-    f, eta = simulated_performance(CavityParams(g=2.4), joint)
+    params = CavityParams(g=1.56, kappa_s=0.2)
+    f, eta = simulated_performance(params, joint)
     assert 0.0 <= f <= 1.0
     assert 0.0 < eta <= 1.0
+    want = step_path_figures(params, joint)
+    assert abs(f - want[0]) < 1e-12 and abs(eta - want[1]) < 1e-12
+    # the same input with its registers listed in another order
+    permuted = reorder_registers(joint, ["b.spatial", "a.pol", "b.pol", "a.spatial"])
+    f_perm, eta_perm = simulated_performance(params, permuted)
+    want_perm = step_path_figures(params, permuted)
+    assert abs(f_perm - want_perm[0]) < 1e-12 and abs(eta_perm - want_perm[1]) < 1e-12
+    assert abs(f_perm - f) < 1e-12 and abs(eta_perm - eta) < 1e-12
+    # entangled with a register outside the gate, listed first
+    extra = Register("x", ("0", "1"))
+    wide = random_state((extra,) + joint.registers, rng)
+    f_wide, eta_wide = simulated_performance(params, wide)
+    want_wide = step_path_figures(params, wide)
+    assert abs(f_wide - want_wide[0]) < 1e-12 and abs(eta_wide - want_wide[1]) < 1e-12
 
 
 def test_strong_coupling_simulation_nearly_ideal():
@@ -98,6 +134,38 @@ def test_simulated_performance_at_zero_survival():
 
 
 # -- sweeps ------------------------------------------------------------------
+
+
+def test_simulated_sweep_matches_step_path_per_point():
+    result = sweep((0.0, 3.0), (0.0, 2.0), resolution=6, include_simulation=True)
+    joint = uniform_two_photon_state()
+    for point in result.grid:
+        params = CavityParams(g=point.g_over_kappa, kappa_s=point.kappa_s_over_kappa)
+        f, eta = step_path_figures(params, joint)
+        assert abs(point.F_sim - f) < 1e-12
+        assert abs(point.eta_sim - eta) < 1e-12
+
+
+def test_simulated_sweep_warns_once_for_side_leakage():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = sweep((0.0, 3.0), (0.0, 2.0), resolution=21, include_simulation=True)
+    # kappa_s = 1.3, 1.4, ..., 2.0: 8 of the 21 columns
+    leaky = sum(p.kappa_s_over_kappa >= SIDE_LEAKAGE_WARNING for p in result.grid)
+    assert leaky == 8 * 21
+    assert len(caught) == 1
+    assert issubclass(caught[0].category, UserWarning)
+    assert f"{leaky} of 441" in str(caught[0].message)
+    assert result.provenance["side_leakage_points"] == str(leaky)
+
+
+def test_closed_form_sweep_counts_side_leakage_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = sweep((0.0, 3.0), (0.0, 2.0), resolution=21)
+        below = sweep((0.0, 3.0), (0.0, 1.0), resolution=5, include_simulation=True)
+    assert result.provenance["side_leakage_points"] == str(8 * 21)
+    assert below.provenance["side_leakage_points"] == "0"
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

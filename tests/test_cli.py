@@ -319,6 +319,8 @@ GOLDEN_CASES = [
     ("paper-check_tolerance.txt", 1, "paper-check --tolerance 0.0001"),
     ("sweep.csv.gz", 0, "sweep"),
     ("sweep_resolution5.csv", 0, "sweep --resolution 5"),
+    # rendered from the scalar per-point simulation before the batched engine existed
+    ("sweep_resolution5_simulate.csv", 0, "sweep --resolution 5 --simulate"),
     ("sweep_gamma0.2.csv.gz", 0, "sweep --gamma 0.2"),
 ]
 

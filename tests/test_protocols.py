@@ -11,6 +11,7 @@ from hypercnot import (
     StateVector,
     analyze_hyper_bell,
     bell_decoding_table,
+    branch_outputs,
     element_matrix,
     expected_truth_table_output,
     feed_forward,
@@ -22,9 +23,11 @@ from hypercnot import (
     measure_all_branches,
     normalize,
     pass_matrix,
+    photon_columns,
     photon_state,
     prepare_cluster,
     prepare_cluster_stages,
+    reorder_registers,
     spin_readout,
     spin_register,
     state_from_terms,
@@ -32,8 +35,10 @@ from hypercnot import (
     tensor_state,
     truth_table,
     uniform_two_photon_state,
+    ZeroSurvivalError,
 )
 from hypercnot.cavity import CavityParams, scatter_matrix
+from conftest import random_state
 from oracles import (
     PHOTON_REGS,
     SYSTEM_REGS,
@@ -451,6 +456,79 @@ def test_all_branches_agree_after_feed_forward(rng):
     first = runs[0].final_state
     for run in runs[1:]:
         assert fidelity_up_to_global_phase(run.final_state, first) >= 1 - FID_TOL
+
+
+# -- the batched engine against the step path -------------------------------------
+
+PHOTON_LABELS = tuple(reg.label for reg in PHOTON_REGS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mags=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    phases=st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
+    seed=st.integers(0, 2**32 - 1),
+    order=st.permutations(range(4)),
+)
+def test_engine_branches_match_step_path(mags, phases, seed, order):
+    pair = ReflectionPair(mags[0] * np.exp(1j * phases[0]), mags[1] * np.exp(1j * phases[1]))
+    joint = random_state(tuple(PHOTON_REGS[i] for i in order), np.random.default_rng(seed))
+    out = branch_outputs([pair.r_cold], [pair.r_hot], photon_columns(joint))[0, ..., 0]
+    try:
+        runs = hyper_cnot_state(joint, pair)
+    except ZeroSurvivalError:
+        assert np.sum(np.abs(out) ** 2) == 0.0
+        return
+    survival = runs[0].survival_probability
+    assert abs(np.sum(np.abs(out) ** 2) - survival) <= 1e-12
+    for run in runs:
+        branch = out[run.spin_outcomes]
+        weight = survival * run.branch_probability
+        assert abs(np.sum(np.abs(branch) ** 2) - weight) <= 1e-12
+        if weight <= 1e-16:
+            # zero in exact arithmetic (equal reflections leave some branches
+            # empty); both paths keep round-off there, which has no direction
+            continue
+        final = reorder_registers(run.final_state, PHOTON_LABELS).amplitudes
+        fidelity = abs(np.vdot(final, branch)) ** 2 / np.sum(np.abs(branch) ** 2)
+        assert fidelity >= 1 - 1e-12
+
+
+def test_engine_ideal_map_is_half_the_double_cnot():
+    ideal = ReflectionPair.ideal()
+    kraus = branch_outputs([ideal.r_cold], [ideal.r_hot], np.eye(16))[0]
+    half_perm = 0.5 * cnot_cnot_permutation()
+    for o1, o2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        k = kraus[o1, o2]
+        overlap = np.vdot(half_perm, k)
+        phase = overlap / abs(overlap)
+        np.testing.assert_allclose(k, phase * half_perm, rtol=0, atol=1e-12)
+
+
+def test_engine_batches_pairs_and_columns_independently(rng):
+    pairs = [ReflectionPair.ideal(), ReflectionPair(-0.8j, 0.9), ReflectionPair(0.3, 0.7j)]
+    inputs = [uniform_two_photon_state(), random_state(PHOTON_REGS, rng)]
+    columns = np.hstack([photon_columns(joint) for joint in inputs])
+    batched = branch_outputs([p.r_cold for p in pairs], [p.r_hot for p in pairs], columns)
+    assert batched.shape == (3, 2, 2, 16, 2)
+    for n, pair in enumerate(pairs):
+        for c, joint in enumerate(inputs):
+            single = branch_outputs(pair.r_cold, pair.r_hot, photon_columns(joint))
+            np.testing.assert_allclose(batched[n, ..., c], single[0, ..., 0], rtol=0, atol=1e-15)
+
+
+def test_engine_input_validation():
+    with pytest.raises(ValueError):
+        branch_outputs([1.0], [1.0], np.ones((8, 1)))
+    with pytest.raises(ValueError):
+        branch_outputs([1.0, -1j], [1.0], np.ones((16, 1)))
+    with pytest.raises(ValueError):
+        photon_columns(photon_state("a", PLUS, PLUS))
+    spoiled = tensor_product(
+        uniform_two_photon_state(), tensor_state([(spin_register("e2"), (1, 0))])
+    )
+    with pytest.raises(ValueError):
+        photon_columns(spoiled)
 
 
 # -- spin readout -----------------------------------------------------------------
