@@ -24,6 +24,7 @@ from .hilbert import (
 from .cavity import (
     CavityParams,
     ReflectionPair,
+    lattice_reflections,
     qd_scatter,
     reflect_cold,
     reflect_hot,
@@ -38,7 +39,9 @@ from .protocols import (
     TruthTableRow,
     analyze_hyper_bell,
     bell_decoding_table,
+    branch_coefficients,
     branch_outputs,
+    evaluate_branches,
     expected_truth_table_output,
     feed_forward,
     hyper_bell_state,

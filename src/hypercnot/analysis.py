@@ -11,15 +11,23 @@ folds in the two auxiliary-photon spin readouts, hence the sixth power of
 the per-pass overlap. Both reduce to 1 when u = v = 1, and F alone reaches
 1 whenever u = v because balanced loss renormalizes away.
 
+A sweep evaluates the reflections once per lattice
+(cavity.lattice_reflections: r_cold per kappa_s column, r_hot per point) and
+computes the closed forms from those same numbers in plain Python
+arithmetic, so each point is bitwise what formula_performance gives at its
+parameters.
+
 The simulated figures run the full circuit with the complex reflection
-amplitudes, through the batched gate engine (protocols.branch_outputs). One
-engine call covers every point of a sweep, and the ideal pair rides in the
-same batch, so the ideal reference is computed once per call rather than
-once per point. Simulated efficiency matches the closed form exactly (norms
-ignore phases). Simulated fidelity differs from the closed form in general:
-the closed form assumes ideal reflection phases and charges for the two
-readout reflections, while the circuit-level number keeps the true phases
-and measures the spins directly. Both are reported side by side.
+amplitudes, through the compiled gate engine: protocols.branch_coefficients
+compiles the gate for one input into degree-4 polynomial coefficients in
+(r_cold, r_hot), and one evaluation covers every point of a sweep plus the
+ideal reference. The coefficients of the default uniform input are compiled
+once per process and shared read-only. Simulated efficiency matches the
+closed form exactly (norms ignore phases). Simulated fidelity differs from
+the closed form in general: the closed form assumes ideal reflection phases
+and charges for the two readout reflections, while the circuit-level number
+keeps the true phases and measures the spins directly. Both are reported
+side by side.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import repeat
 
 import numpy as np
 
@@ -35,11 +45,18 @@ from .cavity import (
     SIDE_LEAKAGE_WARNING,
     CavityParams,
     ReflectionPair,
+    _require_passive,
+    lattice_reflections,
     reflect_cold,
     reflect_hot,
 )
 from .hilbert import StateVector
-from .protocols import branch_outputs, photon_columns, uniform_two_photon_state
+from .protocols import (
+    branch_coefficients,
+    evaluate_branches,
+    photon_columns,
+    uniform_two_photon_state,
+)
 
 
 @dataclass(frozen=True)
@@ -62,31 +79,46 @@ class SweepResult:
     provenance: dict[str, str] = field(default_factory=dict)
 
 
-def formula_performance(params: CavityParams) -> tuple[float, float]:
-    """Closed-form (fidelity, efficiency) from the reflection magnitudes."""
-    u = abs(reflect_cold(params))
-    v = abs(reflect_hot(params))
+def _closed_form(u: float, v: float) -> tuple[float, float]:
+    """(F, eta) from the reflection magnitudes u = |r_cold| and v = |r_hot|.
+
+    Plain Python arithmetic, so every caller gets the same bits.
+    """
     per_pass = (u + v) ** 2 / (2 * (u**2 + v**2))
     return per_pass**6, ((u**2 + v**2) / 2) ** 4
 
 
+def formula_performance(params: CavityParams) -> tuple[float, float]:
+    """Closed-form (fidelity, efficiency) from the reflection magnitudes."""
+    return _closed_form(abs(reflect_cold(params)), abs(reflect_hot(params)))
+
+
+@cache
+def _uniform_coefficients() -> np.ndarray:
+    """The gate compiled for the default uniform input, once per process.
+
+    Read-only, since every caller shares the one array.
+    """
+    coefficients = branch_coefficients(photon_columns(uniform_two_photon_state()))
+    coefficients.flags.writeable = False
+    return coefficients
+
+
 def _simulated_figures(
-    pairs: list[ReflectionPair], photons: np.ndarray
+    r_cold, r_hot, coefficients: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Circuit-level fidelity and efficiency arrays, one entry per pair.
 
-    ``photons`` is one input in engine columns. The ideal pair goes first in
-    the same engine call; its (up, up) branch is the reference, since every
-    ideal branch carries the same corrected output. With out_o the corrected
-    branch outputs, eta = sum_o |out_o|**2 and F = sum_o |<ideal|out_o>|**2 / eta
+    ``coefficients`` is one input compiled by branch_coefficients. The
+    reference is the ideal pair's (up, up) branch, since every ideal branch
+    carries the same corrected output. With out_o the corrected branch
+    outputs, eta = sum_o |out_o|**2 and F = sum_o |<ideal|out_o>|**2 / eta
     (the ideal output normalized), which is the branch-probability-weighted
     fidelity of the normalized branches. Where eta = 0, F is nan.
     """
     ideal = ReflectionPair.ideal()
-    r_cold = np.array([ideal.r_cold] + [pair.r_cold for pair in pairs])
-    r_hot = np.array([ideal.r_hot] + [pair.r_hot for pair in pairs])
-    out = branch_outputs(r_cold, r_hot, photons)
-    reference, physical = out[0, 0, 0], out[1:]
+    reference = evaluate_branches(ideal.r_cold, ideal.r_hot, coefficients)[0, 0, 0]
+    physical = evaluate_branches(r_cold, r_hot, coefficients)
     eta = np.sum(np.abs(physical) ** 2, axis=(1, 2, 3, 4))
     overlap2 = np.abs(np.tensordot(physical, reference.conj(), axes=([3, 4], [0, 1]))) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -106,10 +138,12 @@ def simulated_performance(
     the survival probability. At zero survival the fidelity is undefined
     and ``(nan, 0.0)`` is returned.
     """
-    joint = input_state if input_state is not None else uniform_two_photon_state()
-    fidelity, eta = _simulated_figures(
-        [ReflectionPair.from_params(params)], photon_columns(joint)
-    )
+    pair = ReflectionPair.from_params(params)
+    if input_state is None:
+        coefficients = _uniform_coefficients()
+    else:
+        coefficients = branch_coefficients(photon_columns(input_state))
+    fidelity, eta = _simulated_figures(pair.r_cold, pair.r_hot, coefficients)
     return float(fidelity[0]), float(eta[0])
 
 
@@ -151,10 +185,13 @@ def sweep(
 
     A degenerate range (equal endpoints) with resolution 1 yields a single
     point, which is how one reproduces an individual benchmark value.
-    Non-finite range ends or ``gamma`` raise ValueError.
+    Negative or non-finite range ends or ``gamma`` raise ValueError.
 
+    The reflections are evaluated once per lattice: r_cold once per kappa_s
+    column, r_hot once per point, and the closed forms use those same
+    numbers, so every point equals formula_performance at its parameters.
     ``include_simulation`` adds the circuit-level figures from one engine
-    call over the whole lattice. ``provenance["side_leakage_points"]``
+    evaluation over the whole lattice. ``provenance["side_leakage_points"]``
     counts the points at or above the side-leakage guidance; a simulated
     sweep emits one UserWarning naming that count, not one per point.
     """
@@ -163,39 +200,39 @@ def sweep(
     for name, (lo, hi) in (("g", g_range), ("kappa_s", kappa_s_range)):
         if not 0 <= lo <= hi < math.inf:
             raise ValueError(f"{name} range must satisfy 0 <= lo <= hi < inf, got {(lo, hi)}")
-    g_values = np.linspace(g_range[0], g_range[1], resolution)
-    ks_values = np.linspace(kappa_s_range[0], kappa_s_range[1], resolution)
-    points = (
-        CavityParams(g=float(g), kappa_s=float(ks), gamma=gamma)
-        for g in g_values
-        for ks in ks_values
-    )
-    defaults = CavityParams(g=0.0)
-    leaky_columns = np.count_nonzero(ks_values >= SIDE_LEAKAGE_WARNING * defaults.kappa)
-    leaky = resolution * int(leaky_columns)
+    # validates gamma once for the whole lattice; every point lies inside the corner
+    params = CavityParams(g=g_range[1], kappa_s=kappa_s_range[1], gamma=gamma)
+    g_values = np.linspace(g_range[0], g_range[1], resolution).tolist()
+    ks_values = np.linspace(kappa_s_range[0], kappa_s_range[1], resolution).tolist()
+    r_cold, r_hot = lattice_reflections(params, g_values, ks_values)
+    u_cold = [abs(r) for r in r_cold]
+    formulas = [_closed_form(u, abs(r)) for u, r in zip(u_cold * resolution, r_hot)]
+    leaky_columns = sum(ks >= SIDE_LEAKAGE_WARNING * params.kappa for ks in ks_values)
+    leaky = resolution * leaky_columns
     if include_simulation:
-        points = list(points)
         if leaky:
             warnings.warn(
-                f"{leaky} of {len(points)} lattice points have kappa_s at or above the "
+                f"{leaky} of {len(r_hot)} lattice points have kappa_s at or above the "
                 f"{SIDE_LEAKAGE_WARNING:g} kappa guidance for reaching the -pi/2 "
                 "relative reflection phase",
                 UserWarning,
                 stacklevel=2,
             )
-        # built directly: from_params would warn once per point
-        pairs = [ReflectionPair(reflect_cold(p), reflect_hot(p)) for p in points]
-        f_sim, eta_sim = _simulated_figures(pairs, photon_columns(uniform_two_photon_state()))
-        grid = [
-            _performance_point(p, f, eta)
-            for p, f, eta in zip(points, f_sim.tolist(), eta_sim.tolist())
-        ]
+        cold, hot = np.tile(r_cold, resolution), np.array(r_hot)
+        _require_passive(np.abs(cold).max(), np.abs(hot).max())
+        f_sim, eta_sim = _simulated_figures(cold, hot, _uniform_coefficients())
+        simulated = zip(f_sim.tolist(), eta_sim.tolist())
     else:
-        grid = [_performance_point(p) for p in points]
+        simulated = repeat((None, None))
+    points = ((g, ks) for g in g_values for ks in ks_values)
+    grid = [
+        PerformancePoint(g, ks, gamma, f, eta, f_sim, eta_sim)
+        for (g, ks), (f, eta), (f_sim, eta_sim) in zip(points, formulas, simulated)
+    ]
     provenance = {
         "package": f"hypercnot {__version__}",
-        "detuning": repr(defaults.detuning),
-        "exciton_detuning": repr(defaults.exciton_detuning),
+        "detuning": repr(params.detuning),
+        "exciton_detuning": repr(params.exciton_detuning),
         "gamma_over_kappa": repr(gamma),
         "side_leakage_points": str(leaky),
     }

@@ -54,13 +54,33 @@ class CavityParams:
             raise ValueError("detuning and exciton_detuning must be finite")
 
 
+def _cavity_term(params: CavityParams, kappa_s: float) -> complex:
+    """c = i(w_c - w) + kappa/2 + kappa_s/2, with kappa_s given separately."""
+    return 1j * (-params.detuning) + params.kappa / 2 + kappa_s / 2
+
+
+def _dipole_term(params: CavityParams) -> complex:
+    """d = i(w_X - w) + gamma/2."""
+    return 1j * (params.exciton_detuning - params.detuning) + params.gamma / 2
+
+
+def _cold(cavity_term: complex, kappa: float) -> complex:
+    return complex((cavity_term - kappa) / cavity_term)
+
+
+def _hot(g: float, dipole_term: complex, cavity_term: complex, kappa: float) -> complex:
+    if g == 0.0:
+        # reduce to the bare-cavity branch through the same arithmetic path
+        return _cold(cavity_term, kappa)
+    return complex(1 - kappa * dipole_term / (dipole_term * cavity_term + g**2))
+
+
 def reflect_cold(params: CavityParams) -> complex:
     """Reflection coefficient with the dot decoupled (bare cavity).
 
     r0 = (i(w_c - w) - kappa/2 + kappa_s/2) / (i(w_c - w) + kappa/2 + kappa_s/2)
     """
-    cavity_term = 1j * (-params.detuning) + params.kappa / 2 + params.kappa_s / 2
-    return complex((cavity_term - params.kappa) / cavity_term)
+    return _cold(_cavity_term(params, params.kappa_s), params.kappa)
 
 
 def reflect_hot(params: CavityParams) -> complex:
@@ -69,12 +89,33 @@ def reflect_hot(params: CavityParams) -> complex:
     r = 1 - kappa * d / (d * c + g**2) with d = i(w_X - w) + gamma/2 and
     c = i(w_c - w) + kappa/2 + kappa_s/2.
     """
-    if params.g == 0.0:
-        # reduce to the bare-cavity branch through the same arithmetic path
-        return reflect_cold(params)
-    dipole_term = 1j * (params.exciton_detuning - params.detuning) + params.gamma / 2
-    cavity_term = 1j * (-params.detuning) + params.kappa / 2 + params.kappa_s / 2
-    return complex(1 - params.kappa * dipole_term / (dipole_term * cavity_term + params.g**2))
+    return _hot(
+        params.g, _dipole_term(params), _cavity_term(params, params.kappa_s), params.kappa
+    )
+
+
+def lattice_reflections(
+    params: CavityParams, g_values: list[float], kappa_s_values: list[float]
+) -> tuple[list[complex], list[complex]]:
+    """Reflections over a (g, kappa_s) lattice, from the scalar arithmetic of
+    reflect_cold and reflect_hot, so every value equals theirs exactly.
+
+    ``params`` supplies kappa, gamma and both detunings; its own g and
+    kappa_s are ignored. Returns r_cold once per kappa_s value (it does not
+    depend on g) and r_hot once per point, g-major.
+    """
+    kappa = params.kappa
+    dipole = _dipole_term(params)
+    cavity = [_cavity_term(params, kappa_s) for kappa_s in kappa_s_values]
+    r_cold = [_cold(c, kappa) for c in cavity]
+    r_hot = [_hot(g, dipole, c, kappa) for g in g_values for c in cavity]
+    return r_cold, r_hot
+
+
+def _require_passive(*moduli: float) -> None:
+    """A passive cavity cannot amplify: every |r| <= 1, up to round-off."""
+    if max(moduli) > 1.0 + 1e-9:
+        raise ValueError("passive reflection requires |r| <= 1")
 
 
 @dataclass(frozen=True)
@@ -85,8 +126,7 @@ class ReflectionPair:
     r_hot: complex
 
     def __post_init__(self) -> None:
-        if abs(self.r_cold) > 1.0 + 1e-9 or abs(self.r_hot) > 1.0 + 1e-9:
-            raise ValueError("passive reflection requires |r| <= 1")
+        _require_passive(abs(self.r_cold), abs(self.r_hot))
 
     @classmethod
     def from_params(cls, params: CavityParams) -> "ReflectionPair":

@@ -4,7 +4,8 @@ Bell-state analysis, parameter sweeps, and benchmark checks.
 Exit codes: 0 success, 1 validation failure (a mismatch, an out-of-
 tolerance value, or a run the physics leaves undefined, such as zero
 survival), 2 usage error. Output is deterministic for a fixed
-(config, seed); sweeps rerun byte-identical.
+(config, seed); sweeps rerun byte-identical. Warnings, from this module or
+the library, go to stderr as one ``warning: <message>`` line each.
 
 A flat key=value config file can seed any value-taking option. Its values
 go through the same argparse types and choices as flags, command-line flags
@@ -17,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -478,11 +480,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         seeded = [f"{flags[key]}={value}" for key, value in values.items() if key in flags]
         at = argv.index(args.command) + 1
         args = parser.parse_args(argv[:at] + seeded + argv[at:])
-    try:
-        return args.func(args, parser)
-    except (OSError, ZeroSurvivalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # library warnings become one plain stderr line each, like the
+        # amplitude-renormalization warning; the filters stay as they are
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args, parser)
+        except (OSError, ZeroSurvivalError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def entrypoint() -> None:

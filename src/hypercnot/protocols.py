@@ -33,11 +33,17 @@ labelled StateVector through the circuit one operator at a time. It yields
 the named checkpoints, measurement sampling and enumerated GateRuns, and it
 is the reference the other representation is tested against.
 
-The batched engine (branch_outputs) runs the same 14 stages on plain arrays
-for N reflection pairs and m input columns at once, with the feed-forward
-folded in. It returns the corrected, unnormalized output of every spin
-branch; given the identity as input these are the gate's four 16x16 Kraus
-operators. Parameter sweeps and simulated_performance use it.
+The compiled engine treats the reflections as symbols. Each of the four
+cavity passes multiplies every amplitude by exactly one of r_cold and r_hot,
+so every corrected branch output is a homogeneous degree-4 polynomial,
+sum_k r_cold**k r_hot**(4 - k) C_k. branch_coefficients runs the same 14
+stages once per block of m input columns, on a tensor whose axis 0 is the
+power of r_cold, with the feed-forward folded in, and returns the C_k.
+evaluate_branches turns them into the corrected, unnormalized output of
+every spin branch for N reflection pairs with one (N, 5) by (5, ...)
+contraction; branch_outputs does both. Given the identity as input, the
+outputs are the gate's four 16x16 Kraus operators. Parameter sweeps and
+simulated_performance use the engine.
 """
 
 from __future__ import annotations
@@ -107,12 +113,12 @@ def uniform_two_photon_state() -> StateVector:
 # -- the cavity pass -----------------------------------------------------
 
 
-def _pass_diagonal(r_cold, r_hot) -> np.ndarray:
-    """``(r_cold, r_hot, -i r_hot, -i r_cold)`` along a new last axis.
-
-    Takes scalars or equal-shape arrays of reflection amplitudes.
-    """
-    return np.stack([r_cold, r_hot, -1j * r_hot, -1j * r_cold], axis=-1).astype(np.complex128)
+# One cavity pass is diagonal on (path-or-polarization, spin), basis order
+# (0, up), (0, down), (1, up), (1, down). Entry j is r_cold where
+# _PASS_COLD[j], else r_hot, times -i where _PASS_TURNED[j]. The step path
+# (pass_matrix) and the compiled engine (_cavity_pass) both read this table.
+_PASS_COLD = (True, False, False, True)
+_PASS_TURNED = (False, False, True, True)
 
 
 def pass_matrix(reflection: ReflectionPair | None = None) -> np.ndarray:
@@ -122,7 +128,8 @@ def pass_matrix(reflection: ReflectionPair | None = None) -> np.ndarray:
     the module docstring); ``reflection=None`` selects the ideal pair.
     """
     refl = reflection if reflection is not None else ReflectionPair.ideal()
-    return np.diag(_pass_diagonal(refl.r_cold, refl.r_hot))
+    entries = [refl.r_cold if cold else refl.r_hot for cold in _PASS_COLD]
+    return np.diag([-1j * r if turned else r for r, turned in zip(entries, _PASS_TURNED)])
 
 
 # -- the hyper-CNOT gate -------------------------------------------------
@@ -315,9 +322,12 @@ def hyper_cnot(
     return hyper_cnot_state(joint, reflection, branch_mode, seed)
 
 
-# -- the batched gate engine ---------------------------------------------
+# -- the compiled gate engine --------------------------------------------
 
-# axes of the engine's state tensor; axis 0 indexes the reflection pair and
+# cavity passes in one gate run, hence the degree of the branch polynomials
+_GATE_DEGREE = 4
+
+# axes of the engine's coefficient tensor; axis 0 is the power of r_cold and
 # the last axis the input column
 _AXIS = {A_POL: 1, A_SPATIAL: 2, B_POL: 3, B_SPATIAL: 4, SPIN_1: 5, SPIN_2: 6}
 
@@ -327,11 +337,17 @@ def _element(t: np.ndarray, kind: ElementKind, label: str) -> np.ndarray:
     return np.moveaxis(np.tensordot(element_matrix(kind), t, axes=(1, axis)), 0, axis)
 
 
-def _cavity_pass(t: np.ndarray, diagonal: np.ndarray, photon: str, spin: str) -> np.ndarray:
+def _cavity_pass(t: np.ndarray, photon: str, spin: str) -> np.ndarray:
+    """One cavity pass on the coefficient tensor, whose axis 0 is the power
+    of r_cold: a cold entry moves its amplitude up one power, a hot entry
+    keeps it (the power of r_hot is the passes so far minus that of r_cold)."""
     # the photon axis precedes the spin axis, matching pass_matrix's row order
-    shape = [len(diagonal)] + [1] * (t.ndim - 1)
+    shape = [1] * t.ndim
     shape[_AXIS[photon]] = shape[_AXIS[spin]] = 2
-    return t * diagonal.reshape(shape)
+    cold = np.reshape(_PASS_COLD, shape)
+    phase = np.where(np.reshape(_PASS_TURNED, shape), -1j, 1)
+    raised = np.concatenate([np.zeros_like(t[:1]), t[:-1]])
+    return np.where(cold, raised, t) * phase
 
 
 def photon_columns(joint: StateVector) -> np.ndarray:
@@ -345,37 +361,37 @@ def photon_columns(joint: StateVector) -> np.ndarray:
     return reorder_registers(joint, list(PHOTON_LABELS) + rest).amplitudes.reshape(16, -1)
 
 
-def branch_outputs(r_cold, r_hot, photons) -> np.ndarray:
-    """Corrected, unnormalized gate outputs for N reflection pairs at once.
+def branch_coefficients(photons) -> np.ndarray:
+    """The gate compiled for one block of inputs: polynomial coefficients of
+    every corrected branch output in the reflection amplitudes.
 
-    ``r_cold`` and ``r_hot`` hold N reflection amplitudes each; ``photons``
-    has shape (16, m): m input columns over PHOTON_LABELS, most significant
-    first (see photon_columns). Runs the stages of _circuit_checkpoints,
-    projects the spins onto each outcome pair and applies its feed-forward.
-    Returns shape (N, 2, 2, 16, m): pair, e1 outcome, e2 outcome, output
-    amplitude, input column. A branch's squared norm is its probability
-    times the survival; with the identity as input each (16, 16) slice is
-    that branch's Kraus operator.
+    Each of the four cavity passes multiplies every amplitude by exactly one
+    of r_cold and r_hot, so a branch output is the homogeneous degree-4
+    polynomial sum_k r_cold**k r_hot**(4 - k) C_k. ``photons`` has shape
+    (16, m): m input columns over PHOTON_LABELS, most significant first (see
+    photon_columns). Runs the stages of _circuit_checkpoints once, projects
+    the spins onto each outcome pair and applies its feed-forward. Returns
+    C with shape (5, 2, 2, 16, m): power k of r_cold, e1 outcome, e2
+    outcome, output amplitude, input column.
     """
-    diagonal = _pass_diagonal(np.ravel(r_cold), np.ravel(r_hot))
     photons = np.asarray(photons, dtype=np.complex128)
     if photons.ndim != 2 or photons.shape[0] != 16:
         raise ValueError(f"photons must have shape (16, m), got {photons.shape}")
     m = photons.shape[1]
 
-    t = np.zeros((1, 16, 2, 2, m), dtype=np.complex128)
-    t[0, :, 0, 0] = photons  # both spins start up
-    t = t.reshape(1, 2, 2, 2, 2, 2, 2, m)
+    t = np.zeros((_GATE_DEGREE + 1, 16, 2, 2, m), dtype=np.complex128)
+    t[0, :, 0, 0] = photons  # both spins start up; no pass yet, so power 0
+    t = t.reshape(_GATE_DEGREE + 1, 2, 2, 2, 2, 2, 2, m)
     t = _element(t, ElementKind.SPIN_ROT_PLUS, SPIN_1)
     t = _element(t, ElementKind.SPIN_ROT_PLUS, SPIN_2)
-    t = _cavity_pass(t, diagonal, A_SPATIAL, SPIN_1)
-    t = _cavity_pass(t, diagonal, A_POL, SPIN_2)
+    t = _cavity_pass(t, A_SPATIAL, SPIN_1)
+    t = _cavity_pass(t, A_POL, SPIN_2)
     t = _element(t, ElementKind.BS, B_SPATIAL)
     t = _element(t, ElementKind.HWP_H, B_POL)
     t = _element(t, ElementKind.SPIN_ROT_PLUS, SPIN_1)
     t = _element(t, ElementKind.SPIN_ROT_PLUS, SPIN_2)
-    t = _cavity_pass(t, diagonal, B_SPATIAL, SPIN_1)
-    t = _cavity_pass(t, diagonal, B_POL, SPIN_2)
+    t = _cavity_pass(t, B_SPATIAL, SPIN_1)
+    t = _cavity_pass(t, B_POL, SPIN_2)
     t = _element(t, ElementKind.SPIN_H, SPIN_1)
     t = _element(t, ElementKind.SPIN_H, SPIN_2)
     t = _element(t, ElementKind.BS, B_SPATIAL)
@@ -387,6 +403,35 @@ def branch_outputs(r_cold, r_hot, photons) -> np.ndarray:
         flipped[_AXIS[spin]] = flipped[_AXIS[target]] = 1
         t[tuple(flipped)] *= -1
     return np.moveaxis(t.reshape(-1, 16, 2, 2, m), 1, 3)
+
+
+def evaluate_branches(r_cold, r_hot, coefficients: np.ndarray) -> np.ndarray:
+    """Branch outputs of N reflection pairs from compiled coefficients.
+
+    ``r_cold`` and ``r_hot`` hold N reflection amplitudes each;
+    ``coefficients`` comes from branch_coefficients. One (N, 5) by
+    (5, 2, 2, 16, m) contraction; returns shape (N, 2, 2, 16, m).
+    """
+    r_cold = np.ravel(np.asarray(r_cold, dtype=np.complex128))
+    r_hot = np.ravel(np.asarray(r_hot, dtype=np.complex128))
+    if r_cold.shape != r_hot.shape:
+        raise ValueError(f"got {r_cold.size} cold and {r_hot.size} hot reflections")
+    k = np.arange(_GATE_DEGREE + 1)
+    powers = r_cold[:, None] ** k * r_hot[:, None] ** (_GATE_DEGREE - k)
+    return np.tensordot(powers, coefficients, axes=1)
+
+
+def branch_outputs(r_cold, r_hot, photons) -> np.ndarray:
+    """Corrected, unnormalized gate outputs for N reflection pairs at once.
+
+    ``r_cold`` and ``r_hot`` hold N reflection amplitudes each; ``photons``
+    has shape (16, m) as in branch_coefficients. Returns shape
+    (N, 2, 2, 16, m): pair, e1 outcome, e2 outcome, output amplitude, input
+    column. A branch's squared norm is its probability times the survival;
+    with the identity as input each (16, 16) slice is that branch's Kraus
+    operator.
+    """
+    return evaluate_branches(r_cold, r_hot, branch_coefficients(photons))
 
 
 # -- spin readout --------------------------------------------------------

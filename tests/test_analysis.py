@@ -12,15 +12,19 @@ from hypercnot import (
     fidelity_up_to_global_phase,
     formula_performance,
     hyper_cnot_state,
+    lattice_reflections,
     performance_point,
     photon_state,
     reference_check,
+    reflect_cold,
+    reflect_hot,
     reorder_registers,
     simulated_performance,
     sweep,
     tensor_product,
     uniform_two_photon_state,
 )
+from hypercnot import analysis
 from hypercnot.cavity import SIDE_LEAKAGE_WARNING
 from conftest import random_state
 from oracles import efficiency_oracle, random_amplitude_pair
@@ -126,6 +130,21 @@ def test_performance_point_with_simulation():
     assert 0.0 <= point.F_sim <= 1.0
 
 
+def test_default_input_is_the_uniform_state():
+    # the default uses the compiled coefficients cached for the uniform input
+    params = CavityParams(g=1.56, kappa_s=0.2)
+    f, eta = simulated_performance(params)
+    f_given, eta_given = simulated_performance(params, uniform_two_photon_state())
+    assert abs(f - f_given) <= 1e-15 and abs(eta - eta_given) <= 1e-15
+
+
+def test_cached_uniform_coefficients_are_read_only():
+    coefficients = analysis._uniform_coefficients()
+    assert coefficients is analysis._uniform_coefficients()
+    with pytest.raises(ValueError):
+        coefficients[0, 0, 0, 0, 0] = 1.0
+
+
 def test_simulated_performance_at_zero_survival():
     # matched side leakage on resonance: both reflections vanish
     f, eta = simulated_performance(CavityParams(g=0.0, kappa_s=1.0, detuning=0.0))
@@ -144,6 +163,40 @@ def test_simulated_sweep_matches_step_path_per_point():
         f, eta = step_path_figures(params, joint)
         assert abs(point.F_sim - f) < 1e-12
         assert abs(point.eta_sim - eta) < 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.02, 0.3])
+def test_sweep_closed_form_is_bitwise_the_per_point_formula(gamma):
+    # the lattice holds the g = 0 row (reflect_hot's bare-cavity shortcut) and
+    # a kappa_s column at exactly the side-leakage guidance
+    g_values = np.linspace(0.0, 3.0, 9).tolist()
+    ks_values = np.linspace(0.0, 2.6, 9).tolist()
+    assert g_values[0] == 0.0 and SIDE_LEAKAGE_WARNING in ks_values
+    closed = sweep((0.0, 3.0), (0.0, 2.6), resolution=9, gamma=gamma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # side-leakage guidance
+        simulated = sweep((0.0, 3.0), (0.0, 2.6), resolution=9, gamma=gamma, include_simulation=True)
+    for result in (closed, simulated):
+        for point in result.grid:
+            params = CavityParams(g=point.g_over_kappa, kappa_s=point.kappa_s_over_kappa, gamma=gamma)
+            assert (point.F_formula, point.eta_formula) == formula_performance(params)
+    r_cold, r_hot = lattice_reflections(CavityParams(g=3.0, gamma=gamma), g_values, ks_values)
+    assert len(r_cold) == 9 and len(r_hot) == 81
+    for n, point in enumerate(closed.grid):
+        params = CavityParams(g=point.g_over_kappa, kappa_s=point.kappa_s_over_kappa, gamma=gamma)
+        assert r_cold[n % 9] == reflect_cold(params)
+        assert r_hot[n] == reflect_hot(params)
+
+
+def test_simulated_sweep_rejects_active_reflections(monkeypatch):
+    def amplified(params, g_values, kappa_s_values):
+        r_cold, r_hot = lattice_reflections(params, g_values, kappa_s_values)
+        r_hot[-1] = 1.0 + 2e-9
+        return r_cold, r_hot
+
+    monkeypatch.setattr(analysis, "lattice_reflections", amplified)
+    with pytest.raises(ValueError, match=r"passive reflection requires \|r\| <= 1"):
+        sweep((0.0, 3.0), (0.0, 1.0), resolution=3, include_simulation=True)
 
 
 def test_simulated_sweep_warns_once_for_side_leakage():
@@ -242,6 +295,8 @@ def test_sweep_validation():
         sweep((3.0, 0.0), (0.0, 2.0), resolution=2)
     with pytest.raises(ValueError):
         sweep((0.0, 3.0), (-1.0, 2.0), resolution=2)
+    with pytest.raises(ValueError):
+        sweep((0.0, 3.0), (0.0, 2.0), resolution=2, gamma=-0.1)
 
 
 def test_sweep_is_deterministic():

@@ -177,6 +177,36 @@ def test_sweep_invalid_range_is_usage_error(capsys):
     assert err.value.code == 2
 
 
+# -- library warnings --------------------------------------------------------------
+
+GUIDANCE = "kappa guidance for reaching the -pi/2 relative reflection phase\n"
+
+
+def test_physical_gate_side_leakage_warning_is_one_plain_line(capsys):
+    code, out, err = run_cli(capsys, "gate", "--mode", "physical", "--g", "1", "--kappa-s", "1.5")
+    assert code == 0
+    # captured from the command before its warnings were reformatted
+    assert out == (GOLDEN_DIR / "gate_g1_ks1.5.txt").read_text()
+    assert err == "warning: kappa_s = 1.5 kappa is at or above the 1.3 " + GUIDANCE
+
+
+def test_simulated_sweep_side_leakage_warning_is_one_plain_line(tmp_path, capsys):
+    out_file = tmp_path / "sim.csv"
+    code, out, err = run_cli(capsys, "sweep", "--simulate", "--out", str(out_file))
+    assert (code, out) == (0, "")
+    assert err == "warning: 3636 of 10201 lattice points have kappa_s at or above the 1.3 " + GUIDANCE
+    # the closed-form columns are the plain sweep's, byte for byte
+    rows = out_file.read_text().splitlines()
+    plain = gzip.decompress((GOLDEN_DIR / "sweep.csv.gz").read_bytes()).decode().splitlines()
+    assert rows[0] == plain[0] + ",F_sim,eta_sim"
+    assert [row.rsplit(",", 2)[0] for row in rows[1:]] == plain[1:]
+    # a lattice with a golden simulated CSV, also above the guidance
+    code, out, err = run_cli(capsys, "sweep", "--resolution", "5", "--simulate", "--out", str(out_file))
+    assert (code, out) == (0, "")
+    assert err == "warning: 10 of 25 lattice points have kappa_s at or above the 1.3 " + GUIDANCE
+    assert out_file.read_bytes() == (GOLDEN_DIR / "sweep_resolution5_simulate.csv").read_bytes()
+
+
 # -- config file -------------------------------------------------------------------
 
 

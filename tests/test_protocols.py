@@ -494,6 +494,24 @@ def test_engine_branches_match_step_path(mags, phases, seed, order):
         assert fidelity >= 1 - 1e-12
 
 
+@pytest.mark.parametrize(
+    "pair",
+    [ReflectionPair(0.3 - 0.5j, 0.8 + 0.1j), ReflectionPair(0.8 + 0.1j, 0.3 - 0.5j)],
+    ids=["pair", "swapped"],
+)
+def test_engine_branches_carry_the_step_path_phases(pair, rng):
+    # swapping r_cold and r_hot only flips the sign of the mixed-outcome
+    # branches, which fidelities and norms cannot see; compare amplitudes
+    joint = random_state(PHOTON_REGS, rng)
+    out = branch_outputs(pair.r_cold, pair.r_hot, photon_columns(joint))[0, ..., 0]
+    runs = hyper_cnot_state(joint, pair)
+    assert len(runs) == 4
+    for run in runs:
+        weight = run.survival_probability * run.branch_probability
+        want = np.sqrt(weight) * run.final_state.amplitudes
+        np.testing.assert_allclose(out[run.spin_outcomes], want, rtol=0, atol=1e-12)
+
+
 def test_engine_ideal_map_is_half_the_double_cnot():
     ideal = ReflectionPair.ideal()
     kraus = branch_outputs([ideal.r_cold], [ideal.r_hot], np.eye(16))[0]
@@ -515,6 +533,26 @@ def test_engine_batches_pairs_and_columns_independently(rng):
         for c, joint in enumerate(inputs):
             single = branch_outputs(pair.r_cold, pair.r_hot, photon_columns(joint))
             np.testing.assert_allclose(batched[n, ..., c], single[0, ..., 0], rtol=0, atol=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mags=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    phases=st.tuples(
+        st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_engine_outputs_are_homogeneous_of_degree_four(mags, phases, seed):
+    # every amplitude meets four cavity passes, each contributing one reflection
+    r_cold, r_hot, s = (m * np.exp(1j * p) for m, p in zip(mags, phases))
+    rng = np.random.default_rng(seed)
+    photons = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
+    photons /= np.linalg.norm(photons, axis=0)
+    scaled = branch_outputs(s * r_cold, s * r_hot, photons)
+    np.testing.assert_allclose(
+        scaled, s**4 * branch_outputs(r_cold, r_hot, photons), rtol=0, atol=1e-12
+    )
 
 
 def test_engine_input_validation():
