@@ -43,7 +43,6 @@ from .protocols import (
     branch_outputs,
     evaluate_branches,
     expected_truth_table_output,
-    feed_forward,
     hyper_bell_state,
     hyper_cnot,
     hyper_cnot_checkpoints,

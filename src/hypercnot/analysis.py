@@ -18,16 +18,16 @@ arithmetic, so each point is bitwise what formula_performance gives at its
 parameters.
 
 The simulated figures run the full circuit with the complex reflection
-amplitudes, through the compiled gate engine: protocols.branch_coefficients
-compiles the gate for one input into degree-4 polynomial coefficients in
-(r_cold, r_hot), and one evaluation covers every point of a sweep plus the
-ideal reference. The coefficients of the default uniform input are compiled
-once per process and shared read-only. Simulated efficiency matches the
-closed form exactly (norms ignore phases). Simulated fidelity differs from
-the closed form in general: the closed form assumes ideal reflection phases
-and charges for the two readout reflections, while the circuit-level number
-keeps the true phases and measures the spins directly. Both are reported
-side by side.
+amplitudes, through the compiled gate: protocols.branch_coefficients
+applies the gate's degree-4 polynomial coefficients in (r_cold, r_hot),
+compiled once per process, to one input, and one evaluation covers every
+point of a sweep plus the ideal reference. The coefficients of the default
+uniform input are derived once per process and shared read-only.
+Simulated efficiency matches the closed form exactly (norms ignore
+phases). Simulated fidelity differs from the closed form in general: the
+closed form assumes ideal reflection phases and charges for the two readout
+reflections, while the circuit-level number keeps the true phases and
+measures the spins directly. Both are reported side by side.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def formula_performance(params: CavityParams) -> tuple[float, float]:
 
 @cache
 def _uniform_coefficients() -> np.ndarray:
-    """The gate compiled for the default uniform input, once per process.
+    """The compiled gate applied to the default uniform input, once per process.
 
     Read-only, since every caller shares the one array.
     """

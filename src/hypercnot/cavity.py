@@ -113,8 +113,11 @@ def lattice_reflections(
 
 
 def _require_passive(*moduli: float) -> None:
-    """A passive cavity cannot amplify: every |r| <= 1, up to round-off."""
-    if max(moduli) > 1.0 + 1e-9:
+    """A passive cavity cannot amplify: every |r| <= 1, up to round-off.
+
+    Written so that a NaN modulus fails the comparison and is rejected too.
+    """
+    if not all(m <= 1.0 + 1e-9 for m in moduli):
         raise ValueError("passive reflection requires |r| <= 1")
 
 

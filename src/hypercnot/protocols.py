@@ -26,30 +26,33 @@ and classically conditioned sign flips on the control photon make every
 measurement branch yield the same corrected output: a CNOT on the spatial
 modes and a CNOT on the polarizations, both controlled by photon a.
 
-Two representations of the gate
--------------------------------
-The step path (_circuit_checkpoints, hyper_cnot_state, GateRun) pushes one
-labelled StateVector through the circuit one operator at a time. It yields
-the named checkpoints, measurement sampling and enumerated GateRuns, and it
-is the reference the other representation is tested against.
-
-The compiled engine treats the reflections as symbols. Each of the four
+One compiled gate
+-----------------
+The 14 stages are written once, in the _STAGES table. Each of the four
 cavity passes multiplies every amplitude by exactly one of r_cold and r_hot,
 so every corrected branch output is a homogeneous degree-4 polynomial,
-sum_k r_cold**k r_hot**(4 - k) C_k. branch_coefficients runs the same 14
-stages once per block of m input columns, on a tensor whose axis 0 is the
-power of r_cold, with the feed-forward folded in, and returns the C_k.
-evaluate_branches turns them into the corrected, unnormalized output of
-every spin branch for N reflection pairs with one (N, 5) by (5, ...)
-contraction; branch_outputs does both. Given the identity as input, the
-outputs are the gate's four 16x16 Kraus operators. Parameter sweeps and
-simulated_performance use the engine.
+sum_k r_cold**k r_hot**(4 - k) C_k. The stages are interpreted once per
+process on the identity, on a tensor whose axis 0 is the power of r_cold,
+with the feed-forward folded in: the result is the coefficients of the
+gate's four 16x16 Kraus operators, one per spin-outcome pair, kept
+read-only. branch_coefficients contracts them with a (16, m) block of
+inputs; evaluate_branches turns coefficients into the corrected,
+unnormalized output of every spin branch for N reflection pairs with one
+(N, 5) by (5, ...) contraction; branch_outputs does both. hyper_cnot_state
+derives every GateRun (survival, branch probabilities, final states and
+sampled outcomes) from those outputs, and parameter sweeps and
+simulated_performance use the same coefficients.
+
+The staged step view, hyper_cnot_checkpoints, pushes one labelled
+StateVector through the same table one operator at a time. It yields the
+named checkpoints and is the reference the compiled gate is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 
 import numpy as np
@@ -64,7 +67,6 @@ from .hilbert import (
     discard_register,
     fidelity_up_to_global_phase,
     measure,
-    measure_all_branches,
     normalize,
     outcome_weights,
     reorder_registers,
@@ -115,8 +117,8 @@ def uniform_two_photon_state() -> StateVector:
 
 # One cavity pass is diagonal on (path-or-polarization, spin), basis order
 # (0, up), (0, down), (1, up), (1, down). Entry j is r_cold where
-# _PASS_COLD[j], else r_hot, times -i where _PASS_TURNED[j]. The step path
-# (pass_matrix) and the compiled engine (_cavity_pass) both read this table.
+# _PASS_COLD[j], else r_hot, times -i where _PASS_TURNED[j]. The step view
+# (pass_matrix) and the compile (_cavity_pass) both read this table.
 _PASS_COLD = (True, False, False, True)
 _PASS_TURNED = (False, False, True, True)
 
@@ -132,30 +134,28 @@ def pass_matrix(reflection: ReflectionPair | None = None) -> np.ndarray:
     return np.diag([-1j * r if turned else r for r, turned in zip(entries, _PASS_TURNED)])
 
 
-# -- the hyper-CNOT gate -------------------------------------------------
+# -- the circuit, written once ---------------------------------------------
 
+# marks a cavity pass in _STAGES; its (photon, spin) registers follow it
+_CAVITY_PASS = "cavity pass"
 
-@dataclass(frozen=True)
-class GateRun:
-    """One executed gate branch after spin measurement and feed-forward.
+# The circuit from the spin preparation to the spin measurement: each named
+# checkpoint with the operations that lead to it, either (element kind,
+# register) or (_CAVITY_PASS, photon, spin). The staged step view
+# (hyper_cnot_checkpoints) and the compile (_compile_stages) both read it.
+_STAGES = (
+    ("spins_prepared", ((ElementKind.SPIN_ROT_PLUS, SPIN_1), (ElementKind.SPIN_ROT_PLUS, SPIN_2))),
+    ("control_spatial", ((_CAVITY_PASS, A_SPATIAL, SPIN_1),)),
+    ("hybrid_cz", ((_CAVITY_PASS, A_POL, SPIN_2),)),
+    ("target_hadamards", ((ElementKind.BS, B_SPATIAL), (ElementKind.HWP_H, B_POL))),
+    ("spin_rotations", ((ElementKind.SPIN_ROT_PLUS, SPIN_1), (ElementKind.SPIN_ROT_PLUS, SPIN_2))),
+    ("target_scattered", ((_CAVITY_PASS, B_SPATIAL, SPIN_1), (_CAVITY_PASS, B_POL, SPIN_2))),
+    ("spin_hadamards", ((ElementKind.SPIN_H, SPIN_1), (ElementKind.SPIN_H, SPIN_2))),
+    ("pre_measurement", ((ElementKind.BS, B_SPATIAL), (ElementKind.HWP_H, B_POL))),
+)
 
-    ``survival_probability`` is the squared norm just before the spin
-    measurement (1 in ideal mode); ``branch_probability`` is the chance of
-    this spin-outcome pair conditioned on survival. ``feed_forward_ops``
-    lists the registers that received a computational sign flip.
-    """
-
-    mode: str
-    spin_outcomes: tuple[int, int]
-    feed_forward_ops: tuple[str, ...]
-    final_state: StateVector
-    survival_probability: float
-    branch_probability: float
-    seed: int | None = None
-
-
-class ZeroSurvivalError(ValueError):
-    """Every photon component was lost before the spin measurement."""
+# register sign-flipped by a down outcome of e1 and of e2, respectively
+_FEED_FORWARD_TARGETS = (A_SPATIAL, A_POL)
 
 
 def _require_labels(state: StateVector, labels: tuple[str, ...], role: str) -> None:
@@ -171,44 +171,7 @@ def _check_two_photon_input(joint: StateVector) -> None:
             raise ValueError(f"input already contains the internal spin register {spin!r}")
 
 
-def _circuit_checkpoints(
-    joint: StateVector, reflection: ReflectionPair | None
-) -> dict[str, StateVector]:
-    """Run the circuit up to (not including) the spin measurement."""
-    _check_two_photon_input(joint)
-
-    st = attach_register(joint, spin_register(SPIN_1), (1, 0))
-    st = attach_register(st, spin_register(SPIN_2), (1, 0))
-    st = apply_element(st, ElementKind.SPIN_ROT_PLUS, SPIN_1)
-    st = apply_element(st, ElementKind.SPIN_ROT_PLUS, SPIN_2)
-    stages: dict[str, StateVector] = {"spins_prepared": st}
-
-    cavity_pass = pass_matrix(reflection)
-    st = apply_operator(st, [A_SPATIAL, SPIN_1], cavity_pass)
-    stages["control_spatial"] = st
-    st = apply_operator(st, [A_POL, SPIN_2], cavity_pass)
-    stages["hybrid_cz"] = st
-
-    st = apply_element(st, ElementKind.BS, B_SPATIAL)
-    st = apply_element(st, ElementKind.HWP_H, B_POL)
-    stages["target_hadamards"] = st
-
-    st = apply_element(st, ElementKind.SPIN_ROT_PLUS, SPIN_1)
-    st = apply_element(st, ElementKind.SPIN_ROT_PLUS, SPIN_2)
-    stages["spin_rotations"] = st
-
-    st = apply_operator(st, [B_SPATIAL, SPIN_1], cavity_pass)
-    st = apply_operator(st, [B_POL, SPIN_2], cavity_pass)
-    stages["target_scattered"] = st
-
-    st = apply_element(st, ElementKind.SPIN_H, SPIN_1)
-    st = apply_element(st, ElementKind.SPIN_H, SPIN_2)
-    stages["spin_hadamards"] = st
-
-    st = apply_element(st, ElementKind.BS, B_SPATIAL)
-    st = apply_element(st, ElementKind.HWP_H, B_POL)
-    stages["pre_measurement"] = st
-    return stages
+# -- the staged step view ------------------------------------------------
 
 
 def hyper_cnot_checkpoints(
@@ -216,119 +179,36 @@ def hyper_cnot_checkpoints(
     target_state: StateVector,
     reflection: ReflectionPair | None = None,
 ) -> dict[str, StateVector]:
-    """Named intermediate states of the circuit, for staged regression tests."""
-    _require_labels(control_state, (A_POL, A_SPATIAL), "control photon")
-    _require_labels(target_state, (B_POL, B_SPATIAL), "target photon")
-    return _circuit_checkpoints(tensor_product(control_state, target_state), reflection)
+    """Named intermediate states of the circuit, for staged regression tests.
 
-
-_SIGN_FLIP = np.diag([1.0, -1.0]).astype(np.complex128)
-
-# register sign-flipped by a down outcome of e1 and of e2, respectively
-_FEED_FORWARD_TARGETS = (A_SPATIAL, A_POL)
-
-
-def feed_forward(
-    state: StateVector, outcomes: tuple[int, int]
-) -> tuple[StateVector, tuple[str, ...]]:
-    """Classically conditioned corrections after the spin measurement.
-
-    A down outcome on e1 flips the sign of the control photon's second
-    spatial mode; a down outcome on e2 flips the sign of its L component.
-    Returns the corrected state and the registers that were flipped.
+    Runs _STAGES one operator at a time, up to (not including) the spin
+    measurement, and returns the state at every checkpoint.
     """
-    ops = tuple(label for label, outcome in zip(_FEED_FORWARD_TARGETS, outcomes) if outcome == 1)
-    for label in ops:
-        state = apply_operator(state, [label], _SIGN_FLIP)
-    return state, ops
-
-
-def _finish_branch(
-    branch_state: StateVector,
-    outcomes: tuple[int, int],
-    mode: str,
-    survival: float,
-    branch_probability: float,
-    seed: int | None,
-) -> GateRun:
-    corrected, ops = feed_forward(branch_state, outcomes)
-    final = discard_register(discard_register(corrected, SPIN_2), SPIN_1)
-    return GateRun(
-        mode=mode,
-        spin_outcomes=outcomes,
-        feed_forward_ops=ops,
-        final_state=normalize(final),
-        survival_probability=survival,
-        branch_probability=branch_probability,
-        seed=seed,
-    )
-
-
-def hyper_cnot_state(
-    joint: StateVector,
-    reflection: ReflectionPair | None = None,
-    branch_mode: str = "enumerate",
-    seed: int | None = None,
-) -> list[GateRun] | GateRun:
-    """Run the gate on a joint two-photon state (any entanglement allowed).
-
-    ``branch_mode="enumerate"`` returns all four spin branches, skipping
-    probability-zero ones; ``"sample"`` draws one branch with a seeded PRNG.
-    In ideal mode all enumerated branches carry the same corrected state.
-    Raises ZeroSurvivalError when no amplitude reaches the spin measurement.
-    """
-    if branch_mode not in ("enumerate", "sample"):
-        raise ValueError(f"branch_mode must be 'enumerate' or 'sample', got {branch_mode!r}")
-    mode = "ideal" if reflection is None else "physical"
-    pre = _circuit_checkpoints(joint, reflection)["pre_measurement"]
-    survival = pre.norm2
-    if survival == 0.0:
-        raise ZeroSurvivalError(
-            "zero survival: no photon amplitude reaches the spin measurement, "
-            "so the gate output is undefined"
-        )
-
-    if branch_mode == "sample":
-        rng = np.random.default_rng(seed)
-        rec1, st = measure(pre, SPIN_1, rng)
-        rec2, st = measure(st, SPIN_2, rng)
-        branch_probability = (rec1.probability / survival) * rec2.probability
-        return _finish_branch(
-            st, (rec1.outcome, rec2.outcome), mode, survival, branch_probability, seed
-        )
-
-    runs = []
-    for o1, p1, st1 in measure_all_branches(pre, SPIN_1):
-        for o2, p2, st2 in measure_all_branches(st1, SPIN_2):
-            if p2 <= 0.0:
-                continue
-            runs.append(
-                _finish_branch(st2, (o1, o2), mode, survival, p2 / survival, None)
-            )
-    return runs
-
-
-def hyper_cnot(
-    control_state: StateVector,
-    target_state: StateVector,
-    reflection: ReflectionPair | None = None,
-    branch_mode: str = "enumerate",
-    seed: int | None = None,
-) -> list[GateRun] | GateRun:
-    """Run the gate on separate control (photon a) and target (photon b) states."""
     _require_labels(control_state, (A_POL, A_SPATIAL), "control photon")
     _require_labels(target_state, (B_POL, B_SPATIAL), "target photon")
     joint = tensor_product(control_state, target_state)
-    return hyper_cnot_state(joint, reflection, branch_mode, seed)
+    _check_two_photon_input(joint)
+    st = attach_register(joint, spin_register(SPIN_1), (1, 0))
+    st = attach_register(st, spin_register(SPIN_2), (1, 0))
+    cavity_pass = pass_matrix(reflection)
+    stages: dict[str, StateVector] = {}
+    for name, ops in _STAGES:
+        for kind, *labels in ops:
+            if kind is _CAVITY_PASS:
+                st = apply_operator(st, labels, cavity_pass)
+            else:
+                st = apply_element(st, kind, *labels)
+        stages[name] = st
+    return stages
 
 
-# -- the compiled gate engine --------------------------------------------
+# -- the compiled gate ---------------------------------------------------
 
 # cavity passes in one gate run, hence the degree of the branch polynomials
 _GATE_DEGREE = 4
 
-# axes of the engine's coefficient tensor; axis 0 is the power of r_cold and
-# the last axis the input column
+# axes of the compile's coefficient tensor; axis 0 is the power of r_cold and
+# the last axis the input amplitude
 _AXIS = {A_POL: 1, A_SPATIAL: 2, B_POL: 3, B_SPATIAL: 4, SPIN_1: 5, SPIN_2: 6}
 
 
@@ -350,15 +230,51 @@ def _cavity_pass(t: np.ndarray, photon: str, spin: str) -> np.ndarray:
     return np.where(cold, raised, t) * phase
 
 
+def _compile_stages() -> np.ndarray:
+    """Interpret _STAGES on the identity, with both spins starting up, then
+    project the spins onto each outcome pair and apply its feed-forward.
+
+    Returns the Kraus coefficients, shape (5, 2, 2, 16, 16): power k of
+    r_cold, e1 outcome, e2 outcome, output amplitude, input amplitude.
+    """
+    t = np.zeros((_GATE_DEGREE + 1, 16, 2, 2, 16), dtype=np.complex128)
+    t[0, :, 0, 0] = np.eye(16)  # no pass yet, so power 0
+    t = t.reshape(_GATE_DEGREE + 1, 2, 2, 2, 2, 2, 2, 16)
+    for _, ops in _STAGES:
+        for kind, *labels in ops:
+            t = _cavity_pass(t, *labels) if kind is _CAVITY_PASS else _element(t, kind, *labels)
+    # feed-forward: a down outcome flips the sign of its target's second basis state
+    for spin, target in zip((SPIN_1, SPIN_2), _FEED_FORWARD_TARGETS):
+        flipped = [slice(None)] * t.ndim
+        flipped[_AXIS[spin]] = flipped[_AXIS[target]] = 1
+        t[tuple(flipped)] *= -1
+    return np.moveaxis(t.reshape(-1, 16, 2, 2, 16), 1, 3)
+
+
+@cache
+def _kraus_coefficients() -> np.ndarray:
+    """The gate compiled once per process; read-only, since every caller
+    shares the one array."""
+    coefficients = _compile_stages()
+    coefficients.flags.writeable = False
+    return coefficients
+
+
+def _photon_major(joint: StateVector) -> StateVector:
+    """A joint input with PHOTON_LABELS first, then any other registers in
+    their input order."""
+    _check_two_photon_input(joint)
+    rest = [label for label in joint.labels if label not in PHOTON_LABELS]
+    return reorder_registers(joint, list(PHOTON_LABELS) + rest)
+
+
 def photon_columns(joint: StateVector) -> np.ndarray:
     """Amplitudes of a joint input as engine columns, shape (16, m).
 
     Rows follow PHOTON_LABELS (most significant first); registers beyond the
     four photon ones become the m = 2**k columns, in their input order.
     """
-    _check_two_photon_input(joint)
-    rest = [label for label in joint.labels if label not in PHOTON_LABELS]
-    return reorder_registers(joint, list(PHOTON_LABELS) + rest).amplitudes.reshape(16, -1)
+    return _photon_major(joint).amplitudes.reshape(16, -1)
 
 
 def branch_coefficients(photons) -> np.ndarray:
@@ -369,40 +285,14 @@ def branch_coefficients(photons) -> np.ndarray:
     of r_cold and r_hot, so a branch output is the homogeneous degree-4
     polynomial sum_k r_cold**k r_hot**(4 - k) C_k. ``photons`` has shape
     (16, m): m input columns over PHOTON_LABELS, most significant first (see
-    photon_columns). Runs the stages of _circuit_checkpoints once, projects
-    the spins onto each outcome pair and applies its feed-forward. Returns
-    C with shape (5, 2, 2, 16, m): power k of r_cold, e1 outcome, e2
-    outcome, output amplitude, input column.
+    photon_columns). Contracts the Kraus coefficients, compiled once per
+    process, with the columns. Returns C with shape (5, 2, 2, 16, m): power
+    k of r_cold, e1 outcome, e2 outcome, output amplitude, input column.
     """
     photons = np.asarray(photons, dtype=np.complex128)
     if photons.ndim != 2 or photons.shape[0] != 16:
         raise ValueError(f"photons must have shape (16, m), got {photons.shape}")
-    m = photons.shape[1]
-
-    t = np.zeros((_GATE_DEGREE + 1, 16, 2, 2, m), dtype=np.complex128)
-    t[0, :, 0, 0] = photons  # both spins start up; no pass yet, so power 0
-    t = t.reshape(_GATE_DEGREE + 1, 2, 2, 2, 2, 2, 2, m)
-    t = _element(t, ElementKind.SPIN_ROT_PLUS, SPIN_1)
-    t = _element(t, ElementKind.SPIN_ROT_PLUS, SPIN_2)
-    t = _cavity_pass(t, A_SPATIAL, SPIN_1)
-    t = _cavity_pass(t, A_POL, SPIN_2)
-    t = _element(t, ElementKind.BS, B_SPATIAL)
-    t = _element(t, ElementKind.HWP_H, B_POL)
-    t = _element(t, ElementKind.SPIN_ROT_PLUS, SPIN_1)
-    t = _element(t, ElementKind.SPIN_ROT_PLUS, SPIN_2)
-    t = _cavity_pass(t, B_SPATIAL, SPIN_1)
-    t = _cavity_pass(t, B_POL, SPIN_2)
-    t = _element(t, ElementKind.SPIN_H, SPIN_1)
-    t = _element(t, ElementKind.SPIN_H, SPIN_2)
-    t = _element(t, ElementKind.BS, B_SPATIAL)
-    t = _element(t, ElementKind.HWP_H, B_POL)
-
-    # feed-forward: a down outcome flips the sign of its target's second basis state
-    for spin, target in zip((SPIN_1, SPIN_2), _FEED_FORWARD_TARGETS):
-        flipped = [slice(None)] * t.ndim
-        flipped[_AXIS[spin]] = flipped[_AXIS[target]] = 1
-        t[tuple(flipped)] *= -1
-    return np.moveaxis(t.reshape(-1, 16, 2, 2, m), 1, 3)
+    return _kraus_coefficients() @ photons
 
 
 def evaluate_branches(r_cold, r_hot, coefficients: np.ndarray) -> np.ndarray:
@@ -432,6 +322,108 @@ def branch_outputs(r_cold, r_hot, photons) -> np.ndarray:
     operator.
     """
     return evaluate_branches(r_cold, r_hot, branch_coefficients(photons))
+
+
+# -- the hyper-CNOT gate -------------------------------------------------
+
+# Branch weights at or below this fraction of the survival count as zero: a
+# branch empty in exact arithmetic (equal reflections, as at g = 0) keeps
+# round-off amplitudes near 1e-16 of the surviving ones, so weights near 1e-32.
+BRANCH_FLOOR = 1e-24
+
+
+@dataclass(frozen=True)
+class GateRun:
+    """One executed gate branch after spin measurement and feed-forward.
+
+    ``survival_probability`` is the squared norm just before the spin
+    measurement (1 in ideal mode); ``branch_probability`` is the chance of
+    this spin-outcome pair conditioned on survival. A branch whose weight
+    is at most BRANCH_FLOOR times the survival counts as empty: it is
+    never enumerated or sampled. ``feed_forward_ops`` lists the registers
+    that received a computational sign flip.
+    """
+
+    mode: str
+    spin_outcomes: tuple[int, int]
+    feed_forward_ops: tuple[str, ...]
+    final_state: StateVector
+    survival_probability: float
+    branch_probability: float
+    seed: int | None = None
+
+
+class ZeroSurvivalError(ValueError):
+    """Every photon component was lost before the spin measurement."""
+
+
+def hyper_cnot_state(
+    joint: StateVector,
+    reflection: ReflectionPair | None = None,
+    branch_mode: str = "enumerate",
+    seed: int | None = None,
+) -> list[GateRun] | GateRun:
+    """Run the gate on a joint two-photon state (any entanglement allowed).
+
+    ``branch_mode="enumerate"`` returns all four spin branches, skipping
+    empty ones; ``"sample"`` draws one branch with a seeded PRNG. In ideal
+    mode all enumerated branches carry the same corrected state. Raises
+    ZeroSurvivalError when no amplitude reaches the spin measurement.
+    """
+    if branch_mode not in ("enumerate", "sample"):
+        raise ValueError(f"branch_mode must be 'enumerate' or 'sample', got {branch_mode!r}")
+    mode = "ideal" if reflection is None else "physical"
+    pair = reflection if reflection is not None else ReflectionPair.ideal()
+    # the outputs are homogeneous of degree 4 in the pair: evaluated at the
+    # pair scaled by a power of two (exact) to unit size, the weights of tiny
+    # reflections cannot underflow, and only the survival takes the scale back
+    exponent = math.frexp(max(abs(pair.r_cold), abs(pair.r_hot)))[1]
+    r_cold, r_hot = (
+        complex(math.ldexp(r.real, -exponent), math.ldexp(r.imag, -exponent))
+        for r in (pair.r_cold, pair.r_hot)
+    )
+    ordered = _photon_major(joint)
+    outputs = branch_outputs(r_cold, r_hot, ordered.amplitudes.reshape(16, -1))[0]
+    weights = np.sum(np.abs(outputs) ** 2, axis=(2, 3))
+    total = float(weights.sum())
+    if total == 0.0:
+        raise ZeroSurvivalError(
+            "zero survival: no photon amplitude reaches the spin measurement, "
+            "so the gate output is undefined"
+        )
+    weights[weights <= BRANCH_FLOOR * total] = 0.0
+    survival = math.ldexp(total, _GATE_DEGREE * 2 * exponent)
+
+    def run(outcomes: tuple[int, int], seed: int | None) -> GateRun:
+        branch = StateVector(ordered.registers, outputs[outcomes])
+        final = normalize(reorder_registers(branch, joint.labels))
+        ops = tuple(label for label, outcome in zip(_FEED_FORWARD_TARGETS, outcomes) if outcome)
+        probability = float(weights[outcomes] / total)
+        return GateRun(mode, outcomes, ops, final, survival, probability, seed)
+
+    if branch_mode == "sample":
+        # the draws hilbert.measure makes on e1, then on e2 given e1, so a
+        # seed selects the same branch as measuring the spins one by one
+        rng = np.random.default_rng(seed)
+        marginal = weights.sum(axis=1)
+        o1 = int(rng.choice(2, p=marginal / marginal.sum()))
+        o2 = int(rng.choice(2, p=weights[o1] / weights[o1].sum()))
+        return run((o1, o2), seed)
+    return [run(outcomes, None) for outcomes in product((0, 1), (0, 1)) if weights[outcomes]]
+
+
+def hyper_cnot(
+    control_state: StateVector,
+    target_state: StateVector,
+    reflection: ReflectionPair | None = None,
+    branch_mode: str = "enumerate",
+    seed: int | None = None,
+) -> list[GateRun] | GateRun:
+    """Run the gate on separate control (photon a) and target (photon b) states."""
+    _require_labels(control_state, (A_POL, A_SPATIAL), "control photon")
+    _require_labels(target_state, (B_POL, B_SPATIAL), "target photon")
+    joint = tensor_product(control_state, target_state)
+    return hyper_cnot_state(joint, reflection, branch_mode, seed)
 
 
 # -- spin readout --------------------------------------------------------

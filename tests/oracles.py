@@ -2,19 +2,32 @@
 
 Everything here is assembled directly from amplitude bookkeeping (closed
 forms of the staged circuit) or brute-force index arithmetic, never by
-running the circuit under test.
+running the circuit under test. The one exception is step_gate_runs, the
+reference for the compiled gate: it measures and corrects the staged step
+view's pre-measurement state one register at a time.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 
 from hypercnot import (
     CavityParams,
+    GateRun,
     StateVector,
+    apply_operator,
+    basis_state,
+    discard_register,
+    hyper_cnot_checkpoints,
+    measure,
+    measure_all_branches,
+    normalize,
     photon_registers,
     reflect_cold,
     reflect_hot,
+    reorder_registers,
     spin_register,
     state_from_terms,
 )
@@ -273,3 +286,77 @@ def efficiency_oracle(params: CavityParams) -> float:
     u = abs(reflect_cold(params))
     v = abs(reflect_hot(params))
     return float(((u**2 + v**2) / 2) ** 4)
+
+
+# -- the gate by the staged step view ---------------------------------------
+
+SIGN_FLIP = np.diag([1.0, -1.0])
+
+# register sign-flipped by a down outcome of e1 and of e2, respectively
+FEED_FORWARD_TARGETS = ("a.spatial", "a.pol")
+
+
+def step_pre_measurement(joint: StateVector, reflection=None) -> StateVector:
+    """hyper_cnot_checkpoints(...)["pre_measurement"] for any joint input.
+
+    The checkpoints take a separate control and target, so an entangled
+    input goes through by linearity: one run per target basis state, paired
+    with the (sub-normalized) rest of the input, and the runs summed.
+    Registers come out as the input's non-target registers in input order,
+    then b.pol, b.spatial, e1, e2.
+    """
+    rest = [label for label in joint.labels if label not in ("b.pol", "b.spatial")]
+    split = reorder_registers(joint, ["b.pol", "b.spatial"] + rest)
+    runs = [
+        hyper_cnot_checkpoints(
+            StateVector(split.registers[2:], row),
+            basis_state((B_POL_REG, B_SPATIAL_REG), names),
+            reflection,
+        )["pre_measurement"]
+        for row, names in zip(split.amplitudes.reshape(4, -1), product(POL_NAMES, B_PATHS))
+    ]
+    return StateVector(runs[0].registers, sum(run.amplitudes for run in runs))
+
+
+def step_gate_runs(joint: StateVector, reflection=None, branch_mode="enumerate", seed=None):
+    """The gate on the staged step view, one register at a time: the reference
+    for hyper_cnot_state.
+
+    Measures e1 then e2 on the staged pre-measurement state
+    (measure_all_branches, or measure with a seeded generator), flips the
+    signs the outcomes call for with apply_operator, discards the spins and
+    normalizes. Enumeration keeps every branch of nonzero weight, with no
+    round-off floor. Returns a list of GateRuns (one in sample mode).
+    """
+    pre = step_pre_measurement(joint, reflection)
+    survival = pre.norm2
+    if branch_mode == "sample":
+        rng = np.random.default_rng(seed)
+        rec1, st = measure(pre, "e1", rng)
+        rec2, st = measure(st, "e2", rng)
+        branches = [((rec1.outcome, rec2.outcome), rec1.probability / survival * rec2.probability, st)]
+    else:
+        branches = [
+            ((o1, o2), p2 / survival, st2)
+            for o1, _, st1 in measure_all_branches(pre, "e1")
+            for o2, p2, st2 in measure_all_branches(st1, "e2")
+            if p2 > 0.0
+        ]
+    runs = []
+    for outcomes, probability, st in branches:
+        ops = tuple(label for label, o in zip(FEED_FORWARD_TARGETS, outcomes) if o)
+        for label in ops:
+            st = apply_operator(st, [label], SIGN_FLIP)
+        final = discard_register(discard_register(st, "e2"), "e1")
+        runs.append(
+            GateRun(
+                mode="ideal" if reflection is None else "physical",
+                spin_outcomes=outcomes,
+                feed_forward_ops=ops,
+                final_state=normalize(reorder_registers(final, joint.labels)),
+                survival_probability=survival,
+                branch_probability=probability,
+                seed=seed if branch_mode == "sample" else None,
+            )
+        )
+    return runs

@@ -102,6 +102,16 @@ def test_reflection_pair_rejects_gain():
         ReflectionPair(1.2, 1.0)
 
 
+@pytest.mark.parametrize(
+    "bad", [complex("nan"), complex(0.5, float("nan")), complex("inf"), complex(0.0, float("-inf"))]
+)
+@pytest.mark.parametrize("slot", ["cold", "hot"])
+def test_reflection_pair_rejects_non_finite(bad, slot):
+    amplitudes = (bad, 1.0) if slot == "cold" else (1.0, bad)
+    with pytest.raises(ValueError, match=r"passive reflection requires \|r\| <= 1"):
+        ReflectionPair(*amplitudes)
+
+
 def test_ideal_pair_values():
     pair = ReflectionPair.ideal()
     assert pair.r_cold == -1j and pair.r_hot == 1.0

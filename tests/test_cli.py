@@ -374,6 +374,44 @@ def test_golden_output(golden, expected_code, argv, tmp_path, monkeypatch, capsy
         assert stdout == b""
 
 
+# JSON outputs captured before the gate was compiled once. Floats may move in
+# their last bits (sums run in another order), so they match within 1e-12;
+# structure, keys, strings, integers and booleans match exactly.
+JSON_GOLDEN_CASES = [
+    ("gate.json", "gate"),
+    ("gate_g0.5.json", "gate --mode physical --g 0.5"),
+    ("gate_seed5.json", "gate --seed 5"),
+    ("truth-table_g2.4.json", "truth-table --mode physical --g 2.4"),
+    ("cluster_g2.4.json", "cluster --mode physical --g 2.4"),
+    ("bell-analyze_g0.5.json", "bell-analyze --mode physical --g 0.5"),
+    ("paper-check_simulate.json", "paper-check --simulate"),
+]
+
+
+def assert_json_matches(got, want, path="$"):
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_json_matches(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (got_item, want_item) in enumerate(zip(got, want)):
+            assert_json_matches(got_item, want_item, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12, path
+    else:
+        assert got == want, path
+
+
+@pytest.mark.parametrize("golden,argv", JSON_GOLDEN_CASES, ids=[c[0] for c in JSON_GOLDEN_CASES])
+def test_golden_json_output(golden, argv, capsys):
+    code, out, _ = run_cli(capsys, *argv.split(), "--format", "json")
+    assert code == 0
+    want = json.loads((GOLDEN_DIR / golden).read_text())
+    assert_json_matches(json.loads(out), want)
+
+
 # -- generic ------------------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from hypercnot import (
     branch_outputs,
     element_matrix,
     expected_truth_table_output,
-    feed_forward,
     fidelity_up_to_global_phase,
     hyper_bell_state,
     hyper_cnot,
@@ -37,7 +38,9 @@ from hypercnot import (
     uniform_two_photon_state,
     ZeroSurvivalError,
 )
+from hypercnot import analysis, protocols
 from hypercnot.cavity import CavityParams, scatter_matrix
+from hypercnot.protocols import BRANCH_FLOOR
 from conftest import random_state
 from oracles import (
     PHOTON_REGS,
@@ -52,6 +55,7 @@ from oracles import (
     hybrid_cz_expected,
     pre_measurement_expected,
     random_amplitude_pair,
+    step_gate_runs,
     target_scattered_expected,
 )
 
@@ -310,15 +314,17 @@ def test_gate_matches_analytic_output_for_random_inputs(rng):
 def test_gate_run_records(rng):
     runs = hyper_cnot(photon_state("a", PLUS, PLUS), photon_state("b", PLUS, PLUS))
     assert [run.spin_outcomes for run in runs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # a down outcome of e1 flips the control's path sign, one of e2 its L sign
+    assert [run.feed_forward_ops for run in runs] == [
+        (), ("a.pol",), ("a.spatial",), ("a.spatial", "a.pol")
+    ]
     for run in runs:
         assert isinstance(run, GateRun)
         assert run.mode == "ideal"
+        assert run.seed is None
         assert abs(run.survival_probability - 1.0) < 1e-12
         assert abs(run.branch_probability - 0.25) < 1e-12
-        has_down = 1 in run.spin_outcomes
-        assert bool(run.feed_forward_ops) == has_down
         assert abs(run.final_state.norm2 - 1.0) < 1e-12
-    assert runs[3].feed_forward_ops == ("a.spatial", "a.pol")
 
 
 def test_truth_table_is_the_double_cnot_permutation():
@@ -424,30 +430,6 @@ def test_zero_survival_is_a_named_error(branch_mode):
 # -- feed-forward ----------------------------------------------------------------
 
 
-def test_feed_forward_identity_on_up_up(rng):
-    st = joint_input(*random_coefficients(rng))
-    out, ops = feed_forward(st, (0, 0))
-    assert ops == ()
-    np.testing.assert_allclose(out.amplitudes, st.amplitudes, atol=1e-15)
-
-
-def test_feed_forward_flips_second_path_sign():
-    gamma = (0.6, 0.8)
-    st = joint_input((1, 0), gamma, (1, 0), (1, 0))
-    out, ops = feed_forward(st, (1, 0))
-    assert ops == ("a.spatial",)
-    assert abs(out.amplitude("R", "a1", "R", "b1") - 0.6) < 1e-15
-    assert abs(out.amplitude("R", "a2", "R", "b1") + 0.8) < 1e-15
-
-
-def test_feed_forward_flips_l_sign():
-    st = joint_input((0.6, 0.8), (1, 0), (1, 0), (1, 0))
-    out, ops = feed_forward(st, (0, 1))
-    assert ops == ("a.pol",)
-    assert abs(out.amplitude("R", "a1", "R", "b1") - 0.6) < 1e-15
-    assert abs(out.amplitude("L", "a1", "R", "b1") + 0.8) < 1e-15
-
-
 def test_all_branches_agree_after_feed_forward(rng):
     # enumerate the spin branches of the full gate; the corrected outputs
     # must coincide pairwise
@@ -458,9 +440,13 @@ def test_all_branches_agree_after_feed_forward(rng):
         assert fidelity_up_to_global_phase(run.final_state, first) >= 1 - FID_TOL
 
 
-# -- the batched engine against the step path -------------------------------------
+# -- the compiled gate against the step path ---------------------------------------
 
 PHOTON_LABELS = tuple(reg.label for reg in PHOTON_REGS)
+
+
+def canonical_amplitudes(state):
+    return reorder_registers(state, PHOTON_LABELS).amplitudes
 
 
 @settings(max_examples=60, deadline=None)
@@ -474,24 +460,54 @@ def test_engine_branches_match_step_path(mags, phases, seed, order):
     pair = ReflectionPair(mags[0] * np.exp(1j * phases[0]), mags[1] * np.exp(1j * phases[1]))
     joint = random_state(tuple(PHOTON_REGS[i] for i in order), np.random.default_rng(seed))
     out = branch_outputs([pair.r_cold], [pair.r_hot], photon_columns(joint))[0, ..., 0]
-    try:
-        runs = hyper_cnot_state(joint, pair)
-    except ZeroSurvivalError:
+    # the outputs are homogeneous of degree 4 in the pair (tested below), so
+    # the step reference runs at the pair scaled by a power of two to unit
+    # size, where its squared norms cannot underflow; only its survival takes
+    # the scale back
+    exponent = math.frexp(max(abs(pair.r_cold), abs(pair.r_hot)))[1]
+    unit = ReflectionPair(
+        *(complex(math.ldexp(r.real, -exponent), math.ldexp(r.imag, -exponent))
+          for r in (pair.r_cold, pair.r_hot))
+    )
+    reference = step_gate_runs(joint, unit)
+    if not reference:  # zero survival: every branch is empty
         assert np.sum(np.abs(out) ** 2) == 0.0
+        for branch_mode in ("enumerate", "sample"):
+            with pytest.raises(ZeroSurvivalError):
+                hyper_cnot_state(joint, pair, branch_mode=branch_mode, seed=seed)
         return
-    survival = runs[0].survival_probability
+    survival = math.ldexp(reference[0].survival_probability, 8 * exponent)
     assert abs(np.sum(np.abs(out) ** 2) - survival) <= 1e-12
-    for run in runs:
-        branch = out[run.spin_outcomes]
-        weight = survival * run.branch_probability
+    runs = {run.spin_outcomes: run for run in hyper_cnot_state(joint, pair)}
+    for ref in reference:
+        branch = out[ref.spin_outcomes]
+        weight = survival * ref.branch_probability
         assert abs(np.sum(np.abs(branch) ** 2) - weight) <= 1e-12
-        if weight <= 1e-16:
+        run = runs.pop(ref.spin_outcomes, None)
+        if run is None:
+            # only a branch at the round-off floor may be left out
+            assert ref.branch_probability <= 1e3 * BRANCH_FLOOR
+            continue
+        assert abs(run.survival_probability - survival) <= 1e-12
+        assert abs(run.branch_probability - ref.branch_probability) <= 1e-12
+        assert run.feed_forward_ops == ref.feed_forward_ops
+        assert run.final_state.labels == joint.labels
+        if ref.branch_probability <= 1e-16:
             # zero in exact arithmetic (equal reflections leave some branches
             # empty); both paths keep round-off there, which has no direction
             continue
-        final = reorder_registers(run.final_state, PHOTON_LABELS).amplitudes
+        assert fidelity_up_to_global_phase(run.final_state, ref.final_state) >= 1 - 1e-12
+        if weight <= 1e-16:
+            continue  # too small for the unscaled outputs to carry a direction
+        final = canonical_amplitudes(ref.final_state)
         fidelity = abs(np.vdot(final, branch)) ** 2 / np.sum(np.abs(branch) ** 2)
         assert fidelity >= 1 - 1e-12
+    assert not runs  # no branch the step path finds empty
+
+    sampled = hyper_cnot_state(joint, pair, branch_mode="sample", seed=seed)
+    (want,) = step_gate_runs(joint, unit, branch_mode="sample", seed=seed)
+    assert (sampled.spin_outcomes, sampled.seed) == (want.spin_outcomes, seed)
+    assert abs(sampled.branch_probability - want.branch_probability) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -504,12 +520,100 @@ def test_engine_branches_carry_the_step_path_phases(pair, rng):
     # branches, which fidelities and norms cannot see; compare amplitudes
     joint = random_state(PHOTON_REGS, rng)
     out = branch_outputs(pair.r_cold, pair.r_hot, photon_columns(joint))[0, ..., 0]
+    reference = step_gate_runs(joint, pair)
     runs = hyper_cnot_state(joint, pair)
-    assert len(runs) == 4
-    for run in runs:
-        weight = run.survival_probability * run.branch_probability
-        want = np.sqrt(weight) * run.final_state.amplitudes
-        np.testing.assert_allclose(out[run.spin_outcomes], want, rtol=0, atol=1e-12)
+    assert len(reference) == len(runs) == 4
+    for ref, run in zip(reference, runs):
+        assert run.spin_outcomes == ref.spin_outcomes
+        weight = ref.survival_probability * ref.branch_probability
+        want = ref.final_state.amplitudes
+        np.testing.assert_allclose(out[ref.spin_outcomes], np.sqrt(weight) * want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(run.final_state.amplitudes, want, rtol=0, atol=1e-12)
+    for seed in range(8):
+        (ref,) = step_gate_runs(joint, pair, branch_mode="sample", seed=seed)
+        run = hyper_cnot_state(joint, pair, branch_mode="sample", seed=seed)
+        assert run.spin_outcomes == ref.spin_outcomes
+        np.testing.assert_allclose(
+            run.final_state.amplitudes, ref.final_state.amplitudes, rtol=0, atol=1e-12
+        )
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        None,
+        ReflectionPair.from_params(CavityParams(g=0.5)),
+        ReflectionPair.from_params(CavityParams(g=1.56, kappa_s=0.2)),
+    ],
+    ids=["ideal", "g0.5", "g1.56-ks0.2"],
+)
+def test_sampling_repeats_the_step_path_draws(pair, rng):
+    # the compiled sampler draws from the same generator stream as measuring
+    # e1 and then e2 on the step path, so every seed picks the same branch
+    joint = random_state(PHOTON_REGS, rng)
+    for seed in range(200):
+        (ref,) = step_gate_runs(joint, pair, branch_mode="sample", seed=seed)
+        run = hyper_cnot_state(joint, pair, branch_mode="sample", seed=seed)
+        assert run.spin_outcomes == ref.spin_outcomes, seed
+
+
+@pytest.mark.parametrize("kappa_s", [0.0, 0.3])
+def test_round_off_branches_are_empty(kappa_s, rng):
+    # at g = 0 both reflections are equal and three branches are empty in
+    # exact arithmetic; their round-off (weights near 1e-34 for the random
+    # input, and for the uniform one at kappa_s = 0.3) is neither enumerated
+    # nor sampled
+    pair = ReflectionPair.from_params(CavityParams(g=0.0, kappa_s=kappa_s))
+    for joint in (uniform_two_photon_state(), random_state(PHOTON_REGS, rng)):
+        runs = hyper_cnot_state(joint, pair)
+        assert [(run.spin_outcomes, run.branch_probability) for run in runs] == [((0, 0), 1.0)]
+        for seed in range(50):
+            run = hyper_cnot_state(joint, pair, branch_mode="sample", seed=seed)
+            assert (run.spin_outcomes, run.branch_probability) == ((0, 0), 1.0)
+
+
+def test_tiny_reflections_give_defined_branches(rng):
+    # squared norms of amplitudes near 1e-160 underflow; the branches are
+    # those of the pair scaled to unit size, and only the survival is tiny
+    joint = random_state(PHOTON_REGS, rng)
+    runs = hyper_cnot_state(joint, ReflectionPair(0.0, 1.57900383923873e-40))
+    reference = step_gate_runs(joint, ReflectionPair(0.0, 1.0))
+    assert [run.spin_outcomes for run in runs] == [ref.spin_outcomes for ref in reference]
+    for run, ref in zip(runs, reference):
+        assert 0.0 <= run.survival_probability < 1e-300
+        assert abs(run.branch_probability - ref.branch_probability) <= 1e-12
+        np.testing.assert_allclose(
+            run.final_state.amplitudes, ref.final_state.amplitudes, rtol=0, atol=1e-12
+        )
+
+
+def test_small_coupling_keeps_every_branch():
+    # weak but real branches (the (1, 1) weight is about 6e-23) stay above the floor
+    pair = ReflectionPair.from_params(CavityParams(g=1e-3))
+    runs = hyper_cnot_state(uniform_two_photon_state(), pair)
+    assert [run.spin_outcomes for run in runs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert all(run.branch_probability > BRANCH_FLOOR for run in runs)
+
+
+def test_stages_are_interpreted_once_per_process(monkeypatch, rng):
+    protocols._kraus_coefficients()
+
+    def interpret_again():
+        raise AssertionError("the gate stages were interpreted a second time")
+
+    monkeypatch.setattr(protocols, "_compile_stages", interpret_again)
+    analysis._uniform_coefficients.cache_clear()  # rederived below, from the compiled gate
+    pair = ReflectionPair.from_params(CavityParams(g=0.5))
+    joint = random_state(PHOTON_REGS, rng)
+    assert len(hyper_cnot_state(joint, pair)) == 4
+    assert isinstance(hyper_cnot_state(joint, pair, branch_mode="sample", seed=3), GateRun)
+    assert all(row.ok for row in truth_table(pair))
+    assert analyze_hyper_bell(HyperBellState(2, 1), pair).pol_index == 2
+    assert prepare_cluster_stages(pair).cluster.norm2 == pytest.approx(1.0)
+    fidelity, eta = analysis.simulated_performance(CavityParams(g=0.5), joint)
+    assert 0 < fidelity <= 1 and 0 < eta < 1
+    grid = analysis.sweep(kappa_s_range=(0.0, 1.0), resolution=3, include_simulation=True).grid
+    assert all(point.eta_sim is not None for point in grid)
 
 
 def test_engine_ideal_map_is_half_the_double_cnot():
