@@ -9,6 +9,8 @@ from .hilbert import (
     StateVector,
     apply_operator,
     attach_register,
+    basis_index,
+    basis_names,
     basis_state,
     discard_register,
     fidelity_up_to_global_phase,

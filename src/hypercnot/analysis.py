@@ -147,31 +147,14 @@ def simulated_performance(
     return float(fidelity[0]), float(eta[0])
 
 
-def _performance_point(
-    params: CavityParams, f_sim: float | None = None, eta_sim: float | None = None
-) -> PerformancePoint:
-    f_formula, eta_formula = formula_performance(params)
-    return PerformancePoint(
-        g_over_kappa=params.g,
-        kappa_s_over_kappa=params.kappa_s,
-        gamma_over_kappa=params.gamma,
-        F_formula=f_formula,
-        eta_formula=eta_formula,
-        F_sim=f_sim,
-        eta_sim=eta_sim,
-    )
-
-
 def performance_point(
     g: float,
     kappa_s: float,
     gamma: float = 0.1,
     include_simulation: bool = False,
 ) -> PerformancePoint:
-    params = CavityParams(g=g, kappa_s=kappa_s, gamma=gamma)
-    if include_simulation:
-        return _performance_point(params, *simulated_performance(params))
-    return _performance_point(params)
+    """Figures of merit at one (g, kappa_s) point: a one-point sweep."""
+    return sweep((g, g), (kappa_s, kappa_s), 1, gamma, include_simulation).grid[0]
 
 
 def sweep(
@@ -207,7 +190,7 @@ def sweep(
     r_cold, r_hot = lattice_reflections(params, g_values, ks_values)
     u_cold = [abs(r) for r in r_cold]
     formulas = [_closed_form(u, abs(r)) for u, r in zip(u_cold * resolution, r_hot)]
-    leaky_columns = sum(ks >= SIDE_LEAKAGE_WARNING * params.kappa for ks in ks_values)
+    leaky_columns = sum(ks >= SIDE_LEAKAGE_WARNING for ks in ks_values)
     leaky = resolution * leaky_columns
     if include_simulation:
         if leaky:
@@ -232,7 +215,6 @@ def sweep(
     provenance = {
         "package": f"hypercnot {__version__}",
         "detuning": repr(params.detuning),
-        "exciton_detuning": repr(params.exciton_detuning),
         "gamma_over_kappa": repr(gamma),
         "side_leakage_points": str(leaky),
     }

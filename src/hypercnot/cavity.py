@@ -1,8 +1,9 @@
 """Steady-state reflection of a charged-dot microcavity and the
 spin-conditioned photon scattering map it induces.
 
-All rates are expressed in units of the cavity decay rate kappa, so
-kappa = 1 throughout. The reflection response is the weak-excitation
+All rates are expressed in units of the cavity decay rate kappa: kappa is
+the unit, not a parameter, so it is 1 throughout and appears in no
+signature or field. The reflection response is the weak-excitation
 steady state of the input-output dynamics; the time-domain equations
 themselves are never integrated here.
 
@@ -32,47 +33,43 @@ SIDE_LEAKAGE_WARNING = 1.3
 class CavityParams:
     """Physical parameters of one dot-cavity unit, in units of kappa.
 
-    ``detuning`` is probe minus cavity frequency; ``exciton_detuning`` is
-    trion minus cavity frequency (0 keeps the trion on the bare cavity).
+    ``detuning`` is probe minus cavity frequency; the trion is resonant
+    with the bare cavity.
     """
 
     g: float
-    kappa: float = 1.0
     kappa_s: float = 0.0
     gamma: float = 0.1
     detuning: float = 0.5
-    exciton_detuning: float = 0.0
 
     def __post_init__(self) -> None:
         # chained comparisons are False for NaN, so every check rejects it too
-        if not 0.0 < self.kappa < math.inf:
-            raise ValueError(f"kappa must be positive and finite, got {self.kappa!r}")
         g, kappa_s, gamma = self.g, self.kappa_s, self.gamma
         if not (0.0 <= g < math.inf and 0.0 <= kappa_s < math.inf and 0.0 <= gamma < math.inf):
             raise ValueError("g, kappa_s and gamma must be non-negative and finite")
-        if not (math.isfinite(self.detuning) and math.isfinite(self.exciton_detuning)):
-            raise ValueError("detuning and exciton_detuning must be finite")
+        if not math.isfinite(self.detuning):
+            raise ValueError("detuning must be finite")
 
 
 def _cavity_term(params: CavityParams, kappa_s: float) -> complex:
     """c = i(w_c - w) + kappa/2 + kappa_s/2, with kappa_s given separately."""
-    return 1j * (-params.detuning) + params.kappa / 2 + kappa_s / 2
+    return 1j * -params.detuning + 0.5 + kappa_s / 2
 
 
 def _dipole_term(params: CavityParams) -> complex:
-    """d = i(w_X - w) + gamma/2."""
-    return 1j * (params.exciton_detuning - params.detuning) + params.gamma / 2
+    """d = i(w_X - w) + gamma/2, with the trion on the cavity (w_X = w_c)."""
+    return 1j * -params.detuning + params.gamma / 2
 
 
-def _cold(cavity_term: complex, kappa: float) -> complex:
-    return complex((cavity_term - kappa) / cavity_term)
+def _cold(cavity_term: complex) -> complex:
+    return complex((cavity_term - 1.0) / cavity_term)
 
 
-def _hot(g: float, dipole_term: complex, cavity_term: complex, kappa: float) -> complex:
+def _hot(g: float, dipole_term: complex, cavity_term: complex) -> complex:
     if g == 0.0:
         # reduce to the bare-cavity branch through the same arithmetic path
-        return _cold(cavity_term, kappa)
-    return complex(1 - kappa * dipole_term / (dipole_term * cavity_term + g**2))
+        return _cold(cavity_term)
+    return complex(1 - dipole_term / (dipole_term * cavity_term + g**2))
 
 
 def reflect_cold(params: CavityParams) -> complex:
@@ -80,7 +77,7 @@ def reflect_cold(params: CavityParams) -> complex:
 
     r0 = (i(w_c - w) - kappa/2 + kappa_s/2) / (i(w_c - w) + kappa/2 + kappa_s/2)
     """
-    return _cold(_cavity_term(params, params.kappa_s), params.kappa)
+    return _cold(_cavity_term(params, params.kappa_s))
 
 
 def reflect_hot(params: CavityParams) -> complex:
@@ -89,9 +86,7 @@ def reflect_hot(params: CavityParams) -> complex:
     r = 1 - kappa * d / (d * c + g**2) with d = i(w_X - w) + gamma/2 and
     c = i(w_c - w) + kappa/2 + kappa_s/2.
     """
-    return _hot(
-        params.g, _dipole_term(params), _cavity_term(params, params.kappa_s), params.kappa
-    )
+    return _hot(params.g, _dipole_term(params), _cavity_term(params, params.kappa_s))
 
 
 def lattice_reflections(
@@ -100,15 +95,14 @@ def lattice_reflections(
     """Reflections over a (g, kappa_s) lattice, from the scalar arithmetic of
     reflect_cold and reflect_hot, so every value equals theirs exactly.
 
-    ``params`` supplies kappa, gamma and both detunings; its own g and
-    kappa_s are ignored. Returns r_cold once per kappa_s value (it does not
-    depend on g) and r_hot once per point, g-major.
+    ``params`` supplies gamma and the detuning; its own g and kappa_s are
+    ignored. Returns r_cold once per kappa_s value (it does not depend on g)
+    and r_hot once per point, g-major.
     """
-    kappa = params.kappa
     dipole = _dipole_term(params)
     cavity = [_cavity_term(params, kappa_s) for kappa_s in kappa_s_values]
-    r_cold = [_cold(c, kappa) for c in cavity]
-    r_hot = [_hot(g, dipole, c, kappa) for g in g_values for c in cavity]
+    r_cold = [_cold(c) for c in cavity]
+    r_hot = [_hot(g, dipole, c) for g in g_values for c in cavity]
     return r_cold, r_hot
 
 
@@ -133,7 +127,7 @@ class ReflectionPair:
 
     @classmethod
     def from_params(cls, params: CavityParams) -> "ReflectionPair":
-        if params.kappa_s >= SIDE_LEAKAGE_WARNING * params.kappa:
+        if params.kappa_s >= SIDE_LEAKAGE_WARNING:
             warnings.warn(
                 f"kappa_s = {params.kappa_s:g} kappa is at or above the "
                 f"{SIDE_LEAKAGE_WARNING:g} kappa guidance for reaching the "

@@ -31,12 +31,14 @@ from .analysis import (
     sweep,
 )
 from .cavity import CavityParams, ReflectionPair
-from .hilbert import fidelity_up_to_global_phase, tensor_product
+from .hilbert import basis_state, fidelity_up_to_global_phase, tensor_product
 from .protocols import (
+    BELL_NAMES,
     HyperBellState,
     ZeroSurvivalError,
     analyze_hyper_bell,
     hyper_cnot_state,
+    photon_registers,
     photon_state,
     prepare_cluster_stages,
     truth_table,
@@ -146,18 +148,10 @@ def _input_state(args: argparse.Namespace, parser: argparse.ArgumentParser):
         if len(names) != 4:
             parser.error("basis preset needs four names, e.g. basis:L,a2,R,b1")
         try:
-            a = photon_state("a", _unit_pair(("R", "L"), names[0]), _unit_pair(("a1", "a2"), names[1]))
-            b = photon_state("b", _unit_pair(("R", "L"), names[2]), _unit_pair(("b1", "b2"), names[3]))
+            return basis_state(photon_registers("a") + photon_registers("b"), names)
         except ValueError as exc:
             parser.error(str(exc))
-        return tensor_product(a, b)
     parser.error(f"unknown input preset {args.input!r}")
-
-
-def _unit_pair(names: tuple[str, str], chosen: str):
-    if chosen not in names:
-        raise ValueError(f"basis name {chosen!r} not in {names}")
-    return (1.0, 0.0) if chosen == names[0] else (0.0, 1.0)
 
 
 # -- commands ------------------------------------------------------------
@@ -260,7 +254,6 @@ def cmd_bell_analyze(args, parser) -> int:
         requests = [(args.pol, args.spatial)]
     else:
         requests = [(p, s) for p in range(4) for s in range(4)]
-    names = ("phi+", "phi-", "psi+", "psi-")
     lines = [f"{'input':<14} {'pattern':<22} {'decoded':<14} {'deterministic':<13} min-prob"]
     payload = {"rows": []}
     patterns = []
@@ -271,12 +264,12 @@ def cmd_bell_analyze(args, parser) -> int:
         ok = ok and decoded_ok
         patterns.append(result.pattern)
         decoded = (
-            f"{names[result.pol_index]},{names[result.spatial_index]}"
+            f"{BELL_NAMES[result.pol_index]},{BELL_NAMES[result.spatial_index]}"
             if result.pol_index is not None
             else "?"
         )
         lines.append(
-            f"{names[pol]},{names[spatial]:<9} {','.join(result.pattern):<22} "
+            f"{BELL_NAMES[pol]},{BELL_NAMES[spatial]:<9} {','.join(result.pattern):<22} "
             f"{decoded:<14} {str(result.deterministic):<13} {result.min_outcome_probability:.6f}"
         )
         payload["rows"].append(

@@ -3,7 +3,10 @@
 Index convention: the first register of a system is the most significant
 digit, so for registers (r0, r1, ..., rk) the amplitude of the basis state
 |n0, n1, ..., nk> lives at flat index n0*2**k + ... + nk. Tests pin this
-convention.
+convention. It is written once, in the codec basis_index (per-register
+basis names -> flat index) and basis_names (flat index -> names); every
+lookup of a basis state by name, here and in the other modules, goes
+through those two functions.
 
 States are immutable values; every operation returns a new vector, so they
 can be shared freely across threads or worker processes. A state may be
@@ -24,6 +27,9 @@ NORM_ATOL = 1e-9
 
 # slack on the squared norm of any stored state (passive optics never gain)
 NORM_CAP = 1.0 + 1e-6
+
+# StateVector.terms prints an amplitude's real or imaginary part only above this
+TERMS_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -110,33 +116,23 @@ class StateVector:
     def register(self, label: str) -> Register:
         return self.registers[self.register_index(label)]
 
-    def amplitude(self, *basis_names: str) -> complex:
+    def amplitude(self, *names: str) -> complex:
         """Amplitude of one basis state, addressed by per-register names."""
-        if len(basis_names) != self.num_registers:
-            raise ValueError(
-                f"need {self.num_registers} basis names, got {len(basis_names)}"
-            )
-        flat = 0
-        for reg, name in zip(self.registers, basis_names):
-            flat = 2 * flat + reg.index_of(name)
-        return complex(self.amplitudes[flat])
+        return complex(self.amplitudes[basis_index(self.registers, names)])
 
-    def normalized(self) -> "StateVector":
-        return normalize(self)
+    def terms(self) -> str:
+        """Human-readable ket expansion.
 
-    def terms(self, eps: float = 1e-9) -> str:
-        """Human-readable ket expansion, skipping negligible amplitudes."""
+        A real or imaginary part at or below TERMS_EPS prints as 0, so the
+        round-off of an exactly real amplitude does not show, and a term
+        with both parts that small is skipped.
+        """
         parts = []
         for flat, amp in enumerate(self.amplitudes):
-            if abs(amp) <= eps:
-                continue
-            names = []
-            rem = flat
-            for reg in reversed(self.registers):
-                names.append(reg.basis_names[rem % 2])
-                rem //= 2
-            ket = ",".join(reversed(names))
-            parts.append(f"({amp:.6g})|{ket}>")
+            amp = complex(*(0.0 if abs(x) <= TERMS_EPS else x for x in (amp.real, amp.imag)))
+            if amp:
+                ket = ",".join(basis_names(self.registers, flat))
+                parts.append(f"({amp:.6g})|{ket}>")
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:  # the 64-entry array is noise in tracebacks
@@ -156,6 +152,28 @@ class MeasurementRecord:
     outcome: int
     outcome_name: str
     probability: float
+
+
+# -- the basis-state codec ------------------------------------------------
+
+
+def basis_index(registers: Sequence[Register], names: Sequence[str]) -> int:
+    """Flat amplitude index of the basis state named per register, the
+    first register most significant."""
+    if len(names) != len(registers):
+        raise ValueError(f"need {len(registers)} basis names, got {len(names)}")
+    flat = 0
+    for reg, name in zip(registers, names):
+        flat = 2 * flat + reg.index_of(name)
+    return flat
+
+
+def basis_names(registers: Sequence[Register], index: int) -> tuple[str, ...]:
+    """Per-register basis names of a flat amplitude index; inverts basis_index."""
+    if not 0 <= index < 2 ** len(registers):
+        raise ValueError(f"basis index {index} out of range for {len(registers)} registers")
+    last = len(registers) - 1
+    return tuple(reg.basis_names[(index >> (last - i)) & 1] for i, reg in enumerate(registers))
 
 
 # -- construction ------------------------------------------------------
@@ -196,12 +214,9 @@ def attach_register(
 
 def basis_state(registers: Sequence[Register], names: Sequence[str]) -> StateVector:
     """Computational basis state addressed by per-register basis names."""
-    pairs = []
-    for reg, name in zip(registers, names, strict=True):
-        amp = [0.0, 0.0]
-        amp[reg.index_of(name)] = 1.0
-        pairs.append((reg, amp))
-    return tensor_state(pairs)
+    amps = np.zeros(2 ** len(registers), dtype=np.complex128)
+    amps[basis_index(registers, names)] = 1.0
+    return StateVector(tuple(registers), amps)
 
 
 def state_from_terms(
@@ -212,10 +227,7 @@ def state_from_terms(
     regs = tuple(registers)
     amps = np.zeros(2 ** len(regs), dtype=np.complex128)
     for names, amp in terms.items():
-        flat = 0
-        for reg, name in zip(regs, names, strict=True):
-            flat = 2 * flat + reg.index_of(name)
-        amps[flat] += amp
+        amps[basis_index(regs, names)] += amp
     return StateVector(regs, amps)
 
 

@@ -64,13 +64,14 @@ from .hilbert import (
     StateVector,
     apply_operator,
     attach_register,
+    basis_index,
+    basis_names,
+    basis_state,
     discard_register,
-    fidelity_up_to_global_phase,
     measure,
     normalize,
     outcome_weights,
     reorder_registers,
-    state_from_terms,
     tensor_product,
     tensor_state,
 )
@@ -478,15 +479,6 @@ class TruthTableRow:
     min_fidelity: float
 
 
-def _dominant_basis_names(state: StateVector) -> tuple[str, ...]:
-    flat = int(np.argmax(np.abs(state.amplitudes)))
-    names = []
-    for reg in reversed(state.registers):
-        names.append(reg.basis_names[flat % 2])
-        flat //= 2
-    return tuple(reversed(names))
-
-
 def expected_truth_table_output(input_names: tuple[str, str, str, str]) -> tuple[str, str, str, str]:
     """CNOT-on-both-degrees prediction for a basis input (independent oracle)."""
     pa, sa, pb, sb = input_names
@@ -500,44 +492,29 @@ def truth_table(reflection: ReflectionPair | None = None) -> list[TruthTableRow]
 
     A row passes when every spin branch's corrected output decodes (by
     dominant amplitude) to the CNOT-on-both-degrees prediction; the row
-    also carries the worst branch fidelity against that prediction.
+    also carries the worst branch fidelity against that prediction, the
+    squared magnitude of the output's amplitude on the predicted state.
     """
-    a_pol, a_spatial = photon_registers("a")
-    b_pol, b_spatial = photon_registers("b")
+    registers = photon_registers("a") + photon_registers("b")
     rows = []
-    for pa, sa, pb, sb in product(("R", "L"), ("a1", "a2"), ("R", "L"), ("b1", "b2")):
-        control = tensor_state([(a_pol, _unit(a_pol, pa)), (a_spatial, _unit(a_spatial, sa))])
-        target = tensor_state([(b_pol, _unit(b_pol, pb)), (b_spatial, _unit(b_spatial, sb))])
-        expected_names = expected_truth_table_output((pa, sa, pb, sb))
-        runs = hyper_cnot(control, target, reflection)
-        expected = state_from_terms(
-            runs[0].final_state.registers,
-            {expected_names: 1.0},
-        )
-        observed = _dominant_basis_names(runs[0].final_state)
-        ok = True
-        min_fid = 1.0
-        for run in runs:
-            fid = fidelity_up_to_global_phase(run.final_state, expected)
-            min_fid = min(min_fid, fid)
-            if _dominant_basis_names(run.final_state) != expected_names:
-                ok = False
+    for names in product(("R", "L"), ("a1", "a2"), ("R", "L"), ("b1", "b2")):
+        expected_names = expected_truth_table_output(names)
+        expected = basis_index(registers, expected_names)
+        outputs = [
+            run.final_state.amplitudes
+            for run in hyper_cnot_state(basis_state(registers, names), reflection)
+        ]
+        observed = [basis_names(registers, int(np.argmax(np.abs(amps)))) for amps in outputs]
         rows.append(
             TruthTableRow(
-                input_names=(pa, sa, pb, sb),
+                input_names=names,
                 expected_names=expected_names,
-                observed_names=observed,
-                ok=ok,
-                min_fidelity=min_fid,
+                observed_names=observed[0],
+                ok=all(got == expected_names for got in observed),
+                min_fidelity=min(float(abs(amps[expected]) ** 2) for amps in outputs),
             )
         )
     return rows
-
-
-def _unit(register: Register, name: str) -> tuple[float, float]:
-    pair = [0.0, 0.0]
-    pair[register.index_of(name)] = 1.0
-    return (pair[0], pair[1])
 
 
 # -- cluster-state preparation ---------------------------------------------
@@ -606,14 +583,14 @@ class HyperBellState:
 
 BELL_NAMES = ("phi+", "phi-", "psi+", "psi-")
 
+# two-qubit amplitudes of each Bell state, rows in BELL_NAMES order
+_BELL_AMPLITUDES = np.array(
+    [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]
+) / np.sqrt(2.0)
 
-def _bell_pairs(index: int, names: tuple[str, str]) -> dict[tuple[str, str], complex]:
-    lo, hi = names
-    amp = 1 / np.sqrt(2.0)
-    sign = -1.0 if index in (1, 3) else 1.0
-    if index in (0, 1):  # correlated: phi
-        return {(lo, lo): amp, (hi, hi): sign * amp}
-    return {(lo, hi): amp, (hi, lo): sign * amp}  # anticorrelated: psi
+# an analysis is deterministic when no single-photon outcome probability falls
+# more than this below 1
+_DETERMINISTIC_TOL = 1e-9
 
 
 def hyper_bell_state(pol_index: int, spatial_index: int) -> StateVector:
@@ -621,17 +598,9 @@ def hyper_bell_state(pol_index: int, spatial_index: int) -> StateVector:
     spec = HyperBellState(pol_index, spatial_index)
     a_pol, a_spatial = photon_registers("a")
     b_pol, b_spatial = photon_registers("b")
-    pol = _bell_pairs(spec.pol_index, ("R", "L"))
-    # _bell_pairs indexes both photons by position; rename the second to b
-    spatial = {
-        (first, second.replace("a", "b")): amp
-        for (first, second), amp in _bell_pairs(spec.spatial_index, ("a1", "a2")).items()
-    }
-    terms = {}
-    for (pa, pb), pamp in pol.items():
-        for (sa, sb), samp in spatial.items():
-            terms[(pa, sa, pb, sb)] = pamp * samp
-    return state_from_terms((a_pol, a_spatial, b_pol, b_spatial), terms)
+    pol = StateVector((a_pol, b_pol), _BELL_AMPLITUDES[spec.pol_index])
+    spatial = StateVector((a_spatial, b_spatial), _BELL_AMPLITUDES[spec.spatial_index])
+    return reorder_registers(tensor_product(pol, spatial), PHOTON_LABELS)
 
 
 @dataclass(frozen=True)
@@ -690,7 +659,6 @@ def bell_decoding_table() -> dict[tuple[str, str, str, str], tuple[int, int]]:
 def analyze_hyper_bell(
     state: StateVector | HyperBellState,
     reflection: ReflectionPair | None = None,
-    probability_tol: float = 1e-9,
 ) -> BellAnalysis:
     """Identify a hyperentangled Bell state from single-photon outcomes.
 
@@ -709,6 +677,6 @@ def analyze_hyper_bell(
         pol_index=decoded[0] if decoded else None,
         spatial_index=decoded[1] if decoded else None,
         pattern=pattern,
-        deterministic=min_prob >= 1.0 - probability_tol,
+        deterministic=min_prob >= 1.0 - _DETERMINISTIC_TOL,
         min_outcome_probability=min_prob,
     )

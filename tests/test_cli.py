@@ -57,6 +57,24 @@ def test_gate_basis_preset(capsys):
     assert "survival=1.000000000" in out
 
 
+@pytest.mark.parametrize(
+    "preset, register", [("basis:X,a2,R,b1", "a.pol"), ("basis:L,a2,R,a1", "b.spatial")]
+)
+def test_gate_basis_preset_rejects_unknown_names(preset, register, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["gate", "--input", preset])
+    assert err.value.code == 2
+    assert f"register {register!r} has no basis state" in capsys.readouterr().err
+
+
+def test_gate_final_state_prints_no_round_off(capsys):
+    code, out, _ = run_cli(capsys, "gate", "--a-pol", "0.6,0.8001", "--b-spatial", "1,1j")
+    assert code == 0
+    ket = out.splitlines()[-1]
+    assert ket.startswith("final state (ideal, last branch): (0.212115+0j)|R,a1,R,b1> + ")
+    assert "(0+0.212115j)|R,a1,R,b2>" in ket and "e-" not in ket
+
+
 def test_gate_amplitude_flags_renormalize_with_warning(capsys):
     code, out, err = run_cli(capsys, "gate", "--a-pol", "0.6,0.8001")
     assert code == 0

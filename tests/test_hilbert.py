@@ -7,6 +7,8 @@ from hypercnot import (
     Register,
     StateVector,
     apply_operator,
+    basis_index,
+    basis_names,
     basis_state,
     discard_register,
     fidelity_up_to_global_phase,
@@ -263,12 +265,44 @@ def test_fidelity_layout_mismatch():
 def test_first_register_is_most_significant():
     st_ = basis_state([POL, SPIN], ["L", "up"])
     assert abs(st_.amplitudes[2] - 1) < 1e-15  # flat index 2 = 1*2 + 0
+    assert basis_index([POL, SPIN], ["L", "up"]) == 2
+    assert basis_names([POL, SPIN], 2) == ("L", "up")
+    assert basis_index([SPIN, POL], ["up", "L"]) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bits=st.lists(st.integers(0, 1), min_size=1, max_size=8),
+    data=st.data(),
+)
+def test_basis_codec_round_trip(bits, data):
+    registers = tuple(
+        Register(f"r{i}", (f"x{i}", data.draw(st.sampled_from(["y", "up", "L", "b2"]))))
+        for i in range(len(bits))
+    )
+    names = tuple(reg.basis_names[b] for reg, b in zip(registers, bits))
+    index = basis_index(registers, names)
+    assert index == int("".join(map(str, bits)), 2)
+    assert basis_names(registers, index) == names
+    assert basis_state(registers, names).amplitudes[index] == 1.0
+
+
+def test_basis_codec_errors():
+    with pytest.raises(ValueError, match="need 2 basis names, got 1"):
+        basis_index([POL, SPIN], ["L"])
+    with pytest.raises(ValueError, match="register 'e1' has no basis state 'R'"):
+        basis_index([POL, SPIN], ["L", "R"])
+    with pytest.raises(ValueError, match="out of range"):
+        basis_names([POL, SPIN], 4)
 
 
 def test_outcome_weights_and_terms():
     st_ = tensor_state([(POL, (0.6, 0.8)), (SPIN, (1, 0))])
     np.testing.assert_allclose(outcome_weights(st_, "a.pol"), [0.36, 0.64], atol=1e-12)
     assert "|R,up>" in st_.terms() and "|L,up>" in st_.terms()
+    # parts at or below 1e-9 print as 0; a term with both parts that small is skipped
+    noisy = StateVector((POL, SPIN), [0.6 + 4e-18j, -1e-12 + 0.8j, 1e-10, 0])
+    assert noisy.terms() == "(0.6+0j)|R,up> + (0+0.8j)|R,down>"
 
 
 def test_norm_cap_enforced():
