@@ -11,11 +11,14 @@ folds in the two auxiliary-photon spin readouts, hence the sixth power of
 the per-pass overlap. Both reduce to 1 when u = v = 1, and F alone reaches
 1 whenever u = v because balanced loss renormalizes away.
 
-A sweep evaluates the reflections once per lattice
-(cavity.lattice_reflections: r_cold per kappa_s column, r_hot per point) and
-computes the closed forms from those same numbers in plain Python
-arithmetic, so each point is bitwise what formula_performance gives at its
-parameters.
+Every sweep runs through one lattice core, _sweep_lattice. It evaluates
+the reflections once per lattice (cavity.lattice_reflections: r_cold per
+kappa_s column, r_hot per point) and computes the closed forms from those
+same numbers in plain Python arithmetic, so each point is bitwise what
+formula_performance gives at its parameters. It returns columns: the two
+axes and the per-point figure pairs. sweep builds its PerformancePoint rows
+from them. The CLI renders its CSV straight from the columns, without
+rows, and formats each axis value once.
 
 The simulated figures run the full circuit with the complex reflection
 amplitudes, through the compiled gate: protocols.branch_coefficients
@@ -37,6 +40,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,9 +86,14 @@ class SweepResult:
 def _closed_form(u: float, v: float) -> tuple[float, float]:
     """(F, eta) from the reflection magnitudes u = |r_cold| and v = |r_hot|.
 
-    Plain Python arithmetic, so every caller gets the same bits.
+    Plain Python arithmetic, so every caller gets the same bits. Where no
+    light survives (u = v = 0) the fidelity is undefined: (nan, 0.0), as
+    simulated_performance gives at zero survival.
     """
-    per_pass = (u + v) ** 2 / (2 * (u**2 + v**2))
+    try:
+        per_pass = (u + v) ** 2 / (2 * (u**2 + v**2))
+    except ZeroDivisionError:
+        return math.nan, 0.0
     return per_pass**6, ((u**2 + v**2) / 2) ** 4
 
 
@@ -157,6 +166,64 @@ def performance_point(
     return sweep((g, g), (kappa_s, kappa_s), 1, gamma, include_simulation).grid[0]
 
 
+class _Lattice(NamedTuple):
+    """One sweep as columns: the two axes and the per-point pairs, g-major."""
+
+    g_values: list[float]
+    kappa_s_values: list[float]
+    formulas: list[tuple[float, float]]
+    simulated: list[tuple[float, float]] | None
+    provenance: dict[str, str]
+
+
+def _sweep_lattice(
+    g_range: tuple[float, float],
+    kappa_s_range: tuple[float, float],
+    resolution: int,
+    gamma: float,
+    include_simulation: bool,
+) -> _Lattice:
+    """Everything sweep does up to its rows, returned as columns.
+
+    Its callers are sweep and the CLI's sweep command, so the side-leakage
+    warning names the frame two up: the caller of sweep, or cli.main.
+    """
+    if resolution < 1:
+        raise ValueError("resolution must be at least 1")
+    for name, (lo, hi) in (("g", g_range), ("kappa_s", kappa_s_range)):
+        if not 0 <= lo <= hi < math.inf:
+            raise ValueError(f"{name} range must satisfy 0 <= lo <= hi < inf, got {(lo, hi)}")
+    # validates gamma once for the whole lattice; every point lies inside the corner
+    params = CavityParams(g=g_range[1], kappa_s=kappa_s_range[1], gamma=gamma)
+    g_values = np.linspace(g_range[0], g_range[1], resolution).tolist()
+    ks_values = np.linspace(kappa_s_range[0], kappa_s_range[1], resolution).tolist()
+    r_cold, r_hot = lattice_reflections(params, g_values, ks_values)
+    u_cold = [abs(r) for r in r_cold]
+    formulas = list(map(_closed_form, u_cold * resolution, map(abs, r_hot)))
+    leaky = resolution * sum(ks >= SIDE_LEAKAGE_WARNING for ks in ks_values)
+    simulated = None
+    if include_simulation:
+        if leaky:
+            warnings.warn(
+                f"{leaky} of {len(r_hot)} lattice points have kappa_s at or above the "
+                f"{SIDE_LEAKAGE_WARNING:g} kappa guidance for reaching the -pi/2 "
+                "relative reflection phase",
+                UserWarning,
+                stacklevel=3,
+            )
+        cold, hot = np.tile(r_cold, resolution), np.array(r_hot)
+        _require_passive(np.abs(cold).max(), np.abs(hot).max())
+        f_sim, eta_sim = _simulated_figures(cold, hot, _uniform_coefficients())
+        simulated = list(zip(f_sim.tolist(), eta_sim.tolist()))
+    provenance = {
+        "package": f"hypercnot {__version__}",
+        "detuning": repr(params.detuning),
+        "gamma_over_kappa": repr(gamma),
+        "side_leakage_points": str(leaky),
+    }
+    return _Lattice(g_values, ks_values, formulas, simulated, provenance)
+
+
 def sweep(
     g_range: tuple[float, float] = (0.0, 3.0),
     kappa_s_range: tuple[float, float] = (0.0, 2.0),
@@ -178,47 +245,14 @@ def sweep(
     counts the points at or above the side-leakage guidance; a simulated
     sweep emits one UserWarning naming that count, not one per point.
     """
-    if resolution < 1:
-        raise ValueError("resolution must be at least 1")
-    for name, (lo, hi) in (("g", g_range), ("kappa_s", kappa_s_range)):
-        if not 0 <= lo <= hi < math.inf:
-            raise ValueError(f"{name} range must satisfy 0 <= lo <= hi < inf, got {(lo, hi)}")
-    # validates gamma once for the whole lattice; every point lies inside the corner
-    params = CavityParams(g=g_range[1], kappa_s=kappa_s_range[1], gamma=gamma)
-    g_values = np.linspace(g_range[0], g_range[1], resolution).tolist()
-    ks_values = np.linspace(kappa_s_range[0], kappa_s_range[1], resolution).tolist()
-    r_cold, r_hot = lattice_reflections(params, g_values, ks_values)
-    u_cold = [abs(r) for r in r_cold]
-    formulas = [_closed_form(u, abs(r)) for u, r in zip(u_cold * resolution, r_hot)]
-    leaky_columns = sum(ks >= SIDE_LEAKAGE_WARNING for ks in ks_values)
-    leaky = resolution * leaky_columns
-    if include_simulation:
-        if leaky:
-            warnings.warn(
-                f"{leaky} of {len(r_hot)} lattice points have kappa_s at or above the "
-                f"{SIDE_LEAKAGE_WARNING:g} kappa guidance for reaching the -pi/2 "
-                "relative reflection phase",
-                UserWarning,
-                stacklevel=2,
-            )
-        cold, hot = np.tile(r_cold, resolution), np.array(r_hot)
-        _require_passive(np.abs(cold).max(), np.abs(hot).max())
-        f_sim, eta_sim = _simulated_figures(cold, hot, _uniform_coefficients())
-        simulated = zip(f_sim.tolist(), eta_sim.tolist())
-    else:
-        simulated = repeat((None, None))
-    points = ((g, ks) for g in g_values for ks in ks_values)
+    lattice = _sweep_lattice(g_range, kappa_s_range, resolution, gamma, include_simulation)
+    simulated = repeat((None, None)) if lattice.simulated is None else lattice.simulated
+    points = ((g, ks) for g in lattice.g_values for ks in lattice.kappa_s_values)
     grid = [
         PerformancePoint(g, ks, gamma, f, eta, f_sim, eta_sim)
-        for (g, ks), (f, eta), (f_sim, eta_sim) in zip(points, formulas, simulated)
+        for (g, ks), (f, eta), (f_sim, eta_sim) in zip(points, lattice.formulas, simulated)
     ]
-    provenance = {
-        "package": f"hypercnot {__version__}",
-        "detuning": repr(params.detuning),
-        "gamma_over_kappa": repr(gamma),
-        "side_leakage_points": str(leaky),
-    }
-    return SweepResult(gamma_over_kappa=gamma, grid=grid, provenance=provenance)
+    return SweepResult(gamma_over_kappa=gamma, grid=grid, provenance=lattice.provenance)
 
 
 # Published benchmark operating points, all at gamma = 0.1 kappa. Couplings

@@ -26,9 +26,9 @@ import numpy as np
 from . import __version__
 from .analysis import (
     REFERENCE_TOLERANCE,
+    _sweep_lattice,
     reference_check,
     simulated_performance,
-    sweep,
 )
 from .cavity import CavityParams, ReflectionPair
 from .hilbert import basis_state, fidelity_up_to_global_phase, tensor_product
@@ -294,7 +294,7 @@ def cmd_bell_analyze(args, parser) -> int:
 
 def cmd_sweep(args, parser) -> int:
     try:
-        result = sweep(
+        lattice = _sweep_lattice(
             (args.g_min, args.g_max),
             (args.kappa_s_min, args.kappa_s_max),
             args.resolution,
@@ -303,18 +303,21 @@ def cmd_sweep(args, parser) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    simulate = args.simulate
+    # every axis value is formatted once; per point only the figures are new
+    gamma_cell = f"{args.gamma:.10g},"
+    ks_cells = [f"{ks:.10g},{gamma_cell}" for ks in lattice.kappa_s_values]
+    g_cells = [f"{g:.10g}," for g in lattice.g_values]
+    prefixes = [g + ks for g in g_cells for ks in ks_cells]
     header = "g_over_kappa,kappa_s_over_kappa,gamma_over_kappa,F,eta"
-    lines = [header + ",F_sim,eta_sim" if simulate else header]
-    for point in result.grid:
-        line = (
-            f"{point.g_over_kappa:.10g},{point.kappa_s_over_kappa:.10g},"
-            f"{point.gamma_over_kappa:.10g},{point.F_formula:.10g},{point.eta_formula:.10g}"
-        )
-        if simulate:
-            line += f",{point.F_sim:.10g},{point.eta_sim:.10g}"
-        lines.append(line)
-    _emit("\n".join(lines) + "\n", args.out)
+    if lattice.simulated is None:
+        rows = [p + "%.10g,%.10g" % pair for p, pair in zip(prefixes, lattice.formulas)]
+    else:
+        header += ",F_sim,eta_sim"
+        rows = [
+            p + "%.10g,%.10g,%.10g,%.10g" % (pair + sim)
+            for p, pair, sim in zip(prefixes, lattice.formulas, lattice.simulated)
+        ]
+    _emit("\n".join([header, *rows, ""]), args.out)
     return 0
 
 

@@ -152,6 +152,21 @@ def test_simulated_performance_at_zero_survival():
     assert eta == 0.0
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.02, 0.1])
+@pytest.mark.parametrize("detuning", [0.0, -0.0])
+def test_formula_performance_at_zero_survival(detuning, gamma):
+    # both reflection magnitudes are exactly 0, so the closed-form fidelity
+    # is undefined, as the circuit-level one is
+    params = CavityParams(g=0.0, kappa_s=1.0, gamma=gamma, detuning=detuning)
+    assert abs(reflect_cold(params)) == abs(reflect_hot(params)) == 0.0
+    f, eta = formula_performance(params)
+    assert math.isnan(f)
+    assert eta == 0.0
+    f_sim, eta_sim = simulated_performance(params)
+    assert math.isnan(f_sim)
+    assert eta_sim == eta
+
+
 # -- sweeps ------------------------------------------------------------------
 
 
@@ -209,6 +224,8 @@ def test_simulated_sweep_warns_once_for_side_leakage():
     assert len(caught) == 1
     assert issubclass(caught[0].category, UserWarning)
     assert f"{leaky} of 441" in str(caught[0].message)
+    # the warning points at the caller of sweep, not into the package
+    assert caught[0].filename == __file__
     assert result.provenance["side_leakage_points"] == str(leaky)
 
 

@@ -1,9 +1,11 @@
 import gzip
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
+from hypercnot import analysis, sweep
 from hypercnot.cli import load_config, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -193,6 +195,69 @@ def test_sweep_invalid_range_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["sweep", "--g-min", "3", "--g-max", "1"])
     assert err.value.code == 2
+
+
+def old_sweep_csv(result, simulate):
+    """The CSV as the CLI rendered it row by row, five or seven f-string fields."""
+    header = "g_over_kappa,kappa_s_over_kappa,gamma_over_kappa,F,eta"
+    lines = [header + ",F_sim,eta_sim" if simulate else header]
+    for point in result.grid:
+        line = (
+            f"{point.g_over_kappa:.10g},{point.kappa_s_over_kappa:.10g},"
+            f"{point.gamma_over_kappa:.10g},{point.F_formula:.10g},{point.eta_formula:.10g}"
+        )
+        if simulate:
+            line += f",{point.F_sim:.10g},{point.eta_sim:.10g}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+SWEEP_LATTICES = [
+    # (g_range, kappa_s_range, resolution, gamma)
+    ((0.0, 3.0), (0.0, 2.0), 1, 0.1),
+    ((0.0, 3.0), (0.0, 2.0), 2, 0.1),
+    ((1.5, 1.5), (0.0, 2.0), 3, 0.1),
+    ((0.0, 3.0), (0.2, 0.2), 3, 0.1),
+    ((1.5, 1.5), (0.2, 0.2), 3, 0.1),
+    ((0.25, 4.75), (0.1, 1.7), 7, 0.3),
+    ((0.3, 2.9), (0.05, 1.95), 4, 0.123456789012),
+]
+
+
+@pytest.mark.parametrize("simulate", [False, True], ids=["plain", "simulate"])
+@pytest.mark.parametrize("g_range,ks_range,resolution,gamma", SWEEP_LATTICES)
+def test_sweep_csv_is_the_grid_rendered_row_by_row(
+    g_range, ks_range, resolution, gamma, simulate, capsys
+):
+    argv = [
+        "sweep",
+        "--g-min", repr(g_range[0]), "--g-max", repr(g_range[1]),
+        "--kappa-s-min", repr(ks_range[0]), "--kappa-s-max", repr(ks_range[1]),
+        "--resolution", str(resolution), "--gamma", repr(gamma),
+    ]
+    code, out, _ = run_cli(capsys, *argv, *(["--simulate"] if simulate else []))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # side-leakage guidance
+        result = sweep(g_range, ks_range, resolution, gamma, include_simulation=simulate)
+    assert code == 0
+    assert out == old_sweep_csv(result, simulate)
+
+
+@pytest.mark.parametrize(
+    "golden,argv",
+    [
+        ("sweep_resolution5.csv", ["--resolution", "5"]),
+        ("sweep_resolution5_simulate.csv", ["--resolution", "5", "--simulate"]),
+    ],
+)
+def test_cli_sweep_builds_no_row_objects(golden, argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CLI sweep built a PerformancePoint")
+
+    monkeypatch.setattr(analysis, "PerformancePoint", refuse)
+    code, out, _ = run_cli(capsys, "sweep", *argv)
+    assert code == 0
+    assert out == (GOLDEN_DIR / golden).read_text()
 
 
 # -- library warnings --------------------------------------------------------------
