@@ -12,7 +12,16 @@ States are immutable values; every operation returns a new vector, so they
 can be shared freely across threads or worker processes. A state may be
 sub-normalized after lossy scattering. Renormalization happens only at
 measurement or by explicit request, which lets survival probabilities be
-read directly off the squared norm.
+read directly off the squared norm. A state whose squared norm is not a
+finite number at most NORM_CAP is rejected when it is built, so NaN and
+infinite amplitudes never enter a computation.
+
+The kernels work on reshaped views, not on per-register axes.
+apply_operator transposes the target registers to the front, in target
+order, applies the matrix to the (2**k, rest) block with one matmul and
+transposes back. outcome_weights, the measurement projection and
+discard_register view a register at position i as the middle axis of the
+(2**i, 2, rest) array.
 """
 
 from __future__ import annotations
@@ -85,9 +94,9 @@ class StateVector:
             raise ValueError(
                 f"expected {2 ** len(regs)} amplitudes for {len(regs)} registers, got {amps.size}"
             )
-        norm2 = float(np.sum(np.abs(amps) ** 2))
-        if norm2 > NORM_CAP:
-            raise ValueError(f"squared norm {norm2} exceeds 1 (states here are passive)")
+        norm2 = np.vdot(amps, amps).real
+        if not norm2 <= NORM_CAP:  # also rejects NaN and infinite amplitudes
+            raise ValueError(f"squared norm {norm2} is not finite or exceeds 1 (passive states)")
         amps.setflags(write=False)
         object.__setattr__(self, "registers", regs)
         object.__setattr__(self, "amplitudes", amps)
@@ -250,14 +259,11 @@ def apply_operator(
     k = len(axes)
     mat = np.asarray(matrix, dtype=np.complex128)
     if mat.shape != (2**k, 2**k):
-        raise ValueError(
-            f"matrix shape {mat.shape} does not match {k} target register(s)"
-        )
+        raise ValueError(f"matrix shape {mat.shape} does not match {k} target register(s)")
     n = state.num_registers
-    psi = state.amplitudes.reshape((2,) * n)
-    op = mat.reshape((2,) * (2 * k))
-    out = np.tensordot(op, psi, axes=(list(range(k, 2 * k)), axes))
-    out = np.moveaxis(out, list(range(k)), axes)
+    order = axes + [axis for axis in range(n) if axis not in axes]
+    psi = state.amplitudes.reshape((2,) * n).transpose(order).reshape(2**k, -1)
+    out = (mat @ psi).reshape((2,) * n).transpose(np.argsort(order))
     return StateVector(state.registers, out.reshape(-1))
 
 
@@ -284,18 +290,14 @@ def normalize(state: StateVector) -> StateVector:
 def outcome_weights(state: StateVector, register_label: str) -> np.ndarray:
     """Squared-norm weight of each basis outcome of one register."""
     axis = state.register_index(register_label)
-    psi = state.amplitudes.reshape((2,) * state.num_registers)
-    moved = np.moveaxis(psi, axis, 0)
-    return np.array(
-        [float(np.sum(np.abs(moved[0]) ** 2)), float(np.sum(np.abs(moved[1]) ** 2))]
-    )
+    psi = state.amplitudes.reshape(2**axis, 2, -1)
+    return np.sum(np.abs(psi) ** 2, axis=(0, 2))
 
 
 def _project(state: StateVector, register_label: str, outcome: int) -> StateVector:
-    axis = state.register_index(register_label)
-    arr = state.amplitudes.reshape((2,) * state.num_registers).copy()
-    np.moveaxis(arr, axis, 0)[1 - outcome] = 0.0
-    return StateVector(state.registers, arr.reshape(-1))
+    arr = state.amplitudes.reshape(2 ** state.register_index(register_label), 2, -1).copy()
+    arr[:, 1 - outcome] = 0.0
+    return StateVector(state.registers, arr)
 
 
 def measure(
@@ -352,11 +354,9 @@ def discard_register(state: StateVector, register_label: str) -> StateVector:
         raise ValueError(
             f"register {register_label!r} is not in a definite basis state"
         )
-    axis = state.register_index(register_label)
-    psi = state.amplitudes.reshape((2,) * state.num_registers)
-    reduced = np.moveaxis(psi, axis, 0)[occupied]
+    psi = state.amplitudes.reshape(2 ** state.register_index(register_label), 2, -1)
     regs = tuple(r for r in state.registers if r.label != register_label)
-    return StateVector(regs, reduced.reshape(-1))
+    return StateVector(regs, psi[:, occupied])
 
 
 # -- comparison --------------------------------------------------------

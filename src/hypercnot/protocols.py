@@ -69,7 +69,6 @@ from .hilbert import (
     basis_state,
     discard_register,
     measure,
-    normalize,
     outcome_weights,
     reorder_registers,
     tensor_product,
@@ -265,6 +264,8 @@ def _photon_major(joint: StateVector) -> StateVector:
     """A joint input with PHOTON_LABELS first, then any other registers in
     their input order."""
     _check_two_photon_input(joint)
+    if joint.labels[:4] == PHOTON_LABELS:
+        return joint
     rest = [label for label in joint.labels if label not in PHOTON_LABELS]
     return reorder_registers(joint, list(PHOTON_LABELS) + rest)
 
@@ -395,9 +396,17 @@ def hyper_cnot_state(
     weights[weights <= BRANCH_FLOOR * total] = 0.0
     survival = math.ldexp(total, _GATE_DEGREE * 2 * exponent)
 
+    # axes that take a photon-major branch back to the input's register order
+    back = None if ordered is joint else [ordered.labels.index(label) for label in joint.labels]
+
     def run(outcomes: tuple[int, int], seed: int | None) -> GateRun:
-        branch = StateVector(ordered.registers, outputs[outcomes])
-        final = normalize(reorder_registers(branch, joint.labels))
+        branch = outputs[outcomes]
+        if back is not None:
+            branch = branch.reshape((2,) * len(back)).transpose(back).reshape(-1)
+        norm = np.sqrt(np.sum(np.abs(branch) ** 2))
+        if norm <= 0.0:
+            raise ValueError("cannot normalize a zero-norm state")
+        final = StateVector(joint.registers, branch / norm)
         ops = tuple(label for label, outcome in zip(_FEED_FORWARD_TARGETS, outcomes) if outcome)
         probability = float(weights[outcomes] / total)
         return GateRun(mode, outcomes, ops, final, survival, probability, seed)

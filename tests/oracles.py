@@ -4,7 +4,9 @@ Everything here is assembled directly from amplitude bookkeeping (closed
 forms of the staged circuit) or brute-force index arithmetic, never by
 running the circuit under test. The one exception is step_gate_runs, the
 reference for the compiled gate: it measures and corrects the staged step
-view's pre-measurement state one register at a time.
+view's pre-measurement state one register at a time. Since step_gate_runs
+goes through the hilbert kernels, those kernels have their own references
+here, written in their first (tensordot and moveaxis) form.
 """
 
 from __future__ import annotations
@@ -77,6 +79,35 @@ def embed_matrix(num_registers: int, target_axes: list[int], mat: np.ndarray) ->
                 col = 2 * col + bj[ax]
             full[i, j] = mat[row, col]
     return full
+
+
+def apply_operator_reference(
+    state: StateVector, target_labels: list[str], matrix: np.ndarray
+) -> np.ndarray:
+    """Amplitudes of hilbert.apply_operator by tensordot over the target axes,
+    with the contracted axes moved back into place."""
+    axes = [state.register_index(label) for label in target_labels]
+    k = len(axes)
+    psi = state.amplitudes.reshape((2,) * state.num_registers)
+    op = np.asarray(matrix, dtype=np.complex128).reshape((2,) * (2 * k))
+    out = np.tensordot(op, psi, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes).reshape(-1)
+
+
+def outcome_weights_reference(state: StateVector, register_label: str) -> np.ndarray:
+    """hilbert.outcome_weights with the register's axis moved to the front
+    and each outcome's slice summed on its own."""
+    axis = state.register_index(register_label)
+    moved = np.moveaxis(state.amplitudes.reshape((2,) * state.num_registers), axis, 0)
+    return np.array([float(np.sum(np.abs(moved[0]) ** 2)), float(np.sum(np.abs(moved[1]) ** 2))])
+
+
+def outcome_slices_reference(state: StateVector, register_label: str) -> tuple[np.ndarray, np.ndarray]:
+    """The amplitudes with one register fixed to outcome 0 and to outcome 1,
+    flattened, with that register's axis moved to the front."""
+    axis = state.register_index(register_label)
+    moved = np.moveaxis(state.amplitudes.reshape((2,) * state.num_registers), axis, 0)
+    return moved[0].reshape(-1), moved[1].reshape(-1)
 
 
 def product_photon_terms(alpha, gamma, beta, delta) -> dict:

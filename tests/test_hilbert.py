@@ -22,7 +22,12 @@ from hypercnot import (
     tensor_state,
 )
 from conftest import random_state, random_unitary, three_registers
-from oracles import embed_matrix
+from oracles import (
+    apply_operator_reference,
+    embed_matrix,
+    outcome_slices_reference,
+    outcome_weights_reference,
+)
 
 SQ2 = np.sqrt(2.0)
 
@@ -310,6 +315,52 @@ def test_norm_cap_enforced():
         StateVector((POL,), np.array([1.5, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, -np.inf)])
+@pytest.mark.parametrize("position", range(16))
+def test_non_finite_amplitudes_rejected(position, bad):
+    amps = np.full(16, 0.25, dtype=complex)
+    amps[position] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        StateVector(three_registers() + (POL,), amps)
+
+
+# -- the kernels against their first form ------------------------------------
+
+
+def _kernel_case(data, seed):
+    """A random sub-normalized state on 1-6 registers and 1-3 ordered,
+    distinct target labels anywhere among them."""
+    n = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, min(3, n)))
+    targets = data.draw(st.permutations(range(n)))[:k]
+    rng = np.random.default_rng(seed)
+    regs = tuple(Register(f"q{i}", ("0", "1")) for i in range(n))
+    state = random_state(regs, rng)
+    state = StateVector(regs, state.amplitudes * rng.uniform(0.1, 1.0))
+    return state, [regs[i].label for i in targets], rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_apply_operator_is_bitwise_the_tensordot_form(data, seed):
+    state, labels, rng = _kernel_case(data, seed)
+    dim = 2 ** len(labels)
+    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    mat /= np.linalg.norm(mat, 2)  # a contraction, so the output is a valid state
+    got = apply_operator(state, labels, mat).amplitudes
+    assert np.array_equal(got, apply_operator_reference(state, labels, mat))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_outcome_weights_match_the_moveaxis_form(data, seed):
+    state, _, _ = _kernel_case(data, seed)
+    for label in state.labels:
+        np.testing.assert_allclose(
+            outcome_weights(state, label), outcome_weights_reference(state, label), rtol=1e-15, atol=0
+        )
+
+
 def test_tensor_product_concatenates(rng):
     x = random_state((POL,), rng)
     y = random_state((SPIN,), rng)
@@ -317,3 +368,18 @@ def test_tensor_product_concatenates(rng):
     np.testing.assert_allclose(
         xy.amplitudes, np.kron(x.amplitudes, y.amplitudes), atol=1e-15
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_projection_and_discard_match_the_moveaxis_form(data, seed):
+    state, _, _ = _kernel_case(data, seed)
+    for label in state.labels:
+        slices = outcome_slices_reference(state, label)
+        for outcome, _, projected in measure_all_branches(state, label):
+            kept = outcome_slices_reference(projected, label)
+            assert np.array_equal(kept[outcome], slices[outcome])
+            assert not kept[1 - outcome].any()
+            discarded = discard_register(projected, label)
+            assert discarded.labels == tuple(x for x in state.labels if x != label)
+            assert np.array_equal(discarded.amplitudes, slices[outcome])

@@ -9,6 +9,7 @@ from hypercnot import (
     ElementKind,
     GateRun,
     HyperBellState,
+    Register,
     ReflectionPair,
     StateVector,
     analyze_hyper_bell,
@@ -593,6 +594,63 @@ def test_small_coupling_keeps_every_branch():
     runs = hyper_cnot_state(uniform_two_photon_state(), pair)
     assert [run.spin_outcomes for run in runs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert all(run.branch_probability > BRANCH_FLOOR for run in runs)
+
+
+@pytest.mark.parametrize(
+    "pair", [None, ReflectionPair.from_params(CavityParams(g=1.56, kappa_s=0.2))], ids=["ideal", "physical"]
+)
+def test_gate_builds_one_state_per_run(pair, monkeypatch, rng):
+    # a photon-major input is used as it is, and each run's final state is
+    # the only StateVector the call builds
+    joint = random_state(PHOTON_REGS, rng)
+    builds = []
+    build = StateVector.__post_init__
+
+    def counted(state):
+        builds.append(state)
+        build(state)
+
+    monkeypatch.setattr(StateVector, "__post_init__", counted)
+    runs = hyper_cnot_state(joint, pair)
+    assert len(runs) == 4
+    assert len(builds) == 4 and all(run.final_state is built for run, built in zip(runs, builds))
+    builds.clear()
+    run = hyper_cnot_state(joint, pair, branch_mode="sample", seed=5)
+    assert len(builds) == 1 and builds[0] is run.final_state
+
+
+def test_permuted_input_with_a_spectator_matches_step_path(rng):
+    spectator = Register("c", ("0", "1"))
+    a_pol, a_spatial, b_pol, b_spatial = PHOTON_REGS
+    regs = (b_spatial, spectator, a_pol, b_pol, a_spatial)
+    joint = random_state(regs, rng)
+    for pair in (None, ReflectionPair.from_params(CavityParams(g=1.56, kappa_s=0.2))):
+        runs = hyper_cnot_state(joint, pair)
+        sampled = [hyper_cnot_state(joint, pair, branch_mode="sample", seed=seed) for seed in range(8)]
+        reference = step_gate_runs(joint, pair)
+        reference += [step_gate_runs(joint, pair, "sample", seed)[0] for seed in range(8)]
+        assert len(runs) == 4
+        for run, ref in zip(runs + sampled, reference, strict=True):
+            assert (run.spin_outcomes, run.seed) == (ref.spin_outcomes, ref.seed)
+            assert abs(run.survival_probability - ref.survival_probability) <= 1e-12
+            assert abs(run.branch_probability - ref.branch_probability) <= 1e-12
+            assert run.final_state.registers == ref.final_state.registers == regs
+            np.testing.assert_allclose(
+                run.final_state.amplitudes, ref.final_state.amplitudes, rtol=0, atol=1e-12
+            )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_never_reaches_the_gate(bad, monkeypatch):
+    def gate(*args):
+        raise AssertionError("a non-finite input reached the gate")
+
+    monkeypatch.setattr(protocols, "branch_outputs", gate)
+    for position in range(16):
+        amps = np.full(16, 0.25, dtype=complex)
+        amps[position] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            hyper_cnot_state(StateVector(PHOTON_REGS, amps), None)
 
 
 def test_stages_are_interpreted_once_per_process(monkeypatch, rng):
