@@ -46,14 +46,12 @@ from .protocols import (
     evaluate_branches,
     expected_truth_table_output,
     hyper_bell_state,
-    hyper_cnot,
     hyper_cnot_checkpoints,
     hyper_cnot_state,
     pass_matrix,
     photon_columns,
     photon_registers,
     photon_state,
-    prepare_cluster,
     prepare_cluster_stages,
     spin_readout,
     spin_register,

@@ -99,7 +99,10 @@ def _reflection(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Re
         return None
     if args.g is None:
         parser.error("physical mode requires --g (or g in the config file)")
-    params = CavityParams(g=args.g, kappa_s=args.kappa_s, gamma=args.gamma, detuning=args.detuning)
+    try:
+        params = CavityParams(g=args.g, kappa_s=args.kappa_s, gamma=args.gamma, detuning=args.detuning)
+    except ValueError as exc:
+        parser.error(str(exc))
     return ReflectionPair.from_params(params)
 
 
@@ -112,14 +115,18 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _amplitude_pair(raw: str) -> np.ndarray:
-    """argparse type for 'c0,c1': two finite complex amplitudes, not both zero."""
+    """argparse type for 'c0,c1': two complex amplitudes that can be
+    renormalized. Their squared norm must be finite and at least the
+    smallest normal float: below it the norm has lost its precision."""
     try:
         pair = np.array([complex(part.strip()) for part in raw.split(",")])
     except ValueError:
         raise argparse.ArgumentTypeError(f"could not parse {raw!r} as complex amplitudes") from None
-    if len(pair) != 2 or not np.all(np.isfinite(pair)) or not np.any(pair):
+    with np.errstate(all="ignore"):  # NaN, overflow and underflow are rejected below
+        norm2 = np.vdot(pair, pair).real
+    if len(pair) != 2 or not np.finfo(float).tiny <= norm2 < math.inf:
         raise argparse.ArgumentTypeError(
-            f"expected two finite comma-separated amplitudes, not both zero, got {raw!r}"
+            f"expected two comma-separated amplitudes with a finite, nonzero norm, got {raw!r}"
         )
     return pair
 
@@ -323,7 +330,10 @@ def cmd_sweep(args, parser) -> int:
 
 def cmd_paper_check(args, parser) -> int:
     tolerance, gamma = args.tolerance, args.gamma
-    rows = reference_check(gamma)
+    try:
+        rows = reference_check(gamma)
+    except ValueError as exc:
+        parser.error(str(exc))
     lines = [
         f"{'g/k':>6} {'ks/k':>5} {'F ref':>7} {'F calc':>8} {'|dF|':>8} "
         f"{'eta ref':>8} {'eta calc':>9} {'|deta|':>8}  result"

@@ -43,9 +43,11 @@ derives every GateRun (survival, branch probabilities, final states and
 sampled outcomes) from those outputs, and parameter sweeps and
 simulated_performance use the same coefficients.
 
-The staged step view, hyper_cnot_checkpoints, pushes one labelled
-StateVector through the same table one operator at a time. It yields the
-named checkpoints and is the reference the compiled gate is tested against.
+The staged step view, hyper_cnot_checkpoints, takes the same input as
+hyper_cnot_state: a joint two-photon StateVector in any register order,
+possibly with spectator registers. It pushes that input through the same
+table one operator at a time, yields the named checkpoints, and is the
+reference the compiled gate is tested against.
 """
 
 from __future__ import annotations
@@ -158,14 +160,10 @@ _STAGES = (
 _FEED_FORWARD_TARGETS = (A_SPATIAL, A_POL)
 
 
-def _require_labels(state: StateVector, labels: tuple[str, ...], role: str) -> None:
-    missing = [label for label in labels if label not in state.labels]
-    if missing:
-        raise ValueError(f"{role} is missing registers {missing}; has {state.labels}")
-
-
 def _check_two_photon_input(joint: StateVector) -> None:
-    _require_labels(joint, PHOTON_LABELS, "two-photon input")
+    missing = [label for label in PHOTON_LABELS if label not in joint.labels]
+    if missing:
+        raise ValueError(f"two-photon input is missing registers {missing}; has {joint.labels}")
     for spin in (SPIN_1, SPIN_2):
         if spin in joint.labels:
             raise ValueError(f"input already contains the internal spin register {spin!r}")
@@ -175,18 +173,16 @@ def _check_two_photon_input(joint: StateVector) -> None:
 
 
 def hyper_cnot_checkpoints(
-    control_state: StateVector,
-    target_state: StateVector,
-    reflection: ReflectionPair | None = None,
+    joint: StateVector, reflection: ReflectionPair | None = None
 ) -> dict[str, StateVector]:
     """Named intermediate states of the circuit, for staged regression tests.
 
-    Runs _STAGES one operator at a time, up to (not including) the spin
-    measurement, and returns the state at every checkpoint.
+    Takes the same joint two-photon input as hyper_cnot_state, in any
+    register order and with any spectator registers. Runs _STAGES one
+    operator at a time, up to (not including) the spin measurement, and
+    returns the state at every checkpoint: the input's registers in input
+    order, then e1 and e2.
     """
-    _require_labels(control_state, (A_POL, A_SPATIAL), "control photon")
-    _require_labels(target_state, (B_POL, B_SPATIAL), "target photon")
-    joint = tensor_product(control_state, target_state)
     _check_two_photon_input(joint)
     st = attach_register(joint, spin_register(SPIN_1), (1, 0))
     st = attach_register(st, spin_register(SPIN_2), (1, 0))
@@ -422,20 +418,6 @@ def hyper_cnot_state(
     return [run(outcomes, None) for outcomes in product((0, 1), (0, 1)) if weights[outcomes]]
 
 
-def hyper_cnot(
-    control_state: StateVector,
-    target_state: StateVector,
-    reflection: ReflectionPair | None = None,
-    branch_mode: str = "enumerate",
-    seed: int | None = None,
-) -> list[GateRun] | GateRun:
-    """Run the gate on separate control (photon a) and target (photon b) states."""
-    _require_labels(control_state, (A_POL, A_SPATIAL), "control photon")
-    _require_labels(target_state, (B_POL, B_SPATIAL), "target photon")
-    joint = tensor_product(control_state, target_state)
-    return hyper_cnot_state(joint, reflection, branch_mode, seed)
-
-
 # -- spin readout --------------------------------------------------------
 
 _AUX_LABEL = "_readout.pol"
@@ -547,10 +529,8 @@ def prepare_cluster_stages(reflection: ReflectionPair | None = None) -> ClusterS
     path-controlled polarization sign flip, and Hadamards on photon b.
     """
     plus = (1 / np.sqrt(2.0), 1 / np.sqrt(2.0))
-    control = photon_state("a", plus, plus)
-    target = photon_state("b", (1, 0), (1, 0))
-    runs = hyper_cnot(control, target, reflection)
-    bell = runs[0].final_state
+    joint = tensor_product(photon_state("a", plus, plus), photon_state("b", (1, 0), (1, 0)))
+    bell = hyper_cnot_state(joint, reflection)[0].final_state
 
     st = apply_element(bell, ElementKind.HWP_H, A_POL)
     st = apply_element(st, ElementKind.BS, A_SPATIAL)
@@ -560,11 +540,6 @@ def prepare_cluster_stages(reflection: ReflectionPair | None = None) -> ClusterS
     st = apply_element(st, ElementKind.HWP_H, B_POL)
     st = apply_element(st, ElementKind.BS, B_SPATIAL)
     return ClusterStages(bell, after_h, after_flip, st)
-
-
-def prepare_cluster(reflection: ReflectionPair | None = None) -> StateVector:
-    """Two-photon four-qubit cluster state (final stage only)."""
-    return prepare_cluster_stages(reflection).cluster
 
 
 # -- hyperentangled Bell states and their analysis ---------------------------
@@ -605,11 +580,13 @@ _DETERMINISTIC_TOL = 1e-9
 def hyper_bell_state(pol_index: int, spatial_index: int) -> StateVector:
     """Build the hyperentangled Bell state over both photons' registers."""
     spec = HyperBellState(pol_index, spatial_index)
-    a_pol, a_spatial = photon_registers("a")
-    b_pol, b_spatial = photon_registers("b")
-    pol = StateVector((a_pol, b_pol), _BELL_AMPLITUDES[spec.pol_index])
-    spatial = StateVector((a_spatial, b_spatial), _BELL_AMPLITUDES[spec.spatial_index])
-    return reorder_registers(tensor_product(pol, spatial), PHOTON_LABELS)
+    pol, spatial = (
+        _BELL_AMPLITUDES[index].astype(np.complex128).reshape(2, 2)
+        for index in (spec.pol_index, spec.spatial_index)
+    )
+    # axes a.pol, b.pol, a.spatial, b.spatial, taken to PHOTON_LABELS order
+    amplitudes = np.multiply.outer(pol, spatial).transpose(0, 2, 1, 3)
+    return StateVector(photon_registers("a") + photon_registers("b"), amplitudes)
 
 
 @dataclass(frozen=True)

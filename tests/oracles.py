@@ -3,15 +3,14 @@
 Everything here is assembled directly from amplitude bookkeeping (closed
 forms of the staged circuit) or brute-force index arithmetic, never by
 running the circuit under test. The one exception is step_gate_runs, the
-reference for the compiled gate: it measures and corrects the staged step
-view's pre-measurement state one register at a time. Since step_gate_runs
-goes through the hilbert kernels, those kernels have their own references
-here, written in their first (tensordot and moveaxis) form.
+reference for the compiled gate: it runs the staged step view on the joint
+input it is given, then measures and corrects the pre-measurement state one
+register at a time. Since step_gate_runs goes through the hilbert kernels,
+those kernels have their own references here, written in their first
+(tensordot and moveaxis) form.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from hypercnot import (
     GateRun,
     StateVector,
     apply_operator,
-    basis_state,
     discard_register,
     hyper_cnot_checkpoints,
     measure,
@@ -29,7 +27,6 @@ from hypercnot import (
     photon_registers,
     reflect_cold,
     reflect_hot,
-    reorder_registers,
     spin_register,
     state_from_terms,
 )
@@ -327,39 +324,18 @@ SIGN_FLIP = np.diag([1.0, -1.0])
 FEED_FORWARD_TARGETS = ("a.spatial", "a.pol")
 
 
-def step_pre_measurement(joint: StateVector, reflection=None) -> StateVector:
-    """hyper_cnot_checkpoints(...)["pre_measurement"] for any joint input.
-
-    The checkpoints take a separate control and target, so an entangled
-    input goes through by linearity: one run per target basis state, paired
-    with the (sub-normalized) rest of the input, and the runs summed.
-    Registers come out as the input's non-target registers in input order,
-    then b.pol, b.spatial, e1, e2.
-    """
-    rest = [label for label in joint.labels if label not in ("b.pol", "b.spatial")]
-    split = reorder_registers(joint, ["b.pol", "b.spatial"] + rest)
-    runs = [
-        hyper_cnot_checkpoints(
-            StateVector(split.registers[2:], row),
-            basis_state((B_POL_REG, B_SPATIAL_REG), names),
-            reflection,
-        )["pre_measurement"]
-        for row, names in zip(split.amplitudes.reshape(4, -1), product(POL_NAMES, B_PATHS))
-    ]
-    return StateVector(runs[0].registers, sum(run.amplitudes for run in runs))
-
-
 def step_gate_runs(joint: StateVector, reflection=None, branch_mode="enumerate", seed=None):
     """The gate on the staged step view, one register at a time: the reference
     for hyper_cnot_state.
 
-    Measures e1 then e2 on the staged pre-measurement state
+    Runs the checkpoints on the joint input as given (its registers in input
+    order, then e1 and e2), then measures e1 and e2 on the pre-measurement state
     (measure_all_branches, or measure with a seeded generator), flips the
     signs the outcomes call for with apply_operator, discards the spins and
     normalizes. Enumeration keeps every branch of nonzero weight, with no
     round-off floor. Returns a list of GateRuns (one in sample mode).
     """
-    pre = step_pre_measurement(joint, reflection)
+    pre = hyper_cnot_checkpoints(joint, reflection)["pre_measurement"]
     survival = pre.norm2
     if branch_mode == "sample":
         rng = np.random.default_rng(seed)
@@ -384,7 +360,7 @@ def step_gate_runs(joint: StateVector, reflection=None, branch_mode="enumerate",
                 mode="ideal" if reflection is None else "physical",
                 spin_outcomes=outcomes,
                 feed_forward_ops=ops,
-                final_state=normalize(reorder_registers(final, joint.labels)),
+                final_state=normalize(final),
                 survival_probability=survival,
                 branch_probability=probability,
                 seed=seed if branch_mode == "sample" else None,

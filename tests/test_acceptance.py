@@ -17,7 +17,6 @@ from hypercnot import (
     apply_operator,
     element_matrix,
     fidelity_up_to_global_phase,
-    hyper_cnot,
     hyper_cnot_checkpoints,
     hyper_cnot_state,
     photon_state,
@@ -72,7 +71,8 @@ def test_criterion_2_general_state_outputs():
     worst = 1.0
     for _ in range(100):
         alpha, gamma, beta, delta = (random_amplitude_pair(rng) for _ in range(4))
-        runs = hyper_cnot(photon_state("a", alpha, gamma), photon_state("b", beta, delta))
+        joint = tensor_product(photon_state("a", alpha, gamma), photon_state("b", beta, delta))
+        runs = hyper_cnot_state(joint)
         want = gate_output_expected(alpha, gamma, beta, delta)
         for run in runs:
             worst = min(worst, fidelity_up_to_global_phase(run.final_state, want))
@@ -96,7 +96,7 @@ def test_criterion_3_staged_regression():
     for _ in range(10):
         alpha, gamma, beta, delta = (random_amplitude_pair(rng) for _ in range(4))
         stages = hyper_cnot_checkpoints(
-            photon_state("a", alpha, gamma), photon_state("b", beta, delta)
+            tensor_product(photon_state("a", alpha, gamma), photon_state("b", beta, delta))
         )
         for name, build in oracles.items():
             fid = fidelity_up_to_global_phase(stages[name], build(alpha, gamma, beta, delta))
@@ -198,8 +198,10 @@ def test_criterion_9_property_suite(tmp_path):
 
     # ideal-mode norm preservation through the whole circuit, 1e-12
     stages = hyper_cnot_checkpoints(
-        photon_state("a", random_amplitude_pair(rng), random_amplitude_pair(rng)),
-        photon_state("b", random_amplitude_pair(rng), random_amplitude_pair(rng)),
+        tensor_product(
+            photon_state("a", random_amplitude_pair(rng), random_amplitude_pair(rng)),
+            photon_state("b", random_amplitude_pair(rng), random_amplitude_pair(rng)),
+        )
     )
     if any(abs(state.norm2 - 1.0) > 1e-12 for state in stages.values()):
         problems.append("ideal circuit does not preserve norm")

@@ -171,7 +171,8 @@ def test_formula_performance_at_zero_survival(detuning, gamma):
 
 
 def test_simulated_sweep_matches_step_path_per_point():
-    result = sweep((0.0, 3.0), (0.0, 2.0), resolution=6, include_simulation=True)
+    with pytest.warns(UserWarning, match="12 of 36"):
+        result = sweep((0.0, 3.0), (0.0, 2.0), resolution=6, include_simulation=True)
     joint = uniform_two_photon_state()
     for point in result.grid:
         params = CavityParams(g=point.g_over_kappa, kappa_s=point.kappa_s_over_kappa)

@@ -378,6 +378,39 @@ def test_non_finite_float_options_are_usage_errors(command, flag, value, capsys)
     assert "finite" in capsys.readouterr().err
 
 
+# the library's CavityParams check, reached through each command that builds parameters
+NEGATIVE_CAVITY_ARGV = [
+    ["truth-table", "--mode", "physical", "--g", "-1"],
+    ["gate", "--mode", "physical", "--g", "1", "--kappa-s", "-1"],
+    ["cluster", "--mode", "physical", "--g", "1", "--gamma", "-1"],
+    ["bell-analyze", "--mode", "physical", "--g", "-1"],
+    ["paper-check", "--gamma", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_CAVITY_ARGV, ids=[argv[0] for argv in NEGATIVE_CAVITY_ARGV])
+def test_negative_cavity_parameters_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "hypercnot: error: g, kappa_s and gamma must be non-negative and finite" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("pair", ["1e200,1e200", "1e-200,0"], ids=["overflow", "underflow"])
+def test_amplitude_pairs_without_a_usable_norm_are_usage_errors(pair, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["gate", "--a-pol", pair])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --a-pol: expected two comma-separated amplitudes" in captured.err
+    assert f"with a finite, nonzero norm, got {pair!r}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

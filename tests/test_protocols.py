@@ -19,7 +19,6 @@ from hypercnot import (
     expected_truth_table_output,
     fidelity_up_to_global_phase,
     hyper_bell_state,
-    hyper_cnot,
     hyper_cnot_checkpoints,
     hyper_cnot_state,
     measure_all_branches,
@@ -27,7 +26,6 @@ from hypercnot import (
     pass_matrix,
     photon_columns,
     photon_state,
-    prepare_cluster,
     prepare_cluster_stages,
     reorder_registers,
     spin_readout,
@@ -154,14 +152,12 @@ def prepared_system(alpha, gamma, beta, delta):
 
 def hybrid_cz_checkpoint(alpha, gamma, beta, delta):
     """Circuit state after both control-photon passes (the hybrid CZ stage)."""
-    control, target = photon_state("a", alpha, gamma), photon_state("b", beta, delta)
-    return hyper_cnot_checkpoints(control, target)["hybrid_cz"]
+    return hyper_cnot_checkpoints(joint_input(alpha, gamma, beta, delta))["hybrid_cz"]
 
 
 def test_spins_prepared_checkpoint_matches_prepared_system(rng):
     alpha, gamma, beta, delta = random_coefficients(rng)
-    control, target = photon_state("a", alpha, gamma), photon_state("b", beta, delta)
-    got = hyper_cnot_checkpoints(control, target)
+    got = hyper_cnot_checkpoints(joint_input(alpha, gamma, beta, delta))
     want = prepared_system(alpha, gamma, beta, delta)
     assert got["spins_prepared"].labels == want.labels
     np.testing.assert_allclose(got["spins_prepared"].amplitudes, want.amplitudes, atol=1e-15)
@@ -170,9 +166,7 @@ def test_spins_prepared_checkpoint_matches_prepared_system(rng):
 def test_control_spatial_pass_matches_oracle(rng):
     for _ in range(5):
         alpha, gamma, beta, delta = random_coefficients(rng)
-        got = hyper_cnot_checkpoints(
-            photon_state("a", alpha, gamma), photon_state("b", beta, delta)
-        )["control_spatial"]
+        got = hyper_cnot_checkpoints(joint_input(alpha, gamma, beta, delta))["control_spatial"]
         want = control_spatial_expected(alpha, gamma, beta, delta)
         assert fidelity_up_to_global_phase(got, want) >= 1 - FID_TOL
 
@@ -235,7 +229,7 @@ def test_cz_stage_equals_double_cz_oracle(rng):
 
 def test_cz_stage_requires_registers(rng):
     with pytest.raises(ValueError):
-        hyper_cnot_checkpoints(photon_state("a", PLUS, PLUS), photon_state("a", PLUS, PLUS))
+        hyper_cnot_checkpoints(photon_state("a", PLUS, PLUS))
 
 
 # -- staged checkpoints of the full gate --------------------------------------
@@ -244,9 +238,7 @@ def test_cz_stage_requires_registers(rng):
 def test_target_pass_checkpoint_matches_oracle(rng):
     for _ in range(5):
         alpha, gamma, beta, delta = random_coefficients(rng)
-        got = hyper_cnot_checkpoints(
-            photon_state("a", alpha, gamma), photon_state("b", beta, delta)
-        )["target_scattered"]
+        got = hyper_cnot_checkpoints(joint_input(alpha, gamma, beta, delta))["target_scattered"]
         want = target_scattered_expected(alpha, gamma, beta, delta)
         assert fidelity_up_to_global_phase(got, want) >= 1 - FID_TOL
 
@@ -254,18 +246,14 @@ def test_target_pass_checkpoint_matches_oracle(rng):
 def test_pre_measurement_checkpoint_matches_oracle(rng):
     for _ in range(5):
         alpha, gamma, beta, delta = random_coefficients(rng)
-        got = hyper_cnot_checkpoints(
-            photon_state("a", alpha, gamma), photon_state("b", beta, delta)
-        )["pre_measurement"]
+        got = hyper_cnot_checkpoints(joint_input(alpha, gamma, beta, delta))["pre_measurement"]
         want = pre_measurement_expected(alpha, gamma, beta, delta)
         assert fidelity_up_to_global_phase(got, want) >= 1 - FID_TOL
 
 
 def test_pre_measurement_spin_branches_are_uniform(rng):
     alpha, gamma, beta, delta = random_coefficients(rng)
-    pre = hyper_cnot_checkpoints(
-        photon_state("a", alpha, gamma), photon_state("b", beta, delta)
-    )["pre_measurement"]
+    pre = hyper_cnot_checkpoints(joint_input(alpha, gamma, beta, delta))["pre_measurement"]
     joint_probs = [
         p2
         for _, _, s1 in measure_all_branches(pre, "e1")
@@ -276,9 +264,7 @@ def test_pre_measurement_spin_branches_are_uniform(rng):
 
 def test_ideal_circuit_preserves_norm(rng):
     alpha, gamma, beta, delta = random_coefficients(rng)
-    stages = hyper_cnot_checkpoints(
-        photon_state("a", alpha, gamma), photon_state("b", beta, delta)
-    )
+    stages = hyper_cnot_checkpoints(joint_input(alpha, gamma, beta, delta))
     for state in stages.values():
         assert abs(state.norm2 - 1.0) < 1e-12
 
@@ -287,9 +273,7 @@ def test_ideal_circuit_preserves_norm(rng):
 
 
 def test_gate_flips_target_when_both_controls_active():
-    runs = hyper_cnot(
-        photon_state("a", (0, 1), (0, 1)), photon_state("b", (1, 0), (1, 0))
-    )
+    runs = hyper_cnot_state(joint_input((0, 1), (0, 1), (1, 0), (1, 0)))
     want = state_from_terms(PHOTON_REGS, {("L", "a2", "L", "b2"): 1.0})
     for run in runs:
         assert fidelity_up_to_global_phase(run.final_state, want) >= 1 - FID_TOL
@@ -297,7 +281,7 @@ def test_gate_flips_target_when_both_controls_active():
 
 def test_gate_leaves_target_alone_for_inactive_controls(rng):
     beta, delta = random_amplitude_pair(rng), random_amplitude_pair(rng)
-    runs = hyper_cnot(photon_state("a", (1, 0), (1, 0)), photon_state("b", beta, delta))
+    runs = hyper_cnot_state(joint_input((1, 0), (1, 0), beta, delta))
     want = joint_input((1, 0), (1, 0), beta, delta)
     for run in runs:
         assert fidelity_up_to_global_phase(run.final_state, want) >= 1 - FID_TOL
@@ -306,14 +290,14 @@ def test_gate_leaves_target_alone_for_inactive_controls(rng):
 def test_gate_matches_analytic_output_for_random_inputs(rng):
     for _ in range(20):
         alpha, gamma, beta, delta = random_coefficients(rng)
-        runs = hyper_cnot(photon_state("a", alpha, gamma), photon_state("b", beta, delta))
+        runs = hyper_cnot_state(joint_input(alpha, gamma, beta, delta))
         want = gate_output_expected(alpha, gamma, beta, delta)
         for run in runs:
             assert fidelity_up_to_global_phase(run.final_state, want) >= 1 - FID_TOL
 
 
 def test_gate_run_records(rng):
-    runs = hyper_cnot(photon_state("a", PLUS, PLUS), photon_state("b", PLUS, PLUS))
+    runs = hyper_cnot_state(joint_input(PLUS, PLUS, PLUS, PLUS))
     assert [run.spin_outcomes for run in runs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     # a down outcome of e1 flips the control's path sign, one of e2 its L sign
     assert [run.feed_forward_ops for run in runs] == [
@@ -406,7 +390,7 @@ def test_sampling_mode_is_seeded(rng):
 
 def test_gate_input_validation(rng):
     with pytest.raises(ValueError):
-        hyper_cnot(photon_state("b", PLUS, PLUS), photon_state("b", PLUS, PLUS))
+        hyper_cnot_state(photon_state("b", PLUS, PLUS))
     with pytest.raises(ValueError):
         hyper_cnot_state(photon_state("a", PLUS, PLUS))
     with pytest.raises(ValueError):
@@ -435,7 +419,7 @@ def test_all_branches_agree_after_feed_forward(rng):
     # enumerate the spin branches of the full gate; the corrected outputs
     # must coincide pairwise
     alpha, gamma, beta, delta = random_coefficients(rng)
-    runs = hyper_cnot(photon_state("a", alpha, gamma), photon_state("b", beta, delta))
+    runs = hyper_cnot_state(joint_input(alpha, gamma, beta, delta))
     first = runs[0].final_state
     for run in runs[1:]:
         assert fidelity_up_to_global_phase(run.final_state, first) >= 1 - FID_TOL
@@ -625,6 +609,15 @@ def test_permuted_input_with_a_spectator_matches_step_path(rng):
     regs = (b_spatial, spectator, a_pol, b_pol, a_spatial)
     joint = random_state(regs, rng)
     for pair in (None, ReflectionPair.from_params(CavityParams(g=1.56, kappa_s=0.2))):
+        # the step view runs the input as given: every checkpoint is the
+        # photon-major run with its registers reordered
+        stages = hyper_cnot_checkpoints(joint, pair)
+        photon_major = hyper_cnot_checkpoints(reorder_registers(joint, PHOTON_LABELS + ("c",)), pair)
+        assert list(stages) == list(photon_major)
+        for name, state in stages.items():
+            assert state.labels == joint.labels + ("e1", "e2")
+            want = reorder_registers(photon_major[name], state.labels).amplitudes
+            np.testing.assert_allclose(state.amplitudes, want, rtol=0, atol=1e-15)
         runs = hyper_cnot_state(joint, pair)
         sampled = [hyper_cnot_state(joint, pair, branch_mode="sample", seed=seed) for seed in range(8)]
         reference = step_gate_runs(joint, pair)
@@ -787,9 +780,7 @@ def test_readout_of_protocol_entangled_spin(rng):
     # reading a spin that is entangled with the photons mid-protocol must
     # agree with a direct computational measurement in ideal mode
     alpha, gamma, beta, delta = random_coefficients(rng)
-    pre = hyper_cnot_checkpoints(
-        photon_state("a", alpha, gamma), photon_state("b", beta, delta)
-    )["pre_measurement"]
+    pre = hyper_cnot_checkpoints(joint_input(alpha, gamma, beta, delta))["pre_measurement"]
     record, post = spin_readout(pre, "e1", rng=3)
     assert abs(record.probability - 0.5) < 1e-12
     _, prob, projected = measure_all_branches(pre, "e1")[record.outcome]
@@ -818,13 +809,13 @@ def test_cluster_stage_checkpoints():
 
 
 def test_cluster_final_state():
-    cluster = prepare_cluster()
+    cluster = prepare_cluster_stages().cluster
     assert fidelity_up_to_global_phase(cluster, cluster_expected()) >= 1 - FID_TOL
     assert abs(cluster.norm2 - 1.0) < 1e-12
 
 
 def test_cluster_is_maximally_entangled_across_photons():
-    cluster = prepare_cluster()
+    cluster = prepare_cluster_stages().cluster
     # rows: photon a indices, columns: photon b indices
     gram = cluster.amplitudes.reshape(4, 4)
     spectrum = np.linalg.svd(gram, compute_uv=False) ** 2
@@ -854,6 +845,21 @@ def test_bell_states_are_normalized_and_distinct():
         assert abs(x.norm2 - 1.0) < 1e-12
         for y in states[i + 1 :]:
             assert fidelity_up_to_global_phase(x, y) < 1e-12
+
+
+def test_bell_states_are_the_reordered_products_of_bell_pairs():
+    # a polarization Bell pair times a spatial one, reordered to photon-major:
+    # every amplitude is one product, so the states agree bit for bit
+    bell = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / SQ2
+    a_pol, a_spatial, b_pol, b_spatial = PHOTON_REGS
+    for p in range(4):
+        for s in range(4):
+            pol = StateVector((a_pol, b_pol), bell[p])
+            spatial = StateVector((a_spatial, b_spatial), bell[s])
+            want = reorder_registers(tensor_product(pol, spatial), PHOTON_LABELS)
+            got = hyper_bell_state(p, s)
+            assert got.registers == want.registers
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
 
 
 def test_all_sixteen_bell_states_decode():

@@ -1,4 +1,5 @@
-"""Smoke tests of the runnable scripts against outputs captured in golden/."""
+"""Smoke tests of the runnable scripts against outputs captured in golden/,
+and of the README's library quickstart."""
 
 import gzip
 import runpy
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = REPO_ROOT / "scripts"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
@@ -26,3 +28,16 @@ def test_performance_surface_writes_the_default_sweep(tmp_path, monkeypatch, cap
     assert exit_info.value.code == 0
     assert capsys.readouterr().out == ""
     assert out.read_bytes() == gzip.decompress((GOLDEN_DIR / "sweep.csv.gz").read_bytes())
+
+
+def test_readme_quickstart_runs(capsys):
+    # the first ```python block after the quickstart heading, run as written;
+    # its first print carries the expected ket as a trailing comment
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md quickstart", "exec"), {})
+    first_print = next(line for line in block.splitlines() if line.startswith("print("))
+    expected = first_print.split("#", 1)[1].strip()
+    assert expected == "(1+0j)|L,a2,L,b2>"
+    assert capsys.readouterr().out.splitlines()[0] == expected
