@@ -24,8 +24,8 @@ The simulated figures run the full circuit with the complex reflection
 amplitudes, through the compiled gate: protocols.branch_coefficients
 applies the gate's degree-4 polynomial coefficients in (r_cold, r_hot),
 compiled once per process, to one input, and one evaluation covers every
-point of a sweep plus the ideal reference. The coefficients of the default
-uniform input are derived once per process and shared read-only.
+point of a sweep. The coefficients of the default uniform input, and its
+ideal reference output, are derived once per process and shared read-only.
 Simulated efficiency matches the closed form exactly (norms ignore
 phases). Simulated fidelity differs from the closed form in general: the
 closed form assumes ideal reflection phases and charges for the two readout
@@ -113,20 +113,35 @@ def _uniform_coefficients() -> np.ndarray:
     return coefficients
 
 
+def _ideal_reference(coefficients: np.ndarray) -> np.ndarray:
+    """The ideal pair's (up, up) branch output for one compiled input; every
+    ideal branch carries the same corrected output."""
+    ideal = ReflectionPair.ideal()
+    return evaluate_branches(ideal.r_cold, ideal.r_hot, coefficients)[0, 0, 0]
+
+
+@cache
+def _uniform_reference() -> np.ndarray:
+    """_ideal_reference of the default uniform input, once per process."""
+    reference = _ideal_reference(_uniform_coefficients())
+    reference.flags.writeable = False
+    return reference
+
+
 def _simulated_figures(
-    r_cold, r_hot, coefficients: np.ndarray
+    r_cold, r_hot, coefficients: np.ndarray, reference: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Circuit-level fidelity and efficiency arrays, one entry per pair.
 
-    ``coefficients`` is one input compiled by branch_coefficients. The
-    reference is the ideal pair's (up, up) branch, since every ideal branch
-    carries the same corrected output. With out_o the corrected branch
-    outputs, eta = sum_o |out_o|**2 and F = sum_o |<ideal|out_o>|**2 / eta
-    (the ideal output normalized), which is the branch-probability-weighted
-    fidelity of the normalized branches. Where eta = 0, F is nan.
+    ``coefficients`` is one input compiled by branch_coefficients and
+    ``reference`` its _ideal_reference, derived here when not given. With
+    out_o the corrected branch outputs, eta = sum_o |out_o|**2 and
+    F = sum_o |<ideal|out_o>|**2 / eta (the ideal output normalized), which
+    is the branch-probability-weighted fidelity of the normalized branches.
+    Where eta = 0, F is nan.
     """
-    ideal = ReflectionPair.ideal()
-    reference = evaluate_branches(ideal.r_cold, ideal.r_hot, coefficients)[0, 0, 0]
+    if reference is None:
+        reference = _ideal_reference(coefficients)
     physical = evaluate_branches(r_cold, r_hot, coefficients)
     eta = np.sum(np.abs(physical) ** 2, axis=(1, 2, 3, 4))
     overlap2 = np.abs(np.tensordot(physical, reference.conj(), axes=([3, 4], [0, 1]))) ** 2
@@ -149,10 +164,10 @@ def simulated_performance(
     """
     pair = ReflectionPair.from_params(params)
     if input_state is None:
-        coefficients = _uniform_coefficients()
+        coefficients, reference = _uniform_coefficients(), _uniform_reference()
     else:
-        coefficients = branch_coefficients(photon_columns(input_state))
-    fidelity, eta = _simulated_figures(pair.r_cold, pair.r_hot, coefficients)
+        coefficients, reference = branch_coefficients(photon_columns(input_state)), None
+    fidelity, eta = _simulated_figures(pair.r_cold, pair.r_hot, coefficients, reference)
     return float(fidelity[0]), float(eta[0])
 
 
@@ -213,7 +228,9 @@ def _sweep_lattice(
             )
         cold, hot = np.tile(r_cold, resolution), np.array(r_hot)
         _require_passive(np.abs(cold).max(), np.abs(hot).max())
-        f_sim, eta_sim = _simulated_figures(cold, hot, _uniform_coefficients())
+        f_sim, eta_sim = _simulated_figures(
+            cold, hot, _uniform_coefficients(), _uniform_reference()
+        )
         simulated = list(zip(f_sim.tolist(), eta_sim.tolist()))
     provenance = {
         "package": f"hypercnot {__version__}",

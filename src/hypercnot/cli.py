@@ -57,17 +57,22 @@ def _finite_float(raw: str) -> float:
     return value
 
 
-def _config_flags(parser: argparse.ArgumentParser) -> dict[str, dict[str, str]]:
-    """Command -> {config key: flag} for its value-taking options except --config."""
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """Command name -> its own parser."""
     # argparse has no public accessor for a parser's actions
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+def _config_flags(parser: argparse.ArgumentParser) -> dict[str, dict[str, str]]:
+    """Command -> {config key: flag} for its value-taking options except --config."""
     return {
         name: {
             action.dest: action.option_strings[0]
             for action in sub._actions
             if action.option_strings and action.nargs != 0 and action.dest != "config"
         }
-        for name, sub in commands.choices.items()
+        for name, sub in _subparsers(parser).items()
     }
 
 
@@ -475,11 +480,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a command reports its usage errors through its own parser, as argparse
+    # does for its type errors: "hypercnot gate: error: ..."
+    command = _subparsers(parser)[args.command]
     if args.config:
         try:
             values = load_config(args.config)
         except (OSError, ValueError) as exc:
-            parser.error(str(exc))
+            command.error(str(exc))
         # config values go in front of the command's own flags, so flags win;
         # keys this command does not define are ignored
         flags = _config_flags(parser)[args.command]
@@ -491,7 +499,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # amplitude-renormalization warning; the filters stay as they are
         warnings.showwarning = _show_warning
         try:
-            return args.func(args, parser)
+            return args.func(args, command)
         except (OSError, ZeroSurvivalError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -71,9 +71,8 @@ def conditional_element(
     """
     if control_value not in (0, 1):
         raise ValueError(f"control_value must be a basis index (0 or 1), got {control_value}")
-    mat = element_matrix(kind)
-    eye = np.eye(2, dtype=np.complex128)
-    select = np.diag([1.0 - control_value, float(control_value)]).astype(np.complex128)
-    other = eye - select
-    block = np.kron(other, eye) + np.kron(select, mat)
+    # the identity, with the element in the control value's 2x2 corner
+    block = np.eye(4, dtype=np.complex128)
+    corner = slice(2 * control_value, 2 * control_value + 2)
+    block[corner, corner] = _MATRICES[kind]
     return apply_operator(state, [control_label, target_label], block)

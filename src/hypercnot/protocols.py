@@ -38,10 +38,14 @@ gate's four 16x16 Kraus operators, one per spin-outcome pair, kept
 read-only. branch_coefficients contracts them with a (16, m) block of
 inputs; evaluate_branches turns coefficients into the corrected,
 unnormalized output of every spin branch for N reflection pairs with one
-(N, 5) by (5, ...) contraction; branch_outputs does both. hyper_cnot_state
-derives every GateRun (survival, branch probabilities, final states and
-sampled outcomes) from those outputs, and parameter sweeps and
-simulated_performance use the same coefficients.
+(N, 5) by (5, ...) contraction; branch_outputs does both. Sweeps and
+simulated_performance evaluate the coefficients over all their pairs at
+once. The single-state applications (hyper_cnot_state and, through it, the
+truth table, the Bell analysis and the cluster preparation) evaluate them
+once per reflection pair: _kraus_at caches the four Kraus operators at a
+pair read-only, and a gate call is one matrix product with its input, from
+which every GateRun (survival, branch probabilities, final states and
+sampled outcomes) is derived.
 
 The staged step view, hyper_cnot_checkpoints, takes the same input as
 hyper_cnot_state: a joint two-photon StateVector in any register order,
@@ -56,6 +60,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import product
+from typing import Iterator
 
 import numpy as np
 
@@ -309,6 +314,30 @@ def evaluate_branches(r_cold, r_hot, coefficients: np.ndarray) -> np.ndarray:
     return np.tensordot(powers, coefficients, axes=1)
 
 
+# reflection pairs whose Kraus operators stay cached: each entry holds
+# 2 * 2 * 16 * 16 complex amplitudes, 16 KiB, so the cache stays near 0.5 MB
+_KRAUS_CACHE_SIZE = 32
+
+
+def _kraus_at(r_cold: complex, r_hot: complex) -> np.ndarray:
+    """The gate's four Kraus operators at one reflection pair, shape
+    (2, 2, 16, 16): e1 outcome, e2 outcome, output and input amplitude.
+
+    Read-only and cached per pair, keyed on the pair's exact bits, so pairs
+    that differ only in the sign of a zero part get entries of their own and
+    no output depends on which pairs ran before.
+    """
+    return _kraus_for_bits(np.array([r_cold, r_hot], dtype=np.complex128).tobytes())
+
+
+@lru_cache(maxsize=_KRAUS_CACHE_SIZE)
+def _kraus_for_bits(key: bytes) -> np.ndarray:
+    r_cold, r_hot = np.frombuffer(key, dtype=np.complex128)
+    kraus = evaluate_branches(r_cold, r_hot, _kraus_coefficients())[0]
+    kraus.flags.writeable = False
+    return kraus
+
+
 def branch_outputs(r_cold, r_hot, photons) -> np.ndarray:
     """Corrected, unnormalized gate outputs for N reflection pairs at once.
 
@@ -368,6 +397,18 @@ def hyper_cnot_state(
     mode all enumerated branches carry the same corrected state. Raises
     ZeroSurvivalError when no amplitude reaches the spin measurement.
     """
+    runs = _gate_runs(joint, reflection, branch_mode, seed)
+    return next(runs) if branch_mode == "sample" else list(runs)
+
+
+def _gate_runs(
+    joint: StateVector,
+    reflection: ReflectionPair | None,
+    branch_mode: str = "enumerate",
+    seed: int | None = None,
+) -> Iterator[GateRun]:
+    """hyper_cnot_state's runs, each built only when it is asked for: the
+    non-empty branches in outcome order, or the one sampled branch."""
     if branch_mode not in ("enumerate", "sample"):
         raise ValueError(f"branch_mode must be 'enumerate' or 'sample', got {branch_mode!r}")
     mode = "ideal" if reflection is None else "physical"
@@ -381,7 +422,7 @@ def hyper_cnot_state(
         for r in (pair.r_cold, pair.r_hot)
     )
     ordered = _photon_major(joint)
-    outputs = branch_outputs(r_cold, r_hot, ordered.amplitudes.reshape(16, -1))[0]
+    outputs = _kraus_at(r_cold, r_hot) @ ordered.amplitudes.reshape(16, -1)
     weights = np.sum(np.abs(outputs) ** 2, axis=(2, 3))
     total = float(weights.sum())
     if total == 0.0:
@@ -399,10 +440,7 @@ def hyper_cnot_state(
         branch = outputs[outcomes]
         if back is not None:
             branch = branch.reshape((2,) * len(back)).transpose(back).reshape(-1)
-        norm = np.sqrt(np.sum(np.abs(branch) ** 2))
-        if norm <= 0.0:
-            raise ValueError("cannot normalize a zero-norm state")
-        final = StateVector(joint.registers, branch / norm)
+        final = StateVector(joint.registers, branch / np.sqrt(weights[outcomes]))
         ops = tuple(label for label, outcome in zip(_FEED_FORWARD_TARGETS, outcomes) if outcome)
         probability = float(weights[outcomes] / total)
         return GateRun(mode, outcomes, ops, final, survival, probability, seed)
@@ -414,8 +452,11 @@ def hyper_cnot_state(
         marginal = weights.sum(axis=1)
         o1 = int(rng.choice(2, p=marginal / marginal.sum()))
         o2 = int(rng.choice(2, p=weights[o1] / weights[o1].sum()))
-        return run((o1, o2), seed)
-    return [run(outcomes, None) for outcomes in product((0, 1), (0, 1)) if weights[outcomes]]
+        yield run((o1, o2), seed)
+        return
+    for outcomes in product((0, 1), (0, 1)):
+        if weights[outcomes]:
+            yield run(outcomes, None)
 
 
 # -- spin readout --------------------------------------------------------
@@ -521,6 +562,14 @@ class ClusterStages:
     cluster: StateVector
 
 
+@cache
+def _cluster_input() -> StateVector:
+    """(R+L)(path1+path2)/2 on photon a and R, path1 on photon b, built once
+    per process (a StateVector is immutable, so every caller shares it)."""
+    plus = (1 / np.sqrt(2.0), 1 / np.sqrt(2.0))
+    return tensor_product(photon_state("a", plus, plus), photon_state("b", (1, 0), (1, 0)))
+
+
 def prepare_cluster_stages(reflection: ReflectionPair | None = None) -> ClusterStages:
     """Cluster preparation with intermediate checkpoints.
 
@@ -528,9 +577,7 @@ def prepare_cluster_stages(reflection: ReflectionPair | None = None) -> ClusterS
     runs the gate (the up,up branch), then Hadamards on photon a, the
     path-controlled polarization sign flip, and Hadamards on photon b.
     """
-    plus = (1 / np.sqrt(2.0), 1 / np.sqrt(2.0))
-    joint = tensor_product(photon_state("a", plus, plus), photon_state("b", (1, 0), (1, 0)))
-    bell = hyper_cnot_state(joint, reflection)[0].final_state
+    bell = next(_gate_runs(_cluster_input(), reflection)).final_state
 
     st = apply_element(bell, ElementKind.HWP_H, A_POL)
     st = apply_element(st, ElementKind.BS, A_SPATIAL)
@@ -606,8 +653,7 @@ class BellAnalysis:
 
 
 def _disentangled_state(state: StateVector, reflection: ReflectionPair | None) -> StateVector:
-    runs = hyper_cnot_state(state, reflection)
-    st = runs[0].final_state
+    st = next(_gate_runs(state, reflection)).final_state
     st = apply_element(st, ElementKind.HWP_H, A_POL)
     return apply_element(st, ElementKind.BS, A_SPATIAL)
 

@@ -395,7 +395,12 @@ def test_negative_cavity_parameters_are_usage_errors(argv, capsys):
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "hypercnot: error: g, kappa_s and gamma must be non-negative and finite" in captured.err
+    # reported through the command's own parser, as argparse type errors are
+    assert captured.err.startswith(f"usage: hypercnot {argv[0]} ")
+    assert (
+        f"hypercnot {argv[0]}: error: g, kappa_s and gamma must be non-negative and finite"
+        in captured.err
+    )
     assert "Traceback" not in captured.err
 
 

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -639,6 +640,7 @@ def test_non_finite_input_never_reaches_the_gate(bad, monkeypatch):
         raise AssertionError("a non-finite input reached the gate")
 
     monkeypatch.setattr(protocols, "branch_outputs", gate)
+    monkeypatch.setattr(protocols, "_kraus_at", gate)
     for position in range(16):
         amps = np.full(16, 0.25, dtype=complex)
         amps[position] = bad
@@ -708,6 +710,102 @@ def test_engine_outputs_are_homogeneous_of_degree_four(mags, phases, seed):
     np.testing.assert_allclose(
         scaled, s**4 * branch_outputs(r_cold, r_hot, photons), rtol=0, atol=1e-12
     )
+
+
+# -- one Kraus evaluation per reflection pair ----------------------------------
+
+
+def test_kraus_operators_are_evaluated_once_per_pair(monkeypatch, rng):
+    # every single-state application at a pair shares one evaluation of the
+    # compiled polynomial, whatever the branch mode or the application
+    evaluated = []
+    evaluate = protocols.evaluate_branches
+
+    def counted(r_cold, r_hot, coefficients):
+        evaluated.append(np.array([r_cold, r_hot]).tobytes())
+        return evaluate(r_cold, r_hot, coefficients)
+
+    monkeypatch.setattr(protocols, "evaluate_branches", counted)
+    protocols._kraus_for_bits.cache_clear()
+    joint = random_state(PHOTON_REGS, rng)
+    for reflection in (ReflectionPair.from_params(CavityParams(g=1.56, kappa_s=0.2)), None):
+        for seed in range(2):
+            hyper_cnot_state(joint, reflection)
+            hyper_cnot_state(joint, reflection, branch_mode="sample", seed=seed)
+            truth_table(reflection)
+            analyze_hyper_bell(HyperBellState(1, 2), reflection)
+            prepare_cluster_stages(reflection)
+    assert len(evaluated) == len(set(evaluated)) == 2
+
+
+def test_cached_kraus_operators_give_bitwise_outputs(rng):
+    # |r_hot| is in [0.5, 1), so the gate evaluates at the pair itself
+    pair = ReflectionPair(0.3 - 0.5j, 0.8 + 0.1j)
+    joint = random_state(tuple(reversed(PHOTON_REGS)), rng)
+
+    def outputs():
+        runs = hyper_cnot_state(joint, pair)
+        sampled = hyper_cnot_state(joint, pair, branch_mode="sample", seed=4)
+        return [
+            (run.spin_outcomes, run.survival_probability, run.branch_probability,
+             run.final_state.amplitudes.tobytes())
+            for run in runs + [sampled]
+        ]
+
+    protocols._kraus_for_bits.cache_clear()
+    cold = outputs()
+    kraus = protocols._kraus_at(pair.r_cold, pair.r_hot)
+    assert protocols._kraus_for_bits.cache_info().misses == 1
+    assert outputs() == cold
+    assert kraus.shape == (2, 2, 16, 16)
+    with pytest.raises(ValueError):
+        kraus[0, 0, 0, 0] = 1.0
+    fresh = protocols.evaluate_branches(pair.r_cold, pair.r_hot, protocols._kraus_coefficients())
+    assert kraus.tobytes() == fresh[0].tobytes()
+
+
+def test_signed_zero_pairs_have_their_own_kraus_entries():
+    # -0.0 == 0.0 and both hash alike, so the cache keys on the bits: which
+    # of the two ran first must not decide what the other returns
+    r_cold = 0.5 - 0.5j
+    protocols._kraus_for_bits.cache_clear()
+    negative = protocols._kraus_at(r_cold, complex(-0.0, -0.0)).tobytes()
+    protocols._kraus_for_bits.cache_clear()
+    positive = protocols._kraus_at(r_cold, 0j)
+    assert protocols._kraus_at(r_cold, complex(-0.0, -0.0)).tobytes() == negative
+    assert protocols._kraus_at(r_cold, 0j) is positive
+    info = protocols._kraus_for_bits.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mags=st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
+    phases=st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
+    seed=st.integers(0, 2**32 - 1),
+    order=st.permutations(range(4)),
+)
+def test_gate_runs_match_branch_outputs(mags, phases, seed, order):
+    # hyper_cnot_state's runs against the batched engine at one pair, for
+    # photon-major (the identity order) and permuted inputs
+    pair = ReflectionPair(mags[0] * np.exp(1j * phases[0]), mags[1] * np.exp(1j * phases[1]))
+    joint = random_state(tuple(PHOTON_REGS[i] for i in order), np.random.default_rng(seed))
+    out = branch_outputs(pair.r_cold, pair.r_hot, photon_columns(joint))[0, ..., 0]
+    weights = np.sum(np.abs(out) ** 2, axis=2)
+    survival = weights.sum()
+    runs = hyper_cnot_state(joint, pair)
+    sampled = hyper_cnot_state(joint, pair, branch_mode="sample", seed=seed)
+    outcomes = {run.spin_outcomes for run in runs}
+    assert {o for o in product((0, 1), (0, 1)) if weights[o] > 1e-20 * survival} <= outcomes
+    assert sampled.spin_outcomes in outcomes
+    for run in runs + [sampled]:
+        assert abs(run.survival_probability - survival) <= 1e-12
+        assert abs(run.branch_probability - weights[run.spin_outcomes] / survival) <= 1e-12
+        scale = math.sqrt(run.survival_probability * run.branch_probability)
+        np.testing.assert_allclose(
+            scale * canonical_amplitudes(run.final_state), out[run.spin_outcomes],
+            rtol=0, atol=1e-12,
+        )
 
 
 def test_engine_input_validation():
