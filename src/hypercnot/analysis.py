@@ -20,17 +20,22 @@ axes and the per-point figure pairs. sweep builds its PerformancePoint rows
 from them. The CLI renders its CSV straight from the columns, without
 rows, and formats each axis value once.
 
-The simulated figures run the full circuit with the complex reflection
-amplitudes, through the compiled gate: protocols.branch_coefficients
-applies the gate's degree-4 polynomial coefficients in (r_cold, r_hot),
-compiled once per process, to one input, and one evaluation covers every
-point of a sweep. The coefficients of the default uniform input, and its
-ideal reference output, are derived once per process and shared read-only.
-Simulated efficiency matches the closed form exactly (norms ignore
-phases). Simulated fidelity differs from the closed form in general: the
-closed form assumes ideal reflection phases and charges for the two readout
-reflections, while the circuit-level number keeps the true phases and
-measures the spins directly. Both are reported side by side.
+The simulated figures are those of the full circuit with the complex
+reflection amplitudes. simulated_performance runs the compiled gate:
+protocols.branch_coefficients applies the gate's degree-4 polynomial
+coefficients in (r_cold, r_hot), compiled once per process, to one input,
+which may be any joint state. The coefficients of the default uniform
+input, and its ideal reference output, are derived once per process and
+shared read-only. For that uniform input the circuit-level figures have an
+exact closed form in the two complex reflections (_uniform_figures), and a
+simulated sweep computes its columns from it in one vectorized pass over
+the lattice, without evaluating the gate; the tests hold it to the engine
+on random pairs and on whole lattices. Simulated efficiency is the closed
+form's ((u**2 + v**2) / 2) ** 4 (norms ignore phases). Simulated fidelity
+differs from the closed form in general: the closed form assumes ideal
+reflection phases and charges for the two readout reflections, while the
+circuit-level number keeps the true phases and measures the spins
+directly. Both are reported side by side.
 """
 
 from __future__ import annotations
@@ -150,6 +155,28 @@ def _simulated_figures(
     return np.where(eta > 0.0, fidelity, math.nan), eta
 
 
+def _uniform_figures(r_cold, r_hot) -> tuple[np.ndarray, np.ndarray]:
+    """_simulated_figures of the default uniform input, in exact closed form.
+
+    With s = |r_cold|**2 + |r_hot|**2 and x = Im(r_hot * conj(r_cold)), which
+    is |r_cold| |r_hot| sin(delta_phi):
+
+        F = (1/2 + 2 (x/s)**2)**2,    eta = (s/2)**4
+
+    so eta is the closed-form efficiency and F differs from the closed form
+    only through the true relative phase. One vectorized pass over the
+    pairs, equal to the engine to round-off. F is written through x/s, as
+    x**2 / s**2 would underflow long before s does. Where s = 0, x is 0 too,
+    so F is 0/0 = nan and eta is 0.
+    """
+    r_cold, r_hot = np.asarray(r_cold), np.asarray(r_hot)
+    s = np.abs(r_cold) ** 2 + np.abs(r_hot) ** 2
+    x = (r_hot * r_cold.conj()).imag
+    with np.errstate(invalid="ignore"):
+        fidelity = (0.5 + 2 * (x / s) ** 2) ** 2
+    return fidelity, (s / 2) ** 4
+
+
 def simulated_performance(
     params: CavityParams, input_state: StateVector | None = None
 ) -> tuple[float, float]:
@@ -228,9 +255,7 @@ def _sweep_lattice(
             )
         cold, hot = np.tile(r_cold, resolution), np.array(r_hot)
         _require_passive(np.abs(cold).max(), np.abs(hot).max())
-        f_sim, eta_sim = _simulated_figures(
-            cold, hot, _uniform_coefficients(), _uniform_reference()
-        )
+        f_sim, eta_sim = _uniform_figures(cold, hot)
         simulated = list(zip(f_sim.tolist(), eta_sim.tolist()))
     provenance = {
         "package": f"hypercnot {__version__}",
@@ -257,10 +282,11 @@ def sweep(
     The reflections are evaluated once per lattice: r_cold once per kappa_s
     column, r_hot once per point, and the closed forms use those same
     numbers, so every point equals formula_performance at its parameters.
-    ``include_simulation`` adds the circuit-level figures from one engine
-    evaluation over the whole lattice. ``provenance["side_leakage_points"]``
-    counts the points at or above the side-leakage guidance; a simulated
-    sweep emits one UserWarning naming that count, not one per point.
+    ``include_simulation`` adds the circuit-level figures of the uniform
+    input, from their exact closed form over the whole lattice.
+    ``provenance["side_leakage_points"]`` counts the points at or above the
+    side-leakage guidance; a simulated sweep emits one UserWarning naming
+    that count, not one per point.
     """
     lattice = _sweep_lattice(g_range, kappa_s_range, resolution, gamma, include_simulation)
     simulated = repeat((None, None)) if lattice.simulated is None else lattice.simulated

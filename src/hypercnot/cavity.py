@@ -152,7 +152,7 @@ class ReflectionPair:
 
     @property
     def delta_phi(self) -> float:
-        """Relative phase hot minus cold; -pi/2 drives the ideal gate."""
+        """Relative phase hot minus cold; ideal() has the +pi/2 that drives the gate."""
         return self.phi_hot - self.phi_cold
 
     @property

@@ -36,6 +36,7 @@ from .protocols import (
     BELL_NAMES,
     HyperBellState,
     ZeroSurvivalError,
+    _gate_runs,
     analyze_hyper_bell,
     hyper_cnot_state,
     photon_registers,
@@ -201,7 +202,7 @@ def cmd_truth_table(args, parser) -> int:
 def cmd_gate(args, parser) -> int:
     reflection = _reflection(args, parser)
     joint = _input_state(args, parser)
-    ideal_final = hyper_cnot_state(joint, None)[0].final_state
+    ideal_final = next(_gate_runs(joint, None)).final_state
     if args.seed is not None:
         runs = [hyper_cnot_state(joint, reflection, branch_mode="sample", seed=args.seed)]
     else:

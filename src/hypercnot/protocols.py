@@ -38,9 +38,12 @@ gate's four 16x16 Kraus operators, one per spin-outcome pair, kept
 read-only. branch_coefficients contracts them with a (16, m) block of
 inputs; evaluate_branches turns coefficients into the corrected,
 unnormalized output of every spin branch for N reflection pairs with one
-(N, 5) by (5, ...) contraction; branch_outputs does both. Sweeps and
-simulated_performance evaluate the coefficients over all their pairs at
-once. The single-state applications (hyper_cnot_state and, through it, the
+(N, 5) by (5, ...) contraction; branch_outputs does both.
+simulated_performance evaluates the coefficients of its input, the
+default uniform state or any other, at its pair. A simulated sweep
+evaluates none: for the uniform input it uses the exact closed form in
+analysis, which the tests hold to this engine.
+The single-state applications (hyper_cnot_state and, through it, the
 truth table, the Bell analysis and the cluster preparation) evaluate them
 once per reflection pair: _kraus_at caches the four Kraus operators at a
 pair read-only, and a gate call is one matrix product with its input, from

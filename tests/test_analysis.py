@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hypercnot import (
     CavityParams,
@@ -26,6 +28,7 @@ from hypercnot import (
 )
 from hypercnot import analysis
 from hypercnot.cavity import SIDE_LEAKAGE_WARNING
+from hypercnot.protocols import _gate_runs
 from conftest import random_state
 from oracles import efficiency_oracle, random_amplitude_pair
 
@@ -34,7 +37,7 @@ SQ2 = np.sqrt(2.0)
 
 def step_path_figures(params, joint):
     """(F, eta) from enumerated step-path GateRuns: the per-point reference."""
-    ideal_final = hyper_cnot_state(joint, None)[0].final_state
+    ideal_final = next(_gate_runs(joint, None)).final_state
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # side-leakage guidance
         runs = hyper_cnot_state(joint, ReflectionPair.from_params(params))
@@ -179,6 +182,56 @@ def test_simulated_sweep_matches_step_path_per_point():
         f, eta = step_path_figures(params, joint)
         assert abs(point.F_sim - f) < 1e-12
         assert abs(point.eta_sim - eta) < 1e-12
+
+
+def engine_uniform_figures(r_cold, r_hot):
+    """The compiled engine on the default uniform input: the reference the
+    simulated sweep's exact form is pinned to."""
+    return analysis._simulated_figures(
+        r_cold, r_hot, analysis._uniform_coefficients(), analysis._uniform_reference()
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mags=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    phases=st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
+)
+@example(mags=(0.0, 0.0), phases=(0.0, 0.0))
+def test_uniform_figures_match_the_engine(mags, phases):
+    # below this scale the engine's degree-8 survival leaves the normal floats
+    assume(max(mags) == 0.0 or max(mags) >= 1e-30)
+    r_cold, r_hot = (np.array([m * np.exp(1j * p)]) for m, p in zip(mags, phases))
+    f, eta = analysis._uniform_figures(r_cold, r_hot)
+    want_f, want_eta = engine_uniform_figures(r_cold, r_hot)
+    assert abs(eta[0] - want_eta[0]) <= 1e-12
+    if math.isnan(want_f[0]):
+        assert math.isnan(f[0]) and eta[0] == 0.0
+    else:
+        assert abs(f[0] - want_f[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("r_cold,r_hot", [(0j, 0j), (complex(-0.0, -0.0), complex(0.0, -0.0))])
+def test_uniform_figures_at_zero_survival(r_cold, r_hot):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division warning escapes
+        f, eta = analysis._uniform_figures(np.array([r_cold]), np.array([r_hot]))
+    assert math.isnan(f[0]) and eta[0] == 0.0
+
+
+@pytest.mark.parametrize("gamma", [0.02, 0.1, 0.3])
+def test_simulated_sweep_matches_the_engine_on_the_default_lattice(gamma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # side-leakage guidance
+        lattice = analysis._sweep_lattice((0.0, 3.0), (0.0, 2.0), 101, gamma, True)
+    r_cold, r_hot = lattice_reflections(
+        CavityParams(g=3.0, kappa_s=2.0, gamma=gamma), lattice.g_values, lattice.kappa_s_values
+    )
+    want_f, want_eta = engine_uniform_figures(np.tile(r_cold, 101), np.array(r_hot))
+    f, eta = np.array(lattice.simulated).T
+    assert len(f) == 101 * 101
+    np.testing.assert_allclose(f, want_f, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(eta, want_eta, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("gamma", [0.02, 0.3])

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hypercnot import analysis, sweep
+from hypercnot import analysis, protocols, sweep
 from hypercnot.cli import load_config, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -260,6 +260,23 @@ def test_cli_sweep_builds_no_row_objects(golden, argv, monkeypatch, capsys):
     assert out == (GOLDEN_DIR / golden).read_text()
 
 
+def test_simulated_sweep_never_runs_the_engine(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a simulated sweep ran the compiled gate engine")
+
+    monkeypatch.setattr(analysis, "_simulated_figures", refuse)
+    monkeypatch.setattr(analysis, "evaluate_branches", refuse)
+    monkeypatch.setattr(protocols, "evaluate_branches", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # side-leakage guidance
+        result = sweep(include_simulation=True)
+    assert len(result.grid) == 101 * 101
+    assert all(point.eta_sim is not None for point in result.grid)
+    code, out, _ = run_cli(capsys, "sweep", "--resolution", "5", "--simulate")
+    assert code == 0
+    assert out == (GOLDEN_DIR / "sweep_resolution5_simulate.csv").read_text()
+
+
 # -- library warnings --------------------------------------------------------------
 
 GUIDANCE = "kappa guidance for reaching the -pi/2 relative reflection phase\n"
@@ -472,6 +489,8 @@ GOLDEN_CASES = [
     ("sweep_resolution5.csv", 0, "sweep --resolution 5"),
     # rendered from the scalar per-point simulation before the batched engine existed
     ("sweep_resolution5_simulate.csv", 0, "sweep --resolution 5 --simulate"),
+    # rendered by the compiled engine before the exact uniform-input form replaced it
+    ("sweep_simulate.csv.gz", 0, "sweep --simulate"),
     ("sweep_gamma0.2.csv.gz", 0, "sweep --gamma 0.2"),
 ]
 
