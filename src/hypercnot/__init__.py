@@ -15,11 +15,9 @@ from .hilbert import (
     discard_register,
     fidelity_up_to_global_phase,
     measure,
-    measure_all_branches,
     normalize,
     outcome_weights,
     reorder_registers,
-    state_from_terms,
     tensor_product,
     tensor_state,
 )
@@ -41,15 +39,12 @@ from .protocols import (
     TruthTableRow,
     analyze_hyper_bell,
     bell_decoding_table,
-    branch_coefficients,
-    branch_outputs,
     evaluate_branches,
     expected_truth_table_output,
     hyper_bell_state,
     hyper_cnot_checkpoints,
     hyper_cnot_state,
     pass_matrix,
-    photon_columns,
     photon_registers,
     photon_state,
     prepare_cluster_stages,

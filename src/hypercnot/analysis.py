@@ -21,19 +21,19 @@ from them. The CLI renders its CSV straight from the columns, without
 rows, and formats each axis value once.
 
 The simulated figures are those of the full circuit with the complex
-reflection amplitudes. simulated_performance runs the compiled gate:
-protocols.branch_coefficients applies the gate's degree-4 polynomial
-coefficients in (r_cold, r_hot), compiled once per process, to one input,
-which may be any joint state. The coefficients of the default uniform
-input, and its ideal reference output, are derived once per process and
-shared read-only. For that uniform input the circuit-level figures have an
-exact closed form in the two complex reflections (_uniform_figures), and a
-simulated sweep computes its columns from it in one vectorized pass over
-the lattice, without evaluating the gate; the tests hold it to the engine
-on random pairs and on whole lattices. Simulated efficiency is the closed
-form's ((u**2 + v**2) / 2) ** 4 (norms ignore phases). Simulated fidelity
-differs from the closed form in general: the closed form assumes ideal
-reflection phases and charges for the two readout reflections, while the
+reflection amplitudes. simulated_performance applies the gate's Kraus
+operators at the pair, cached per pair in protocols, to its input (the
+uniform state, built once per process, or any joint state), and again at
+the ideal pair for the reference output. For the uniform input the
+circuit-level figures have an exact closed form in the two complex
+reflections (_uniform_fidelity), and a simulated sweep computes its
+fidelity column from it in one vectorized pass over the lattice, without
+evaluating the gate; the tests hold it to the Kraus operators on random
+pairs and on whole lattices. Simulated efficiency is exactly the closed
+form's ((u**2 + v**2) / 2) ** 4 (norms ignore phases), so a simulated
+sweep's eta_sim column is its eta column. Simulated fidelity differs from
+the closed form in general: the closed form assumes ideal reflection
+phases and charges for the two readout reflections, while the
 circuit-level number keeps the true phases and measures the spins
 directly. Both are reported side by side.
 """
@@ -60,12 +60,7 @@ from .cavity import (
     reflect_hot,
 )
 from .hilbert import StateVector
-from .protocols import (
-    branch_coefficients,
-    evaluate_branches,
-    photon_columns,
-    uniform_two_photon_state,
-)
+from .protocols import _gate_outputs, uniform_two_photon_state
 
 
 @dataclass(frozen=True)
@@ -107,74 +102,33 @@ def formula_performance(params: CavityParams) -> tuple[float, float]:
     return _closed_form(abs(reflect_cold(params)), abs(reflect_hot(params)))
 
 
-@cache
-def _uniform_coefficients() -> np.ndarray:
-    """The compiled gate applied to the default uniform input, once per process.
-
-    Read-only, since every caller shares the one array.
-    """
-    coefficients = branch_coefficients(photon_columns(uniform_two_photon_state()))
-    coefficients.flags.writeable = False
-    return coefficients
-
-
-def _ideal_reference(coefficients: np.ndarray) -> np.ndarray:
-    """The ideal pair's (up, up) branch output for one compiled input; every
-    ideal branch carries the same corrected output."""
-    ideal = ReflectionPair.ideal()
-    return evaluate_branches(ideal.r_cold, ideal.r_hot, coefficients)[0, 0, 0]
-
-
-@cache
-def _uniform_reference() -> np.ndarray:
-    """_ideal_reference of the default uniform input, once per process."""
-    reference = _ideal_reference(_uniform_coefficients())
-    reference.flags.writeable = False
-    return reference
-
-
-def _simulated_figures(
-    r_cold, r_hot, coefficients: np.ndarray, reference: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Circuit-level fidelity and efficiency arrays, one entry per pair.
-
-    ``coefficients`` is one input compiled by branch_coefficients and
-    ``reference`` its _ideal_reference, derived here when not given. With
-    out_o the corrected branch outputs, eta = sum_o |out_o|**2 and
-    F = sum_o |<ideal|out_o>|**2 / eta (the ideal output normalized), which
-    is the branch-probability-weighted fidelity of the normalized branches.
-    Where eta = 0, F is nan.
-    """
-    if reference is None:
-        reference = _ideal_reference(coefficients)
-    physical = evaluate_branches(r_cold, r_hot, coefficients)
-    eta = np.sum(np.abs(physical) ** 2, axis=(1, 2, 3, 4))
-    overlap2 = np.abs(np.tensordot(physical, reference.conj(), axes=([3, 4], [0, 1]))) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fidelity = overlap2.sum(axis=(1, 2)) / (np.sum(np.abs(reference) ** 2) * eta)
-    return np.where(eta > 0.0, fidelity, math.nan), eta
-
-
-def _uniform_figures(r_cold, r_hot) -> tuple[np.ndarray, np.ndarray]:
-    """_simulated_figures of the default uniform input, in exact closed form.
+def _uniform_fidelity(r_cold, r_hot) -> np.ndarray:
+    """simulated_performance's fidelity on the default uniform input, in
+    exact closed form, one entry per pair.
 
     With s = |r_cold|**2 + |r_hot|**2 and x = Im(r_hot * conj(r_cold)), which
     is |r_cold| |r_hot| sin(delta_phi):
 
         F = (1/2 + 2 (x/s)**2)**2,    eta = (s/2)**4
 
-    so eta is the closed-form efficiency and F differs from the closed form
-    only through the true relative phase. One vectorized pass over the
-    pairs, equal to the engine to round-off. F is written through x/s, as
-    x**2 / s**2 would underflow long before s does. Where s = 0, x is 0 too,
-    so F is 0/0 = nan and eta is 0.
+    so eta is exactly the closed-form efficiency, and F differs from the
+    closed form only through the true relative phase. One vectorized pass
+    over the pairs, equal to the gate to round-off. F is written through
+    x/s, as x**2 / s**2 would underflow long before s does. Where s = 0, x
+    is 0 too, so F is 0/0 = nan.
     """
     r_cold, r_hot = np.asarray(r_cold), np.asarray(r_hot)
     s = np.abs(r_cold) ** 2 + np.abs(r_hot) ** 2
     x = (r_hot * r_cold.conj()).imag
     with np.errstate(invalid="ignore"):
-        fidelity = (0.5 + 2 * (x / s) ** 2) ** 2
-    return fidelity, (s / 2) ** 4
+        return (0.5 + 2 * (x / s) ** 2) ** 2
+
+
+@cache
+def _uniform_input() -> StateVector:
+    """The default input of simulated_performance, built once per process (a
+    StateVector is immutable, so every caller shares it)."""
+    return uniform_two_photon_state()
 
 
 def simulated_performance(
@@ -189,13 +143,14 @@ def simulated_performance(
     the survival probability. At zero survival the fidelity is undefined
     and ``(nan, 0.0)`` is returned.
     """
-    pair = ReflectionPair.from_params(params)
-    if input_state is None:
-        coefficients, reference = _uniform_coefficients(), _uniform_reference()
-    else:
-        coefficients, reference = branch_coefficients(photon_columns(input_state)), None
-    fidelity, eta = _simulated_figures(pair.r_cold, pair.r_hot, coefficients, reference)
-    return float(fidelity[0]), float(eta[0])
+    joint = input_state if input_state is not None else _uniform_input()
+    ordered, outputs, _, total, survival = _gate_outputs(joint, ReflectionPair.from_params(params))
+    if total == 0.0:
+        return math.nan, 0.0
+    # every ideal branch carries the same corrected output
+    ideal = _gate_outputs(ordered, None)[1][0, 0].reshape(-1)
+    overlap2 = np.abs(outputs.reshape(4, -1) @ ideal.conj()) ** 2
+    return float(overlap2.sum() / (np.sum(np.abs(ideal) ** 2) * total)), survival
 
 
 def performance_point(
@@ -255,8 +210,9 @@ def _sweep_lattice(
             )
         cold, hot = np.tile(r_cold, resolution), np.array(r_hot)
         _require_passive(np.abs(cold).max(), np.abs(hot).max())
-        f_sim, eta_sim = _uniform_figures(cold, hot)
-        simulated = list(zip(f_sim.tolist(), eta_sim.tolist()))
+        # eta_sim = (s/2)**4 is exactly the closed-form eta already computed
+        f_sim = _uniform_fidelity(cold, hot).tolist()
+        simulated = list(zip(f_sim, (eta for _, eta in formulas)))
     provenance = {
         "package": f"hypercnot {__version__}",
         "detuning": repr(params.detuning),

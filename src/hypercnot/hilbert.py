@@ -27,7 +27,7 @@ discard_register view a register at position i as the middle axis of the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -228,18 +228,6 @@ def basis_state(registers: Sequence[Register], names: Sequence[str]) -> StateVec
     return StateVector(tuple(registers), amps)
 
 
-def state_from_terms(
-    registers: Sequence[Register],
-    terms: Mapping[tuple[str, ...], complex],
-) -> StateVector:
-    """State assembled from ``{(basis names per register): amplitude}``."""
-    regs = tuple(registers)
-    amps = np.zeros(2 ** len(regs), dtype=np.complex128)
-    for names, amp in terms.items():
-        amps[basis_index(regs, names)] += amp
-    return StateVector(regs, amps)
-
-
 # -- operators ---------------------------------------------------------
 
 
@@ -325,22 +313,6 @@ def measure(
         probability=float(weights[outcome]),
     )
     return record, normalize(_project(state, register_label, outcome))
-
-
-def measure_all_branches(
-    state: StateVector, register_label: str
-) -> list[tuple[int, float, StateVector]]:
-    """Every (outcome, probability, projected state) of one register.
-
-    Projected states are returned unrenormalized, so probabilities of
-    nested enumerations multiply through and the probabilities sum to the
-    input squared norm.
-    """
-    weights = outcome_weights(state, register_label)
-    return [
-        (outcome, float(weights[outcome]), _project(state, register_label, outcome))
-        for outcome in (0, 1)
-    ]
 
 
 def discard_register(state: StateVector, register_label: str) -> StateVector:

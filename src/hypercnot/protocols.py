@@ -35,20 +35,17 @@ sum_k r_cold**k r_hot**(4 - k) C_k. The stages are interpreted once per
 process on the identity, on a tensor whose axis 0 is the power of r_cold,
 with the feed-forward folded in: the result is the coefficients of the
 gate's four 16x16 Kraus operators, one per spin-outcome pair, kept
-read-only. branch_coefficients contracts them with a (16, m) block of
-inputs; evaluate_branches turns coefficients into the corrected,
-unnormalized output of every spin branch for N reflection pairs with one
-(N, 5) by (5, ...) contraction; branch_outputs does both.
-simulated_performance evaluates the coefficients of its input, the
-default uniform state or any other, at its pair. A simulated sweep
-evaluates none: for the uniform input it uses the exact closed form in
-analysis, which the tests hold to this engine.
-The single-state applications (hyper_cnot_state and, through it, the
-truth table, the Bell analysis and the cluster preparation) evaluate them
-once per reflection pair: _kraus_at caches the four Kraus operators at a
-pair read-only, and a gate call is one matrix product with its input, from
-which every GateRun (survival, branch probabilities, final states and
-sampled outcomes) is derived.
+read-only. evaluate_branches gives the Kraus operators at N reflection
+pairs with one (N, 5) by (5, ...) contraction. Every circuit-level number
+takes one path: _kraus_at caches the four operators at a pair read-only,
+and _gate_outputs applies them to the input with one matrix product.
+hyper_cnot_state derives every GateRun from that product (survival,
+branch probabilities, final states and sampled outcomes); the truth
+table, the Bell analysis and the cluster preparation go through it, and
+analysis.simulated_performance compares the product at the physical pair
+with the one at the ideal pair. A simulated sweep evaluates no gate: for
+the uniform input it uses the exact closed form in analysis, which the
+tests hold to the Kraus operators.
 
 The staged step view, hyper_cnot_checkpoints, takes the same input as
 hyper_cnot_state: a joint two-photon StateVector in any register order,
@@ -169,11 +166,12 @@ _FEED_FORWARD_TARGETS = (A_SPATIAL, A_POL)
 
 
 def _check_two_photon_input(joint: StateVector) -> None:
-    missing = [label for label in PHOTON_LABELS if label not in joint.labels]
+    labels = joint.labels
+    missing = [label for label in PHOTON_LABELS if label not in labels]
     if missing:
-        raise ValueError(f"two-photon input is missing registers {missing}; has {joint.labels}")
+        raise ValueError(f"two-photon input is missing registers {missing}; has {labels}")
     for spin in (SPIN_1, SPIN_2):
-        if spin in joint.labels:
+        if spin in labels:
             raise ValueError(f"input already contains the internal spin register {spin!r}")
 
 
@@ -274,39 +272,14 @@ def _photon_major(joint: StateVector) -> StateVector:
     return reorder_registers(joint, list(PHOTON_LABELS) + rest)
 
 
-def photon_columns(joint: StateVector) -> np.ndarray:
-    """Amplitudes of a joint input as engine columns, shape (16, m).
+def evaluate_branches(r_cold, r_hot) -> np.ndarray:
+    """The gate's four Kraus operators at N reflection pairs.
 
-    Rows follow PHOTON_LABELS (most significant first); registers beyond the
-    four photon ones become the m = 2**k columns, in their input order.
-    """
-    return _photon_major(joint).amplitudes.reshape(16, -1)
-
-
-def branch_coefficients(photons) -> np.ndarray:
-    """The gate compiled for one block of inputs: polynomial coefficients of
-    every corrected branch output in the reflection amplitudes.
-
-    Each of the four cavity passes multiplies every amplitude by exactly one
-    of r_cold and r_hot, so a branch output is the homogeneous degree-4
-    polynomial sum_k r_cold**k r_hot**(4 - k) C_k. ``photons`` has shape
-    (16, m): m input columns over PHOTON_LABELS, most significant first (see
-    photon_columns). Contracts the Kraus coefficients, compiled once per
-    process, with the columns. Returns C with shape (5, 2, 2, 16, m): power
-    k of r_cold, e1 outcome, e2 outcome, output amplitude, input column.
-    """
-    photons = np.asarray(photons, dtype=np.complex128)
-    if photons.ndim != 2 or photons.shape[0] != 16:
-        raise ValueError(f"photons must have shape (16, m), got {photons.shape}")
-    return _kraus_coefficients() @ photons
-
-
-def evaluate_branches(r_cold, r_hot, coefficients: np.ndarray) -> np.ndarray:
-    """Branch outputs of N reflection pairs from compiled coefficients.
-
-    ``r_cold`` and ``r_hot`` hold N reflection amplitudes each;
-    ``coefficients`` comes from branch_coefficients. One (N, 5) by
-    (5, 2, 2, 16, m) contraction; returns shape (N, 2, 2, 16, m).
+    ``r_cold`` and ``r_hot`` hold N reflection amplitudes each. One (N, 5)
+    by (5, 2, 2, 16, 16) contraction with the Kraus coefficients, compiled
+    once per process; returns shape (N, 2, 2, 16, 16): pair, e1 outcome, e2
+    outcome, output and input amplitude. A Kraus operator applied to an
+    input gives that spin branch's corrected, unnormalized output.
     """
     r_cold = np.ravel(np.asarray(r_cold, dtype=np.complex128))
     r_hot = np.ravel(np.asarray(r_hot, dtype=np.complex128))
@@ -314,7 +287,7 @@ def evaluate_branches(r_cold, r_hot, coefficients: np.ndarray) -> np.ndarray:
         raise ValueError(f"got {r_cold.size} cold and {r_hot.size} hot reflections")
     k = np.arange(_GATE_DEGREE + 1)
     powers = r_cold[:, None] ** k * r_hot[:, None] ** (_GATE_DEGREE - k)
-    return np.tensordot(powers, coefficients, axes=1)
+    return np.tensordot(powers, _kraus_coefficients(), axes=1)
 
 
 # reflection pairs whose Kraus operators stay cached: each entry holds
@@ -336,22 +309,9 @@ def _kraus_at(r_cold: complex, r_hot: complex) -> np.ndarray:
 @lru_cache(maxsize=_KRAUS_CACHE_SIZE)
 def _kraus_for_bits(key: bytes) -> np.ndarray:
     r_cold, r_hot = np.frombuffer(key, dtype=np.complex128)
-    kraus = evaluate_branches(r_cold, r_hot, _kraus_coefficients())[0]
+    kraus = evaluate_branches(r_cold, r_hot)[0]
     kraus.flags.writeable = False
     return kraus
-
-
-def branch_outputs(r_cold, r_hot, photons) -> np.ndarray:
-    """Corrected, unnormalized gate outputs for N reflection pairs at once.
-
-    ``r_cold`` and ``r_hot`` hold N reflection amplitudes each; ``photons``
-    has shape (16, m) as in branch_coefficients. Returns shape
-    (N, 2, 2, 16, m): pair, e1 outcome, e2 outcome, output amplitude, input
-    column. A branch's squared norm is its probability times the survival;
-    with the identity as input each (16, 16) slice is that branch's Kraus
-    operator.
-    """
-    return evaluate_branches(r_cold, r_hot, branch_coefficients(photons))
 
 
 # -- the hyper-CNOT gate -------------------------------------------------
@@ -404,6 +364,31 @@ def hyper_cnot_state(
     return next(runs) if branch_mode == "sample" else list(runs)
 
 
+def _gate_outputs(
+    joint: StateVector, reflection: ReflectionPair | None
+) -> tuple[StateVector, np.ndarray, np.ndarray, float, float]:
+    """The gate applied to a joint input at one reflection pair (None: ideal).
+
+    Returns the input with PHOTON_LABELS first, the corrected, unnormalized
+    branch outputs (2, 2, 16, m), their weights (2, 2), the weights' total
+    and the survival. The outputs are homogeneous of degree 4 in the pair,
+    so they are evaluated at the pair scaled by a power of two (exact) to
+    unit size, where the weights of tiny reflections cannot underflow; only
+    the survival takes the scale back.
+    """
+    pair = reflection if reflection is not None else ReflectionPair.ideal()
+    exponent = math.frexp(max(abs(pair.r_cold), abs(pair.r_hot)))[1]
+    r_cold, r_hot = (
+        complex(math.ldexp(r.real, -exponent), math.ldexp(r.imag, -exponent))
+        for r in (pair.r_cold, pair.r_hot)
+    )
+    ordered = _photon_major(joint)
+    outputs = _kraus_at(r_cold, r_hot) @ ordered.amplitudes.reshape(16, -1)
+    weights = np.sum(np.abs(outputs) ** 2, axis=(2, 3))
+    total = float(weights.sum())
+    return ordered, outputs, weights, total, math.ldexp(total, _GATE_DEGREE * 2 * exponent)
+
+
 def _gate_runs(
     joint: StateVector,
     reflection: ReflectionPair | None,
@@ -415,26 +400,13 @@ def _gate_runs(
     if branch_mode not in ("enumerate", "sample"):
         raise ValueError(f"branch_mode must be 'enumerate' or 'sample', got {branch_mode!r}")
     mode = "ideal" if reflection is None else "physical"
-    pair = reflection if reflection is not None else ReflectionPair.ideal()
-    # the outputs are homogeneous of degree 4 in the pair: evaluated at the
-    # pair scaled by a power of two (exact) to unit size, the weights of tiny
-    # reflections cannot underflow, and only the survival takes the scale back
-    exponent = math.frexp(max(abs(pair.r_cold), abs(pair.r_hot)))[1]
-    r_cold, r_hot = (
-        complex(math.ldexp(r.real, -exponent), math.ldexp(r.imag, -exponent))
-        for r in (pair.r_cold, pair.r_hot)
-    )
-    ordered = _photon_major(joint)
-    outputs = _kraus_at(r_cold, r_hot) @ ordered.amplitudes.reshape(16, -1)
-    weights = np.sum(np.abs(outputs) ** 2, axis=(2, 3))
-    total = float(weights.sum())
+    ordered, outputs, weights, total, survival = _gate_outputs(joint, reflection)
     if total == 0.0:
         raise ZeroSurvivalError(
             "zero survival: no photon amplitude reaches the spin measurement, "
             "so the gate output is undefined"
         )
     weights[weights <= BRANCH_FLOOR * total] = 0.0
-    survival = math.ldexp(total, _GATE_DEGREE * 2 * exponent)
 
     # axes that take a photon-major branch back to the input's register order
     back = None if ordered is joint else [ordered.labels.index(label) for label in joint.labels]

@@ -2,12 +2,14 @@
 
 Everything here is assembled directly from amplitude bookkeeping (closed
 forms of the staged circuit) or brute-force index arithmetic, never by
-running the circuit under test. The one exception is step_gate_runs, the
-reference for the compiled gate: it runs the staged step view on the joint
+running the circuit under test. There are two exceptions. step_gate_runs,
+the reference for the compiled gate, runs the staged step view on the joint
 input it is given, then measures and corrects the pre-measurement state one
-register at a time. Since step_gate_runs goes through the hilbert kernels,
-those kernels have their own references here, written in their first
-(tensordot and moveaxis) form.
+register at a time. Since it goes through the hilbert kernels, those
+kernels have their own references here, written in their first (tensordot
+and moveaxis) form. engine_uniform_figures evaluates the compiled gate's
+Kraus operators at many pairs at once: it is the reference for the exact
+uniform-input form, and the tests hold the compiled gate to step_gate_runs.
 """
 
 from __future__ import annotations
@@ -17,18 +19,21 @@ import numpy as np
 from hypercnot import (
     CavityParams,
     GateRun,
+    ReflectionPair,
     StateVector,
     apply_operator,
+    basis_index,
     discard_register,
+    evaluate_branches,
     hyper_cnot_checkpoints,
     measure,
-    measure_all_branches,
     normalize,
+    outcome_weights,
     photon_registers,
     reflect_cold,
     reflect_hot,
     spin_register,
-    state_from_terms,
+    uniform_two_photon_state,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -105,6 +110,36 @@ def outcome_slices_reference(state: StateVector, register_label: str) -> tuple[n
     axis = state.register_index(register_label)
     moved = np.moveaxis(state.amplitudes.reshape((2,) * state.num_registers), axis, 0)
     return moved[0].reshape(-1), moved[1].reshape(-1)
+
+
+def state_from_terms(registers, terms: dict) -> StateVector:
+    """State assembled from ``{(basis names per register): amplitude}``."""
+    regs = tuple(registers)
+    amps = np.zeros(2 ** len(regs), dtype=np.complex128)
+    for names, amp in terms.items():
+        amps[basis_index(regs, names)] += amp
+    return StateVector(regs, amps)
+
+
+def measure_all_branches(
+    state: StateVector, register_label: str
+) -> list[tuple[int, float, StateVector]]:
+    """Every (outcome, probability, projected state) of one register.
+
+    The projection zeroes the other outcome's slice with the register's axis
+    moved to the front. Projected states are not renormalized, so the
+    probabilities of nested enumerations multiply through and sum to the
+    input's squared norm.
+    """
+    axis = state.register_index(register_label)
+    weights = outcome_weights(state, register_label)
+    branches = []
+    for outcome in (0, 1):
+        moved = np.moveaxis(state.amplitudes.reshape((2,) * state.num_registers), axis, 0).copy()
+        moved[1 - outcome] = 0.0
+        projected = StateVector(state.registers, np.moveaxis(moved, 0, axis).reshape(-1))
+        branches.append((outcome, float(weights[outcome]), projected))
+    return branches
 
 
 def product_photon_terms(alpha, gamma, beta, delta) -> dict:
@@ -367,3 +402,30 @@ def step_gate_runs(joint: StateVector, reflection=None, branch_mode="enumerate",
             )
         )
     return runs
+
+
+def engine_uniform_figures(r_cold, r_hot, chunk: int = 512) -> tuple[np.ndarray, np.ndarray]:
+    """Circuit-level (F, eta) arrays of the uniform input at N reflection
+    pairs, from the Kraus operators evaluate_branches gives at each pair
+    itself: the reference for the exact uniform-input form.
+
+    With out_o the corrected branch outputs, eta = sum_o |out_o|**2 and
+    F = sum_o |<ideal|out_o>|**2 / (|ideal|**2 eta); F is nan where eta = 0.
+    The pairs are evaluated ``chunk`` at a time, since each pair's four
+    operators take 16 KiB.
+    """
+    column = uniform_two_photon_state().amplitudes
+    ideal = ReflectionPair.ideal()
+    reference = evaluate_branches(ideal.r_cold, ideal.r_hot)[0, 0, 0] @ column
+    r_cold, r_hot = np.ravel(r_cold), np.ravel(r_hot)
+    fidelity, eta = [], []
+    for start in range(0, len(r_cold), chunk):
+        block = slice(start, start + chunk)
+        out = evaluate_branches(r_cold[block], r_hot[block]) @ column
+        survival = np.sum(np.abs(out) ** 2, axis=(1, 2, 3))
+        overlap2 = np.abs(out @ reference.conj()) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = overlap2.sum(axis=(1, 2)) / (np.sum(np.abs(reference) ** 2) * survival)
+        fidelity.append(np.where(survival > 0.0, f, np.nan))
+        eta.append(survival)
+    return np.concatenate(fidelity), np.concatenate(eta)

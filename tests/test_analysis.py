@@ -30,7 +30,7 @@ from hypercnot import analysis
 from hypercnot.cavity import SIDE_LEAKAGE_WARNING
 from hypercnot.protocols import _gate_runs
 from conftest import random_state
-from oracles import efficiency_oracle, random_amplitude_pair
+from oracles import efficiency_oracle, engine_uniform_figures, random_amplitude_pair
 
 SQ2 = np.sqrt(2.0)
 
@@ -134,18 +134,20 @@ def test_performance_point_with_simulation():
 
 
 def test_default_input_is_the_uniform_state():
-    # the default uses the compiled coefficients cached for the uniform input
+    # the default is the uniform input, built once per process
     params = CavityParams(g=1.56, kappa_s=0.2)
     f, eta = simulated_performance(params)
     f_given, eta_given = simulated_performance(params, uniform_two_photon_state())
     assert abs(f - f_given) <= 1e-15 and abs(eta - eta_given) <= 1e-15
 
 
-def test_cached_uniform_coefficients_are_read_only():
-    coefficients = analysis._uniform_coefficients()
-    assert coefficients is analysis._uniform_coefficients()
+def test_cached_uniform_input_is_shared_and_read_only():
+    joint = analysis._uniform_input()
+    assert joint is analysis._uniform_input()
+    assert joint.registers == uniform_two_photon_state().registers
+    assert np.array_equal(joint.amplitudes, uniform_two_photon_state().amplitudes)
     with pytest.raises(ValueError):
-        coefficients[0, 0, 0, 0, 0] = 1.0
+        joint.amplitudes[0] = 1.0
 
 
 def test_simulated_performance_at_zero_survival():
@@ -184,14 +186,6 @@ def test_simulated_sweep_matches_step_path_per_point():
         assert abs(point.eta_sim - eta) < 1e-12
 
 
-def engine_uniform_figures(r_cold, r_hot):
-    """The compiled engine on the default uniform input: the reference the
-    simulated sweep's exact form is pinned to."""
-    return analysis._simulated_figures(
-        r_cold, r_hot, analysis._uniform_coefficients(), analysis._uniform_reference()
-    )
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     mags=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
@@ -202,7 +196,8 @@ def test_uniform_figures_match_the_engine(mags, phases):
     # below this scale the engine's degree-8 survival leaves the normal floats
     assume(max(mags) == 0.0 or max(mags) >= 1e-30)
     r_cold, r_hot = (np.array([m * np.exp(1j * p)]) for m, p in zip(mags, phases))
-    f, eta = analysis._uniform_figures(r_cold, r_hot)
+    f = analysis._uniform_fidelity(r_cold, r_hot)
+    eta = ((abs(r_cold) ** 2 + abs(r_hot) ** 2) / 2) ** 4  # the closed-form efficiency
     want_f, want_eta = engine_uniform_figures(r_cold, r_hot)
     assert abs(eta[0] - want_eta[0]) <= 1e-12
     if math.isnan(want_f[0]):
@@ -215,8 +210,8 @@ def test_uniform_figures_match_the_engine(mags, phases):
 def test_uniform_figures_at_zero_survival(r_cold, r_hot):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no division warning escapes
-        f, eta = analysis._uniform_figures(np.array([r_cold]), np.array([r_hot]))
-    assert math.isnan(f[0]) and eta[0] == 0.0
+        f = analysis._uniform_fidelity(np.array([r_cold]), np.array([r_hot]))
+    assert math.isnan(f[0])
 
 
 @pytest.mark.parametrize("gamma", [0.02, 0.1, 0.3])
@@ -232,6 +227,17 @@ def test_simulated_sweep_matches_the_engine_on_the_default_lattice(gamma):
     assert len(f) == 101 * 101
     np.testing.assert_allclose(f, want_f, rtol=0, atol=1e-12)
     np.testing.assert_allclose(eta, want_eta, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0.02, 0.1, 0.3])
+def test_simulated_sweep_eta_is_bitwise_the_closed_form(gamma):
+    # eta_sim = (s/2)**4 is exactly the closed-form eta, so the sweep reuses
+    # that column rather than rounding the same number another way
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # side-leakage guidance
+        grid = sweep(gamma=gamma, include_simulation=True).grid
+    assert len(grid) == 101 * 101
+    assert [point.eta_sim for point in grid] == [point.eta_formula for point in grid]
 
 
 @pytest.mark.parametrize("gamma", [0.02, 0.3])

@@ -264,8 +264,7 @@ def test_simulated_sweep_never_runs_the_engine(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a simulated sweep ran the compiled gate engine")
 
-    monkeypatch.setattr(analysis, "_simulated_figures", refuse)
-    monkeypatch.setattr(analysis, "evaluate_branches", refuse)
+    monkeypatch.setattr(protocols, "_kraus_at", refuse)
     monkeypatch.setattr(protocols, "evaluate_branches", refuse)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # side-leakage guidance

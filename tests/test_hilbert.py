@@ -13,11 +13,9 @@ from hypercnot import (
     discard_register,
     fidelity_up_to_global_phase,
     measure,
-    measure_all_branches,
     normalize,
     outcome_weights,
     reorder_registers,
-    state_from_terms,
     tensor_product,
     tensor_state,
 )
@@ -25,8 +23,10 @@ from conftest import random_state, random_unitary, three_registers
 from oracles import (
     apply_operator_reference,
     embed_matrix,
+    measure_all_branches,
     outcome_slices_reference,
     outcome_weights_reference,
+    state_from_terms,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -383,3 +383,11 @@ def test_projection_and_discard_match_the_moveaxis_form(data, seed):
             discarded = discard_register(projected, label)
             assert discarded.labels == tuple(x for x in state.labels if x != label)
             assert np.array_equal(discarded.amplitudes, slices[outcome])
+        # measure projects the same way, then renormalizes
+        record, post = measure(state, label, rng=seed)
+        kept = outcome_slices_reference(post, label)
+        assert not kept[1 - record.outcome].any()
+        np.testing.assert_allclose(
+            kept[record.outcome] * np.sqrt(record.probability), slices[record.outcome],
+            rtol=0, atol=1e-15,
+        )

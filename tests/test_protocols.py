@@ -15,23 +15,20 @@ from hypercnot import (
     StateVector,
     analyze_hyper_bell,
     bell_decoding_table,
-    branch_outputs,
     element_matrix,
+    evaluate_branches,
     expected_truth_table_output,
     fidelity_up_to_global_phase,
     hyper_bell_state,
     hyper_cnot_checkpoints,
     hyper_cnot_state,
-    measure_all_branches,
     normalize,
     pass_matrix,
-    photon_columns,
     photon_state,
     prepare_cluster_stages,
     reorder_registers,
     spin_readout,
     spin_register,
-    state_from_terms,
     tensor_product,
     tensor_state,
     truth_table,
@@ -53,8 +50,10 @@ from oracles import (
     embed_matrix,
     gate_output_expected,
     hybrid_cz_expected,
+    measure_all_branches,
     pre_measurement_expected,
     random_amplitude_pair,
+    state_from_terms,
     step_gate_runs,
     target_scattered_expected,
 )
@@ -435,6 +434,12 @@ def canonical_amplitudes(state):
     return reorder_registers(state, PHOTON_LABELS).amplitudes
 
 
+def kraus_outputs(pair, joint):
+    """The Kraus operators evaluated at the pair itself, applied to a
+    two-photon input: its corrected, unnormalized branch outputs (2, 2, 16)."""
+    return evaluate_branches(pair.r_cold, pair.r_hot)[0] @ canonical_amplitudes(joint)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     mags=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
@@ -445,7 +450,7 @@ def canonical_amplitudes(state):
 def test_engine_branches_match_step_path(mags, phases, seed, order):
     pair = ReflectionPair(mags[0] * np.exp(1j * phases[0]), mags[1] * np.exp(1j * phases[1]))
     joint = random_state(tuple(PHOTON_REGS[i] for i in order), np.random.default_rng(seed))
-    out = branch_outputs([pair.r_cold], [pair.r_hot], photon_columns(joint))[0, ..., 0]
+    out = kraus_outputs(pair, joint)
     # the outputs are homogeneous of degree 4 in the pair (tested below), so
     # the step reference runs at the pair scaled by a power of two to unit
     # size, where its squared norms cannot underflow; only its survival takes
@@ -505,7 +510,7 @@ def test_engine_branches_carry_the_step_path_phases(pair, rng):
     # swapping r_cold and r_hot only flips the sign of the mixed-outcome
     # branches, which fidelities and norms cannot see; compare amplitudes
     joint = random_state(PHOTON_REGS, rng)
-    out = branch_outputs(pair.r_cold, pair.r_hot, photon_columns(joint))[0, ..., 0]
+    out = kraus_outputs(pair, joint)
     reference = step_gate_runs(joint, pair)
     runs = hyper_cnot_state(joint, pair)
     assert len(reference) == len(runs) == 4
@@ -639,7 +644,7 @@ def test_non_finite_input_never_reaches_the_gate(bad, monkeypatch):
     def gate(*args):
         raise AssertionError("a non-finite input reached the gate")
 
-    monkeypatch.setattr(protocols, "branch_outputs", gate)
+    monkeypatch.setattr(protocols, "evaluate_branches", gate)
     monkeypatch.setattr(protocols, "_kraus_at", gate)
     for position in range(16):
         amps = np.full(16, 0.25, dtype=complex)
@@ -655,7 +660,6 @@ def test_stages_are_interpreted_once_per_process(monkeypatch, rng):
         raise AssertionError("the gate stages were interpreted a second time")
 
     monkeypatch.setattr(protocols, "_compile_stages", interpret_again)
-    analysis._uniform_coefficients.cache_clear()  # rederived below, from the compiled gate
     pair = ReflectionPair.from_params(CavityParams(g=0.5))
     joint = random_state(PHOTON_REGS, rng)
     assert len(hyper_cnot_state(joint, pair)) == 4
@@ -671,7 +675,7 @@ def test_stages_are_interpreted_once_per_process(monkeypatch, rng):
 
 def test_engine_ideal_map_is_half_the_double_cnot():
     ideal = ReflectionPair.ideal()
-    kraus = branch_outputs([ideal.r_cold], [ideal.r_hot], np.eye(16))[0]
+    kraus = evaluate_branches([ideal.r_cold], [ideal.r_hot])[0]
     half_perm = 0.5 * cnot_cnot_permutation()
     for o1, o2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
         k = kraus[o1, o2]
@@ -683,13 +687,17 @@ def test_engine_ideal_map_is_half_the_double_cnot():
 def test_engine_batches_pairs_and_columns_independently(rng):
     pairs = [ReflectionPair.ideal(), ReflectionPair(-0.8j, 0.9), ReflectionPair(0.3, 0.7j)]
     inputs = [uniform_two_photon_state(), random_state(PHOTON_REGS, rng)]
-    columns = np.hstack([photon_columns(joint) for joint in inputs])
-    batched = branch_outputs([p.r_cold for p in pairs], [p.r_hot for p in pairs], columns)
-    assert batched.shape == (3, 2, 2, 16, 2)
+    columns = np.stack([joint.amplitudes for joint in inputs], axis=1)
+    batched = evaluate_branches([p.r_cold for p in pairs], [p.r_hot for p in pairs])
+    assert batched.shape == (3, 2, 2, 16, 16)
     for n, pair in enumerate(pairs):
+        single = evaluate_branches(pair.r_cold, pair.r_hot)
+        assert single.shape == (1, 2, 2, 16, 16)
+        np.testing.assert_allclose(batched[n], single[0], rtol=0, atol=1e-15)
         for c, joint in enumerate(inputs):
-            single = branch_outputs(pair.r_cold, pair.r_hot, photon_columns(joint))
-            np.testing.assert_allclose(batched[n, ..., c], single[0, ..., 0], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(
+                (batched[n] @ columns)[..., c], kraus_outputs(pair, joint), rtol=0, atol=1e-15
+            )
 
 
 @settings(max_examples=40, deadline=None)
@@ -706,9 +714,9 @@ def test_engine_outputs_are_homogeneous_of_degree_four(mags, phases, seed):
     rng = np.random.default_rng(seed)
     photons = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
     photons /= np.linalg.norm(photons, axis=0)
-    scaled = branch_outputs(s * r_cold, s * r_hot, photons)
+    scaled = evaluate_branches(s * r_cold, s * r_hot) @ photons
     np.testing.assert_allclose(
-        scaled, s**4 * branch_outputs(r_cold, r_hot, photons), rtol=0, atol=1e-12
+        scaled, s**4 * evaluate_branches(r_cold, r_hot) @ photons, rtol=0, atol=1e-12
     )
 
 
@@ -716,25 +724,30 @@ def test_engine_outputs_are_homogeneous_of_degree_four(mags, phases, seed):
 
 
 def test_kraus_operators_are_evaluated_once_per_pair(monkeypatch, rng):
-    # every single-state application at a pair shares one evaluation of the
-    # compiled polynomial, whatever the branch mode or the application
+    # every single-state application at a pair, and simulated_performance,
+    # share one evaluation of the compiled polynomial, whatever the branch
+    # mode, the application or the input
     evaluated = []
     evaluate = protocols.evaluate_branches
 
-    def counted(r_cold, r_hot, coefficients):
+    def counted(r_cold, r_hot):
         evaluated.append(np.array([r_cold, r_hot]).tobytes())
-        return evaluate(r_cold, r_hot, coefficients)
+        return evaluate(r_cold, r_hot)
 
     monkeypatch.setattr(protocols, "evaluate_branches", counted)
     protocols._kraus_for_bits.cache_clear()
     joint = random_state(PHOTON_REGS, rng)
-    for reflection in (ReflectionPair.from_params(CavityParams(g=1.56, kappa_s=0.2)), None):
+    params = CavityParams(g=1.56, kappa_s=0.2)
+    for reflection in (ReflectionPair.from_params(params), None):
         for seed in range(2):
             hyper_cnot_state(joint, reflection)
             hyper_cnot_state(joint, reflection, branch_mode="sample", seed=seed)
             truth_table(reflection)
             analyze_hyper_bell(HyperBellState(1, 2), reflection)
             prepare_cluster_stages(reflection)
+            # its physical and ideal runs at the same two pairs
+            analysis.simulated_performance(params)
+            analysis.simulated_performance(params, joint)
     assert len(evaluated) == len(set(evaluated)) == 2
 
 
@@ -760,7 +773,7 @@ def test_cached_kraus_operators_give_bitwise_outputs(rng):
     assert kraus.shape == (2, 2, 16, 16)
     with pytest.raises(ValueError):
         kraus[0, 0, 0, 0] = 1.0
-    fresh = protocols.evaluate_branches(pair.r_cold, pair.r_hot, protocols._kraus_coefficients())
+    fresh = protocols.evaluate_branches(pair.r_cold, pair.r_hot)
     assert kraus.tobytes() == fresh[0].tobytes()
 
 
@@ -790,7 +803,7 @@ def test_gate_runs_match_branch_outputs(mags, phases, seed, order):
     # photon-major (the identity order) and permuted inputs
     pair = ReflectionPair(mags[0] * np.exp(1j * phases[0]), mags[1] * np.exp(1j * phases[1]))
     joint = random_state(tuple(PHOTON_REGS[i] for i in order), np.random.default_rng(seed))
-    out = branch_outputs(pair.r_cold, pair.r_hot, photon_columns(joint))[0, ..., 0]
+    out = kraus_outputs(pair, joint)
     weights = np.sum(np.abs(out) ** 2, axis=2)
     survival = weights.sum()
     runs = hyper_cnot_state(joint, pair)
@@ -809,17 +822,16 @@ def test_gate_runs_match_branch_outputs(mags, phases, seed, order):
 
 
 def test_engine_input_validation():
-    with pytest.raises(ValueError):
-        branch_outputs([1.0], [1.0], np.ones((8, 1)))
-    with pytest.raises(ValueError):
-        branch_outputs([1.0, -1j], [1.0], np.ones((16, 1)))
-    with pytest.raises(ValueError):
-        photon_columns(photon_state("a", PLUS, PLUS))
+    with pytest.raises(ValueError, match="2 cold and 1 hot"):
+        evaluate_branches([1.0, -1j], [1.0])
+    params = CavityParams(g=1.56, kappa_s=0.2)
+    with pytest.raises(ValueError, match="missing registers"):
+        analysis.simulated_performance(params, photon_state("a", PLUS, PLUS))
     spoiled = tensor_product(
         uniform_two_photon_state(), tensor_state([(spin_register("e2"), (1, 0))])
     )
-    with pytest.raises(ValueError):
-        photon_columns(spoiled)
+    with pytest.raises(ValueError, match="internal spin register"):
+        analysis.simulated_performance(params, spoiled)
 
 
 # -- spin readout -----------------------------------------------------------------
