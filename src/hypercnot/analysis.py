@@ -23,13 +23,13 @@ rows, and formats each axis value once.
 The simulated figures are those of the full circuit with the complex
 reflection amplitudes. simulated_performance applies the gate's Kraus
 operators at the pair, cached per pair in protocols, to its input (the
-uniform state, built once per process, or any joint state), and again at
-the ideal pair for the reference output. For the uniform input the
-circuit-level figures have an exact closed form in the two complex
-reflections (_uniform_fidelity), and a simulated sweep computes its
-fidelity column from it in one vectorized pass over the lattice, without
-evaluating the gate; the tests hold it to the Kraus operators on random
-pairs and on whole lattices. Simulated efficiency is exactly the closed
+uniform state, built once per process, or any joint state), and takes the
+ideal (0, 0) Kraus operator times the same input as the reference output.
+For the uniform input the circuit-level figures have an exact closed form
+in the two complex reflections (_uniform_fidelity), and a simulated sweep
+computes its fidelity column from it in one vectorized pass over the
+lattice, without evaluating the gate; the tests hold it to the Kraus
+operators on random pairs and on whole lattices. Simulated efficiency is exactly the closed
 form's ((u**2 + v**2) / 2) ** 4 (norms ignore phases), so a simulated
 sweep's eta_sim column is its eta column. Simulated fidelity differs from
 the closed form in general: the closed form assumes ideal reflection
@@ -60,7 +60,7 @@ from .cavity import (
     reflect_hot,
 )
 from .hilbert import StateVector
-from .protocols import _gate_outputs, uniform_two_photon_state
+from .protocols import ZeroSurvivalError, _gate_outputs, _unit_kraus, uniform_two_photon_state
 
 
 @dataclass(frozen=True)
@@ -144,11 +144,14 @@ def simulated_performance(
     and ``(nan, 0.0)`` is returned.
     """
     joint = input_state if input_state is not None else _uniform_input()
-    ordered, outputs, _, total, survival = _gate_outputs(joint, ReflectionPair.from_params(params))
-    if total == 0.0:
+    try:
+        ordered, outputs, _, total, survival = _gate_outputs(
+            joint, ReflectionPair.from_params(params)
+        )
+    except ZeroSurvivalError:
         return math.nan, 0.0
-    # every ideal branch carries the same corrected output
-    ideal = _gate_outputs(ordered, None)[1][0, 0].reshape(-1)
+    # every ideal branch carries the same corrected output: the (0, 0) one
+    ideal = (_unit_kraus(None)[0][0, 0] @ ordered.amplitudes.reshape(16, -1)).reshape(-1)
     overlap2 = np.abs(outputs.reshape(4, -1) @ ideal.conj()) ** 2
     return float(overlap2.sum() / (np.sum(np.abs(ideal) ** 2) * total)), survival
 

@@ -27,6 +27,7 @@ discard_register view a register at position i as the middle axis of the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -107,8 +108,9 @@ class StateVector:
     def num_registers(self) -> int:
         return len(self.registers)
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
+        """Register labels in order, computed once per state."""
         return tuple(r.label for r in self.registers)
 
     @property

@@ -69,10 +69,16 @@ def conditional_element(
     when the control register carries ``control_value`` and the identity
     otherwise.
     """
+    block = conditional_matrix(kind, control_value)
+    return apply_operator(state, [control_label, target_label], block)
+
+
+def conditional_matrix(kind: ElementKind, control_value: int) -> np.ndarray:
+    """The 4x4 matrix of conditional_element on (control, target): the
+    identity, with the element in the control value's 2x2 corner."""
     if control_value not in (0, 1):
         raise ValueError(f"control_value must be a basis index (0 or 1), got {control_value}")
-    # the identity, with the element in the control value's 2x2 corner
     block = np.eye(4, dtype=np.complex128)
     corner = slice(2 * control_value, 2 * control_value + 2)
     block[corner, corner] = _MATRICES[kind]
-    return apply_operator(state, [control_label, target_label], block)
+    return block

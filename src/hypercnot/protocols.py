@@ -39,13 +39,22 @@ read-only. evaluate_branches gives the Kraus operators at N reflection
 pairs with one (N, 5) by (5, ...) contraction. Every circuit-level number
 takes one path: _kraus_at caches the four operators at a pair read-only,
 and _gate_outputs applies them to the input with one matrix product.
-hyper_cnot_state derives every GateRun from that product (survival,
-branch probabilities, final states and sampled outcomes); the truth
-table, the Bell analysis and the cluster preparation go through it, and
+hyper_cnot_state derives every GateRun from that product, all branches as
+one stack (survival, branch probabilities, final states and sampled
+outcomes); the truth table goes through it, and
 analysis.simulated_performance compares the product at the physical pair
-with the one at the ideal pair. A simulated sweep evaluates no gate: for
-the uniform input it uses the exact closed form in analysis, which the
-tests hold to the Kraus operators.
+with the ideal (0, 0) Kraus operator times the same input. A simulated
+sweep evaluates no gate: for the uniform input it uses the exact closed
+form in analysis, which the tests hold to the Kraus operators.
+
+The linear optics the applications place after the gate is fixed, so it
+is written once as tables (_BELL_ANALYSIS, and the three _CLUSTER_SEGMENTS)
+and compiled once per process, by interpreting each table on the
+identity, into a read-only 16x16 matrix on the photon registers. The Bell
+analysis multiplies the gate's first non-empty branch by its map and
+reads the four single-photon marginals off the product; the cluster
+preparation runs the gate once and then makes one matrix-vector product
+per checkpoint.
 
 The staged step view, hyper_cnot_checkpoints, takes the same input as
 hyper_cnot_state: a joint two-photon StateVector in any register order,
@@ -71,17 +80,15 @@ from .hilbert import (
     StateVector,
     apply_operator,
     attach_register,
-    basis_index,
     basis_names,
     basis_state,
     discard_register,
     measure,
-    outcome_weights,
     reorder_registers,
     tensor_product,
     tensor_state,
 )
-from .optics import ElementKind, apply_element, conditional_element, element_matrix
+from .optics import ElementKind, apply_element, conditional_matrix, element_matrix
 
 A_POL = "a.pol"
 A_SPATIAL = "a.spatial"
@@ -214,9 +221,12 @@ _GATE_DEGREE = 4
 _AXIS = {A_POL: 1, A_SPATIAL: 2, B_POL: 3, B_SPATIAL: 4, SPIN_1: 5, SPIN_2: 6}
 
 
-def _element(t: np.ndarray, kind: ElementKind, label: str) -> np.ndarray:
-    axis = _AXIS[label]
-    return np.moveaxis(np.tensordot(element_matrix(kind), t, axes=(1, axis)), 0, axis)
+def _apply(t: np.ndarray, matrix: np.ndarray, axes: list[int]) -> np.ndarray:
+    """A 2**k x 2**k matrix applied on k two-level axes of a tensor, its row
+    and column order following ``axes``, the first most significant."""
+    k = len(axes)
+    out = np.tensordot(matrix.reshape((2,) * 2 * k), t, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes)
 
 
 def _cavity_pass(t: np.ndarray, photon: str, spin: str) -> np.ndarray:
@@ -244,7 +254,10 @@ def _compile_stages() -> np.ndarray:
     t = t.reshape(_GATE_DEGREE + 1, 2, 2, 2, 2, 2, 2, 16)
     for _, ops in _STAGES:
         for kind, *labels in ops:
-            t = _cavity_pass(t, *labels) if kind is _CAVITY_PASS else _element(t, kind, *labels)
+            if kind is _CAVITY_PASS:
+                t = _cavity_pass(t, *labels)
+            else:
+                t = _apply(t, element_matrix(kind), [_AXIS[labels[0]]])
     # feed-forward: a down outcome flips the sign of its target's second basis state
     for spin, target in zip((SPIN_1, SPIN_2), _FEED_FORWARD_TARGETS):
         flipped = [slice(None)] * t.ndim
@@ -266,9 +279,10 @@ def _photon_major(joint: StateVector) -> StateVector:
     """A joint input with PHOTON_LABELS first, then any other registers in
     their input order."""
     _check_two_photon_input(joint)
-    if joint.labels[:4] == PHOTON_LABELS:
+    labels = joint.labels
+    if labels[:4] == PHOTON_LABELS:
         return joint
-    rest = [label for label in joint.labels if label not in PHOTON_LABELS]
+    rest = [label for label in labels if label not in PHOTON_LABELS]
     return reorder_registers(joint, list(PHOTON_LABELS) + rest)
 
 
@@ -312,6 +326,38 @@ def _kraus_for_bits(key: bytes) -> np.ndarray:
     kraus = evaluate_branches(r_cold, r_hot)[0]
     kraus.flags.writeable = False
     return kraus
+
+
+# -- the fixed optics after the gate ---------------------------------------
+
+# The linear optics the applications place after the gate, one table each,
+# read by _optics_map: (element kind, register) or, for an element sitting in
+# one path, (element kind, register, control register, control value).
+_BELL_ANALYSIS = ((ElementKind.HWP_H, A_POL), (ElementKind.BS, A_SPATIAL))
+# the three checkpoint segments of the cluster preparation
+_CLUSTER_SEGMENTS = (
+    ((ElementKind.HWP_H, A_POL), (ElementKind.BS, A_SPATIAL)),
+    ((ElementKind.HWP_PHASEFLIP, A_POL, A_SPATIAL, 1),),
+    ((ElementKind.HWP_H, B_POL), (ElementKind.BS, B_SPATIAL)),
+)
+
+
+@cache
+def _optics_map(table: tuple) -> np.ndarray:
+    """A table of fixed optics as one 16x16 matrix on the photon registers in
+    PHOTON_LABELS order, interpreted on the identity once per process and
+    kept read-only."""
+    t = np.eye(16, dtype=np.complex128).reshape(2, 2, 2, 2, 16)
+    for kind, label, *control in table:
+        if control:
+            control_label, value = control
+            axes = [PHOTON_LABELS.index(control_label), PHOTON_LABELS.index(label)]
+            t = _apply(t, conditional_matrix(kind, value), axes)
+        else:
+            t = _apply(t, element_matrix(kind), [PHOTON_LABELS.index(label)])
+    matrix = t.reshape(16, 16)
+    matrix.flags.writeable = False
+    return matrix
 
 
 # -- the hyper-CNOT gate -------------------------------------------------
@@ -364,29 +410,54 @@ def hyper_cnot_state(
     return next(runs) if branch_mode == "sample" else list(runs)
 
 
-def _gate_outputs(
-    joint: StateVector, reflection: ReflectionPair | None
-) -> tuple[StateVector, np.ndarray, np.ndarray, float, float]:
-    """The gate applied to a joint input at one reflection pair (None: ideal).
-
-    Returns the input with PHOTON_LABELS first, the corrected, unnormalized
-    branch outputs (2, 2, 16, m), their weights (2, 2), the weights' total
-    and the survival. The outputs are homogeneous of degree 4 in the pair,
-    so they are evaluated at the pair scaled by a power of two (exact) to
-    unit size, where the weights of tiny reflections cannot underflow; only
-    the survival takes the scale back.
-    """
+def _unit_kraus(reflection: ReflectionPair | None) -> tuple[np.ndarray, int]:
+    """The Kraus operators at the pair (None: ideal) scaled by a power of two
+    (exact) to unit size, and the exponent of that scale."""
     pair = reflection if reflection is not None else ReflectionPair.ideal()
     exponent = math.frexp(max(abs(pair.r_cold), abs(pair.r_hot)))[1]
     r_cold, r_hot = (
         complex(math.ldexp(r.real, -exponent), math.ldexp(r.imag, -exponent))
         for r in (pair.r_cold, pair.r_hot)
     )
+    return _kraus_at(r_cold, r_hot), exponent
+
+
+def _gate_outputs(
+    joint: StateVector, reflection: ReflectionPair | None
+) -> tuple[StateVector, np.ndarray, np.ndarray, float, float]:
+    """The gate applied to a joint input at one reflection pair (None: ideal).
+
+    Returns the input with PHOTON_LABELS first, the corrected, unnormalized
+    branch outputs (2, 2, 16, m), their weights (2, 2) with every empty
+    branch's set to zero, the weights' total and the survival. The outputs
+    are homogeneous of degree 4 in the pair, so they are evaluated at the
+    pair scaled by a power of two (exact) to unit size, where the weights of
+    tiny reflections cannot underflow; only the survival takes the scale
+    back. Raises ZeroSurvivalError when no amplitude reaches the spin
+    measurement.
+    """
     ordered = _photon_major(joint)
-    outputs = _kraus_at(r_cold, r_hot) @ ordered.amplitudes.reshape(16, -1)
+    kraus, exponent = _unit_kraus(reflection)
+    outputs = kraus @ ordered.amplitudes.reshape(16, -1)
     weights = np.sum(np.abs(outputs) ** 2, axis=(2, 3))
     total = float(weights.sum())
+    if total == 0.0:
+        raise ZeroSurvivalError(
+            "zero survival: no photon amplitude reaches the spin measurement, "
+            "so the gate output is undefined"
+        )
+    weights[weights <= BRANCH_FLOOR * total] = 0.0
     return ordered, outputs, weights, total, math.ldexp(total, _GATE_DEGREE * 2 * exponent)
+
+
+def _choose(rng: np.random.Generator, p: np.ndarray) -> int:
+    """``int(rng.choice(2, p=p))`` from the same single uniform draw.
+
+    For two outcomes Generator.choice builds cdf = p.cumsum(), divides it
+    by cdf[-1] and returns cdf.searchsorted(rng.random(), "right"), which is
+    1 exactly when cdf[0] <= the draw.
+    """
+    return int(p[0] / (p[0] + p[1]) <= rng.random())
 
 
 def _gate_runs(
@@ -395,43 +466,39 @@ def _gate_runs(
     branch_mode: str = "enumerate",
     seed: int | None = None,
 ) -> Iterator[GateRun]:
-    """hyper_cnot_state's runs, each built only when it is asked for: the
-    non-empty branches in outcome order, or the one sampled branch."""
+    """hyper_cnot_state's runs: the non-empty branches in outcome order, or
+    the one sampled branch. The branches are normalized, taken back to the
+    input's register order and given their probabilities as one stack; each
+    run's StateVector is built only when the run is asked for."""
     if branch_mode not in ("enumerate", "sample"):
         raise ValueError(f"branch_mode must be 'enumerate' or 'sample', got {branch_mode!r}")
     mode = "ideal" if reflection is None else "physical"
     ordered, outputs, weights, total, survival = _gate_outputs(joint, reflection)
-    if total == 0.0:
-        raise ZeroSurvivalError(
-            "zero survival: no photon amplitude reaches the spin measurement, "
-            "so the gate output is undefined"
-        )
-    weights[weights <= BRANCH_FLOOR * total] = 0.0
-
-    # axes that take a photon-major branch back to the input's register order
-    back = None if ordered is joint else [ordered.labels.index(label) for label in joint.labels]
-
-    def run(outcomes: tuple[int, int], seed: int | None) -> GateRun:
-        branch = outputs[outcomes]
-        if back is not None:
-            branch = branch.reshape((2,) * len(back)).transpose(back).reshape(-1)
-        final = StateVector(joint.registers, branch / np.sqrt(weights[outcomes]))
-        ops = tuple(label for label, outcome in zip(_FEED_FORWARD_TARGETS, outcomes) if outcome)
-        probability = float(weights[outcomes] / total)
-        return GateRun(mode, outcomes, ops, final, survival, probability, seed)
-
     if branch_mode == "sample":
         # the draws hilbert.measure makes on e1, then on e2 given e1, so a
         # seed selects the same branch as measuring the spins one by one
         rng = np.random.default_rng(seed)
         marginal = weights.sum(axis=1)
-        o1 = int(rng.choice(2, p=marginal / marginal.sum()))
-        o2 = int(rng.choice(2, p=weights[o1] / weights[o1].sum()))
-        yield run((o1, o2), seed)
-        return
-    for outcomes in product((0, 1), (0, 1)):
-        if weights[outcomes]:
-            yield run(outcomes, None)
+        o1 = _choose(rng, marginal / marginal.sum())
+        live = [2 * o1 + _choose(rng, weights[o1] / weights[o1].sum())]
+    else:
+        live = np.flatnonzero(weights).tolist()
+        seed = None  # enumerated runs carry no seed
+    # the live branches as one stack, indexed by 2 * e1 outcome + e2 outcome
+    weights = weights.reshape(4)[live]
+    finals = outputs.reshape(4, 16, -1)[live] / np.sqrt(weights)[:, None, None]
+    if ordered is not joint:
+        photon_major = ordered.labels
+        back = [photon_major.index(label) for label in joint.labels]
+        finals = finals.reshape((-1,) + (2,) * len(back)).transpose([0] + [1 + a for a in back])
+    finals = finals.reshape(len(live), -1)
+    probabilities = (weights / total).tolist()
+    for branch, final, probability in zip(live, finals, probabilities):
+        outcomes = divmod(branch, 2)
+        ops = tuple(label for label, outcome in zip(_FEED_FORWARD_TARGETS, outcomes) if outcome)
+        yield GateRun(
+            mode, outcomes, ops, StateVector(joint.registers, final), survival, probability, seed
+        )
 
 
 # -- spin readout --------------------------------------------------------
@@ -494,6 +561,15 @@ def expected_truth_table_output(input_names: tuple[str, str, str, str]) -> tuple
     return (pa, sa, pb_new, sb_new)
 
 
+@cache
+def _basis_inputs() -> tuple[tuple[tuple[str, ...], ...], tuple[StateVector, ...]]:
+    """The 16 photon basis states in index order, with their per-register
+    names, built once per process (a StateVector is immutable)."""
+    registers = photon_registers("a") + photon_registers("b")
+    names = tuple(basis_names(registers, index) for index in range(16))
+    return names, tuple(basis_state(registers, n) for n in names)
+
+
 def truth_table(reflection: ReflectionPair | None = None) -> list[TruthTableRow]:
     """Run all 16 basis inputs through the gate and decode each branch.
 
@@ -502,26 +578,23 @@ def truth_table(reflection: ReflectionPair | None = None) -> list[TruthTableRow]
     also carries the worst branch fidelity against that prediction, the
     squared magnitude of the output's amplitude on the predicted state.
     """
-    registers = photon_registers("a") + photon_registers("b")
-    rows = []
-    for names in product(("R", "L"), ("a1", "a2"), ("R", "L"), ("b1", "b2")):
-        expected_names = expected_truth_table_output(names)
-        expected = basis_index(registers, expected_names)
-        outputs = [
-            run.final_state.amplitudes
-            for run in hyper_cnot_state(basis_state(registers, names), reflection)
-        ]
-        observed = [basis_names(registers, int(np.argmax(np.abs(amps)))) for amps in outputs]
-        rows.append(
-            TruthTableRow(
-                input_names=names,
-                expected_names=expected_names,
-                observed_names=observed[0],
-                ok=all(got == expected_names for got in observed),
-                min_fidelity=min(float(abs(amps[expected]) ** 2) for amps in outputs),
-            )
-        )
-    return rows
+    names, inputs = _basis_inputs()
+    index_of = {n: index for index, n in enumerate(names)}
+    expected_names = [expected_truth_table_output(n) for n in names]
+    runs = [hyper_cnot_state(joint, reflection) for joint in inputs]
+    # every branch of every row as one stack, decoded at once
+    counts = [len(row) for row in runs]
+    starts = np.cumsum([0] + counts[:-1])
+    outputs = np.array([run.final_state.amplitudes for row in runs for run in row])
+    expected = np.repeat([index_of[n] for n in expected_names], counts)
+    observed = np.argmax(np.abs(outputs), axis=1)
+    ok = np.logical_and.reduceat(observed == expected, starts).tolist()
+    fidelity = np.abs(outputs[np.arange(len(outputs)), expected]) ** 2
+    min_fidelity = np.minimum.reduceat(fidelity, starts).tolist()
+    return [
+        TruthTableRow(names[i], expected_names[i], names[observed[start]], ok[i], min_fidelity[i])
+        for i, start in enumerate(starts)
+    ]
 
 
 # -- cluster-state preparation ---------------------------------------------
@@ -549,19 +622,16 @@ def prepare_cluster_stages(reflection: ReflectionPair | None = None) -> ClusterS
     """Cluster preparation with intermediate checkpoints.
 
     Starts from (R+L)(path1+path2)/2 on photon a and R, path1 on photon b,
-    runs the gate (the up,up branch), then Hadamards on photon a, the
-    path-controlled polarization sign flip, and Hadamards on photon b.
+    runs the gate (its first non-empty branch, up,up in ideal mode), then
+    the _CLUSTER_SEGMENTS, each one product with its compiled map:
+    Hadamards on photon a, the path-controlled polarization sign flip, and
+    Hadamards on photon b.
     """
-    bell = next(_gate_runs(_cluster_input(), reflection)).final_state
-
-    st = apply_element(bell, ElementKind.HWP_H, A_POL)
-    st = apply_element(st, ElementKind.BS, A_SPATIAL)
-    after_h = st
-    st = conditional_element(st, ElementKind.HWP_PHASEFLIP, A_POL, A_SPATIAL, 1)
-    after_flip = st
-    st = apply_element(st, ElementKind.HWP_H, B_POL)
-    st = apply_element(st, ElementKind.BS, B_SPATIAL)
-    return ClusterStages(bell, after_h, after_flip, st)
+    stages = [next(_gate_runs(_cluster_input(), reflection)).final_state]
+    for segment in _CLUSTER_SEGMENTS:
+        amplitudes = _optics_map(segment) @ stages[-1].amplitudes
+        stages.append(StateVector(stages[0].registers, amplitudes))
+    return ClusterStages(*stages)
 
 
 # -- hyperentangled Bell states and their analysis ---------------------------
@@ -598,17 +668,26 @@ _BELL_AMPLITUDES = np.array(
 # more than this below 1
 _DETERMINISTIC_TOL = 1e-9
 
+# the axes summed over for each photon register's marginal, on the analysed
+# branch with shape (2, 2, 2, 2, spectator amplitudes)
+_OTHER_AXES = tuple(tuple(a for a in range(5) if a != axis) for axis in range(4))
+
 
 def hyper_bell_state(pol_index: int, spatial_index: int) -> StateVector:
-    """Build the hyperentangled Bell state over both photons' registers."""
-    spec = HyperBellState(pol_index, spatial_index)
-    pol, spatial = (
-        _BELL_AMPLITUDES[index].astype(np.complex128).reshape(2, 2)
-        for index in (spec.pol_index, spec.spatial_index)
-    )
-    # axes a.pol, b.pol, a.spatial, b.spatial, taken to PHOTON_LABELS order
-    amplitudes = np.multiply.outer(pol, spatial).transpose(0, 2, 1, 3)
-    return StateVector(photon_registers("a") + photon_registers("b"), amplitudes)
+    """The hyperentangled Bell state over both photons' registers."""
+    return _bell_states()[HyperBellState(pol_index, spatial_index).combined_index]
+
+
+@cache
+def _bell_states() -> tuple[StateVector, ...]:
+    """The 16 hyperentangled Bell states in combined-index order, built once
+    per process (a StateVector is immutable, so every caller shares them)."""
+    registers = photon_registers("a") + photon_registers("b")
+    pairs = _BELL_AMPLITUDES.astype(np.complex128).reshape(4, 2, 2)
+    # axes pol index, a.pol, b.pol, spatial index, a.spatial, b.spatial, taken
+    # to the indices, then PHOTON_LABELS order
+    amplitudes = np.multiply.outer(pairs, pairs).transpose(0, 3, 1, 4, 2, 5).reshape(16, 16)
+    return tuple(StateVector(registers, column) for column in amplitudes)
 
 
 @dataclass(frozen=True)
@@ -627,22 +706,19 @@ class BellAnalysis:
     min_outcome_probability: float
 
 
-def _disentangled_state(state: StateVector, reflection: ReflectionPair | None) -> StateVector:
-    st = next(_gate_runs(state, reflection)).final_state
-    st = apply_element(st, ElementKind.HWP_H, A_POL)
-    return apply_element(st, ElementKind.BS, A_SPATIAL)
-
-
-def _measurement_pattern(state: StateVector) -> tuple[tuple[str, ...], float]:
-    names = []
-    min_prob = 1.0
-    for label in PHOTON_LABELS:
-        weights = outcome_weights(state, label)
-        total = weights.sum()
-        outcome = int(np.argmax(weights))
-        names.append(state.register(label).basis_names[outcome])
-        min_prob = min(min_prob, float(weights[outcome] / total))
-    return tuple(names), min_prob
+def _bell_pattern(
+    state: StateVector, reflection: ReflectionPair | None
+) -> tuple[tuple[str, ...], float]:
+    """The likelier outcome of each photon register, and the least of their
+    probabilities, after the gate's first non-empty branch and the compiled
+    _BELL_ANALYSIS optics; any other registers are summed over."""
+    ordered, outputs, weights, _, _ = _gate_outputs(state, reflection)
+    branch = outputs.reshape(4, 16, -1)[np.flatnonzero(weights)[0]]
+    probabilities = (np.abs(_optics_map(_BELL_ANALYSIS) @ branch) ** 2).reshape(2, 2, 2, 2, -1)
+    marginals = np.array([probabilities.sum(axis=others) for others in _OTHER_AXES])
+    outcomes = np.argmax(marginals, axis=1)
+    names = tuple(reg.basis_names[o] for reg, o in zip(ordered.registers, outcomes))
+    return names, float(np.min(marginals[range(4), outcomes] / marginals.sum(axis=1)))
 
 
 @lru_cache(maxsize=1)
@@ -654,9 +730,7 @@ def bell_decoding_table() -> dict[tuple[str, str, str, str], tuple[int, int]]:
     """
     table: dict[tuple[str, str, str, str], tuple[int, int]] = {}
     for pol, spatial in product(range(4), range(4)):
-        pattern, _ = _measurement_pattern(
-            _disentangled_state(hyper_bell_state(pol, spatial), None)
-        )
+        pattern, _ = _bell_pattern(hyper_bell_state(pol, spatial), None)
         if pattern in table:
             raise AssertionError(f"decoding collision at pattern {pattern}")
         table[pattern] = (pol, spatial)
@@ -678,7 +752,7 @@ def analyze_hyper_bell(
         state = hyper_bell_state(state.pol_index, state.spatial_index)
     if abs(state.norm2 - 1.0) > 1e-9:
         raise ValueError("analysis input must be normalized")
-    pattern, min_prob = _measurement_pattern(_disentangled_state(state, reflection))
+    pattern, min_prob = _bell_pattern(state, reflection)
     decoded = bell_decoding_table().get(pattern)
     return BellAnalysis(
         pol_index=decoded[0] if decoded else None,

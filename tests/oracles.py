@@ -2,14 +2,18 @@
 
 Everything here is assembled directly from amplitude bookkeeping (closed
 forms of the staged circuit) or brute-force index arithmetic, never by
-running the circuit under test. There are two exceptions. step_gate_runs,
+running the circuit under test. There are three exceptions. step_gate_runs,
 the reference for the compiled gate, runs the staged step view on the joint
 input it is given, then measures and corrects the pre-measurement state one
 register at a time. Since it goes through the hilbert kernels, those
 kernels have their own references here, written in their first (tensordot
-and moveaxis) form. engine_uniform_figures evaluates the compiled gate's
-Kraus operators at many pairs at once: it is the reference for the exact
-uniform-input form, and the tests hold the compiled gate to step_gate_runs.
+and moveaxis) form. step_bell_pattern and step_cluster_stages, the
+references for the compiled Bell analysis and cluster preparation, take
+the first branch step_gate_runs keeps and apply the optics after the gate
+one element at a time. engine_uniform_figures evaluates the compiled
+gate's Kraus operators at many pairs at once: it is the reference for the
+exact uniform-input form, and the tests hold the compiled gate to
+step_gate_runs.
 """
 
 from __future__ import annotations
@@ -18,11 +22,15 @@ import numpy as np
 
 from hypercnot import (
     CavityParams,
+    ClusterStages,
+    ElementKind,
     GateRun,
     ReflectionPair,
     StateVector,
+    apply_element,
     apply_operator,
     basis_index,
+    conditional_element,
     discard_register,
     evaluate_branches,
     hyper_cnot_checkpoints,
@@ -30,11 +38,14 @@ from hypercnot import (
     normalize,
     outcome_weights,
     photon_registers,
+    photon_state,
     reflect_cold,
     reflect_hot,
     spin_register,
+    tensor_product,
     uniform_two_photon_state,
 )
+from hypercnot.protocols import BRANCH_FLOOR
 
 SQ2 = np.sqrt(2.0)
 
@@ -402,6 +413,52 @@ def step_gate_runs(joint: StateVector, reflection=None, branch_mode="enumerate",
             )
         )
     return runs
+
+
+def _first_step_branch(joint: StateVector, reflection) -> StateVector:
+    """The final state of the first branch step_gate_runs keeps above the
+    gate's round-off floor, as the library's first run is."""
+    return next(
+        run.final_state
+        for run in step_gate_runs(joint, reflection)
+        if run.branch_probability > BRANCH_FLOOR
+    )
+
+
+def step_bell_pattern(state: StateVector, reflection=None) -> tuple[tuple[str, ...], float]:
+    """The Bell analysis on the step path: analyze_hyper_bell's pattern and
+    least single-photon outcome probability.
+
+    The first branch of the gate, then HWP_H on a.pol and BS on a.spatial
+    one apply_element at a time; each photon register's outcome is the
+    likelier one of its outcome_weights.
+    """
+    st = _first_step_branch(state, reflection)
+    st = apply_element(st, ElementKind.HWP_H, "a.pol")
+    st = apply_element(st, ElementKind.BS, "a.spatial")
+    names = []
+    min_prob = 1.0
+    for reg in PHOTON_REGS:
+        weights = outcome_weights(st, reg.label)
+        outcome = int(np.argmax(weights))
+        names.append(st.register(reg.label).basis_names[outcome])
+        min_prob = min(min_prob, float(weights[outcome] / weights.sum()))
+    return tuple(names), min_prob
+
+
+def step_cluster_stages(reflection=None) -> ClusterStages:
+    """The cluster preparation on the step path: the first branch of the gate
+    on (R+L)(a1+a2)/2 times R, b1, then Hadamards on photon a, the
+    path-controlled polarization sign flip and Hadamards on photon b, one
+    element at a time."""
+    plus = (1 / SQ2, 1 / SQ2)
+    joint = tensor_product(photon_state("a", plus, plus), photon_state("b", (1, 0), (1, 0)))
+    bell = _first_step_branch(joint, reflection)
+    st = apply_element(bell, ElementKind.HWP_H, "a.pol")
+    after_h = apply_element(st, ElementKind.BS, "a.spatial")
+    after_flip = conditional_element(after_h, ElementKind.HWP_PHASEFLIP, "a.pol", "a.spatial", 1)
+    st = apply_element(after_flip, ElementKind.HWP_H, "b.pol")
+    return ClusterStages(bell, after_h, after_flip, apply_element(st, ElementKind.BS, "b.spatial"))
 
 
 def engine_uniform_figures(r_cold, r_hot, chunk: int = 512) -> tuple[np.ndarray, np.ndarray]:

@@ -150,6 +150,25 @@ def test_cached_uniform_input_is_shared_and_read_only():
         joint.amplitudes[0] = 1.0
 
 
+def test_simulated_performance_applies_the_gate_once(monkeypatch, rng):
+    # the ideal reference is the ideal (0, 0) Kraus operator times the input,
+    # not a second gate application
+    calls = []
+    outputs = analysis._gate_outputs
+
+    def counted(joint, reflection):
+        calls.append(reflection)
+        return outputs(joint, reflection)
+
+    monkeypatch.setattr(analysis, "_gate_outputs", counted)
+    params = CavityParams(g=1.56, kappa_s=0.2)
+    joint = random_state(uniform_two_photon_state().registers, rng)
+    f, eta = simulated_performance(params, joint)
+    assert calls == [ReflectionPair.from_params(params)]
+    want = step_path_figures(params, joint)
+    assert abs(f - want[0]) < 1e-12 and abs(eta - want[1]) < 1e-12
+
+
 def test_simulated_performance_at_zero_survival():
     # matched side leakage on resonance: both reflections vanish
     f, eta = simulated_performance(CavityParams(g=0.0, kappa_s=1.0, detuning=0.0))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,18 @@ def test_duplicate_labels_rejected():
 
 
 # -- tensor_state -----------------------------------------------------------
+
+
+def test_labels_are_computed_once_per_state(rng):
+    state = random_state(three_registers(), rng)
+    assert state.labels == tuple(r.label for r in state.registers) == ("q0", "q1", "q2")
+    assert state.labels is state.labels
+    # a replaced state computes its own labels
+    moved = dataclasses.replace(state, registers=state.registers[::-1])
+    assert moved.labels == ("q2", "q1", "q0")
+    assert state.labels == ("q0", "q1", "q2")
+    copy = dataclasses.replace(state)
+    assert copy.labels == state.labels and copy.labels is not state.labels
 
 
 def test_tensor_state_spin_pair():

@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercnot import (
@@ -35,7 +35,7 @@ from hypercnot import (
     uniform_two_photon_state,
     ZeroSurvivalError,
 )
-from hypercnot import analysis, protocols
+from hypercnot import analysis, hilbert, optics, protocols
 from hypercnot.cavity import CavityParams, scatter_matrix
 from hypercnot.protocols import BRANCH_FLOOR
 from conftest import random_state
@@ -54,6 +54,8 @@ from oracles import (
     pre_measurement_expected,
     random_amplitude_pair,
     state_from_terms,
+    step_bell_pattern,
+    step_cluster_stages,
     step_gate_runs,
     target_scattered_expected,
 )
@@ -548,6 +550,33 @@ def test_sampling_repeats_the_step_path_draws(pair, rng):
         assert run.spin_outcomes == ref.spin_outcomes, seed
 
 
+_SAMPLER_WEIGHTS = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1.0, allow_subnormal=True),
+    st.sampled_from([5e-324, 1e-320, 2.2e-308]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.tuples(_SAMPLER_WEIGHTS, _SAMPLER_WEIGHTS).filter(lambda w: sum(w) > 0.0),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(weights=(0.0, 1.0), seed=0)
+@example(weights=(1.0, 0.0), seed=0)
+@example(weights=(5e-324, 5e-324), seed=1)
+@example(weights=(5e-324, 1.0), seed=2)
+@example(weights=(1e-310, 3e-310), seed=3)
+def test_single_draw_sampler_is_generator_choice(weights, seed):
+    # the gate's sampler picks what Generator.choice picks from the same
+    # seed, and consumes the same single draw
+    w = np.array(weights)
+    p = w / w.sum()
+    ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert protocols._choose(ours, p) == int(reference.choice(2, p=p))
+    assert ours.random() == reference.random()
+
+
 @pytest.mark.parametrize("kappa_s", [0.0, 0.3])
 def test_round_off_branches_are_empty(kappa_s, rng):
     # at g = 0 both reflections are equal and three branches are empty in
@@ -918,6 +947,18 @@ def test_cluster_stage_checkpoints():
     assert fidelity_up_to_global_phase(stages.cluster, cluster_expected()) >= 1 - FID_TOL
 
 
+@settings(max_examples=30, deadline=None)
+@given(g=st.floats(0.05, 3.0), kappa_s=st.floats(0.0, 1.2))
+def test_cluster_stages_match_step_path(g, kappa_s):
+    for pair in (None, ReflectionPair.from_params(CavityParams(g=g, kappa_s=kappa_s))):
+        stages = prepare_cluster_stages(pair)
+        reference = step_cluster_stages(pair)
+        for name in ("hyper_bell", "after_control_hadamards", "after_conditional_flip", "cluster"):
+            got, want = getattr(stages, name), getattr(reference, name)
+            assert got.registers == want.registers
+            np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=0, atol=1e-12)
+
+
 def test_cluster_final_state():
     cluster = prepare_cluster_stages().cluster
     assert fidelity_up_to_global_phase(cluster, cluster_expected()) >= 1 - FID_TOL
@@ -996,6 +1037,46 @@ def test_non_bell_input_is_flagged():
     result = analyze_hyper_bell(skewed)
     assert not result.deterministic
     assert result.min_outcome_probability < 1 - 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=st.floats(0.05, 3.0), kappa_s=st.floats(0.0, 1.2), seed=st.integers(0, 2**32 - 1))
+def test_bell_analysis_matches_step_path(g, kappa_s, seed):
+    # the 16 Bell states and a random non-Bell input whose registers are out
+    # of photon-major order and include a spectator, which is summed over
+    a_pol, a_spatial, b_pol, b_spatial = PHOTON_REGS
+    spectator = Register("c", ("0", "1"))
+    mixed = random_state(
+        (b_spatial, spectator, a_pol, b_pol, a_spatial), np.random.default_rng(seed)
+    )
+    inputs = [hyper_bell_state(p, s) for p in range(4) for s in range(4)] + [mixed]
+    table = bell_decoding_table()
+    for pair in (None, ReflectionPair.from_params(CavityParams(g=g, kappa_s=kappa_s))):
+        for state in inputs:
+            result = analyze_hyper_bell(state, pair)
+            pattern, min_prob = step_bell_pattern(state, pair)
+            assert result.pattern == pattern
+            assert (result.pol_index, result.spatial_index) == table.get(pattern, (None, None))
+            assert result.deterministic == (min_prob >= 1 - 1e-9)
+            assert abs(result.min_outcome_probability - min_prob) <= 1e-12
+
+
+def test_applications_apply_no_operator_after_the_input(monkeypatch):
+    # the Bell analysis, its decoding table and the cluster preparation apply
+    # compiled maps: no step of theirs goes through apply_operator
+    def refuse(*args):
+        raise AssertionError("an application stepped a StateVector through apply_operator")
+
+    for module in (hilbert, optics, protocols):
+        monkeypatch.setattr(module, "apply_operator", refuse)
+    protocols._optics_map.cache_clear()
+    bell_decoding_table.cache_clear()
+    assert len(bell_decoding_table()) == 16
+    pair = ReflectionPair.from_params(CavityParams(g=1.56, kappa_s=0.2))
+    for reflection in (None, pair):
+        result = analyze_hyper_bell(HyperBellState(2, 1), reflection)
+        assert (result.pol_index, result.spatial_index) == (2, 1)
+        prepare_cluster_stages(reflection)
 
 
 def test_analysis_rejects_unnormalized_input():
