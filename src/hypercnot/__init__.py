@@ -30,7 +30,7 @@ from .cavity import (
     reflect_hot,
     scatter_matrix,
 )
-from .optics import ElementKind, apply_element, conditional_element, element_matrix
+from .optics import ElementKind, element_matrix
 from .protocols import (
     BellAnalysis,
     ClusterStages,
@@ -44,7 +44,6 @@ from .protocols import (
     hyper_bell_state,
     hyper_cnot_checkpoints,
     hyper_cnot_state,
-    pass_matrix,
     photon_registers,
     photon_state,
     prepare_cluster_stages,

@@ -4,7 +4,7 @@ Each element is an exact constant matrix bound to a circuit symbol; there
 are no tunable wave-plate angles. The circular-basis polarizing beam
 splitter (CPBS) has no entry: it routes R and L into distinct physical
 paths, and every CPBS/half-wave-plate/cavity sandwich is folded into the
-single cavity-pass operator (see protocols.pass_matrix).
+single cavity-pass diagonal (see protocols._PASS_COLD and _PASS_TURNED).
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 from enum import Enum
 
 import numpy as np
-
-from .hilbert import StateVector, apply_operator
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -52,30 +50,11 @@ def element_matrix(kind: ElementKind) -> np.ndarray:
     return _MATRICES[kind].copy()
 
 
-def apply_element(state: StateVector, kind: ElementKind, target_label: str) -> StateVector:
-    return apply_operator(state, [target_label], element_matrix(kind))
-
-
-def conditional_element(
-    state: StateVector,
-    kind: ElementKind,
-    target_label: str,
-    control_label: str,
-    control_value: int,
-) -> StateVector:
-    """Apply an element on the target only in one control basis branch.
-
-    Models a wave plate sitting in a single spatial path: the element acts
-    when the control register carries ``control_value`` and the identity
-    otherwise.
-    """
-    block = conditional_matrix(kind, control_value)
-    return apply_operator(state, [control_label, target_label], block)
-
-
 def conditional_matrix(kind: ElementKind, control_value: int) -> np.ndarray:
-    """The 4x4 matrix of conditional_element on (control, target): the
-    identity, with the element in the control value's 2x2 corner."""
+    """The 4x4 matrix on (control, target) of an element that acts on the
+    target only in one control basis branch, as a wave plate sitting in a
+    single spatial path does: the identity, with the element in the control
+    value's 2x2 corner."""
     if control_value not in (0, 1):
         raise ValueError(f"control_value must be a basis index (0 or 1), got {control_value}")
     block = np.eye(4, dtype=np.complex128)

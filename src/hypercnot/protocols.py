@@ -10,13 +10,14 @@ to the second spin. The spatial pass hides the polarization from the cavity
 with a CPBS / bit-flip-plate sandwich: the two polarization components are
 routed so that both scatter in the same circular branch, which turns the
 pass into a pure (path, spin) interaction. Composed, both passes reduce to
-the same diagonal on (path-or-pol, spin), built directly by pass_matrix:
+the same diagonal on (path-or-pol, spin), written once in the _PASS_COLD
+and _PASS_TURNED tables:
 
     diag(r_cold, r_hot, -i r_hot, -i r_cold)
 
 where the -i comes from the phase plate placed in the second path (spatial
-pass) or acting on L (polarization pass). The tests derive this diagonal
-from the sandwich pieces once. With the ideal reflections (-i, 1) this is
+pass) or acting on L (polarization pass). The tests hold the tables to the
+sandwich pieces. With the ideal reflections (-i, 1) this is
 diag(-i, 1, -i, -1): a controlled-Z up to a spin-local phase that the spin
 preparation absorbs.
 
@@ -30,37 +31,37 @@ One compiled gate
 -----------------
 The 14 stages are written once, in the _STAGES table. Each of the four
 cavity passes multiplies every amplitude by exactly one of r_cold and r_hot,
-so every corrected branch output is a homogeneous degree-4 polynomial,
-sum_k r_cold**k r_hot**(4 - k) C_k. The stages are interpreted once per
-process on the identity, on a tensor whose axis 0 is the power of r_cold,
-with the feed-forward folded in: the result is the coefficients of the
-gate's four 16x16 Kraus operators, one per spin-outcome pair, kept
-read-only. evaluate_branches gives the Kraus operators at N reflection
-pairs with one (N, 5) by (5, ...) contraction. Every circuit-level number
-takes one path: _kraus_at caches the four operators at a pair read-only,
-and _gate_outputs applies them to the input with one matrix product.
-hyper_cnot_state derives every GateRun from that product, all branches as
-one stack (survival, branch probabilities, final states and sampled
-outcomes); the truth table goes through it, and
-analysis.simulated_performance compares the product at the physical pair
-with the ideal (0, 0) Kraus operator times the same input. A simulated
-sweep evaluates no gate: for the uniform input it uses the exact closed
-form in analysis, which the tests hold to the Kraus operators.
+so every amplitude after j passes is a homogeneous degree-j polynomial,
+sum_k r_cold**k r_hot**(j - k) C_k. One interpreter, _interpret, reads every
+circuit table. It runs the stages once per process on the identity, on a
+tensor whose axis 0 is the power of r_cold, and keeps the coefficients at
+each named checkpoint; the pre_measurement ones, with the spins projected
+and the feed-forward folded in, are the coefficients of the gate's four
+16x16 Kraus operators, one per spin-outcome pair. All are kept read-only.
+evaluate_branches gives the Kraus operators at N reflection pairs with one
+(N, 5) by (5, ...) contraction. Every circuit-level number takes one path:
+_kraus_at caches the four operators at a pair read-only, and _gate_outputs
+applies them to the input with one matrix product. hyper_cnot_state derives
+every GateRun from that product, all branches as one stack (survival, branch
+probabilities, final states and sampled outcomes); the truth table goes
+through it, and analysis.simulated_performance compares the product at the
+physical pair with the ideal (0, 0) Kraus operator times the same input. A
+simulated sweep evaluates no gate: for the uniform input it uses the exact
+closed form in analysis, which the tests hold to the Kraus operators.
 
-The linear optics the applications place after the gate is fixed, so it
-is written once as tables (_BELL_ANALYSIS, and the three _CLUSTER_SEGMENTS)
-and compiled once per process, by interpreting each table on the
-identity, into a read-only 16x16 matrix on the photon registers. The Bell
-analysis multiplies the gate's first non-empty branch by its map and
-reads the four single-photon marginals off the product; the cluster
-preparation runs the gate once and then makes one matrix-vector product
-per checkpoint.
+The linear optics the applications place after the gate is fixed, so it is
+written once as tables (_BELL_ANALYSIS, and the three _CLUSTER_SEGMENTS) and
+compiled once per process, by the same interpreter on the identity, into a
+read-only 16x16 matrix on the photon registers. The Bell analysis multiplies
+the gate's first non-empty branch by its map and reads the four
+single-photon marginals off the product; the cluster preparation runs the
+gate once and then makes one matrix-vector product per checkpoint.
 
-The staged step view, hyper_cnot_checkpoints, takes the same input as
+The staged checkpoints, hyper_cnot_checkpoints, take the same input as
 hyper_cnot_state: a joint two-photon StateVector in any register order,
-possibly with spectator registers. It pushes that input through the same
-table one operator at a time, yields the named checkpoints, and is the
-reference the compiled gate is tested against.
+possibly with spectator registers. Each checkpoint is its coefficients
+evaluated at the pair times the input. The tests hold the checkpoints and
+the gate to a step path that applies _STAGES one operator at a time.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ from .hilbert import (
     tensor_product,
     tensor_state,
 )
-from .optics import ElementKind, apply_element, conditional_matrix, element_matrix
+from .optics import ElementKind, conditional_matrix, element_matrix
 
 A_POL = "a.pol"
 A_SPATIAL = "a.spatial"
@@ -131,21 +132,11 @@ def uniform_two_photon_state() -> StateVector:
 
 # One cavity pass is diagonal on (path-or-polarization, spin), basis order
 # (0, up), (0, down), (1, up), (1, down). Entry j is r_cold where
-# _PASS_COLD[j], else r_hot, times -i where _PASS_TURNED[j]. The step view
-# (pass_matrix) and the compile (_cavity_pass) both read this table.
+# _PASS_COLD[j], else r_hot, times -i where _PASS_TURNED[j]. The compile
+# (_cavity_pass) reads this table; the tests build the pass matrix from it
+# and hold that to the CPBS / plate sandwich.
 _PASS_COLD = (True, False, False, True)
 _PASS_TURNED = (False, False, True, True)
-
-
-def pass_matrix(reflection: ReflectionPair | None = None) -> np.ndarray:
-    """Operator of one cavity pass on (path-or-polarization, spin).
-
-    ``diag(r_cold, r_hot, -i r_hot, -i r_cold)`` for both kinds of pass (see
-    the module docstring); ``reflection=None`` selects the ideal pair.
-    """
-    refl = reflection if reflection is not None else ReflectionPair.ideal()
-    entries = [refl.r_cold if cold else refl.r_hot for cold in _PASS_COLD]
-    return np.diag([-1j * r if turned else r for r, turned in zip(entries, _PASS_TURNED)])
 
 
 # -- the circuit, written once ---------------------------------------------
@@ -155,8 +146,9 @@ _CAVITY_PASS = "cavity pass"
 
 # The circuit from the spin preparation to the spin measurement: each named
 # checkpoint with the operations that lead to it, either (element kind,
-# register) or (_CAVITY_PASS, photon, spin). The staged step view
-# (hyper_cnot_checkpoints) and the compile (_compile_stages) both read it.
+# register) or (_CAVITY_PASS, photon, spin). _compile_stages interprets it
+# once per process, keeping the coefficients at every checkpoint for
+# hyper_cnot_checkpoints and the Kraus coefficients for the gate.
 _STAGES = (
     ("spins_prepared", ((ElementKind.SPIN_ROT_PLUS, SPIN_1), (ElementKind.SPIN_ROT_PLUS, SPIN_2))),
     ("control_spatial", ((_CAVITY_PASS, A_SPATIAL, SPIN_1),)),
@@ -182,97 +174,89 @@ def _check_two_photon_input(joint: StateVector) -> None:
             raise ValueError(f"input already contains the internal spin register {spin!r}")
 
 
-# -- the staged step view ------------------------------------------------
-
-
-def hyper_cnot_checkpoints(
-    joint: StateVector, reflection: ReflectionPair | None = None
-) -> dict[str, StateVector]:
-    """Named intermediate states of the circuit, for staged regression tests.
-
-    Takes the same joint two-photon input as hyper_cnot_state, in any
-    register order and with any spectator registers. Runs _STAGES one
-    operator at a time, up to (not including) the spin measurement, and
-    returns the state at every checkpoint: the input's registers in input
-    order, then e1 and e2.
-    """
-    _check_two_photon_input(joint)
-    st = attach_register(joint, spin_register(SPIN_1), (1, 0))
-    st = attach_register(st, spin_register(SPIN_2), (1, 0))
-    cavity_pass = pass_matrix(reflection)
-    stages: dict[str, StateVector] = {}
-    for name, ops in _STAGES:
-        for kind, *labels in ops:
-            if kind is _CAVITY_PASS:
-                st = apply_operator(st, labels, cavity_pass)
-            else:
-                st = apply_element(st, kind, *labels)
-        stages[name] = st
-    return stages
-
-
-# -- the compiled gate ---------------------------------------------------
+# -- one interpreter for the circuit tables ----------------------------------
 
 # cavity passes in one gate run, hence the degree of the branch polynomials
 _GATE_DEGREE = 4
 
-# axes of the compile's coefficient tensor; axis 0 is the power of r_cold and
-# the last axis the input amplitude
+# axes of the coefficient tensors the tables are interpreted on; axis 0 is the
+# power of r_cold and the last axis the input amplitude
 _AXIS = {A_POL: 1, A_SPATIAL: 2, B_POL: 3, B_SPATIAL: 4, SPIN_1: 5, SPIN_2: 6}
-
-
-def _apply(t: np.ndarray, matrix: np.ndarray, axes: list[int]) -> np.ndarray:
-    """A 2**k x 2**k matrix applied on k two-level axes of a tensor, its row
-    and column order following ``axes``, the first most significant."""
-    k = len(axes)
-    out = np.tensordot(matrix.reshape((2,) * 2 * k), t, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(out, list(range(k)), axes)
 
 
 def _cavity_pass(t: np.ndarray, photon: str, spin: str) -> np.ndarray:
     """One cavity pass on the coefficient tensor, whose axis 0 is the power
-    of r_cold: a cold entry moves its amplitude up one power, a hot entry
-    keeps it (the power of r_hot is the passes so far minus that of r_cold)."""
-    # the photon axis precedes the spin axis, matching pass_matrix's row order
+    of r_cold and grows by one: a cold entry moves its amplitude up one
+    power, a hot entry keeps it (the power of r_hot is the passes so far
+    minus that of r_cold)."""
+    # the photon axis precedes the spin axis, the row order of _PASS_COLD
     shape = [1] * t.ndim
     shape[_AXIS[photon]] = shape[_AXIS[spin]] = 2
     cold = np.reshape(_PASS_COLD, shape)
     phase = np.where(np.reshape(_PASS_TURNED, shape), -1j, 1)
-    raised = np.concatenate([np.zeros_like(t[:1]), t[:-1]])
-    return np.where(cold, raised, t) * phase
+    zero = np.zeros_like(t[:1])
+    return np.where(cold, np.concatenate([zero, t]), np.concatenate([t, zero])) * phase
 
 
-def _compile_stages() -> np.ndarray:
-    """Interpret _STAGES on the identity, with both spins starting up, then
-    project the spins onto each outcome pair and apply its feed-forward.
+def _interpret(t: np.ndarray, ops) -> np.ndarray:
+    """A circuit table's operations applied in order to a tensor in the _AXIS
+    layout: (element kind, register); (element kind, register, control
+    register, control value) for an element sitting in one path, the
+    identity in the other; or (_CAVITY_PASS, photon, spin)."""
+    for kind, label, *rest in ops:
+        if kind is _CAVITY_PASS:
+            t = _cavity_pass(t, label, *rest)
+            continue
+        if rest:
+            control, value = rest
+            matrix, axes = conditional_matrix(kind, value), [_AXIS[control], _AXIS[label]]
+        else:
+            matrix, axes = element_matrix(kind), [_AXIS[label]]
+        # a 2**k x 2**k matrix on k axes, its row order following axes
+        k = len(axes)
+        out = np.tensordot(matrix.reshape((2,) * 2 * k), t, axes=(list(range(k, 2 * k)), axes))
+        t = np.moveaxis(out, list(range(k)), axes)
+    return t
 
-    Returns the Kraus coefficients, shape (5, 2, 2, 16, 16): power k of
-    r_cold, e1 outcome, e2 outcome, output amplitude, input amplitude.
+
+@cache
+def _compile_stages() -> tuple[tuple[tuple[str, np.ndarray], ...], np.ndarray]:
+    """Interpret _STAGES on the identity, with both spins starting up, once
+    per process; every array is read-only, since every caller shares it.
+
+    Returns each checkpoint's name and coefficients, shape (j + 1, 64, 16)
+    after j cavity passes: power k of r_cold, output amplitude (the photon
+    registers in PHOTON_LABELS order, then e1 and e2), input amplitude. Then
+    the Kraus coefficients, shape (5, 2, 2, 16, 16): power k of r_cold, e1
+    outcome, e2 outcome, output amplitude, input amplitude; they are the
+    pre_measurement ones with the spins projected onto each outcome pair and
+    its feed-forward applied.
     """
-    t = np.zeros((_GATE_DEGREE + 1, 16, 2, 2, 16), dtype=np.complex128)
-    t[0, :, 0, 0] = np.eye(16)  # no pass yet, so power 0
-    t = t.reshape(_GATE_DEGREE + 1, 2, 2, 2, 2, 2, 2, 16)
-    for _, ops in _STAGES:
-        for kind, *labels in ops:
-            if kind is _CAVITY_PASS:
-                t = _cavity_pass(t, *labels)
-            else:
-                t = _apply(t, element_matrix(kind), [_AXIS[labels[0]]])
+    t = np.zeros((1, 16, 2, 2, 16), dtype=np.complex128)
+    t[0, :, 0, 0] = np.eye(16)  # no pass yet, so power 0 only
+    t = t.reshape(1, 2, 2, 2, 2, 2, 2, 16)
+    checkpoints = []
+    for name, ops in _STAGES:
+        t = _interpret(t, ops)
+        checkpoints.append((name, t.reshape(len(t), 64, 16).copy()))
     # feed-forward: a down outcome flips the sign of its target's second basis state
     for spin, target in zip((SPIN_1, SPIN_2), _FEED_FORWARD_TARGETS):
         flipped = [slice(None)] * t.ndim
         flipped[_AXIS[spin]] = flipped[_AXIS[target]] = 1
         t[tuple(flipped)] *= -1
-    return np.moveaxis(t.reshape(-1, 16, 2, 2, 16), 1, 3)
+    kraus = np.moveaxis(t.reshape(-1, 16, 2, 2, 16), 1, 3)
+    for coefficients in [c for _, c in checkpoints] + [kraus]:
+        coefficients.flags.writeable = False
+    return tuple(checkpoints), kraus
 
 
-@cache
-def _kraus_coefficients() -> np.ndarray:
-    """The gate compiled once per process; read-only, since every caller
-    shares the one array."""
-    coefficients = _compile_stages()
-    coefficients.flags.writeable = False
-    return coefficients
+def _powers(r_cold: np.ndarray, r_hot: np.ndarray, degree: int) -> np.ndarray:
+    """r_cold**k * r_hot**(degree - k) for k = 0 .. degree, one row per pair."""
+    k = np.arange(degree + 1)
+    return r_cold[:, None] ** k * r_hot[:, None] ** (degree - k)
+
+
+# -- the staged checkpoints ------------------------------------------------
 
 
 def _photon_major(joint: StateVector) -> StateVector:
@@ -284,6 +268,47 @@ def _photon_major(joint: StateVector) -> StateVector:
         return joint
     rest = [label for label in labels if label not in PHOTON_LABELS]
     return reorder_registers(joint, list(PHOTON_LABELS) + rest)
+
+
+def _input_order(amplitudes: np.ndarray, ordered: StateVector, joint: StateVector) -> np.ndarray:
+    """A stack of amplitudes on the registers of ordered, _photon_major(joint),
+    taken back to the register order of joint; shape (stack, 2**n)."""
+    stack = len(amplitudes)
+    if ordered is not joint:
+        back = [ordered.labels.index(label) for label in joint.labels]
+        amplitudes = amplitudes.reshape((stack,) + (2,) * len(back))
+        amplitudes = amplitudes.transpose([0] + [1 + axis for axis in back])
+    return amplitudes.reshape(stack, -1)
+
+
+def hyper_cnot_checkpoints(
+    joint: StateVector, reflection: ReflectionPair | None = None
+) -> dict[str, StateVector]:
+    """Named intermediate states of the circuit, for staged regression tests.
+
+    Takes the same joint two-photon input as hyper_cnot_state, in any
+    register order and with any spectator registers. Returns the state at
+    every checkpoint of _STAGES, up to (not including) the spin
+    measurement: the input's registers in input order, then e1 and e2. Each
+    is one contraction of the checkpoint's compiled coefficients with the
+    powers of the pair (None: ideal), and one matrix product with the input.
+    """
+    ordered = _photon_major(joint)
+    pair = reflection if reflection is not None else ReflectionPair.ideal()
+    r_cold, r_hot = np.array([pair.r_cold]), np.array([pair.r_hot])
+    amplitudes = ordered.amplitudes.reshape(16, -1)
+    registers = joint.registers + (spin_register(SPIN_1), spin_register(SPIN_2))
+    stages = {}
+    for name, coefficients in _compile_stages()[0]:
+        powers = _powers(r_cold, r_hot, len(coefficients) - 1)
+        operator = (powers @ coefficients.reshape(len(coefficients), -1)).reshape(64, 16)
+        # photons, spins, other registers -> the spins first, as the stack
+        out = (operator @ amplitudes).reshape(16, 4, -1).transpose(1, 0, 2)
+        stages[name] = StateVector(registers, _input_order(out, ordered, joint).T)
+    return stages
+
+
+# -- the compiled gate ---------------------------------------------------
 
 
 def evaluate_branches(r_cold, r_hot) -> np.ndarray:
@@ -299,9 +324,7 @@ def evaluate_branches(r_cold, r_hot) -> np.ndarray:
     r_hot = np.ravel(np.asarray(r_hot, dtype=np.complex128))
     if r_cold.shape != r_hot.shape:
         raise ValueError(f"got {r_cold.size} cold and {r_hot.size} hot reflections")
-    k = np.arange(_GATE_DEGREE + 1)
-    powers = r_cold[:, None] ** k * r_hot[:, None] ** (_GATE_DEGREE - k)
-    return np.tensordot(powers, _kraus_coefficients(), axes=1)
+    return np.tensordot(_powers(r_cold, r_hot, _GATE_DEGREE), _compile_stages()[1], axes=1)
 
 
 # reflection pairs whose Kraus operators stay cached: each entry holds
@@ -345,17 +368,10 @@ _CLUSTER_SEGMENTS = (
 @cache
 def _optics_map(table: tuple) -> np.ndarray:
     """A table of fixed optics as one 16x16 matrix on the photon registers in
-    PHOTON_LABELS order, interpreted on the identity once per process and
-    kept read-only."""
-    t = np.eye(16, dtype=np.complex128).reshape(2, 2, 2, 2, 16)
-    for kind, label, *control in table:
-        if control:
-            control_label, value = control
-            axes = [PHOTON_LABELS.index(control_label), PHOTON_LABELS.index(label)]
-            t = _apply(t, conditional_matrix(kind, value), axes)
-        else:
-            t = _apply(t, element_matrix(kind), [PHOTON_LABELS.index(label)])
-    matrix = t.reshape(16, 16)
+    PHOTON_LABELS order, kept read-only: interpreted once per process on the
+    identity, with a power axis of size 1, since it holds no cavity pass."""
+    identity = np.eye(16, dtype=np.complex128).reshape(1, 2, 2, 2, 2, 16)
+    matrix = _interpret(identity, table).reshape(16, 16)
     matrix.flags.writeable = False
     return matrix
 
@@ -487,11 +503,7 @@ def _gate_runs(
     # the live branches as one stack, indexed by 2 * e1 outcome + e2 outcome
     weights = weights.reshape(4)[live]
     finals = outputs.reshape(4, 16, -1)[live] / np.sqrt(weights)[:, None, None]
-    if ordered is not joint:
-        photon_major = ordered.labels
-        back = [photon_major.index(label) for label in joint.labels]
-        finals = finals.reshape((-1,) + (2,) * len(back)).transpose([0] + [1 + a for a in back])
-    finals = finals.reshape(len(live), -1)
+    finals = _input_order(finals, ordered, joint)
     probabilities = (weights / total).tolist()
     for branch, final, probability in zip(live, finals, probabilities):
         outcomes = divmod(branch, 2)
@@ -505,7 +517,8 @@ def _gate_runs(
 
 _AUX_LABEL = "_readout.pol"
 
-# rows are the circular-diagonal analysis basis (R + iL)/sqrt2, (R - iL)/sqrt2
+# rows are the circular-diagonal analysis basis (R + iL)/sqrt2, (R - iL)/sqrt2,
+# declared up and down where Im(r_hot conj r_cold) >= 0, as for the ideal pair
 _READOUT_BASIS = np.array([[1, -1j], [1, 1j]], dtype=np.complex128) / np.sqrt(2.0)
 
 
@@ -518,16 +531,21 @@ def spin_readout(
     """Read a spin by reflecting an auxiliary (R+L)/sqrt2 photon off its cavity.
 
     The auxiliary photon is measured in the basis {(R + iL)/sqrt2,
-    (R - iL)/sqrt2}; the + outcome is declared up, the - outcome down. In
-    ideal mode this projects the spin exactly like a computational-basis
+    (R - iL)/sqrt2}. Which outcome is declared up follows the sign of
+    Im(r_hot conj r_cold), that of sin(delta_phi), as a calibrated experiment
+    would choose it: where it is >= 0, as for the ideal pair, the + outcome
+    is up and the - outcome down; otherwise the other way round. In ideal
+    mode this projects the spin exactly like a computational-basis
     measurement; with lossy reflections a small misassignment survives in
     the returned state.
     """
+    refl = reflection if reflection is not None else ReflectionPair.ideal()
     aux = Register(_AUX_LABEL, ("R", "L"))
     probe = np.array([1, 1], dtype=np.complex128) / np.sqrt(2.0)
     st = attach_register(state, aux, probe)
-    st = qd_scatter(st, _AUX_LABEL, spin_label, reflection)
-    st = apply_operator(st, [_AUX_LABEL], _READOUT_BASIS)
+    st = qd_scatter(st, _AUX_LABEL, spin_label, refl)
+    leads = (refl.r_hot * refl.r_cold.conjugate()).imag >= 0
+    st = apply_operator(st, [_AUX_LABEL], _READOUT_BASIS if leads else _READOUT_BASIS[::-1])
     record, st = measure(st, _AUX_LABEL, rng)
     st = discard_register(st, _AUX_LABEL)
     spin_names = state.register(spin_label).basis_names

@@ -2,18 +2,22 @@
 
 Everything here is assembled directly from amplitude bookkeeping (closed
 forms of the staged circuit) or brute-force index arithmetic, never by
-running the circuit under test. There are three exceptions. step_gate_runs,
-the reference for the compiled gate, runs the staged step view on the joint
-input it is given, then measures and corrects the pre-measurement state one
-register at a time. Since it goes through the hilbert kernels, those
-kernels have their own references here, written in their first (tensordot
-and moveaxis) form. step_bell_pattern and step_cluster_stages, the
-references for the compiled Bell analysis and cluster preparation, take
-the first branch step_gate_runs keeps and apply the optics after the gate
-one element at a time. engine_uniform_figures evaluates the compiled
-gate's Kraus operators at many pairs at once: it is the reference for the
-exact uniform-input form, and the tests hold the compiled gate to
-step_gate_runs.
+running the circuit under test. There are three exceptions. The step path
+reads the library's circuit table, protocols._STAGES, and its cavity-pass
+table, but not its compile: step_checkpoints, the reference for
+hyper_cnot_checkpoints, pushes the joint input it is given through the
+stages one StateVector operator at a time (pass_matrix, apply_element),
+and step_gate_runs, the reference for the compiled gate, then measures and
+corrects the pre-measurement state one register at a time. Since the step
+path goes through the hilbert kernels, those kernels have their own
+references here, written in their first (tensordot and moveaxis) form.
+step_bell_pattern and step_cluster_stages, the references for the compiled
+Bell analysis and cluster preparation, take the first branch
+step_gate_runs keeps and apply the optics after the gate one element at a
+time (apply_element, conditional_element). engine_uniform_figures
+evaluates the compiled gate's Kraus operators at many pairs at once: it is
+the reference for the exact uniform-input form, and the tests hold the
+compiled gate to step_gate_runs.
 """
 
 from __future__ import annotations
@@ -27,13 +31,12 @@ from hypercnot import (
     GateRun,
     ReflectionPair,
     StateVector,
-    apply_element,
     apply_operator,
+    attach_register,
     basis_index,
-    conditional_element,
     discard_register,
+    element_matrix,
     evaluate_branches,
-    hyper_cnot_checkpoints,
     measure,
     normalize,
     outcome_weights,
@@ -45,7 +48,8 @@ from hypercnot import (
     tensor_product,
     uniform_two_photon_state,
 )
-from hypercnot.protocols import BRANCH_FLOOR
+from hypercnot.optics import conditional_matrix
+from hypercnot.protocols import _CAVITY_PASS, _PASS_COLD, _PASS_TURNED, _STAGES, BRANCH_FLOOR
 
 SQ2 = np.sqrt(2.0)
 
@@ -362,7 +366,53 @@ def efficiency_oracle(params: CavityParams) -> float:
     return float(((u**2 + v**2) / 2) ** 4)
 
 
-# -- the gate by the staged step view ---------------------------------------
+# -- the step path: the circuit one StateVector operator at a time -----------
+
+
+def apply_element(state: StateVector, kind: ElementKind, target_label: str) -> StateVector:
+    return apply_operator(state, [target_label], element_matrix(kind))
+
+
+def conditional_element(
+    state: StateVector,
+    kind: ElementKind,
+    target_label: str,
+    control_label: str,
+    control_value: int,
+) -> StateVector:
+    """Apply an element on the target only in one control basis branch, as a
+    wave plate sitting in a single spatial path does: the element acts when
+    the control register carries ``control_value``, the identity otherwise."""
+    block = conditional_matrix(kind, control_value)
+    return apply_operator(state, [control_label, target_label], block)
+
+
+def pass_matrix(reflection=None) -> np.ndarray:
+    """Operator of one cavity pass on (path-or-polarization, spin), built from
+    the library's pass table: ``diag(r_cold, r_hot, -i r_hot, -i r_cold)``
+    for both kinds of pass; ``reflection=None`` selects the ideal pair."""
+    refl = reflection if reflection is not None else ReflectionPair.ideal()
+    entries = [refl.r_cold if cold else refl.r_hot for cold in _PASS_COLD]
+    return np.diag([-1j * r if turned else r for r, turned in zip(entries, _PASS_TURNED)])
+
+
+def step_checkpoints(joint: StateVector, reflection=None) -> dict[str, StateVector]:
+    """hyper_cnot_checkpoints on the step path: the spins attached up after
+    the joint input's registers, then _STAGES one apply_operator at a time,
+    with the state kept at every checkpoint."""
+    st = attach_register(joint, SPIN1_REG, (1, 0))
+    st = attach_register(st, SPIN2_REG, (1, 0))
+    cavity_pass = pass_matrix(reflection)
+    stages = {}
+    for name, ops in _STAGES:
+        for kind, *labels in ops:
+            if kind is _CAVITY_PASS:
+                st = apply_operator(st, labels, cavity_pass)
+            else:
+                st = apply_element(st, kind, *labels)
+        stages[name] = st
+    return stages
+
 
 SIGN_FLIP = np.diag([1.0, -1.0])
 
@@ -371,8 +421,8 @@ FEED_FORWARD_TARGETS = ("a.spatial", "a.pol")
 
 
 def step_gate_runs(joint: StateVector, reflection=None, branch_mode="enumerate", seed=None):
-    """The gate on the staged step view, one register at a time: the reference
-    for hyper_cnot_state.
+    """The gate on the step path, one register at a time: the reference for
+    hyper_cnot_state.
 
     Runs the checkpoints on the joint input as given (its registers in input
     order, then e1 and e2), then measures e1 and e2 on the pre-measurement state
@@ -381,7 +431,7 @@ def step_gate_runs(joint: StateVector, reflection=None, branch_mode="enumerate",
     normalizes. Enumeration keeps every branch of nonzero weight, with no
     round-off floor. Returns a list of GateRuns (one in sample mode).
     """
-    pre = hyper_cnot_checkpoints(joint, reflection)["pre_measurement"]
+    pre = step_checkpoints(joint, reflection)["pre_measurement"]
     survival = pre.norm2
     if branch_mode == "sample":
         rng = np.random.default_rng(seed)

@@ -3,17 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercnot import (
-    ElementKind,
-    Register,
-    apply_element,
-    basis_state,
-    conditional_element,
-    element_matrix,
-    tensor_state,
-)
+from hypercnot import ElementKind, Register, basis_state, element_matrix, tensor_state
 from conftest import random_state
-from oracles import embed_matrix
+from oracles import apply_element, conditional_element, embed_matrix
 
 SQ2 = np.sqrt(2.0)
 

@@ -23,7 +23,6 @@ from hypercnot import (
     hyper_cnot_checkpoints,
     hyper_cnot_state,
     normalize,
-    pass_matrix,
     photon_state,
     prepare_cluster_stages,
     reorder_registers,
@@ -35,7 +34,7 @@ from hypercnot import (
     uniform_two_photon_state,
     ZeroSurvivalError,
 )
-from hypercnot import analysis, hilbert, optics, protocols
+from hypercnot import analysis, hilbert, protocols
 from hypercnot.cavity import CavityParams, scatter_matrix
 from hypercnot.protocols import BRANCH_FLOOR
 from conftest import random_state
@@ -51,10 +50,12 @@ from oracles import (
     gate_output_expected,
     hybrid_cz_expected,
     measure_all_branches,
+    pass_matrix,
     pre_measurement_expected,
     random_amplitude_pair,
     state_from_terms,
     step_bell_pattern,
+    step_checkpoints,
     step_cluster_stages,
     step_gate_runs,
     target_scattered_expected,
@@ -77,6 +78,9 @@ def joint_input(alpha, gamma, beta, delta):
 
 
 # -- the cavity pass: derived from the optical elements ----------------------
+
+# pass_matrix (tests/oracles.py) is built from the pass table the compile
+# reads, _PASS_COLD and _PASS_TURNED, so these tests pin that table to the optics.
 
 EYE2 = np.eye(2, dtype=np.complex128)
 
@@ -644,8 +648,8 @@ def test_permuted_input_with_a_spectator_matches_step_path(rng):
     regs = (b_spatial, spectator, a_pol, b_pol, a_spatial)
     joint = random_state(regs, rng)
     for pair in (None, ReflectionPair.from_params(CavityParams(g=1.56, kappa_s=0.2))):
-        # the step view runs the input as given: every checkpoint is the
-        # photon-major run with its registers reordered
+        # the checkpoints keep the input's register order: each is the
+        # photon-major one with its registers reordered
         stages = hyper_cnot_checkpoints(joint, pair)
         photon_major = hyper_cnot_checkpoints(reorder_registers(joint, PHOTON_LABELS + ("c",)), pair)
         assert list(stages) == list(photon_major)
@@ -668,6 +672,35 @@ def test_permuted_input_with_a_spectator_matches_step_path(rng):
             )
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    mags=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    phases=st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
+    seed=st.integers(0, 2**32 - 1),
+    order=st.permutations(range(5)),
+    spectator=st.booleans(),
+)
+@example(mags=(0.0, 0.0), phases=(0.0, 0.0), seed=0, order=[0, 1, 2, 3, 4], spectator=False)
+@example(mags=(1e-160, 3e-160), phases=(0.4, -2.0), seed=1, order=[3, 4, 0, 2, 1], spectator=True)
+@example(mags=(0.6e-200, 0.8e-200), phases=(-1.0, 0.1), seed=2, order=[0, 1, 2, 3, 4], spectator=True)
+def test_compiled_checkpoints_match_step_path(mags, phases, seed, order, spectator):
+    # every checkpoint from the compiled coefficients against the step path,
+    # at passive pairs (the zero pair, one whose products after two passes
+    # are subnormal and one whose products underflow among them), for
+    # photon-major and permuted inputs, with and without a spectator
+    pair = ReflectionPair(mags[0] * np.exp(1j * phases[0]), mags[1] * np.exp(1j * phases[1]))
+    regs = PHOTON_REGS + (Register("c", ("0", "1")),)
+    regs = tuple(regs[i] for i in order if spectator or i < 4)
+    joint = random_state(regs, np.random.default_rng(seed))
+    for reflection in (None, pair):
+        got = hyper_cnot_checkpoints(joint, reflection)
+        want = step_checkpoints(joint, reflection)
+        assert list(got) == list(want)
+        for name, state in got.items():
+            assert state.registers == want[name].registers
+            np.testing.assert_allclose(state.amplitudes, want[name].amplitudes, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_input_never_reaches_the_gate(bad, monkeypatch):
     def gate(*args):
@@ -683,14 +716,18 @@ def test_non_finite_input_never_reaches_the_gate(bad, monkeypatch):
 
 
 def test_stages_are_interpreted_once_per_process(monkeypatch, rng):
-    protocols._kraus_coefficients()
+    # _STAGES is the only table with cavity passes: once it is compiled, the
+    # checkpoints and every gate application interpret no pass again
+    protocols._compile_stages()
 
-    def interpret_again():
+    def interpret_again(*args):
         raise AssertionError("the gate stages were interpreted a second time")
 
-    monkeypatch.setattr(protocols, "_compile_stages", interpret_again)
+    monkeypatch.setattr(protocols, "_cavity_pass", interpret_again)
     pair = ReflectionPair.from_params(CavityParams(g=0.5))
     joint = random_state(PHOTON_REGS, rng)
+    for reflection in (None, pair):
+        assert len(hyper_cnot_checkpoints(joint, reflection)) == 8
     assert len(hyper_cnot_state(joint, pair)) == 4
     assert isinstance(hyper_cnot_state(joint, pair, branch_mode="sample", seed=3), GateRun)
     assert all(row.ok for row in truth_table(pair))
@@ -915,6 +952,26 @@ def test_physical_readout_probability_oracle():
     assert abs(record.probability - expected) < 1e-12
 
 
+@pytest.mark.parametrize("g", [None, 0.5], ids=["ideal", "g0.5"])
+def test_readout_basis_follows_the_sign_of_the_relative_phase(g):
+    # at g = 0.5 the hot reflection lags the cold one (delta_phi = -0.494 pi),
+    # so (R - iL)/sqrt2 is declared up there. Each definite spin is read right
+    # with probability 1/2 + |Im(r_hot conj r_cold)| / s, s = |r_cold|^2 + |r_hot|^2,
+    # taken exactly from the sampled outcome's weight (or the rest of the
+    # survival s/2), whichever outcome the seed draws
+    pair = None if g is None else ReflectionPair.from_params(CavityParams(g=g))
+    refl = pair or ReflectionPair.ideal()
+    s = abs(refl.r_cold) ** 2 + abs(refl.r_hot) ** 2
+    want = 0.5 + abs((refl.r_hot * refl.r_cold.conjugate()).imag) / s
+    assert want == pytest.approx(1.0 if g is None else 0.9902, abs=1e-4)
+    for spin, pair_amplitudes in enumerate(((1, 0), (0, 1))):
+        for seed in range(4):
+            record, _ = spin_readout(readout_system(pair_amplitudes), "e1", pair, rng=seed)
+            weight = record.probability
+            right = weight if record.outcome == spin else s / 2 - weight
+            assert abs(right / (s / 2) - want) < 1e-12
+
+
 def test_readout_of_protocol_entangled_spin(rng):
     # reading a spin that is entangled with the photons mid-protocol must
     # agree with a direct computational measurement in ideal mode
@@ -1061,13 +1118,14 @@ def test_bell_analysis_matches_step_path(g, kappa_s, seed):
             assert abs(result.min_outcome_probability - min_prob) <= 1e-12
 
 
-def test_applications_apply_no_operator_after_the_input(monkeypatch):
-    # the Bell analysis, its decoding table and the cluster preparation apply
-    # compiled maps: no step of theirs goes through apply_operator
+def test_applications_apply_no_operator_after_the_input(monkeypatch, rng):
+    # the checkpoints, the Bell analysis, its decoding table and the cluster
+    # preparation apply compiled maps: no step of theirs goes through
+    # apply_operator
     def refuse(*args):
         raise AssertionError("an application stepped a StateVector through apply_operator")
 
-    for module in (hilbert, optics, protocols):
+    for module in (hilbert, protocols):
         monkeypatch.setattr(module, "apply_operator", refuse)
     protocols._optics_map.cache_clear()
     bell_decoding_table.cache_clear()
@@ -1077,6 +1135,7 @@ def test_applications_apply_no_operator_after_the_input(monkeypatch):
         result = analyze_hyper_bell(HyperBellState(2, 1), reflection)
         assert (result.pol_index, result.spatial_index) == (2, 1)
         prepare_cluster_stages(reflection)
+        assert len(hyper_cnot_checkpoints(random_state(PHOTON_REGS, rng), reflection)) == 8
 
 
 def test_analysis_rejects_unnormalized_input():
