@@ -14,11 +14,15 @@ the per-pass overlap. Both reduce to 1 when u = v = 1, and F alone reaches
 Every sweep runs through one lattice core, _sweep_lattice. It evaluates
 the reflections once per lattice (cavity.lattice_reflections: r_cold per
 kappa_s column, r_hot per point) and computes the closed forms from those
-same numbers in plain Python arithmetic, so each point is bitwise what
-formula_performance gives at its parameters. It returns columns: the two
-axes and the per-point figure pairs. sweep builds its PerformancePoint rows
-from them. The CLI renders its CSV straight from the columns, without
-rows, and formats each axis value once.
+same numbers as numpy array arithmetic, so each point is bitwise what
+formula_performance gives at its parameters. The bits are kept by using
+only the ufuncs that round as the scalar formula does: np.hypot for
+abs(complex) and np.float_power for every ``**`` (_lattice_closed_form).
+formula_performance and _closed_form stay scalar for single points. The
+core returns columns: the two axes and the per-point figure pairs. sweep
+and performance_point build their PerformancePoint rows from them. The
+CLI renders its CSV straight from the columns, without rows, and formats
+each axis value once.
 
 The simulated figures are those of the full circuit with the complex
 reflection amplitudes. simulated_performance applies the gate's Kraus
@@ -86,15 +90,29 @@ class SweepResult:
 def _closed_form(u: float, v: float) -> tuple[float, float]:
     """(F, eta) from the reflection magnitudes u = |r_cold| and v = |r_hot|.
 
-    Plain Python arithmetic, so every caller gets the same bits. Where no
-    light survives (u = v = 0) the fidelity is undefined: (nan, 0.0), as
-    simulated_performance gives at zero survival.
+    Plain Python arithmetic, the reference that _lattice_closed_form
+    matches bit for bit. Where no light survives (u**2 + v**2 == 0) the
+    fidelity is undefined: (nan, 0.0), as simulated_performance gives at
+    zero survival.
     """
     try:
         per_pass = (u + v) ** 2 / (2 * (u**2 + v**2))
     except ZeroDivisionError:
         return math.nan, 0.0
     return per_pass**6, ((u**2 + v**2) / 2) ** 4
+
+
+def _lattice_closed_form(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_closed_form over arrays, bit for bit: every power is np.float_power,
+    the C pow that Python's float ** calls (np.power and ``**`` on arrays
+    differ in the last bit), and where u**2 + v**2 == 0 the pair is
+    (nan, 0.0), as _closed_form gives when it catches the ZeroDivisionError.
+    """
+    s = np.float_power(u, 2) + np.float_power(v, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per_pass = np.float_power(u + v, 2) / (2 * s)
+    f = np.where(s == 0.0, math.nan, np.float_power(per_pass, 6))
+    return f, np.float_power(s / 2, 4)
 
 
 def formula_performance(params: CavityParams) -> tuple[float, float]:
@@ -163,7 +181,8 @@ def performance_point(
     include_simulation: bool = False,
 ) -> PerformancePoint:
     """Figures of merit at one (g, kappa_s) point: a one-point sweep."""
-    return sweep((g, g), (kappa_s, kappa_s), 1, gamma, include_simulation).grid[0]
+    lattice = _sweep_lattice((g, g), (kappa_s, kappa_s), 1, gamma, include_simulation)
+    return _rows(lattice, gamma)[0]
 
 
 class _Lattice(NamedTuple):
@@ -185,8 +204,9 @@ def _sweep_lattice(
 ) -> _Lattice:
     """Everything sweep does up to its rows, returned as columns.
 
-    Its callers are sweep and the CLI's sweep command, so the side-leakage
-    warning names the frame two up: the caller of sweep, or cli.main.
+    Its callers are sweep, performance_point and the CLI's sweep command,
+    so the side-leakage warning names the frame two up: the caller of
+    sweep or performance_point, or cli.main.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
@@ -198,8 +218,11 @@ def _sweep_lattice(
     g_values = np.linspace(g_range[0], g_range[1], resolution).tolist()
     ks_values = np.linspace(kappa_s_range[0], kappa_s_range[1], resolution).tolist()
     r_cold, r_hot = lattice_reflections(params, g_values, ks_values)
-    u_cold = [abs(r) for r in r_cold]
-    formulas = list(map(_closed_form, u_cold * resolution, map(abs, r_hot)))
+    u = np.tile(np.hypot(r_cold.real, r_cold.imag), resolution)
+    v = np.hypot(r_hot.real, r_hot.imag)
+    f, eta = _lattice_closed_form(u, v)
+    eta = eta.tolist()
+    formulas = list(zip(f.tolist(), eta))
     leaky = resolution * sum(ks >= SIDE_LEAKAGE_WARNING for ks in ks_values)
     simulated = None
     if include_simulation:
@@ -211,11 +234,10 @@ def _sweep_lattice(
                 UserWarning,
                 stacklevel=3,
             )
-        cold, hot = np.tile(r_cold, resolution), np.array(r_hot)
-        _require_passive(np.abs(cold).max(), np.abs(hot).max())
+        _require_passive(u.max(), v.max())
+        f_sim = _uniform_fidelity(np.tile(r_cold, resolution), r_hot)
         # eta_sim = (s/2)**4 is exactly the closed-form eta already computed
-        f_sim = _uniform_fidelity(cold, hot).tolist()
-        simulated = list(zip(f_sim, (eta for _, eta in formulas)))
+        simulated = list(zip(f_sim.tolist(), eta))
     provenance = {
         "package": f"hypercnot {__version__}",
         "detuning": repr(params.detuning),
@@ -248,13 +270,17 @@ def sweep(
     that count, not one per point.
     """
     lattice = _sweep_lattice(g_range, kappa_s_range, resolution, gamma, include_simulation)
+    return SweepResult(gamma, _rows(lattice, gamma), lattice.provenance)
+
+
+def _rows(lattice: _Lattice, gamma: float) -> list[PerformancePoint]:
+    """The lattice's points as PerformancePoint rows, g-major."""
     simulated = repeat((None, None)) if lattice.simulated is None else lattice.simulated
     points = ((g, ks) for g in lattice.g_values for ks in lattice.kappa_s_values)
-    grid = [
+    return [
         PerformancePoint(g, ks, gamma, f, eta, f_sim, eta_sim)
         for (g, ks), (f, eta), (f_sim, eta_sim) in zip(points, lattice.formulas, simulated)
     ]
-    return SweepResult(gamma_over_kappa=gamma, grid=grid, provenance=lattice.provenance)
 
 
 # Published benchmark operating points, all at gamma = 0.1 kappa. Couplings

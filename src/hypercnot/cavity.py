@@ -16,6 +16,7 @@ coupling leaves a residual phase error that feeds the fidelity loss.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -91,19 +92,48 @@ def reflect_hot(params: CavityParams) -> complex:
 
 def lattice_reflections(
     params: CavityParams, g_values: list[float], kappa_s_values: list[float]
-) -> tuple[list[complex], list[complex]]:
-    """Reflections over a (g, kappa_s) lattice, from the scalar arithmetic of
-    reflect_cold and reflect_hot, so every value equals theirs exactly.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reflections over a (g, kappa_s) lattice as complex128 arrays, every
+    value bitwise what reflect_cold and reflect_hot give at its point.
 
     ``params`` supplies gamma and the detuning; its own g and kappa_s are
     ignored. Returns r_cold once per kappa_s value (it does not depend on g)
     and r_hot once per point, g-major.
+
+    The per-column terms (c, r_cold, d*c) and the per-row g**2 are Python
+    arithmetic. Per point, r_hot = 1 - d / (d*c + g**2) is float64 ufuncs
+    that repeat CPython's complex operations one for one: the float g**2
+    adds to the real part of d*c, and the division is CPython's _Py_c_quot
+    (Smith's method), with its branch, |Re| >= |Im| of the denominator,
+    chosen per point. numpy's complex ``/`` and ``abs`` would differ in the
+    last bit. A column whose d*c is not finite, far outside any physical
+    range, takes the scalar path. The scalar errors are kept: OverflowError
+    when some g**2 overflows, ZeroDivisionError when a denominator is 0.
     """
     dipole = _dipole_term(params)
     cavity = [_cavity_term(params, kappa_s) for kappa_s in kappa_s_values]
-    r_cold = [_cold(c) for c in cavity]
-    r_hot = [_hot(g, dipole, c) for g in g_values for c in cavity]
-    return r_cold, r_hot
+    r_cold = np.array([_cold(c) for c in cavity], dtype=np.complex128)
+    dc = [dipole * c for c in cavity]
+    g = np.array(g_values, dtype=np.float64)
+    # what complex + float gives the imaginary part: the same on every row
+    b_im = np.array([(z + 0.0).imag for z in dc])
+    a_re, a_im = dipole.real, dipole.imag
+    with np.errstate(all="ignore"):  # CPython's float arithmetic is silent IEEE
+        b_re = np.add.outer([gv**2 for gv in g_values], [z.real for z in dc])
+        if not b_im.all() and ((b_re == 0.0) & (b_im == 0.0))[g != 0.0].any():
+            raise ZeroDivisionError("complex division by zero")
+        by_real = np.abs(b_re) >= np.abs(b_im)
+        ratio = np.where(by_real, b_im / b_re, b_re / b_im)
+        denom = np.where(by_real, b_re + b_im * ratio, b_re * ratio + b_im)
+        q_re = np.where(by_real, a_re + a_im * ratio, a_re * ratio + a_im) / denom
+        q_im = np.where(by_real, a_im - a_re * ratio, a_im * ratio - a_re) / denom
+        r_hot = np.empty(b_re.shape, dtype=np.complex128)
+        r_hot.real, r_hot.imag = 1.0 - q_re, 0.0 - q_im
+    r_hot[g == 0.0] = r_cold
+    for j, z in enumerate(dc):
+        if not cmath.isfinite(z):
+            r_hot[:, j] = [_hot(gv, dipole, cavity[j]) for gv in g_values]
+    return r_cold, r_hot.reshape(-1)
 
 
 def _require_passive(*moduli: float) -> None:

@@ -282,6 +282,53 @@ def test_sweep_closed_form_is_bitwise_the_per_point_formula(gamma):
         assert r_hot[n] == reflect_hot(params)
 
 
+# (u, v) pairs at the edges of _closed_form: no light, squares that
+# underflow (u**2 + v**2 == 0 while (u + v)**2 may not be), subnormal
+# squares, balanced loss (F exactly 1.0) and a lossless side
+CLOSED_FORM_EDGES = [
+    (0.0, 0.0),
+    (5e-324, 5e-324),
+    (1e-310, 2e-310),
+    (1e-170, 0.0),
+    (1.5e-162, 1.5e-162),
+    (1e-160, 3e-161),
+    (0.3, 0.3),
+    (1.0, 1.0),
+    (1.0, 0.2),
+    (0.7, 1.0),
+    (1.0, 0.0),
+    (0.0, 1.0),
+]
+
+
+def assert_lattice_closed_form_is_bitwise(pairs):
+    u, v = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division or underflow warning escapes
+        f, eta = analysis._lattice_closed_form(u, v)
+    want = np.array([analysis._closed_form(a, b) for a, b in pairs]).reshape(-1, 2)
+    assert np.stack([f, eta], axis=1).tobytes() == want.tobytes()
+    return f, eta
+
+
+def test_lattice_closed_form_is_bitwise_at_the_edges():
+    f, eta = assert_lattice_closed_form_is_bitwise(CLOSED_FORM_EDGES)
+    assert np.isnan(f[:5]).all() and (eta[:5] == 0.0).all()
+    assert 0.0 < f[5] and f[6] == f[7] == 1.0 and eta[7] == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+        | st.tuples(st.floats(0.0, 1e-150), st.floats(0.0, 1e-150)),
+        max_size=40,
+    )
+)
+def test_lattice_closed_form_is_bitwise_the_scalar_closed_form(pairs):
+    assert_lattice_closed_form_is_bitwise(pairs)
+
+
 def test_simulated_sweep_rejects_active_reflections(monkeypatch):
     def amplified(params, g_values, kappa_s_values):
         r_cold, r_hot = lattice_reflections(params, g_values, kappa_s_values)
@@ -306,6 +353,22 @@ def test_simulated_sweep_warns_once_for_side_leakage():
     # the warning points at the caller of sweep, not into the package
     assert caught[0].filename == __file__
     assert result.provenance["side_leakage_points"] == str(leaky)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sweep((1.0, 1.0), (1.5, 1.5), 1, include_simulation=True),
+        lambda: performance_point(1.0, 1.5, include_simulation=True),
+    ],
+    ids=["sweep", "performance_point"],
+)
+def test_side_leakage_warning_names_the_caller(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    assert len(caught) == 1
+    assert caught[0].filename == __file__
 
 
 def test_closed_form_sweep_counts_side_leakage_without_warning():

@@ -1,18 +1,23 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercnot import (
     CavityParams,
     ReflectionPair,
     Register,
+    lattice_reflections,
     qd_scatter,
     reflect_cold,
     reflect_hot,
     scatter_matrix,
     tensor_state,
 )
+from hypercnot.cavity import _cavity_term, _dipole_term
 from conftest import random_state
 from oracles import embed_matrix
 
@@ -75,6 +80,89 @@ def test_reflection_magnitudes_bounded_on_grid():
                 p = CavityParams(g=float(g), kappa_s=float(ks), gamma=0.1, detuning=float(det))
                 assert abs(reflect_hot(p)) <= 1 + 1e-12
                 assert abs(reflect_cold(p)) <= 1 + 1e-12
+
+
+# -- whole-lattice reflections --------------------------------------------
+
+# At the default probe, Im(d*c + g**2) outweighs the real part below
+# g ~ 0.7 (kappa_s = 0), so reflect_hot divides by the imaginary part there
+# and by the real part above. The default sweep lattice has both.
+SMITH_EXAMPLES = {
+    "imag": dict(gamma=0.1, detuning=0.5, g_range=(0.1, 0.5), kappa_s_range=(0.0, 0.0), n_g=5, n_ks=1),
+    "real": dict(gamma=0.1, detuning=0.5, g_range=(2.0, 3.0), kappa_s_range=(0.0, 1.0), n_g=5, n_ks=4),
+    "imag real": dict(
+        gamma=0.1, detuning=0.5, g_range=(0.0, 3.0), kappa_s_range=(0.0, 2.0), n_g=101, n_ks=101
+    ),
+}
+
+
+def lattice_axes(g_range, kappa_s_range, n_g, n_ks):
+    # every lattice has a g = 0 row, where reflect_hot takes the bare cavity
+    g_values = [0.0, *np.linspace(*g_range, n_g).tolist()]
+    return g_values, np.linspace(*kappa_s_range, n_ks).tolist()
+
+
+def smith_branch(p, g, kappa_s):
+    """The branch of CPython's complex division that reflect_hot takes."""
+    b = _dipole_term(p) * _cavity_term(p, kappa_s) + g**2
+    return "real" if abs(b.real) >= abs(b.imag) else "imag"
+
+
+@pytest.mark.parametrize("branches", SMITH_EXAMPLES)
+def test_smith_examples_take_their_branches(branches):
+    ex = SMITH_EXAMPLES[branches]
+    p = params(gamma=ex["gamma"], detuning=ex["detuning"])
+    g_values, ks_values = lattice_axes(ex["g_range"], ex["kappa_s_range"], ex["n_g"], ex["n_ks"])
+    taken = {smith_branch(p, g, ks) for g in g_values if g != 0.0 for ks in ks_values}
+    assert taken == set(branches.split())
+
+
+def magnitudes(limit):
+    """Physical magnitudes half the time, anything up to ``limit`` otherwise."""
+    return st.floats(0.0, 10.0) | st.floats(0.0, limit)
+
+
+def ranges(limit):
+    return st.tuples(magnitudes(limit), magnitudes(limit)).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gamma=magnitudes(1e300),
+    detuning=st.floats(-10.0, 10.0) | st.floats(-1e200, 1e200),
+    g_range=ranges(1e200),
+    kappa_s_range=ranges(1e300),
+    n_g=st.integers(1, 8),
+    n_ks=st.integers(1, 8),
+)
+@example(**SMITH_EXAMPLES["imag"])
+@example(**SMITH_EXAMPLES["real"])
+@example(**SMITH_EXAMPLES["imag real"])
+@example(gamma=0.0, detuning=0.5, g_range=(0.0, 3.0), kappa_s_range=(0.0, 2.0), n_g=4, n_ks=3)
+@example(gamma=1e300, detuning=0.5, g_range=(0.0, 3.0), kappa_s_range=(0.0, 1e300), n_g=3, n_ks=3)
+@example(gamma=0.1, detuning=0.5, g_range=(1e-300, 1e-170), kappa_s_range=(0.0, 2.0), n_g=3, n_ks=3)
+@example(gamma=0.0, detuning=0.0, g_range=(1e-170, 1.0), kappa_s_range=(0.0, 2.0), n_g=3, n_ks=2)
+@example(gamma=0.1, detuning=0.5, g_range=(0.0, 1e200), kappa_s_range=(0.0, 2.0), n_g=3, n_ks=2)
+def test_lattice_reflections_are_bitwise_the_scalar_formulas(
+    gamma, detuning, g_range, kappa_s_range, n_g, n_ks
+):
+    p = params(gamma=gamma, detuning=detuning)
+    g_values, ks_values = lattice_axes(g_range, kappa_s_range, n_g, n_ks)
+    try:
+        want_cold = np.array([reflect_cold(replace(p, kappa_s=ks)) for ks in ks_values])
+        want_hot = np.array(
+            [reflect_hot(replace(p, g=g, kappa_s=ks)) for g in g_values for ks in ks_values]
+        )
+    except ArithmeticError:  # g**2 overflows, or d*c + g**2 == 0
+        with pytest.raises(ArithmeticError):
+            lattice_reflections(p, g_values, ks_values)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # silent, as the scalar arithmetic is
+        r_cold, r_hot = lattice_reflections(p, g_values, ks_values)
+    assert r_cold.dtype == r_hot.dtype == np.complex128
+    assert r_cold.tobytes() == want_cold.tobytes()
+    assert r_hot.tobytes() == want_hot.tobytes()
 
 
 def test_params_validation():
