@@ -19,10 +19,12 @@ formula_performance gives at its parameters. The bits are kept by using
 only the ufuncs that round as the scalar formula does: np.hypot for
 abs(complex) and np.float_power for every ``**`` (_lattice_closed_form).
 formula_performance and _closed_form stay scalar for single points. The
-core returns columns: the two axes and the per-point figure pairs. sweep
-and performance_point build their PerformancePoint rows from them. The
-CLI renders its CSV straight from the columns, without rows, and formats
-each axis value once.
+core returns plain float columns: the two axes, F, eta and, when
+simulated, F_sim (a simulated sweep's eta_sim column is its eta column).
+sweep and performance_point build all their PerformancePoint rows from
+them in one pass (_rows), writing each row's fields straight into a bare
+instance. The CLI renders its CSV straight from the columns, without
+rows, and formats each axis value once.
 
 The simulated figures are those of the full circuit with the complex
 reflection amplitudes. simulated_performance applies the gate's Kraus
@@ -48,7 +50,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import repeat
+from itertools import product, repeat
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -186,12 +189,15 @@ def performance_point(
 
 
 class _Lattice(NamedTuple):
-    """One sweep as columns: the two axes and the per-point pairs, g-major."""
+    """One sweep as plain float columns, g-major: the two axes, the
+    closed-form F and eta per point, and F_sim when the sweep is simulated
+    (its eta_sim column is eta itself, as (s/2)**4 is the closed-form eta)."""
 
     g_values: list[float]
     kappa_s_values: list[float]
-    formulas: list[tuple[float, float]]
-    simulated: list[tuple[float, float]] | None
+    F: list[float]
+    eta: list[float]
+    F_sim: list[float] | None
     provenance: dict[str, str]
 
 
@@ -208,6 +214,8 @@ def _sweep_lattice(
     so the side-leakage warning names the frame two up: the caller of
     sweep or performance_point, or cli.main.
     """
+    if isinstance(resolution, bool) or not isinstance(resolution, Integral):
+        raise TypeError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
     for name, (lo, hi) in (("g", g_range), ("kappa_s", kappa_s_range)):
@@ -221,10 +229,8 @@ def _sweep_lattice(
     u = np.tile(np.hypot(r_cold.real, r_cold.imag), resolution)
     v = np.hypot(r_hot.real, r_hot.imag)
     f, eta = _lattice_closed_form(u, v)
-    eta = eta.tolist()
-    formulas = list(zip(f.tolist(), eta))
     leaky = resolution * sum(ks >= SIDE_LEAKAGE_WARNING for ks in ks_values)
-    simulated = None
+    f_sim = None
     if include_simulation:
         if leaky:
             warnings.warn(
@@ -235,16 +241,14 @@ def _sweep_lattice(
                 stacklevel=3,
             )
         _require_passive(u.max(), v.max())
-        f_sim = _uniform_fidelity(np.tile(r_cold, resolution), r_hot)
-        # eta_sim = (s/2)**4 is exactly the closed-form eta already computed
-        simulated = list(zip(f_sim.tolist(), eta))
+        f_sim = _uniform_fidelity(np.tile(r_cold, resolution), r_hot).tolist()
     provenance = {
         "package": f"hypercnot {__version__}",
         "detuning": repr(params.detuning),
         "gamma_over_kappa": repr(gamma),
         "side_leakage_points": str(leaky),
     }
-    return _Lattice(g_values, ks_values, formulas, simulated, provenance)
+    return _Lattice(g_values, ks_values, f.tolist(), eta.tolist(), f_sim, provenance)
 
 
 def sweep(
@@ -258,7 +262,8 @@ def sweep(
 
     A degenerate range (equal endpoints) with resolution 1 yields a single
     point, which is how one reproduces an individual benchmark value.
-    Negative or non-finite range ends or ``gamma`` raise ValueError.
+    Negative or non-finite range ends or ``gamma`` raise ValueError, and a
+    ``resolution`` that is not an integer (a bool or a float) raises TypeError.
 
     The reflections are evaluated once per lattice: r_cold once per kappa_s
     column, r_hot once per point, and the closed forms use those same
@@ -274,13 +279,33 @@ def sweep(
 
 
 def _rows(lattice: _Lattice, gamma: float) -> list[PerformancePoint]:
-    """The lattice's points as PerformancePoint rows, g-major."""
-    simulated = repeat((None, None)) if lattice.simulated is None else lattice.simulated
-    points = ((g, ks) for g in lattice.g_values for ks in lattice.kappa_s_values)
-    return [
-        PerformancePoint(g, ks, gamma, f, eta, f_sim, eta_sim)
-        for (g, ks), (f, eta), (f_sim, eta_sim) in zip(points, lattice.formulas, simulated)
-    ]
+    """The lattice's points as PerformancePoint rows, g-major, in one pass
+    over its columns.
+
+    Each row is a bare instance whose seven fields are stored straight into
+    its __dict__, in field order: the state the generated frozen __init__
+    leaves (PerformancePoint has no __post_init__ to skip), without the
+    seven object.__setattr__ calls that make __init__ several times slower.
+    """
+    if lattice.F_sim is None:
+        f_sim = eta_sim = repeat(None)
+    else:
+        f_sim, eta_sim = lattice.F_sim, lattice.eta
+    points = product(lattice.g_values, lattice.kappa_s_values)
+    new = object.__new__
+    rows = []
+    for (g, ks), f, eta, fs, es in zip(points, lattice.F, lattice.eta, f_sim, eta_sim):
+        row = new(PerformancePoint)
+        state = row.__dict__
+        state["g_over_kappa"] = g
+        state["kappa_s_over_kappa"] = ks
+        state["gamma_over_kappa"] = gamma
+        state["F_formula"] = f
+        state["eta_formula"] = eta
+        state["F_sim"] = fs
+        state["eta_sim"] = es
+        rows.append(row)
+    return rows
 
 
 # Published benchmark operating points, all at gamma = 0.1 kappa. Couplings

@@ -322,13 +322,13 @@ def cmd_sweep(args, parser) -> int:
     g_cells = [f"{g:.10g}," for g in lattice.g_values]
     prefixes = [g + ks for g in g_cells for ks in ks_cells]
     header = "g_over_kappa,kappa_s_over_kappa,gamma_over_kappa,F,eta"
-    if lattice.simulated is None:
-        rows = [p + "%.10g,%.10g" % pair for p, pair in zip(prefixes, lattice.formulas)]
+    if lattice.F_sim is None:
+        rows = ["%s%.10g,%.10g" % cells for cells in zip(prefixes, lattice.F, lattice.eta)]
     else:
         header += ",F_sim,eta_sim"
         rows = [
-            p + "%.10g,%.10g,%.10g,%.10g" % (pair + sim)
-            for p, pair, sim in zip(prefixes, lattice.formulas, lattice.simulated)
+            "%s%.10g,%.10g,%.10g,%.10g" % cells
+            for cells in zip(prefixes, lattice.F, lattice.eta, lattice.F_sim, lattice.eta)
         ]
     _emit("\n".join([header, *rows, ""]), args.out)
     return 0

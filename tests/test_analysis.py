@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -242,7 +243,7 @@ def test_simulated_sweep_matches_the_engine_on_the_default_lattice(gamma):
         CavityParams(g=3.0, kappa_s=2.0, gamma=gamma), lattice.g_values, lattice.kappa_s_values
     )
     want_f, want_eta = engine_uniform_figures(np.tile(r_cold, 101), np.array(r_hot))
-    f, eta = np.array(lattice.simulated).T
+    f, eta = np.array(lattice.F_sim), np.array(lattice.eta)
     assert len(f) == 101 * 101
     np.testing.assert_allclose(f, want_f, rtol=0, atol=1e-12)
     np.testing.assert_allclose(eta, want_eta, rtol=0, atol=1e-12)
@@ -456,6 +457,38 @@ def test_sweep_validation():
         sweep((0.0, 3.0), (-1.0, 2.0), resolution=2)
     with pytest.raises(ValueError):
         sweep((0.0, 3.0), (0.0, 2.0), resolution=2, gamma=-0.1)
+    # resolution must be an integer, not a bool or an integral-valued float
+    for bad in (True, False, 2.0, 2.5, np.float64(3.0), "3", None):
+        with pytest.raises(TypeError, match="resolution"):
+            sweep((0.0, 3.0), (0.0, 2.0), resolution=bad)
+    for good in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert len(sweep((0.0, 3.0), (0.0, 2.0), resolution=good).grid) == 9
+
+
+@pytest.mark.parametrize("include_simulation", [False, True], ids=["plain", "simulate"])
+def test_bulk_rows_behave_like_constructed_points(include_simulation):
+    # sweep writes each row's fields straight into a bare instance, which is
+    # only the constructor's state while PerformancePoint has no __post_init__
+    assert not hasattr(analysis.PerformancePoint, "__post_init__")
+    rows = sweep((0.5, 2.4), (0.0, 0.4), 3, 0.1, include_simulation).grid
+    rows.append(performance_point(1.56, 0.2, 0.1, include_simulation))
+    for row in rows:
+        values = [getattr(row, f.name) for f in dataclasses.fields(row)]
+        built = analysis.PerformancePoint(*values)
+        assert type(row) is analysis.PerformancePoint
+        assert row == built and built == row
+        assert hash(row) == hash(built)
+        assert repr(row) == repr(built)
+        assert list(vars(row).items()) == list(vars(built).items())
+        assert dataclasses.asdict(row) == dataclasses.asdict(built)
+        assert dataclasses.replace(row) == built
+        moved = dataclasses.replace(row, gamma_over_kappa=0.2)
+        assert moved == dataclasses.replace(built, gamma_over_kappa=0.2)
+        assert (row.F_sim is None) is (not include_simulation)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.F_formula = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del row.eta_sim
 
 
 def test_sweep_is_deterministic():

@@ -244,6 +244,19 @@ def test_sweep_csv_is_the_grid_rendered_row_by_row(
 
 
 @pytest.mark.parametrize(
+    "golden,simulate", [("sweep.csv.gz", False), ("sweep_simulate.csv.gz", True)]
+)
+def test_library_grid_renders_to_the_default_golden_csv(golden, simulate):
+    # the library rows, not only the CLI's columns, are tied to committed bytes
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # side-leakage guidance
+        result = sweep(include_simulation=simulate)
+    assert len(result.grid) == 101 * 101
+    want = gzip.decompress((GOLDEN_DIR / golden).read_bytes())
+    assert old_sweep_csv(result, simulate).encode() == want
+
+
+@pytest.mark.parametrize(
     "golden,argv",
     [
         ("sweep_resolution5.csv", ["--resolution", "5"]),
@@ -255,6 +268,7 @@ def test_cli_sweep_builds_no_row_objects(golden, argv, monkeypatch, capsys):
         raise AssertionError("the CLI sweep built a PerformancePoint")
 
     monkeypatch.setattr(analysis, "PerformancePoint", refuse)
+    monkeypatch.setattr(analysis, "_rows", refuse)  # rows are built in bulk, not by calls
     code, out, _ = run_cli(capsys, "sweep", *argv)
     assert code == 0
     assert out == (GOLDEN_DIR / golden).read_text()
