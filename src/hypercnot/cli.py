@@ -58,6 +58,18 @@ def _finite_float(raw: str) -> float:
     return value
 
 
+def _seed(raw: str) -> int:
+    """argparse type for --seed: a non-negative integer, as numpy's seeding
+    requires."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {raw!r}")
+    return value
+
+
 def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
     """Command name -> its own parser."""
     # argparse has no public accessor for a parser's actions
@@ -109,7 +121,10 @@ def _reflection(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Re
         params = CavityParams(g=args.g, kappa_s=args.kappa_s, gamma=args.gamma, detuning=args.detuning)
     except ValueError as exc:
         parser.error(str(exc))
-    return ReflectionPair.from_params(params)
+    try:
+        return ReflectionPair.from_params(params)
+    except OverflowError:  # the library's error for a g whose square overflows
+        parser.error(f"g = {args.g:g} is too large: g**2 overflows a float")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -202,7 +217,7 @@ def cmd_truth_table(args, parser) -> int:
 def cmd_gate(args, parser) -> int:
     reflection = _reflection(args, parser)
     joint = _input_state(args, parser)
-    ideal_final = next(_gate_runs(joint, None)).final_state
+    ideal_final = _gate_runs(joint, None)[0].final_state
     if args.seed is not None:
         runs = [hyper_cnot_state(joint, reflection, branch_mode="sample", seed=args.seed)]
     else:
@@ -316,6 +331,8 @@ def cmd_sweep(args, parser) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
+    except OverflowError:  # the library's error for a g whose square overflows
+        parser.error(f"g_max = {args.g_max:g} is too large: g**2 overflows a float")
     # every axis value is formatted once; per point only the figures are new
     gamma_cell = f"{args.gamma:.10g},"
     ks_cells = [f"{ks:.10g},{gamma_cell}" for ks in lattice.kappa_s_values]
@@ -443,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-spatial", type=_amplitude_pair, help="control spatial amplitudes 'c0,c1'")
     p.add_argument("--b-pol", type=_amplitude_pair, help="target polarization amplitudes 'c0,c1'")
     p.add_argument("--b-spatial", type=_amplitude_pair, help="target spatial amplitudes 'c0,c1'")
-    p.add_argument("--seed", type=int, help="sample one spin branch with this seed")
+    p.add_argument("--seed", type=_seed, help="sample one spin branch with this seed")
 
     _command(commands, "cluster", cmd_cluster, "prepare the two-photon four-qubit cluster state")
 

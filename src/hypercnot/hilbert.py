@@ -16,6 +16,14 @@ read directly off the squared norm. A state whose squared norm is not a
 finite number at most NORM_CAP is rejected when it is built, so NaN and
 infinite amplitudes never enter a computation.
 
+One validator checks every state, and it checks a stack of them at once:
+for a (k, 2**n) array of amplitude rows over one register tuple it checks
+the labels and the size once, every row's squared norm in one reduction,
+and makes one read-only copy. state_stack builds one StateVector per row
+from that copy, so a gate call validates its branch states once, not once
+per branch; StateVector's constructor runs the same validator on a one-row
+stack.
+
 The kernels work on reshaped views, not on per-register axes.
 apply_operator transposes the target registers to the front, in target
 order, applies the matrix to the (2**k, rest) block with one matmul and
@@ -86,21 +94,9 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        regs = tuple(self.registers)
-        labels = [r.label for r in regs]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate register labels: {labels}")
-        amps = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if amps.size != 2 ** len(regs):
-            raise ValueError(
-                f"expected {2 ** len(regs)} amplitudes for {len(regs)} registers, got {amps.size}"
-            )
-        norm2 = np.vdot(amps, amps).real
-        if not norm2 <= NORM_CAP:  # also rejects NaN and infinite amplitudes
-            raise ValueError(f"squared norm {norm2} is not finite or exceeds 1 (passive states)")
-        amps.setflags(write=False)
+        regs, stack = _checked_stack(self.registers, self.amplitudes, 1)
         object.__setattr__(self, "registers", regs)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", stack[0])
 
     # -- introspection -------------------------------------------------
 
@@ -163,6 +159,62 @@ class MeasurementRecord:
     outcome: int
     outcome_name: str
     probability: float
+
+
+# -- validation, one state or a stack of them --------------------------------
+
+
+def _checked_stack(
+    registers: Sequence[Register], amplitudes, rows: int
+) -> tuple[tuple[Register, ...], np.ndarray]:
+    """The registers as a tuple and a read-only complex128 copy of
+    amplitudes as a (rows, 2**n) stack, each row a valid state over them.
+
+    Every StateVector is validated here: __post_init__ passes one row,
+    state_stack any number. The labels and the size are checked once,
+    every row's squared norm in one reduction.
+    """
+    regs = tuple(registers)
+    labels = [r.label for r in regs]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate register labels: {labels}")
+    # a C-ordered copy that owns its data, so its rows, views of it, stay
+    # read-only and each row's real and imaginary parts are adjacent floats
+    stack = np.array(np.asarray(amplitudes).reshape(rows, -1), dtype=np.complex128, order="C")
+    if stack.shape[1] != 2 ** len(regs):
+        raise ValueError(
+            f"expected {2 ** len(regs)} amplitudes for {len(regs)} registers, got {stack.shape[1]}"
+        )
+    # each row's sum of squared real and imaginary parts; einsum, unlike the
+    # ufuncs, leaves the floating-point flags unread, so NaN, infinite and
+    # overflowing amplitudes are rejected below without a RuntimeWarning
+    parts = stack.view(np.float64)
+    for norm2 in np.einsum("ij,ij->i", parts, parts).tolist():
+        if not norm2 <= NORM_CAP:  # also rejects NaN and infinite amplitudes
+            raise ValueError(f"squared norm {norm2} is not finite or exceeds 1 (passive states)")
+    stack.setflags(write=False)
+    return regs, stack
+
+
+def state_stack(registers: Sequence[Register], amplitudes) -> list[StateVector]:
+    """One StateVector per entry of a stack of amplitudes, all over the same
+    registers, validated as one stack.
+
+    Entry i is flattened as StateVector flattens its amplitudes, and the
+    state holds row i of one read-only copy of the stack: the state
+    StateVector(registers, amplitudes[i]) builds, without one validation
+    per state.
+    """
+    regs, stack = _checked_stack(registers, amplitudes, len(amplitudes))
+    new = object.__new__
+    states = []
+    for row in stack:
+        state = new(StateVector)
+        fields = state.__dict__
+        fields["registers"] = regs
+        fields["amplitudes"] = row
+        states.append(state)
+    return states
 
 
 # -- the basis-state codec ------------------------------------------------

@@ -42,8 +42,9 @@ evaluate_branches gives the Kraus operators at N reflection pairs with one
 (N, 5) by (5, ...) contraction. Every circuit-level number takes one path:
 _kraus_at caches the four operators at a pair read-only, and _gate_outputs
 applies them to the input with one matrix product. hyper_cnot_state derives
-every GateRun from that product, all branches as one stack (survival, branch
-probabilities, final states and sampled outcomes); the truth table goes
+every GateRun from that product: it picks and samples the branches on their
+weights as Python floats, and normalizes the live branches and validates
+their final states as one stack (hilbert.state_stack); the truth table goes
 through it, and analysis.simulated_performance compares the product at the
 physical pair with the ideal (0, 0) Kraus operator times the same input. A
 simulated sweep evaluates no gate: for the uniform input it uses the exact
@@ -70,7 +71,6 @@ import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import product
-from typing import Iterator
 
 import numpy as np
 
@@ -86,6 +86,7 @@ from .hilbert import (
     discard_register,
     measure,
     reorder_registers,
+    state_stack,
     tensor_product,
     tensor_state,
 )
@@ -162,6 +163,13 @@ _STAGES = (
 
 # register sign-flipped by a down outcome of e1 and of e2, respectively
 _FEED_FORWARD_TARGETS = (A_SPATIAL, A_POL)
+
+# per branch, indexed by 2 * e1 outcome + e2 outcome: the spin outcomes and
+# the registers their feed-forward sign-flipped
+_BRANCH_RECORDS = tuple(
+    (outcomes, tuple(label for label, outcome in zip(_FEED_FORWARD_TARGETS, outcomes) if outcome))
+    for outcomes in product((0, 1), repeat=2)
+)
 
 
 def _check_two_photon_input(joint: StateVector) -> None:
@@ -298,14 +306,15 @@ def hyper_cnot_checkpoints(
     r_cold, r_hot = np.array([pair.r_cold]), np.array([pair.r_hot])
     amplitudes = ordered.amplitudes.reshape(16, -1)
     registers = joint.registers + (spin_register(SPIN_1), spin_register(SPIN_2))
-    stages = {}
+    names, rows = [], []
     for name, coefficients in _compile_stages()[0]:
         powers = _powers(r_cold, r_hot, len(coefficients) - 1)
         operator = (powers @ coefficients.reshape(len(coefficients), -1)).reshape(64, 16)
         # photons, spins, other registers -> the spins first, as the stack
         out = (operator @ amplitudes).reshape(16, 4, -1).transpose(1, 0, 2)
-        stages[name] = StateVector(registers, _input_order(out, ordered, joint).T)
-    return stages
+        names.append(name)
+        rows.append(_input_order(out, ordered, joint).T.reshape(-1))
+    return dict(zip(names, state_stack(registers, rows)))
 
 
 # -- the compiled gate ---------------------------------------------------
@@ -423,34 +432,44 @@ def hyper_cnot_state(
     ZeroSurvivalError when no amplitude reaches the spin measurement.
     """
     runs = _gate_runs(joint, reflection, branch_mode, seed)
-    return next(runs) if branch_mode == "sample" else list(runs)
+    return runs[0] if branch_mode == "sample" else runs
 
 
-def _unit_kraus(reflection: ReflectionPair | None) -> tuple[np.ndarray, int]:
-    """The Kraus operators at the pair (None: ideal) scaled by a power of two
-    (exact) to unit size, and the exponent of that scale."""
-    pair = reflection if reflection is not None else ReflectionPair.ideal()
+def _unit_pair(pair: ReflectionPair) -> tuple[complex, complex, int]:
+    """The pair scaled by a power of two (exact) to unit size, and the
+    exponent of that scale."""
     exponent = math.frexp(max(abs(pair.r_cold), abs(pair.r_hot)))[1]
     r_cold, r_hot = (
         complex(math.ldexp(r.real, -exponent), math.ldexp(r.imag, -exponent))
         for r in (pair.r_cold, pair.r_hot)
     )
+    return r_cold, r_hot, exponent
+
+
+# the ideal pair at unit size, (-0.5j, 0.5) with exponent 1
+_IDEAL_UNIT = _unit_pair(ReflectionPair.ideal())
+
+
+def _unit_kraus(reflection: ReflectionPair | None) -> tuple[np.ndarray, int]:
+    """The Kraus operators at the pair (None: ideal) scaled by a power of two
+    (exact) to unit size, and the exponent of that scale."""
+    r_cold, r_hot, exponent = _IDEAL_UNIT if reflection is None else _unit_pair(reflection)
     return _kraus_at(r_cold, r_hot), exponent
 
 
 def _gate_outputs(
     joint: StateVector, reflection: ReflectionPair | None
-) -> tuple[StateVector, np.ndarray, np.ndarray, float, float]:
+) -> tuple[StateVector, np.ndarray, list[float], float, float]:
     """The gate applied to a joint input at one reflection pair (None: ideal).
 
     Returns the input with PHOTON_LABELS first, the corrected, unnormalized
-    branch outputs (2, 2, 16, m), their weights (2, 2) with every empty
-    branch's set to zero, the weights' total and the survival. The outputs
-    are homogeneous of degree 4 in the pair, so they are evaluated at the
-    pair scaled by a power of two (exact) to unit size, where the weights of
-    tiny reflections cannot underflow; only the survival takes the scale
-    back. Raises ZeroSurvivalError when no amplitude reaches the spin
-    measurement.
+    branch outputs (2, 2, 16, m), their weights as four Python floats indexed
+    by 2 * e1 outcome + e2 outcome with every empty branch's set to zero, the
+    weights' total and the survival. The outputs are homogeneous of degree 4
+    in the pair, so they are evaluated at the pair scaled by a power of two
+    (exact) to unit size, where the weights of tiny reflections cannot
+    underflow; only the survival takes the scale back. Raises
+    ZeroSurvivalError when no amplitude reaches the spin measurement.
     """
     ordered = _photon_major(joint)
     kraus, exponent = _unit_kraus(reflection)
@@ -462,11 +481,24 @@ def _gate_outputs(
             "zero survival: no photon amplitude reaches the spin measurement, "
             "so the gate output is undefined"
         )
-    weights[weights <= BRANCH_FLOOR * total] = 0.0
+    floor = BRANCH_FLOOR * total
+    weights = [0.0 if weight <= floor else weight for weight in weights.ravel().tolist()]
     return ordered, outputs, weights, total, math.ldexp(total, _GATE_DEGREE * 2 * exponent)
 
 
-def _choose(rng: np.random.Generator, p: np.ndarray) -> int:
+def _live(weights: list[float]) -> list[int]:
+    """The non-empty branches, in outcome order."""
+    return [branch for branch, weight in enumerate(weights) if weight]
+
+
+def _normalized(w0: float, w1: float) -> tuple[float, float]:
+    """Two weights divided by their sum: the IEEE operations of p / p.sum()
+    on a two-entry float64 array, so the sampled bits stay numpy's."""
+    total = w0 + w1
+    return w0 / total, w1 / total
+
+
+def _choose(rng: np.random.Generator, p: tuple[float, float]) -> int:
     """``int(rng.choice(2, p=p))`` from the same single uniform draw.
 
     For two outcomes Generator.choice builds cdf = p.cumsum(), divides it
@@ -481,11 +513,16 @@ def _gate_runs(
     reflection: ReflectionPair | None,
     branch_mode: str = "enumerate",
     seed: int | None = None,
-) -> Iterator[GateRun]:
+) -> list[GateRun]:
     """hyper_cnot_state's runs: the non-empty branches in outcome order, or
-    the one sampled branch. The branches are normalized, taken back to the
-    input's register order and given their probabilities as one stack; each
-    run's StateVector is built only when the run is asked for."""
+    the one sampled branch. The branches are picked and sampled on Python
+    floats, then normalized, taken back to the input's register order and
+    validated as one stack.
+
+    Each run is a bare instance whose fields are stored straight into its
+    __dict__, as analysis._rows builds its rows: the state the generated
+    frozen __init__ leaves (GateRun has no __post_init__ to skip).
+    """
     if branch_mode not in ("enumerate", "sample"):
         raise ValueError(f"branch_mode must be 'enumerate' or 'sample', got {branch_mode!r}")
     mode = "ideal" if reflection is None else "physical"
@@ -494,23 +531,27 @@ def _gate_runs(
         # the draws hilbert.measure makes on e1, then on e2 given e1, so a
         # seed selects the same branch as measuring the spins one by one
         rng = np.random.default_rng(seed)
-        marginal = weights.sum(axis=1)
-        o1 = _choose(rng, marginal / marginal.sum())
-        live = [2 * o1 + _choose(rng, weights[o1] / weights[o1].sum())]
+        o1 = _choose(rng, _normalized(weights[0] + weights[1], weights[2] + weights[3]))
+        live = [2 * o1 + _choose(rng, _normalized(weights[2 * o1], weights[2 * o1 + 1]))]
     else:
-        live = np.flatnonzero(weights).tolist()
+        live = _live(weights)
         seed = None  # enumerated runs carry no seed
-    # the live branches as one stack, indexed by 2 * e1 outcome + e2 outcome
-    weights = weights.reshape(4)[live]
-    finals = outputs.reshape(4, 16, -1)[live] / np.sqrt(weights)[:, None, None]
-    finals = _input_order(finals, ordered, joint)
-    probabilities = (weights / total).tolist()
-    for branch, final, probability in zip(live, finals, probabilities):
-        outcomes = divmod(branch, 2)
-        ops = tuple(label for label, outcome in zip(_FEED_FORWARD_TARGETS, outcomes) if outcome)
-        yield GateRun(
-            mode, outcomes, ops, StateVector(joint.registers, final), survival, probability, seed
-        )
+    norms = np.sqrt([weights[branch] for branch in live])
+    finals = outputs.reshape(4, 16, -1)[live] / norms[:, None, None]
+    states = state_stack(joint.registers, _input_order(finals, ordered, joint))
+    new = object.__new__
+    runs = []
+    for branch, state in zip(live, states):
+        run = new(GateRun)
+        fields = run.__dict__
+        fields["mode"] = mode
+        fields["spin_outcomes"], fields["feed_forward_ops"] = _BRANCH_RECORDS[branch]
+        fields["final_state"] = state
+        fields["survival_probability"] = survival
+        fields["branch_probability"] = weights[branch] / total
+        fields["seed"] = seed
+        runs.append(run)
+    return runs
 
 
 # -- spin readout --------------------------------------------------------
@@ -645,11 +686,11 @@ def prepare_cluster_stages(reflection: ReflectionPair | None = None) -> ClusterS
     Hadamards on photon a, the path-controlled polarization sign flip, and
     Hadamards on photon b.
     """
-    stages = [next(_gate_runs(_cluster_input(), reflection)).final_state]
+    hyper_bell = _gate_runs(_cluster_input(), reflection)[0].final_state
+    amplitudes = [hyper_bell.amplitudes]
     for segment in _CLUSTER_SEGMENTS:
-        amplitudes = _optics_map(segment) @ stages[-1].amplitudes
-        stages.append(StateVector(stages[0].registers, amplitudes))
-    return ClusterStages(*stages)
+        amplitudes.append(_optics_map(segment) @ amplitudes[-1])
+    return ClusterStages(hyper_bell, *state_stack(hyper_bell.registers, amplitudes[1:]))
 
 
 # -- hyperentangled Bell states and their analysis ---------------------------
@@ -705,7 +746,7 @@ def _bell_states() -> tuple[StateVector, ...]:
     # axes pol index, a.pol, b.pol, spatial index, a.spatial, b.spatial, taken
     # to the indices, then PHOTON_LABELS order
     amplitudes = np.multiply.outer(pairs, pairs).transpose(0, 3, 1, 4, 2, 5).reshape(16, 16)
-    return tuple(StateVector(registers, column) for column in amplitudes)
+    return tuple(state_stack(registers, amplitudes))
 
 
 @dataclass(frozen=True)
@@ -731,7 +772,7 @@ def _bell_pattern(
     probabilities, after the gate's first non-empty branch and the compiled
     _BELL_ANALYSIS optics; any other registers are summed over."""
     ordered, outputs, weights, _, _ = _gate_outputs(state, reflection)
-    branch = outputs.reshape(4, 16, -1)[np.flatnonzero(weights)[0]]
+    branch = outputs.reshape(4, 16, -1)[_live(weights)[0]]
     probabilities = (np.abs(_optics_map(_BELL_ANALYSIS) @ branch) ** 2).reshape(2, 2, 2, 2, -1)
     marginals = np.array([probabilities.sum(axis=others) for others in _OTHER_AXES])
     outcomes = np.argmax(marginals, axis=1)

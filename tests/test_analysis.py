@@ -38,7 +38,7 @@ SQ2 = np.sqrt(2.0)
 
 def step_path_figures(params, joint):
     """(F, eta) from enumerated step-path GateRuns: the per-point reference."""
-    ideal_final = next(_gate_runs(joint, None)).final_state
+    ideal_final = _gate_runs(joint, None)[0].final_state
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # side-leakage guidance
         runs = hyper_cnot_state(joint, ReflectionPair.from_params(params))

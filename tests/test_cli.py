@@ -446,6 +446,58 @@ def test_amplitude_pairs_without_a_usable_norm_are_usage_errors(pair, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_seed_must_be_a_non_negative_integer(seed, via_config, tmp_path, capsys):
+    if via_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = {seed}\n")
+        argv = ["gate", "--config", str(cfg)]
+    else:
+        argv = ["gate", "--seed", seed]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"hypercnot gate: error: argument --seed: expected a non-negative integer, got {seed!r}"
+    )
+    assert "Traceback" not in captured.err
+
+
+def test_seed_zero_and_large_seeds_sample(capsys):
+    for seed in ("0", str(2**70)):
+        code, out, _ = run_cli(capsys, "gate", "--mode", "physical", "--g", "1.56", "--seed", seed)
+        assert code == 0
+        assert len(out.splitlines()) == 4  # one sampled branch
+
+
+# a g whose square overflows a float: the library raises OverflowError, the
+# CLI reports it as a usage error naming g
+HUGE_G_ARGV = [
+    ["gate", "--mode", "physical", "--g", "1e200"],
+    ["truth-table", "--mode", "physical", "--g", "1e200"],
+    ["cluster", "--mode", "physical", "--g", "1e200"],
+    ["bell-analyze", "--mode", "physical", "--g", "1e200"],
+    ["sweep", "--g-max", "1e308", "--resolution", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", HUGE_G_ARGV, ids=[argv[0] for argv in HUGE_G_ARGV])
+def test_huge_g_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = "g_max = 1e+308" if argv[0] == "sweep" else "g = 1e+200"
+    assert captured.err.splitlines()[-1] == (
+        f"hypercnot {argv[0]}: error: {name} is too large: g**2 overflows a float"
+    )
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,0 +1,248 @@
+"""The gate path held bit for bit to its per-branch form.
+
+The gate builds its branch states as one validated stack, picks and samples
+its branches on Python floats, and reads the ideal pair's unit scaling from
+a constant. The references here are the per-branch form it replaced: numpy
+branch selection (np.flatnonzero, Generator.choice on the weight arrays),
+the ideal pair rescaled with frexp and ldexp on every call, and one
+StateVector, with its own validation, per branch and per cluster stage.
+Every output is compared as raw bytes (amplitudes) or float.hex (floats).
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from hypercnot import (
+    CavityParams,
+    GateRun,
+    HyperBellState,
+    Register,
+    ReflectionPair,
+    StateVector,
+    analyze_hyper_bell,
+    evaluate_branches,
+    hyper_cnot_state,
+    prepare_cluster_stages,
+    reorder_registers,
+    truth_table,
+    uniform_two_photon_state,
+)
+from hypercnot import analysis, protocols
+from hypercnot.protocols import BRANCH_FLOOR
+from conftest import random_state
+from oracles import PHOTON_REGS
+
+# -- the per-branch form ------------------------------------------------------
+
+
+def per_branch_unit_kraus(reflection):
+    pair = reflection if reflection is not None else ReflectionPair.ideal()
+    exponent = math.frexp(max(abs(pair.r_cold), abs(pair.r_hot)))[1]
+    r_cold, r_hot = (
+        complex(math.ldexp(r.real, -exponent), math.ldexp(r.imag, -exponent))
+        for r in (pair.r_cold, pair.r_hot)
+    )
+    return evaluate_branches(r_cold, r_hot)[0], exponent
+
+
+def per_branch_gate_outputs(joint, reflection):
+    ordered = protocols._photon_major(joint)
+    kraus, exponent = per_branch_unit_kraus(reflection)
+    outputs = kraus @ ordered.amplitudes.reshape(16, -1)
+    weights = np.sum(np.abs(outputs) ** 2, axis=(2, 3))
+    total = float(weights.sum())
+    weights[weights <= BRANCH_FLOOR * total] = 0.0
+    return ordered, outputs, weights, total, math.ldexp(total, 8 * exponent)
+
+
+def per_branch_gate_runs(joint, reflection, branch_mode="enumerate", seed=None):
+    mode = "ideal" if reflection is None else "physical"
+    ordered, outputs, weights, total, survival = per_branch_gate_outputs(joint, reflection)
+    if branch_mode == "sample":
+        rng = np.random.default_rng(seed)
+        marginal = weights.sum(axis=1)
+        o1 = int(rng.choice(2, p=marginal / marginal.sum()))
+        live = [2 * o1 + int(rng.choice(2, p=weights[o1] / weights[o1].sum()))]
+    else:
+        live = np.flatnonzero(weights).tolist()
+        seed = None
+    weights = weights.reshape(4)[live]
+    finals = outputs.reshape(4, 16, -1)[live] / np.sqrt(weights)[:, None, None]
+    finals = protocols._input_order(finals, ordered, joint)
+    runs = []
+    for branch, final, probability in zip(live, finals, (weights / total).tolist()):
+        outcomes = divmod(branch, 2)
+        ops = tuple(
+            label for label, outcome in zip(protocols._FEED_FORWARD_TARGETS, outcomes) if outcome
+        )
+        state = StateVector(joint.registers, final)
+        runs.append(GateRun(mode, outcomes, ops, state, survival, probability, seed))
+    return runs
+
+
+def per_branch_bell_pattern(state, reflection):
+    ordered, outputs, weights, _, _ = per_branch_gate_outputs(state, reflection)
+    branch = outputs.reshape(4, 16, -1)[np.flatnonzero(weights)[0]]
+    optics = protocols._optics_map(protocols._BELL_ANALYSIS)
+    probabilities = (np.abs(optics @ branch) ** 2).reshape(2, 2, 2, 2, -1)
+    marginals = np.array([probabilities.sum(axis=others) for others in protocols._OTHER_AXES])
+    outcomes = np.argmax(marginals, axis=1)
+    names = tuple(reg.basis_names[o] for reg, o in zip(ordered.registers, outcomes))
+    return names, float(np.min(marginals[range(4), outcomes] / marginals.sum(axis=1)))
+
+
+def per_branch_cluster_stages(reflection):
+    stages = [per_branch_gate_runs(protocols._cluster_input(), reflection)[0].final_state]
+    for segment in protocols._CLUSTER_SEGMENTS:
+        amplitudes = protocols._optics_map(segment) @ stages[-1].amplitudes
+        stages.append(StateVector(stages[0].registers, amplitudes))
+    return stages
+
+
+def per_branch_simulated_performance(params, joint):
+    ordered, outputs, _, total, survival = per_branch_gate_outputs(
+        joint, ReflectionPair.from_params(params)
+    )
+    ideal = (per_branch_unit_kraus(None)[0][0, 0] @ ordered.amplitudes.reshape(16, -1)).reshape(-1)
+    overlap2 = np.abs(outputs.reshape(4, -1) @ ideal.conj()) ** 2
+    return float(overlap2.sum() / (np.sum(np.abs(ideal) ** 2) * total)), survival
+
+
+# -- the cases ----------------------------------------------------------------
+
+SPECTATOR = Register("c", ("0", "1"))
+PAIRS = {
+    "ideal": None,
+    "physical": ReflectionPair.from_params(CavityParams(g=1.56, kappa_s=0.2)),
+    "g0": ReflectionPair.from_params(CavityParams(g=0.0, kappa_s=0.3)),
+    "tiny": ReflectionPair(0.0, 1.57900383923873e-40),
+}
+PARAMS = [CavityParams(g=1.56, kappa_s=0.2), CavityParams(g=0.0, kappa_s=0.3), CavityParams(g=2.4)]
+
+
+def _inputs():
+    rng = np.random.default_rng(20131017)
+    a_pol, a_spatial, b_pol, b_spatial = PHOTON_REGS
+    photon_major = random_state(PHOTON_REGS, rng)
+    inputs = {
+        "photon-major": photon_major,
+        "permuted": reorder_registers(photon_major, ["b.spatial", "a.pol", "b.pol", "a.spatial"]),
+        "spectator": random_state((b_spatial, SPECTATOR, a_pol, b_pol, a_spatial), rng),
+    }
+    # more draws, so that a change in the last bit of some branch shows
+    inputs.update((f"random-{i}", random_state(PHOTON_REGS, rng)) for i in range(6))
+    return inputs
+
+
+INPUTS = _inputs()
+
+
+def _hex(x: float) -> str:
+    return float.hex(x)
+
+
+def assert_same_state(got: StateVector, want: StateVector) -> None:
+    assert got.registers == want.registers
+    assert got.amplitudes.dtype == want.amplitudes.dtype
+    assert got.amplitudes.shape == want.amplitudes.shape
+    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+    assert not got.amplitudes.flags.writeable
+
+
+def assert_same_run(got: GateRun, want: GateRun) -> None:
+    assert type(got) is GateRun
+    assert (got.mode, got.spin_outcomes, got.feed_forward_ops, got.seed) == (
+        want.mode, want.spin_outcomes, want.feed_forward_ops, want.seed
+    )
+    assert _hex(got.survival_probability) == _hex(want.survival_probability)
+    assert _hex(got.branch_probability) == _hex(want.branch_probability)
+    assert_same_state(got.final_state, want.final_state)
+
+
+# -- the tests ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pair", PAIRS.values(), ids=PAIRS.keys())
+@pytest.mark.parametrize("joint", INPUTS.values(), ids=INPUTS.keys())
+def test_gate_runs_are_bitwise_the_per_branch_form(joint, pair):
+    runs = hyper_cnot_state(joint, pair)
+    want = per_branch_gate_runs(joint, pair)
+    assert len(runs) == len(want)
+    for run, ref in zip(runs, want):
+        assert_same_run(run, ref)
+    for seed in range(12):
+        run = hyper_cnot_state(joint, pair, branch_mode="sample", seed=seed)
+        assert_same_run(run, per_branch_gate_runs(joint, pair, "sample", seed)[0])
+
+
+@pytest.mark.parametrize("pair", PAIRS.values(), ids=PAIRS.keys())
+def test_applications_are_bitwise_the_per_branch_form(pair, monkeypatch):
+    stages = prepare_cluster_stages(pair)
+    got_stages = [getattr(stages, f.name) for f in dataclasses.fields(stages)]
+    for got, want in zip(got_stages, per_branch_cluster_stages(pair), strict=True):
+        assert_same_state(got, want)
+    rows = truth_table(pair)
+    analyses = [analyze_hyper_bell(HyperBellState(p, s), pair) for p in range(4) for s in range(4)]
+    # the same applications with the gate and the Bell analysis in their
+    # per-branch form; the code around them is shared
+    with monkeypatch.context() as patched:
+        patched.setattr(protocols, "_gate_runs", per_branch_gate_runs)
+        patched.setattr(protocols, "_bell_pattern", per_branch_bell_pattern)
+        want_rows = truth_table(pair)
+        want_analyses = [
+            analyze_hyper_bell(HyperBellState(p, s), pair) for p in range(4) for s in range(4)
+        ]
+    for row, want in zip(rows, want_rows, strict=True):
+        assert (row.input_names, row.expected_names, row.observed_names, row.ok) == (
+            want.input_names, want.expected_names, want.observed_names, want.ok
+        )
+        assert _hex(row.min_fidelity) == _hex(want.min_fidelity)
+    for got, want in zip(analyses, want_analyses, strict=True):
+        assert (got.pol_index, got.spatial_index, got.pattern, got.deterministic) == (
+            want.pol_index, want.spatial_index, want.pattern, want.deterministic
+        )
+        assert _hex(got.min_outcome_probability) == _hex(want.min_outcome_probability)
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=["physical", "g0", "g2.4"])
+def test_simulated_performance_is_bitwise_the_per_branch_form(params):
+    for joint in (uniform_two_photon_state(), *INPUTS.values()):
+        got = analysis.simulated_performance(params, joint)
+        want = per_branch_simulated_performance(params, joint)
+        assert [_hex(x) for x in got] == [_hex(x) for x in want]
+
+
+def test_ideal_unit_pair_is_the_rescaled_ideal_pair():
+    # the constant is bitwise what frexp and ldexp make of the ideal pair,
+    # the sign of each zero part included
+    r_cold, r_hot, exponent = protocols._IDEAL_UNIT
+    assert exponent == 1
+    for got, want in ((r_cold, complex(-0.0, -0.5)), (r_hot, complex(0.5, 0.0))):
+        assert (_hex(got.real), _hex(got.imag)) == (_hex(want.real), _hex(want.imag))
+    kraus, exponent = protocols._unit_kraus(None)
+    assert exponent == 1
+    assert kraus.tobytes() == per_branch_unit_kraus(None)[0].tobytes()
+
+
+@pytest.mark.parametrize("pair", [PAIRS["ideal"], PAIRS["physical"]], ids=["ideal", "physical"])
+def test_bulk_runs_behave_like_constructed_runs(pair):
+    # the gate writes each run's fields straight into a bare instance, which
+    # is only the constructor's state while GateRun has no __post_init__
+    assert not hasattr(GateRun, "__post_init__")
+    joint = INPUTS["photon-major"]
+    runs = hyper_cnot_state(joint, pair) + [hyper_cnot_state(joint, pair, "sample", seed=3)]
+    for run in runs:
+        built = GateRun(*(getattr(run, f.name) for f in dataclasses.fields(run)))
+        assert run == built and built == run
+        assert hash(run) == hash(built)
+        assert repr(run) == repr(built)
+        assert list(vars(run).items()) == list(vars(built).items())
+        assert dataclasses.replace(run) == built
+        assert dataclasses.replace(run, seed=7) == dataclasses.replace(built, seed=7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            run.branch_probability = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del run.seed

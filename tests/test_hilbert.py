@@ -21,6 +21,7 @@ from hypercnot import (
     tensor_product,
     tensor_state,
 )
+from hypercnot.hilbert import state_stack
 from conftest import random_state, random_unitary, three_registers
 from oracles import (
     apply_operator_reference,
@@ -336,6 +337,69 @@ def test_non_finite_amplitudes_rejected(position, bad):
     amps[position] = bad
     with pytest.raises(ValueError, match="not finite"):
         StateVector(three_registers() + (POL,), amps)
+
+
+# -- stacks of states ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, -np.inf), 1.5])
+@pytest.mark.parametrize("row", range(4))
+@pytest.mark.parametrize("position", [0, 5, 15])
+def test_stack_rejects_any_bad_row(row, position, bad):
+    # the message is StateVector's, whichever row is not a valid state
+    regs = three_registers() + (POL,)
+    stack = np.full((4, 16), 0.25, dtype=complex)
+    stack[row, position] = bad
+    with pytest.raises(ValueError, match="is not finite or exceeds 1"):
+        state_stack(regs, stack)
+    with pytest.raises(ValueError, match="is not finite or exceeds 1"):
+        StateVector(regs, stack[row])
+
+
+def test_stack_checks_labels_and_size_once():
+    with pytest.raises(ValueError, match=r"duplicate register labels: \['a.pol', 'a.pol'\]"):
+        state_stack((POL, Register("a.pol", ("x", "y"))), np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="expected 4 amplitudes for 2 registers, got 3"):
+        state_stack((POL, SPIN), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="expected 4 amplitudes for 2 registers, got 3"):
+        StateVector((POL, SPIN), np.zeros(3))
+
+
+def test_stack_states_are_the_constructed_states(rng):
+    regs = three_registers()
+    rows = rng.normal(size=(5, 2, 4)) + 1j * rng.normal(size=(5, 2, 4))
+    rows /= np.linalg.norm(rows.reshape(5, -1), axis=1)[:, None, None]
+    states = state_stack(list(regs), rows)
+    # a Fortran-ordered stack gives the same states
+    fortran = state_stack(regs, np.asfortranarray(rows.reshape(5, 8)))
+    assert len(states) == len(fortran) == 5
+    for state, other, row in zip(states, fortran, rows):
+        assert state.amplitudes.tobytes() == other.amplitudes.tobytes()
+        built = StateVector(regs, row)
+        assert type(state) is StateVector
+        assert state.registers == built.registers and isinstance(state.registers, tuple)
+        assert state.labels == built.labels
+        assert state.amplitudes.shape == built.amplitudes.shape == (8,)
+        assert state.amplitudes.tobytes() == built.amplitudes.tobytes()
+        assert repr(state) == repr(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.amplitudes = row
+
+
+def test_stack_states_are_read_only_copies(rng):
+    regs = (POL, SPIN)
+    stack = rng.normal(size=(3, 4)) + 0j
+    stack /= np.linalg.norm(stack, axis=1)[:, None]
+    want = stack.copy()
+    states = state_stack(regs, stack)
+    stack[:] = 0.0  # the caller's array changes afterwards
+    for state, row in zip(states, want):
+        assert np.array_equal(state.amplitudes, row)
+        assert not state.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 1.0
+        with pytest.raises(ValueError):
+            state.amplitudes.setflags(write=True)
 
 
 # -- the kernels against their first form ------------------------------------

@@ -623,23 +623,29 @@ def test_small_coupling_keeps_every_branch():
     "pair", [None, ReflectionPair.from_params(CavityParams(g=1.56, kappa_s=0.2))], ids=["ideal", "physical"]
 )
 def test_gate_builds_one_state_per_run(pair, monkeypatch, rng):
-    # a photon-major input is used as it is, and each run's final state is
-    # the only StateVector the call builds
+    # a photon-major input is used as it is, and the runs' final states are
+    # the only states the call validates, all in one stack: each final state
+    # holds its row of the validated copy
     joint = random_state(PHOTON_REGS, rng)
-    builds = []
-    build = StateVector.__post_init__
+    stacks = []
+    check = hilbert._checked_stack
 
-    def counted(state):
-        builds.append(state)
-        build(state)
+    def counted(registers, amplitudes, rows):
+        checked = check(registers, amplitudes, rows)
+        stacks.append(checked[1])
+        return checked
 
-    monkeypatch.setattr(StateVector, "__post_init__", counted)
+    monkeypatch.setattr(hilbert, "_checked_stack", counted)
     runs = hyper_cnot_state(joint, pair)
     assert len(runs) == 4
-    assert len(builds) == 4 and all(run.final_state is built for run, built in zip(runs, builds))
-    builds.clear()
+    assert [len(stack) for stack in stacks] == [4]
+    for run, row in zip(runs, stacks[0]):
+        assert np.shares_memory(run.final_state.amplitudes, stacks[0])
+        assert np.array_equal(run.final_state.amplitudes, row)
+    stacks.clear()
     run = hyper_cnot_state(joint, pair, branch_mode="sample", seed=5)
-    assert len(builds) == 1 and builds[0] is run.final_state
+    assert [len(stack) for stack in stacks] == [1]
+    assert np.shares_memory(run.final_state.amplitudes, stacks[0])
 
 
 def test_permuted_input_with_a_spectator_matches_step_path(rng):
