@@ -67,7 +67,7 @@ from .cavity import (
     reflect_hot,
 )
 from .hilbert import StateVector
-from .protocols import ZeroSurvivalError, _gate_outputs, _unit_kraus, uniform_two_photon_state
+from .protocols import ZeroSurvivalError, _gate_outputs, _gate_plan, uniform_two_photon_state
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ def simulated_performance(
     except ZeroSurvivalError:
         return math.nan, 0.0
     # every ideal branch carries the same corrected output: the (0, 0) one
-    ideal = (_unit_kraus(None)[0][0, 0] @ ordered.amplitudes.reshape(16, -1)).reshape(-1)
+    ideal = (_gate_plan(None).kraus[0, 0] @ ordered.amplitudes.reshape(16, -1)).reshape(-1)
     overlap2 = np.abs(outputs.reshape(4, -1) @ ideal.conj()) ** 2
     return float(overlap2.sum() / (np.sum(np.abs(ideal) ** 2) * total)), survival
 

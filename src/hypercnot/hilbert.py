@@ -35,7 +35,6 @@ discard_register view a register at position i as the middle axis of the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -88,14 +87,16 @@ class Register:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Complex amplitudes over the tensor product of labeled registers."""
+    """Complex amplitudes over the tensor product of labeled registers;
+    ``labels``, no field, is stored with them when the state is validated."""
 
     registers: tuple[Register, ...]
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        regs, stack = _checked_stack(self.registers, self.amplitudes, 1)
+        regs, labels, stack = _checked_stack(self.registers, self.amplitudes, 1)
         object.__setattr__(self, "registers", regs)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "amplitudes", stack[0])
 
     # -- introspection -------------------------------------------------
@@ -103,11 +104,6 @@ class StateVector:
     @property
     def num_registers(self) -> int:
         return len(self.registers)
-
-    @cached_property
-    def labels(self) -> tuple[str, ...]:
-        """Register labels in order, computed once per state."""
-        return tuple(r.label for r in self.registers)
 
     @property
     def norm2(self) -> float:
@@ -166,8 +162,8 @@ class MeasurementRecord:
 
 def _checked_stack(
     registers: Sequence[Register], amplitudes, rows: int
-) -> tuple[tuple[Register, ...], np.ndarray]:
-    """The registers as a tuple and a read-only complex128 copy of
+) -> tuple[tuple[Register, ...], tuple[str, ...], np.ndarray]:
+    """The registers and labels as tuples, and a read-only complex128 copy of
     amplitudes as a (rows, 2**n) stack, each row a valid state over them.
 
     Every StateVector is validated here: __post_init__ passes one row,
@@ -175,9 +171,9 @@ def _checked_stack(
     every row's squared norm in one reduction.
     """
     regs = tuple(registers)
-    labels = [r.label for r in regs]
+    labels = tuple(r.label for r in regs)
     if len(set(labels)) != len(labels):
-        raise ValueError(f"duplicate register labels: {labels}")
+        raise ValueError(f"duplicate register labels: {list(labels)}")
     # a C-ordered copy that owns its data, so its rows, views of it, stay
     # read-only and each row's real and imaginary parts are adjacent floats
     stack = np.array(np.asarray(amplitudes).reshape(rows, -1), dtype=np.complex128, order="C")
@@ -193,7 +189,7 @@ def _checked_stack(
         if not norm2 <= NORM_CAP:  # also rejects NaN and infinite amplitudes
             raise ValueError(f"squared norm {norm2} is not finite or exceeds 1 (passive states)")
     stack.setflags(write=False)
-    return regs, stack
+    return regs, labels, stack
 
 
 def state_stack(registers: Sequence[Register], amplitudes) -> list[StateVector]:
@@ -205,7 +201,7 @@ def state_stack(registers: Sequence[Register], amplitudes) -> list[StateVector]:
     StateVector(registers, amplitudes[i]) builds, without one validation
     per state.
     """
-    regs, stack = _checked_stack(registers, amplitudes, len(amplitudes))
+    regs, labels, stack = _checked_stack(registers, amplitudes, len(amplitudes))
     new = object.__new__
     states = []
     for row in stack:
@@ -213,6 +209,7 @@ def state_stack(registers: Sequence[Register], amplitudes) -> list[StateVector]:
         fields = state.__dict__
         fields["registers"] = regs
         fields["amplitudes"] = row
+        fields["labels"] = labels
         states.append(state)
     return states
 

@@ -40,13 +40,14 @@ and the feed-forward folded in, are the coefficients of the gate's four
 16x16 Kraus operators, one per spin-outcome pair. All are kept read-only.
 evaluate_branches gives the Kraus operators at N reflection pairs with one
 (N, 5) by (5, ...) contraction. Every circuit-level number takes one path:
-_kraus_at caches the four operators at a pair read-only, and _gate_outputs
-applies them to the input with one matrix product. hyper_cnot_state derives
-every GateRun from that product: it picks and samples the branches on their
-weights as Python floats, and normalizes the live branches and validates
-their final states as one stack (hilbert.state_stack); the truth table goes
-through it, and analysis.simulated_performance compares the product at the
-physical pair with the ideal (0, 0) Kraus operator times the same input. A
+the gate plan of its pair, the Kraus operators there, built once per pair
+in a bounded LRU cache, so a call at a cached pair does only
+input-dependent work. _gate_outputs multiplies the input by the plan once;
+hyper_cnot_state derives every GateRun from that product, picks and samples
+the branches on their weights as Python floats, and normalizes the live
+branches and validates their final states as one stack (state_stack). The
+truth table goes through it; analysis.simulated_performance compares the
+product with the ideal plan's (0, 0) Kraus operator times the same input. A
 simulated sweep evaluates no gate: for the uniform input it uses the exact
 closed form in analysis, which the tests hold to the Kraus operators.
 
@@ -68,9 +69,11 @@ the gate to a step path that applies _STAGES one operator at a time.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,16 +175,6 @@ _BRANCH_RECORDS = tuple(
 )
 
 
-def _check_two_photon_input(joint: StateVector) -> None:
-    labels = joint.labels
-    missing = [label for label in PHOTON_LABELS if label not in labels]
-    if missing:
-        raise ValueError(f"two-photon input is missing registers {missing}; has {labels}")
-    for spin in (SPIN_1, SPIN_2):
-        if spin in labels:
-            raise ValueError(f"input already contains the internal spin register {spin!r}")
-
-
 # -- one interpreter for the circuit tables ----------------------------------
 
 # cavity passes in one gate run, hence the degree of the branch polynomials
@@ -268,10 +261,17 @@ def _powers(r_cold: np.ndarray, r_hot: np.ndarray, degree: int) -> np.ndarray:
 
 
 def _photon_major(joint: StateVector) -> StateVector:
-    """A joint input with PHOTON_LABELS first, then any other registers in
-    their input order."""
-    _check_two_photon_input(joint)
+    """A joint two-photon input, checked, with PHOTON_LABELS first, then any
+    other registers in their input order."""
     labels = joint.labels
+    if labels == PHOTON_LABELS:  # the photon-major input every library caller passes
+        return joint
+    missing = [label for label in PHOTON_LABELS if label not in labels]
+    if missing:
+        raise ValueError(f"two-photon input is missing registers {missing}; has {labels}")
+    for spin in (SPIN_1, SPIN_2):
+        if spin in labels:
+            raise ValueError(f"input already contains the internal spin register {spin!r}")
     if labels[:4] == PHOTON_LABELS:
         return joint
     rest = [label for label in labels if label not in PHOTON_LABELS]
@@ -336,28 +336,50 @@ def evaluate_branches(r_cold, r_hot) -> np.ndarray:
     return np.tensordot(_powers(r_cold, r_hot, _GATE_DEGREE), _compile_stages()[1], axes=1)
 
 
-# reflection pairs whose Kraus operators stay cached: each entry holds
-# 2 * 2 * 16 * 16 complex amplitudes, 16 KiB, so the cache stays near 0.5 MB
-_KRAUS_CACHE_SIZE = 32
+class _GatePlan(NamedTuple):
+    """The gate, homogeneous of degree 4 in the pair, at the pair scaled by a
+    power of two (exact) to unit size, where no weight underflows: its
+    read-only Kraus operators (2, 2, 16, 16), a (64, 16) matrix view of the
+    same array, and the scale's exponent."""
+
+    kraus: np.ndarray
+    matrix: np.ndarray
+    exponent: int
 
 
-def _kraus_at(r_cold: complex, r_hot: complex) -> np.ndarray:
-    """The gate's four Kraus operators at one reflection pair, shape
-    (2, 2, 16, 16): e1 outcome, e2 outcome, output and input amplitude.
+def _unit_pair(r_cold: complex, r_hot: complex) -> tuple[complex, complex, int]:
+    """The pair scaled by a power of two (exact) to unit size, and the
+    exponent of that scale."""
+    exponent = math.frexp(max(abs(r_cold), abs(r_hot)))[1]
+    r_cold, r_hot = (
+        complex(math.ldexp(r.real, -exponent), math.ldexp(r.imag, -exponent))
+        for r in (r_cold, r_hot)
+    )
+    return r_cold, r_hot, exponent
 
-    Read-only and cached per pair, keyed on the pair's exact bits, so pairs
-    that differ only in the sign of a zero part get entries of their own and
-    no output depends on which pairs ran before.
-    """
-    return _kraus_for_bits(np.array([r_cold, r_hot], dtype=np.complex128).tobytes())
+
+# the key of a pair's plan: its raw bits, r_cold's real and imaginary parts, then r_hot's
+_PAIR_BITS = struct.Struct("4d")
+_IDEAL_PAIR = ReflectionPair.ideal()
 
 
-@lru_cache(maxsize=_KRAUS_CACHE_SIZE)
-def _kraus_for_bits(key: bytes) -> np.ndarray:
-    r_cold, r_hot = np.frombuffer(key, dtype=np.complex128)
+def _gate_plan(reflection: ReflectionPair | None) -> _GatePlan:
+    """The plan at a reflection pair (None: ideal), cached on the pair's raw
+    bits, so pairs that differ only in the sign of a zero part get plans of
+    their own and no output depends on which pairs ran before."""
+    pair = _IDEAL_PAIR if reflection is None else reflection
+    r_cold, r_hot = pair.r_cold, pair.r_hot
+    return _plan_for_bits(_PAIR_BITS.pack(r_cold.real, r_cold.imag, r_hot.real, r_hot.imag))
+
+
+# a plan holds 2 * 2 * 16 * 16 complex amplitudes, 16 KiB, so 32 stay near 0.5 MB
+@lru_cache(maxsize=32)
+def _plan_for_bits(key: bytes) -> _GatePlan:
+    cold_re, cold_im, hot_re, hot_im = _PAIR_BITS.unpack(key)
+    r_cold, r_hot, exponent = _unit_pair(complex(cold_re, cold_im), complex(hot_re, hot_im))
     kraus = evaluate_branches(r_cold, r_hot)[0]
     kraus.flags.writeable = False
-    return kraus
+    return _GatePlan(kraus, kraus.reshape(64, 16), exponent)
 
 
 # -- the fixed optics after the gate ---------------------------------------
@@ -435,55 +457,32 @@ def hyper_cnot_state(
     return runs[0] if branch_mode == "sample" else runs
 
 
-def _unit_pair(pair: ReflectionPair) -> tuple[complex, complex, int]:
-    """The pair scaled by a power of two (exact) to unit size, and the
-    exponent of that scale."""
-    exponent = math.frexp(max(abs(pair.r_cold), abs(pair.r_hot)))[1]
-    r_cold, r_hot = (
-        complex(math.ldexp(r.real, -exponent), math.ldexp(r.imag, -exponent))
-        for r in (pair.r_cold, pair.r_hot)
-    )
-    return r_cold, r_hot, exponent
-
-
-# the ideal pair at unit size, (-0.5j, 0.5) with exponent 1
-_IDEAL_UNIT = _unit_pair(ReflectionPair.ideal())
-
-
-def _unit_kraus(reflection: ReflectionPair | None) -> tuple[np.ndarray, int]:
-    """The Kraus operators at the pair (None: ideal) scaled by a power of two
-    (exact) to unit size, and the exponent of that scale."""
-    r_cold, r_hot, exponent = _IDEAL_UNIT if reflection is None else _unit_pair(reflection)
-    return _kraus_at(r_cold, r_hot), exponent
-
-
 def _gate_outputs(
     joint: StateVector, reflection: ReflectionPair | None
 ) -> tuple[StateVector, np.ndarray, list[float], float, float]:
     """The gate applied to a joint input at one reflection pair (None: ideal).
 
-    Returns the input with PHOTON_LABELS first, the corrected, unnormalized
-    branch outputs (2, 2, 16, m), their weights as four Python floats indexed
-    by 2 * e1 outcome + e2 outcome with every empty branch's set to zero, the
-    weights' total and the survival. The outputs are homogeneous of degree 4
-    in the pair, so they are evaluated at the pair scaled by a power of two
-    (exact) to unit size, where the weights of tiny reflections cannot
-    underflow; only the survival takes the scale back. Raises
-    ZeroSurvivalError when no amplitude reaches the spin measurement.
+    Returns the input with PHOTON_LABELS first, the plan's corrected,
+    unnormalized branch outputs (4, 16, m), indexed by 2 * e1 outcome + e2
+    outcome, their weights as four Python floats with every empty branch's
+    zero, their total, and the survival, which alone takes the plan's unit
+    scale back. Raises ZeroSurvivalError when no amplitude survives.
     """
     ordered = _photon_major(joint)
-    kraus, exponent = _unit_kraus(reflection)
-    outputs = kraus @ ordered.amplitudes.reshape(16, -1)
-    weights = np.sum(np.abs(outputs) ** 2, axis=(2, 3))
-    total = float(weights.sum())
+    plan = _gate_plan(reflection)
+    outputs = plan.matrix @ ordered.amplitudes.reshape(16, -1)
+    weights = np.square(np.abs(outputs)).reshape(4, -1).sum(1).tolist()
+    # left to right, the order numpy sums four values in
+    total = weights[0] + weights[1] + weights[2] + weights[3]
     if total == 0.0:
         raise ZeroSurvivalError(
             "zero survival: no photon amplitude reaches the spin measurement, "
             "so the gate output is undefined"
         )
     floor = BRANCH_FLOOR * total
-    weights = [0.0 if weight <= floor else weight for weight in weights.ravel().tolist()]
-    return ordered, outputs, weights, total, math.ldexp(total, _GATE_DEGREE * 2 * exponent)
+    weights = [0.0 if weight <= floor else weight for weight in weights]
+    survival = math.ldexp(total, _GATE_DEGREE * 2 * plan.exponent)
+    return ordered, outputs.reshape(4, 16, -1), weights, total, survival
 
 
 def _live(weights: list[float]) -> list[int]:
@@ -536,8 +535,8 @@ def _gate_runs(
     else:
         live = _live(weights)
         seed = None  # enumerated runs carry no seed
-    norms = np.sqrt([weights[branch] for branch in live])
-    finals = outputs.reshape(4, 16, -1)[live] / norms[:, None, None]
+    norms = np.array([math.sqrt(weights[branch]) for branch in live])
+    finals = outputs.take(live, 0) / norms[:, None, None]
     states = state_stack(joint.registers, _input_order(finals, ordered, joint))
     new = object.__new__
     runs = []
@@ -621,12 +620,15 @@ def expected_truth_table_output(input_names: tuple[str, str, str, str]) -> tuple
 
 
 @cache
-def _basis_inputs() -> tuple[tuple[tuple[str, ...], ...], tuple[StateVector, ...]]:
-    """The 16 photon basis states in index order, with their per-register
-    names, built once per process (a StateVector is immutable)."""
+def _basis_inputs() -> tuple[tuple, tuple[StateVector, ...], tuple, tuple[int, ...]]:
+    """The 16 photon basis states in index order: their per-register names,
+    the states, and the names and indices of their expected outputs, built
+    once per process (a StateVector is immutable)."""
     registers = photon_registers("a") + photon_registers("b")
     names = tuple(basis_names(registers, index) for index in range(16))
-    return names, tuple(basis_state(registers, n) for n in names)
+    states = tuple(basis_state(registers, n) for n in names)
+    expected = tuple(expected_truth_table_output(n) for n in names)
+    return names, states, expected, tuple(names.index(n) for n in expected)
 
 
 def truth_table(reflection: ReflectionPair | None = None) -> list[TruthTableRow]:
@@ -637,15 +639,13 @@ def truth_table(reflection: ReflectionPair | None = None) -> list[TruthTableRow]
     also carries the worst branch fidelity against that prediction, the
     squared magnitude of the output's amplitude on the predicted state.
     """
-    names, inputs = _basis_inputs()
-    index_of = {n: index for index, n in enumerate(names)}
-    expected_names = [expected_truth_table_output(n) for n in names]
+    names, inputs, expected_names, expected_indices = _basis_inputs()
     runs = [hyper_cnot_state(joint, reflection) for joint in inputs]
     # every branch of every row as one stack, decoded at once
     counts = [len(row) for row in runs]
     starts = np.cumsum([0] + counts[:-1])
     outputs = np.array([run.final_state.amplitudes for row in runs for run in row])
-    expected = np.repeat([index_of[n] for n in expected_names], counts)
+    expected = np.repeat(expected_indices, counts)
     observed = np.argmax(np.abs(outputs), axis=1)
     ok = np.logical_and.reduceat(observed == expected, starts).tolist()
     fidelity = np.abs(outputs[np.arange(len(outputs)), expected]) ** 2
@@ -684,13 +684,15 @@ def prepare_cluster_stages(reflection: ReflectionPair | None = None) -> ClusterS
     runs the gate (its first non-empty branch, up,up in ideal mode), then
     the _CLUSTER_SEGMENTS, each one product with its compiled map:
     Hadamards on photon a, the path-controlled polarization sign flip, and
-    Hadamards on photon b.
+    Hadamards on photon b. The four states are validated as one stack.
     """
-    hyper_bell = _gate_runs(_cluster_input(), reflection)[0].final_state
-    amplitudes = [hyper_bell.amplitudes]
+    joint = _cluster_input()  # photon-major, so the outputs are in its order
+    _, outputs, weights, _, _ = _gate_outputs(joint, reflection)
+    first = _live(weights)[0]
+    amplitudes = [outputs[first].reshape(16) / math.sqrt(weights[first])]
     for segment in _CLUSTER_SEGMENTS:
         amplitudes.append(_optics_map(segment) @ amplitudes[-1])
-    return ClusterStages(hyper_bell, *state_stack(hyper_bell.registers, amplitudes[1:]))
+    return ClusterStages(*state_stack(joint.registers, amplitudes))
 
 
 # -- hyperentangled Bell states and their analysis ---------------------------
@@ -772,7 +774,7 @@ def _bell_pattern(
     probabilities, after the gate's first non-empty branch and the compiled
     _BELL_ANALYSIS optics; any other registers are summed over."""
     ordered, outputs, weights, _, _ = _gate_outputs(state, reflection)
-    branch = outputs.reshape(4, 16, -1)[_live(weights)[0]]
+    branch = outputs[_live(weights)[0]]
     probabilities = (np.abs(_optics_map(_BELL_ANALYSIS) @ branch) ** 2).reshape(2, 2, 2, 2, -1)
     marginals = np.array([probabilities.sum(axis=others) for others in _OTHER_AXES])
     outcomes = np.argmax(marginals, axis=1)
@@ -808,8 +810,8 @@ def analyze_hyper_bell(
     indices can be read off the decoding table.
     """
     if isinstance(state, HyperBellState):
-        state = hyper_bell_state(state.pol_index, state.spatial_index)
-    if abs(state.norm2 - 1.0) > 1e-9:
+        state = hyper_bell_state(state.pol_index, state.spatial_index)  # normalized
+    elif abs(state.norm2 - 1.0) > 1e-9:
         raise ValueError("analysis input must be normalized")
     pattern, min_prob = _bell_pattern(state, reflection)
     decoded = bell_decoding_table().get(pattern)

@@ -278,7 +278,7 @@ def test_simulated_sweep_never_runs_the_engine(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a simulated sweep ran the compiled gate engine")
 
-    monkeypatch.setattr(protocols, "_kraus_at", refuse)
+    monkeypatch.setattr(protocols, "_plan_for_bits", refuse)
     monkeypatch.setattr(protocols, "evaluate_branches", refuse)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # side-leakage guidance

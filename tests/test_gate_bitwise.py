@@ -1,11 +1,12 @@
 """The gate path held bit for bit to its per-branch form.
 
 The gate builds its branch states as one validated stack, picks and samples
-its branches on Python floats, and reads the ideal pair's unit scaling from
-a constant. The references here are the per-branch form it replaced: numpy
-branch selection (np.flatnonzero, Generator.choice on the weight arrays),
-the ideal pair rescaled with frexp and ldexp on every call, and one
-StateVector, with its own validation, per branch and per cluster stage.
+its branches on Python floats, and takes its unit-scaled Kraus operators
+from a plan cached per reflection pair. The references here are the
+per-branch form it replaced: numpy branch selection (np.flatnonzero,
+Generator.choice on the weight arrays), numpy weight sums, the pair rescaled
+with frexp and ldexp on every call, and one StateVector, with its own
+validation, per branch and per cluster stage.
 Every output is compared as raw bytes (amplitudes) or float.hex (floats).
 """
 
@@ -216,15 +217,16 @@ def test_simulated_performance_is_bitwise_the_per_branch_form(params):
 
 
 def test_ideal_unit_pair_is_the_rescaled_ideal_pair():
-    # the constant is bitwise what frexp and ldexp make of the ideal pair,
+    # the ideal plan is bitwise what frexp and ldexp make of the ideal pair,
     # the sign of each zero part included
-    r_cold, r_hot, exponent = protocols._IDEAL_UNIT
+    ideal = ReflectionPair.ideal()
+    r_cold, r_hot, exponent = protocols._unit_pair(ideal.r_cold, ideal.r_hot)
     assert exponent == 1
     for got, want in ((r_cold, complex(-0.0, -0.5)), (r_hot, complex(0.5, 0.0))):
         assert (_hex(got.real), _hex(got.imag)) == (_hex(want.real), _hex(want.imag))
-    kraus, exponent = protocols._unit_kraus(None)
-    assert exponent == 1
-    assert kraus.tobytes() == per_branch_unit_kraus(None)[0].tobytes()
+    plan = protocols._gate_plan(None)
+    assert plan.exponent == 1
+    assert plan.kraus.tobytes() == per_branch_unit_kraus(None)[0].tobytes()
 
 
 @pytest.mark.parametrize("pair", [PAIRS["ideal"], PAIRS["physical"]], ids=["ideal", "physical"])

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -66,6 +67,8 @@ def test_duplicate_labels_rejected():
 
 def test_labels_are_computed_once_per_state(rng):
     state = random_state(three_registers(), rng)
+    # stored when the state is validated, not on first read
+    assert vars(state)["labels"] == ("q0", "q1", "q2")
     assert state.labels == tuple(r.label for r in state.registers) == ("q0", "q1", "q2")
     assert state.labels is state.labels
     # a replaced state computes its own labels
@@ -74,6 +77,13 @@ def test_labels_are_computed_once_per_state(rng):
     assert state.labels == ("q0", "q1", "q2")
     copy = dataclasses.replace(state)
     assert copy.labels == state.labels and copy.labels is not state.labels
+    # every other way a state is made carries the labels of its registers
+    stacked = state_stack(state.registers, [state.amplitudes, state.amplitudes])
+    reordered = reorder_registers(state, ["q1", "q2", "q0"])
+    for other in (*stacked, reordered, pickle.loads(pickle.dumps(state)), moved, copy):
+        assert "labels" in vars(other)
+        assert other.labels == tuple(r.label for r in other.registers)
+    assert reordered.labels == ("q1", "q2", "q0")
 
 
 def test_tensor_state_spin_pair():
@@ -379,6 +389,7 @@ def test_stack_states_are_the_constructed_states(rng):
         assert type(state) is StateVector
         assert state.registers == built.registers and isinstance(state.registers, tuple)
         assert state.labels == built.labels
+        assert list(vars(state)) == list(vars(built))
         assert state.amplitudes.shape == built.amplitudes.shape == (8,)
         assert state.amplitudes.tobytes() == built.amplitudes.tobytes()
         assert repr(state) == repr(built)

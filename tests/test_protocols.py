@@ -632,7 +632,7 @@ def test_gate_builds_one_state_per_run(pair, monkeypatch, rng):
 
     def counted(registers, amplitudes, rows):
         checked = check(registers, amplitudes, rows)
-        stacks.append(checked[1])
+        stacks.append(checked[-1])  # the validated copy
         return checked
 
     monkeypatch.setattr(hilbert, "_checked_stack", counted)
@@ -713,7 +713,7 @@ def test_non_finite_input_never_reaches_the_gate(bad, monkeypatch):
         raise AssertionError("a non-finite input reached the gate")
 
     monkeypatch.setattr(protocols, "evaluate_branches", gate)
-    monkeypatch.setattr(protocols, "_kraus_at", gate)
+    monkeypatch.setattr(protocols, "_plan_for_bits", gate)
     for position in range(16):
         amps = np.full(16, 0.25, dtype=complex)
         amps[position] = bad
@@ -807,7 +807,7 @@ def test_kraus_operators_are_evaluated_once_per_pair(monkeypatch, rng):
         return evaluate(r_cold, r_hot)
 
     monkeypatch.setattr(protocols, "evaluate_branches", counted)
-    protocols._kraus_for_bits.cache_clear()
+    protocols._plan_for_bits.cache_clear()
     joint = random_state(PHOTON_REGS, rng)
     params = CavityParams(g=1.56, kappa_s=0.2)
     for reflection in (ReflectionPair.from_params(params), None):
@@ -821,6 +821,32 @@ def test_kraus_operators_are_evaluated_once_per_pair(monkeypatch, rng):
             analysis.simulated_performance(params)
             analysis.simulated_performance(params, joint)
     assert len(evaluated) == len(set(evaluated)) == 2
+
+
+def test_a_cached_pair_needs_no_compilation(monkeypatch, rng):
+    # after a warm-up, every application at the pair runs on its cached plan:
+    # no call rescales the pair or evaluates the compiled polynomial again
+    params = CavityParams(g=1.56, kappa_s=0.2)
+    pairs = (ReflectionPair.from_params(params), None)
+    joint = random_state(PHOTON_REGS, rng)
+    for reflection in pairs:
+        hyper_cnot_state(joint, reflection)
+    bell_decoding_table()
+
+    def refuse(*args):
+        raise AssertionError("a cached reflection pair was compiled again")
+
+    monkeypatch.setattr(protocols, "_unit_pair", refuse)
+    monkeypatch.setattr(protocols, "evaluate_branches", refuse)
+    for reflection in pairs:
+        assert len(hyper_cnot_state(joint, reflection)) == 4
+        assert isinstance(hyper_cnot_state(joint, reflection, branch_mode="sample", seed=1), GateRun)
+        assert all(row.ok for row in truth_table(reflection))
+        assert analyze_hyper_bell(HyperBellState(1, 2), reflection).spatial_index == 2
+        assert prepare_cluster_stages(reflection).cluster.norm2 == pytest.approx(1.0)
+    for joint in (None, joint):
+        fidelity, eta = analysis.simulated_performance(params, joint)
+        assert 0 < fidelity <= 1 and 0 < eta < 1
 
 
 def test_cached_kraus_operators_give_bitwise_outputs(rng):
@@ -837,29 +863,37 @@ def test_cached_kraus_operators_give_bitwise_outputs(rng):
             for run in runs + [sampled]
         ]
 
-    protocols._kraus_for_bits.cache_clear()
+    protocols._plan_for_bits.cache_clear()
     cold = outputs()
-    kraus = protocols._kraus_at(pair.r_cold, pair.r_hot)
-    assert protocols._kraus_for_bits.cache_info().misses == 1
+    plan = protocols._gate_plan(pair)
+    kraus = plan.kraus
+    assert protocols._plan_for_bits.cache_info().misses == 1
     assert outputs() == cold
     assert kraus.shape == (2, 2, 16, 16)
     with pytest.raises(ValueError):
         kraus[0, 0, 0, 0] = 1.0
     fresh = protocols.evaluate_branches(pair.r_cold, pair.r_hot)
     assert kraus.tobytes() == fresh[0].tobytes()
+    # the matrix the gate multiplies by is a read-only view, not a copy, and
+    # the cache stays bounded
+    assert plan.exponent == 0
+    assert plan.matrix.shape == (64, 16) and np.shares_memory(plan.matrix, kraus)
+    assert not plan.matrix.flags.writeable
+    assert protocols._plan_for_bits.cache_info().maxsize == 32
 
 
 def test_signed_zero_pairs_have_their_own_kraus_entries():
     # -0.0 == 0.0 and both hash alike, so the cache keys on the bits: which
     # of the two ran first must not decide what the other returns
     r_cold = 0.5 - 0.5j
-    protocols._kraus_for_bits.cache_clear()
-    negative = protocols._kraus_at(r_cold, complex(-0.0, -0.0)).tobytes()
-    protocols._kraus_for_bits.cache_clear()
-    positive = protocols._kraus_at(r_cold, 0j)
-    assert protocols._kraus_at(r_cold, complex(-0.0, -0.0)).tobytes() == negative
-    assert protocols._kraus_at(r_cold, 0j) is positive
-    info = protocols._kraus_for_bits.cache_info()
+    signed = ReflectionPair(r_cold, complex(-0.0, -0.0))
+    protocols._plan_for_bits.cache_clear()
+    negative = protocols._gate_plan(signed).kraus.tobytes()
+    protocols._plan_for_bits.cache_clear()
+    positive = protocols._gate_plan(ReflectionPair(r_cold, 0j)).kraus
+    assert protocols._gate_plan(signed).kraus.tobytes() == negative
+    assert protocols._gate_plan(ReflectionPair(r_cold, 0j)).kraus is positive
+    info = protocols._plan_for_bits.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
 
 
@@ -1144,11 +1178,17 @@ def test_applications_apply_no_operator_after_the_input(monkeypatch, rng):
         assert len(hyper_cnot_checkpoints(random_state(PHOTON_REGS, rng), reflection)) == 8
 
 
-def test_analysis_rejects_unnormalized_input():
+def test_analysis_rejects_unnormalized_input(monkeypatch):
     st = hyper_bell_state(0, 0)
     shrunken = type(st)(st.registers, st.amplitudes * 0.9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be normalized"):
         analyze_hyper_bell(shrunken)
+    # a HyperBellState names a cached Bell state, normalized when it was
+    # built, so its norm is not computed again
+    monkeypatch.setattr(type(st), "norm2", property(lambda state: pytest.fail("norm2 read")))
+    assert analyze_hyper_bell(HyperBellState(0, 0)).pol_index == 0
+    with pytest.raises(pytest.fail.Exception):
+        analyze_hyper_bell(st)
 
 
 def test_bell_index_validation():
