@@ -8,15 +8,10 @@ from .hilbert import (
     Register,
     StateVector,
     apply_operator,
-    attach_register,
     basis_index,
     basis_names,
     basis_state,
-    discard_register,
     fidelity_up_to_global_phase,
-    measure,
-    normalize,
-    outcome_weights,
     reorder_registers,
     tensor_product,
     tensor_state,
@@ -25,7 +20,6 @@ from .cavity import (
     CavityParams,
     ReflectionPair,
     lattice_reflections,
-    qd_scatter,
     reflect_cold,
     reflect_hot,
     scatter_matrix,

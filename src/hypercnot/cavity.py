@@ -1,5 +1,5 @@
 """Steady-state reflection of a charged-dot microcavity and the
-spin-conditioned photon scattering map it induces.
+spin-conditioned photon scattering matrix it induces.
 
 All rates are expressed in units of the cavity decay rate kappa: kappa is
 the unit, not a parameter, so it is 1 throughout and appears in no
@@ -22,8 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from .hilbert import StateVector, apply_operator
 
 # side leakage above ~1.3 kappa puts the -pi/2 relative phase out of reach;
 # documented operating guidance, not a hard constraint
@@ -205,18 +203,3 @@ def scatter_matrix(reflection: ReflectionPair) -> np.ndarray:
     c, h = reflection.r_cold, reflection.r_hot
     return np.diag(np.array([c, h, h, c], dtype=np.complex128))
 
-
-def qd_scatter(
-    state: StateVector,
-    photon_pol_label: str,
-    spin_label: str,
-    reflection: ReflectionPair | None = None,
-) -> StateVector:
-    """Reflect one photon's polarization off one dot-cavity unit.
-
-    ``reflection=None`` selects the ideal lossless map. The map acts
-    unconditionally on its two targets; restricting it to one spatial path
-    is the circuit's job, not this function's.
-    """
-    refl = reflection if reflection is not None else ReflectionPair.ideal()
-    return apply_operator(state, [photon_pol_label, spin_label], scatter_matrix(refl))

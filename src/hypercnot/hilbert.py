@@ -10,11 +10,10 @@ through those two functions.
 
 States are immutable values; every operation returns a new vector, so they
 can be shared freely across threads or worker processes. A state may be
-sub-normalized after lossy scattering. Renormalization happens only at
-measurement or by explicit request, which lets survival probabilities be
-read directly off the squared norm. A state whose squared norm is not a
-finite number at most NORM_CAP is rejected when it is built, so NaN and
-infinite amplitudes never enter a computation.
+sub-normalized after lossy scattering; nothing here renormalizes it, which
+lets survival probabilities be read directly off the squared norm. A state
+whose squared norm is not a finite number at most NORM_CAP is rejected when
+it is built, so NaN and infinite amplitudes never enter a computation.
 
 One validator checks every state, and it checks a stack of them at once:
 for a (k, 2**n) array of amplitude rows over one register tuple it checks
@@ -24,12 +23,9 @@ from that copy, so a gate call validates its branch states once, not once
 per branch; StateVector's constructor runs the same validator on a one-row
 stack.
 
-The kernels work on reshaped views, not on per-register axes.
-apply_operator transposes the target registers to the front, in target
-order, applies the matrix to the (2**k, rest) block with one matmul and
-transposes back. outcome_weights, the measurement projection and
-discard_register view a register at position i as the middle axis of the
-(2**i, 2, rest) array.
+apply_operator works on reshaped views, not on per-register axes: it
+transposes the target registers to the front, in target order, applies the
+matrix to the (2**k, rest) block with one matmul and transposes back.
 """
 
 from __future__ import annotations
@@ -146,12 +142,13 @@ class StateVector:
 class MeasurementRecord:
     """Outcome of a single-register measurement.
 
-    ``probability`` is the squared norm of the projected component before
-    renormalization; for a normalized input that is the Born probability.
+    ``probability`` is the outcome's weight, the squared norm of the
+    post-measurement state before renormalization; for a normalized input
+    that is the Born probability.
     """
 
     register_label: str
-    basis: str  # "computational" or "custom" (a unitary was applied first)
+    basis: str  # "custom" (spin_readout reads a spin through a probe photon)
     outcome: int
     outcome_name: str
     probability: float
@@ -265,13 +262,6 @@ def tensor_product(x: StateVector, y: StateVector) -> StateVector:
     return StateVector(x.registers + y.registers, np.kron(x.amplitudes, y.amplitudes))
 
 
-def attach_register(
-    state: StateVector, register: Register, pair: Sequence[complex]
-) -> StateVector:
-    """Append one fresh register in the given normalized single-qubit state."""
-    return tensor_product(state, tensor_state([(register, pair)]))
-
-
 def basis_state(registers: Sequence[Register], names: Sequence[str]) -> StateVector:
     """Computational basis state addressed by per-register basis names."""
     amps = np.zeros(2 ** len(registers), dtype=np.complex128)
@@ -314,72 +304,6 @@ def reorder_registers(state: StateVector, new_labels: Sequence[str]) -> StateVec
     psi = state.amplitudes.reshape((2,) * state.num_registers)
     regs = tuple(state.registers[i] for i in perm)
     return StateVector(regs, np.transpose(psi, perm).reshape(-1))
-
-
-def normalize(state: StateVector) -> StateVector:
-    norm = np.sqrt(state.norm2)
-    if norm <= 0.0:
-        raise ValueError("cannot normalize a zero-norm state")
-    return StateVector(state.registers, state.amplitudes / norm)
-
-
-# -- measurement -------------------------------------------------------
-
-
-def outcome_weights(state: StateVector, register_label: str) -> np.ndarray:
-    """Squared-norm weight of each basis outcome of one register."""
-    axis = state.register_index(register_label)
-    psi = state.amplitudes.reshape(2**axis, 2, -1)
-    return np.sum(np.abs(psi) ** 2, axis=(0, 2))
-
-
-def _project(state: StateVector, register_label: str, outcome: int) -> StateVector:
-    arr = state.amplitudes.reshape(2 ** state.register_index(register_label), 2, -1).copy()
-    arr[:, 1 - outcome] = 0.0
-    return StateVector(state.registers, arr)
-
-
-def measure(
-    state: StateVector,
-    register_label: str,
-    rng: int | np.random.Generator | None = None,
-) -> tuple[MeasurementRecord, StateVector]:
-    """Sample one register by the Born rule on relative weights.
-
-    Returns the record and the projected, renormalized post-measurement
-    state (the measured register stays, collapsed onto the outcome).
-    """
-    weights = outcome_weights(state, register_label)
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise ValueError("cannot measure a zero-norm state")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    outcome = int(gen.choice(2, p=weights / total))
-    reg = state.register(register_label)
-    record = MeasurementRecord(
-        register_label=register_label,
-        basis="computational",
-        outcome=outcome,
-        outcome_name=reg.basis_names[outcome],
-        probability=float(weights[outcome]),
-    )
-    return record, normalize(_project(state, register_label, outcome))
-
-
-def discard_register(state: StateVector, register_label: str) -> StateVector:
-    """Drop a register that sits in a definite basis state (post-measurement)."""
-    weights = outcome_weights(state, register_label)
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise ValueError("cannot discard a register of a zero-norm state")
-    occupied = int(np.argmax(weights))
-    if weights[1 - occupied] > total * 1e-18:
-        raise ValueError(
-            f"register {register_label!r} is not in a definite basis state"
-        )
-    psi = state.amplitudes.reshape(2 ** state.register_index(register_label), 2, -1)
-    regs = tuple(r for r in state.registers if r.label != register_label)
-    return StateVector(regs, psi[:, occupied])
 
 
 # -- comparison --------------------------------------------------------

@@ -77,17 +77,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import ReflectionPair, qd_scatter
+from .cavity import ReflectionPair, scatter_matrix
 from .hilbert import (
     MeasurementRecord,
     Register,
     StateVector,
     apply_operator,
-    attach_register,
     basis_names,
     basis_state,
-    discard_register,
-    measure,
     reorder_registers,
     state_stack,
     tensor_product,
@@ -437,7 +434,8 @@ class GateRun:
 
 
 class ZeroSurvivalError(ValueError):
-    """Every photon component was lost before the spin measurement."""
+    """Every photon component was lost before a spin measurement: the gate's
+    photons, or a spin readout's probe."""
 
 
 def hyper_cnot_state(
@@ -527,7 +525,7 @@ def _gate_runs(
     mode = "ideal" if reflection is None else "physical"
     ordered, outputs, weights, total, survival = _gate_outputs(joint, reflection)
     if branch_mode == "sample":
-        # the draws hilbert.measure makes on e1, then on e2 given e1, so a
+        # one Generator.choice draw on e1, then one on e2 given e1, so a
         # seed selects the same branch as measuring the spins one by one
         rng = np.random.default_rng(seed)
         o1 = _choose(rng, _normalized(weights[0] + weights[1], weights[2] + weights[3]))
@@ -555,8 +553,6 @@ def _gate_runs(
 
 # -- spin readout --------------------------------------------------------
 
-_AUX_LABEL = "_readout.pol"
-
 # rows are the circular-diagonal analysis basis (R + iL)/sqrt2, (R - iL)/sqrt2,
 # declared up and down where Im(r_hot conj r_cold) >= 0, as for the ideal pair
 _READOUT_BASIS = np.array([[1, -1j], [1, 1j]], dtype=np.complex128) / np.sqrt(2.0)
@@ -578,25 +574,36 @@ def spin_readout(
     mode this projects the spin exactly like a computational-basis
     measurement; with lossy reflections a small misassignment survives in
     the returned state.
+
+    The probe is no register: scattered and projected onto an analysis
+    state, it leaves a diagonal 2x2 Kraus pair on the spin, kraus[o, s] the
+    amplitude of outcome o for spin basis state s. The record's probability
+    is the outcome's weight before renormalization. Raises
+    ZeroSurvivalError when no probe amplitude returns.
     """
     refl = reflection if reflection is not None else ReflectionPair.ideal()
-    aux = Register(_AUX_LABEL, ("R", "L"))
-    probe = np.array([1, 1], dtype=np.complex128) / np.sqrt(2.0)
-    st = attach_register(state, aux, probe)
-    st = qd_scatter(st, _AUX_LABEL, spin_label, refl)
     leads = (refl.r_hot * refl.r_cold.conjugate()).imag >= 0
-    st = apply_operator(st, [_AUX_LABEL], _READOUT_BASIS if leads else _READOUT_BASIS[::-1])
-    record, st = measure(st, _AUX_LABEL, rng)
-    st = discard_register(st, _AUX_LABEL)
-    spin_names = state.register(spin_label).basis_names
-    spin_record = MeasurementRecord(
+    basis = _READOUT_BASIS if leads else _READOUT_BASIS[::-1]
+    # the probe's 1/sqrt2 amplitudes times the scattering, axes (polarization, spin)
+    kraus = (basis / np.sqrt(2.0)) @ np.diag(scatter_matrix(refl)).reshape(2, 2)
+    axis = state.register_index(spin_label)
+    marginal = np.sum(np.abs(state.amplitudes.reshape(2**axis, 2, -1)) ** 2, axis=(0, 2))
+    weights = np.abs(kraus) ** 2 @ marginal
+    total = float(weights.sum())
+    if total == 0.0:
+        raise ZeroSurvivalError("zero survival: no probe amplitude returns, so the readout is undefined")
+    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    outcome = int(gen.choice(2, p=weights / total))
+    probability = float(weights[outcome])
+    record = MeasurementRecord(
         register_label=spin_label,
         basis="custom",
-        outcome=record.outcome,
-        outcome_name=spin_names[record.outcome],
-        probability=record.probability,
+        outcome=outcome,
+        outcome_name=state.registers[axis].basis_names[outcome],
+        probability=probability,
     )
-    return spin_record, st
+    post = np.diag(kraus[outcome]) / math.sqrt(probability)
+    return record, apply_operator(state, [spin_label], post)
 
 
 # -- truth table ----------------------------------------------------------

@@ -8,9 +8,12 @@ table, but not its compile: step_checkpoints, the reference for
 hyper_cnot_checkpoints, pushes the joint input it is given through the
 stages one StateVector operator at a time (pass_matrix, apply_element),
 and step_gate_runs, the reference for the compiled gate, then measures and
-corrects the pre-measurement state one register at a time. Since the step
-path goes through the hilbert kernels, those kernels have their own
-references here, written in their first (tensordot and moveaxis) form.
+corrects the pre-measurement state one register at a time.
+step_spin_readout, the reference for the readout's Kraus pair, scatters a
+probe register off the spin the same way. The step path applies operators
+with hilbert.apply_operator, which has its own reference here in its first
+(tensordot) form; it measures, discards and normalizes with this module's
+own moveaxis kernels (measure_all_branches, outcome_slices_reference).
 step_bell_pattern and step_cluster_stages, the references for the compiled
 Bell analysis and cluster preparation, take the first branch
 step_gate_runs keeps and apply the optics after the gate one element at a
@@ -29,23 +32,21 @@ from hypercnot import (
     ClusterStages,
     ElementKind,
     GateRun,
+    Register,
     ReflectionPair,
     StateVector,
     apply_operator,
-    attach_register,
     basis_index,
-    discard_register,
     element_matrix,
     evaluate_branches,
-    measure,
-    normalize,
-    outcome_weights,
     photon_registers,
     photon_state,
     reflect_cold,
     reflect_hot,
+    scatter_matrix,
     spin_register,
     tensor_product,
+    tensor_state,
     uniform_two_photon_state,
 )
 from hypercnot.optics import conditional_matrix
@@ -112,8 +113,9 @@ def apply_operator_reference(
 
 
 def outcome_weights_reference(state: StateVector, register_label: str) -> np.ndarray:
-    """hilbert.outcome_weights with the register's axis moved to the front
-    and each outcome's slice summed on its own."""
+    """Squared-norm weight of each basis outcome of one register, with the
+    register's axis moved to the front and each outcome's slice summed on
+    its own."""
     axis = state.register_index(register_label)
     moved = np.moveaxis(state.amplitudes.reshape((2,) * state.num_registers), axis, 0)
     return np.array([float(np.sum(np.abs(moved[0]) ** 2)), float(np.sum(np.abs(moved[1]) ** 2))])
@@ -125,6 +127,24 @@ def outcome_slices_reference(state: StateVector, register_label: str) -> tuple[n
     axis = state.register_index(register_label)
     moved = np.moveaxis(state.amplitudes.reshape((2,) * state.num_registers), axis, 0)
     return moved[0].reshape(-1), moved[1].reshape(-1)
+
+
+def normalize(state: StateVector) -> StateVector:
+    """The state scaled to unit norm."""
+    return StateVector(state.registers, state.amplitudes / np.linalg.norm(state.amplitudes))
+
+
+def _discard(state: StateVector, register_label: str, outcome: int) -> StateVector:
+    """The state without one register, kept at the given outcome's slice."""
+    regs = tuple(reg for reg in state.registers if reg.label != register_label)
+    return StateVector(regs, outcome_slices_reference(state, register_label)[outcome])
+
+
+def _sample(branches, rng: np.random.Generator) -> int:
+    """One outcome of measure_all_branches' branches, drawn on their relative
+    weights with the Generator.choice call the library makes."""
+    weights = np.array([probability for _, probability, _ in branches])
+    return int(rng.choice(2, p=weights / weights.sum()))
 
 
 def state_from_terms(registers, terms: dict) -> StateVector:
@@ -147,7 +167,7 @@ def measure_all_branches(
     input's squared norm.
     """
     axis = state.register_index(register_label)
-    weights = outcome_weights(state, register_label)
+    weights = outcome_weights_reference(state, register_label)
     branches = []
     for outcome in (0, 1):
         moved = np.moveaxis(state.amplitudes.reshape((2,) * state.num_registers), axis, 0).copy()
@@ -400,8 +420,7 @@ def step_checkpoints(joint: StateVector, reflection=None) -> dict[str, StateVect
     """hyper_cnot_checkpoints on the step path: the spins attached up after
     the joint input's registers, then _STAGES one apply_operator at a time,
     with the state kept at every checkpoint."""
-    st = attach_register(joint, SPIN1_REG, (1, 0))
-    st = attach_register(st, SPIN2_REG, (1, 0))
+    st = tensor_product(joint, tensor_state([(SPIN1_REG, (1, 0)), (SPIN2_REG, (1, 0))]))
     cavity_pass = pass_matrix(reflection)
     stages = {}
     for name, ops in _STAGES:
@@ -426,18 +445,20 @@ def step_gate_runs(joint: StateVector, reflection=None, branch_mode="enumerate",
 
     Runs the checkpoints on the joint input as given (its registers in input
     order, then e1 and e2), then measures e1 and e2 on the pre-measurement state
-    (measure_all_branches, or measure with a seeded generator), flips the
-    signs the outcomes call for with apply_operator, discards the spins and
-    normalizes. Enumeration keeps every branch of nonzero weight, with no
-    round-off floor. Returns a list of GateRuns (one in sample mode).
+    (measure_all_branches, in sample mode with one seeded draw per spin),
+    flips the signs the outcomes call for with apply_operator, discards the
+    spins and normalizes. Enumeration keeps every branch of nonzero weight,
+    with no round-off floor. Returns a list of GateRuns (one in sample mode).
     """
     pre = step_checkpoints(joint, reflection)["pre_measurement"]
     survival = pre.norm2
     if branch_mode == "sample":
         rng = np.random.default_rng(seed)
-        rec1, st = measure(pre, "e1", rng)
-        rec2, st = measure(st, "e2", rng)
-        branches = [((rec1.outcome, rec2.outcome), rec1.probability / survival * rec2.probability, st)]
+        first = measure_all_branches(pre, "e1")
+        o1 = _sample(first, rng)
+        second = measure_all_branches(first[o1][2], "e2")
+        o2 = _sample(second, rng)
+        branches = [((o1, o2), second[o2][1] / survival, second[o2][2])]
     else:
         branches = [
             ((o1, o2), p2 / survival, st2)
@@ -450,7 +471,7 @@ def step_gate_runs(joint: StateVector, reflection=None, branch_mode="enumerate",
         ops = tuple(label for label, o in zip(FEED_FORWARD_TARGETS, outcomes) if o)
         for label in ops:
             st = apply_operator(st, [label], SIGN_FLIP)
-        final = discard_register(discard_register(st, "e2"), "e1")
+        final = _discard(_discard(st, "e2", outcomes[1]), "e1", outcomes[0])
         runs.append(
             GateRun(
                 mode="ideal" if reflection is None else "physical",
@@ -463,6 +484,31 @@ def step_gate_runs(joint: StateVector, reflection=None, branch_mode="enumerate",
             )
         )
     return runs
+
+
+# bras of the readout's analysis states (R + iL)/sqrt2 and (R - iL)/sqrt2
+ANALYSIS_BRAS = np.array([[1, -1j], [1, 1j]]) / SQ2
+
+
+def step_spin_readout(state: StateVector, spin_label: str, reflection=None, seed=None):
+    """spin_readout on the step path: the reference for its Kraus pair.
+
+    Attaches the (R+L)/sqrt2 probe after the state's registers, scatters it
+    off the spin (scatter_matrix, apply_operator), turns the analysis basis
+    declared up where Im(r_hot conj r_cold) >= 0 onto R, L, then measures
+    the probe (measure_all_branches and one seeded draw), discards it and
+    normalizes. Returns the outcome, its weight and the post-state.
+    """
+    refl = reflection if reflection is not None else ReflectionPair.ideal()
+    probe = Register("probe.pol", POL_NAMES)
+    st = tensor_product(state, tensor_state([(probe, (1 / SQ2, 1 / SQ2))]))
+    st = apply_operator(st, [probe.label, spin_label], scatter_matrix(refl))
+    leads = (refl.r_hot * refl.r_cold.conjugate()).imag >= 0
+    st = apply_operator(st, [probe.label], ANALYSIS_BRAS if leads else ANALYSIS_BRAS[::-1])
+    branches = measure_all_branches(st, probe.label)
+    outcome = _sample(branches, np.random.default_rng(seed))
+    weight = branches[outcome][1]
+    return outcome, weight, normalize(_discard(branches[outcome][2], probe.label, outcome))
 
 
 def _first_step_branch(joint: StateVector, reflection) -> StateVector:
@@ -481,7 +527,7 @@ def step_bell_pattern(state: StateVector, reflection=None) -> tuple[tuple[str, .
 
     The first branch of the gate, then HWP_H on a.pol and BS on a.spatial
     one apply_element at a time; each photon register's outcome is the
-    likelier one of its outcome_weights.
+    likelier one of its outcome_weights_reference.
     """
     st = _first_step_branch(state, reflection)
     st = apply_element(st, ElementKind.HWP_H, "a.pol")
@@ -489,7 +535,7 @@ def step_bell_pattern(state: StateVector, reflection=None) -> tuple[tuple[str, .
     names = []
     min_prob = 1.0
     for reg in PHOTON_REGS:
-        weights = outcome_weights(st, reg.label)
+        weights = outcome_weights_reference(st, reg.label)
         outcome = int(np.argmax(weights))
         names.append(st.register(reg.label).basis_names[outcome])
         min_prob = min(min_prob, float(weights[outcome] / weights.sum()))

@@ -10,8 +10,8 @@ from hypercnot import (
     CavityParams,
     ReflectionPair,
     Register,
+    apply_operator,
     lattice_reflections,
-    qd_scatter,
     reflect_cold,
     reflect_hot,
     scatter_matrix,
@@ -238,6 +238,7 @@ def test_ideal_scatter_phase_table():
         ("R", "down"): 1.0,
         ("L", "down"): -1j,
     }
+    matrix = scatter_matrix(ReflectionPair.ideal())
     for (pol, spin), phase in cases.items():
         st_ = tensor_state(
             [
@@ -245,21 +246,21 @@ def test_ideal_scatter_phase_table():
                 (SPIN, (1, 0) if spin == "up" else (0, 1)),
             ]
         )
-        out = qd_scatter(st_, "p.pol", "e")
+        out = apply_operator(st_, ["p.pol", "e"], matrix)
         assert abs(out.amplitude(pol, spin) - phase) < 1e-15
 
 
 def test_physical_scatter_with_ideal_amplitudes_matches_ideal(rng):
     st_ = random_state((POL, SPIN), rng)
-    ideal = qd_scatter(st_, "p.pol", "e")
-    explicit = qd_scatter(st_, "p.pol", "e", ReflectionPair(-1j, 1.0))
+    ideal = apply_operator(st_, ["p.pol", "e"], scatter_matrix(ReflectionPair.ideal()))
+    explicit = apply_operator(st_, ["p.pol", "e"], scatter_matrix(ReflectionPair(-1j, 1.0)))
     np.testing.assert_allclose(ideal.amplitudes, explicit.amplitudes, atol=1e-12)
 
 
 def test_lossy_scatter_shrinks_norm(rng):
     pair = ReflectionPair(0.9 * np.exp(-1j * np.pi / 2), 0.95)
     st_ = random_state((POL, SPIN), rng)
-    out = qd_scatter(st_, "p.pol", "e", pair)
+    out = apply_operator(st_, ["p.pol", "e"], scatter_matrix(pair))
     assert out.norm2 < st_.norm2
     # oracle: explicit 4x4 diagonal matrix product
     diag = np.diag([pair.r_cold, pair.r_hot, pair.r_hot, pair.r_cold])
@@ -269,7 +270,7 @@ def test_lossy_scatter_shrinks_norm(rng):
 def test_scatter_norm_matches_weighted_magnitudes(rng):
     pair = ReflectionPair.from_params(params(g=0.8, kappa_s=0.4))
     st_ = random_state((SPIN, POL), rng)  # reversed register order on purpose
-    out = qd_scatter(st_, "p.pol", "e", pair)
+    out = apply_operator(st_, ["p.pol", "e"], scatter_matrix(pair))
     weights = np.abs(st_.amplitudes) ** 2
     mags = np.abs(embed_matrix(2, [1, 0], scatter_matrix(pair)).diagonal()) ** 2
     assert abs(out.norm2 - float(weights @ mags)) < 1e-12
@@ -280,11 +281,13 @@ def test_scatter_norm_matches_weighted_magnitudes(rng):
 def test_ideal_scatter_is_unitary(seed):
     gen = np.random.default_rng(seed)
     st_ = random_state((POL, SPIN), gen)
-    out = qd_scatter(st_, "p.pol", "e")
+    matrix = scatter_matrix(ReflectionPair.ideal())
+    np.testing.assert_allclose(matrix.conj().T @ matrix, np.eye(4), rtol=0, atol=1e-15)
+    out = apply_operator(st_, ["p.pol", "e"], matrix)
     assert abs(out.norm2 - st_.norm2) < 1e-12
 
 
 def test_scatter_requires_registers(rng):
     st_ = random_state((POL, SPIN), rng)
     with pytest.raises(ValueError):
-        qd_scatter(st_, "missing", "e")
+        apply_operator(st_, ["missing", "e"], scatter_matrix(ReflectionPair.ideal()))

@@ -13,11 +13,7 @@ from hypercnot import (
     basis_index,
     basis_names,
     basis_state,
-    discard_register,
     fidelity_up_to_global_phase,
-    measure,
-    normalize,
-    outcome_weights,
     reorder_registers,
     tensor_product,
     tensor_state,
@@ -28,9 +24,6 @@ from oracles import (
     apply_operator_reference,
     embed_matrix,
     measure_all_branches,
-    outcome_slices_reference,
-    outcome_weights_reference,
-    state_from_terms,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -207,31 +200,6 @@ def test_measure_uniform_spin():
     np.testing.assert_allclose([b[1] for b in branches], [0.5, 0.5], atol=1e-12)
 
 
-def test_measure_definite_spin():
-    st_ = tensor_state([(SPIN, (1, 0)), (POL, (1, 0))])
-    record, post = measure(st_, "e1", rng=0)
-    assert record.outcome == 0
-    assert record.outcome_name == "up"
-    assert abs(record.probability - 1.0) < 1e-12
-    assert abs(post.norm2 - 1.0) < 1e-12
-
-
-def test_measure_is_seed_deterministic():
-    st_ = tensor_state([(SPIN, (1 / SQ2, 1 / SQ2)), (POL, (1, 0))])
-    outcomes = {measure(st_, "e1", rng=s)[0].outcome for s in [3, 3, 3]}
-    assert len(outcomes) == 1
-    seen = {measure(st_, "e1", rng=s)[0].outcome for s in range(30)}
-    assert seen == {0, 1}  # both outcomes occur across seeds
-
-
-def test_measure_zero_norm_rejected():
-    st_ = StateVector((SPIN,), np.zeros(2))
-    with pytest.raises(ValueError):
-        measure(st_, "e1")
-    with pytest.raises(ValueError):
-        normalize(st_)
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.1, 1.0))
 def test_branch_probabilities_sum_to_norm(seed, scale):
@@ -250,17 +218,6 @@ def test_nested_enumeration_gives_joint_probabilities(rng):
             total += p2
         assert p1 >= 0
     assert abs(total - 1.0) < 1e-12
-
-
-def test_discard_register_requires_definite_state(rng):
-    st_ = tensor_state([(SPIN, (1, 0)), (POL, (1 / SQ2, 1 / SQ2))])
-    reduced = discard_register(st_, "e1")
-    assert reduced.labels == ("a.pol",)
-    entangled = state_from_terms(
-        (SPIN, POL), {("up", "R"): 1 / SQ2, ("down", "L"): 1 / SQ2}
-    )
-    with pytest.raises(ValueError):
-        discard_register(entangled, "e1")
 
 
 # -- fidelity -------------------------------------------------------------------
@@ -326,9 +283,8 @@ def test_basis_codec_errors():
         basis_names([POL, SPIN], 4)
 
 
-def test_outcome_weights_and_terms():
+def test_terms():
     st_ = tensor_state([(POL, (0.6, 0.8)), (SPIN, (1, 0))])
-    np.testing.assert_allclose(outcome_weights(st_, "a.pol"), [0.36, 0.64], atol=1e-12)
     assert "|R,up>" in st_.terms() and "|L,up>" in st_.terms()
     # parts at or below 1e-9 print as 0; a term with both parts that small is skipped
     noisy = StateVector((POL, SPIN), [0.6 + 4e-18j, -1e-12 + 0.8j, 1e-10, 0])
@@ -440,16 +396,6 @@ def test_apply_operator_is_bitwise_the_tensordot_form(data, seed):
     assert np.array_equal(got, apply_operator_reference(state, labels, mat))
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_outcome_weights_match_the_moveaxis_form(data, seed):
-    state, _, _ = _kernel_case(data, seed)
-    for label in state.labels:
-        np.testing.assert_allclose(
-            outcome_weights(state, label), outcome_weights_reference(state, label), rtol=1e-15, atol=0
-        )
-
-
 def test_tensor_product_concatenates(rng):
     x = random_state((POL,), rng)
     y = random_state((SPIN,), rng)
@@ -457,26 +403,3 @@ def test_tensor_product_concatenates(rng):
     np.testing.assert_allclose(
         xy.amplitudes, np.kron(x.amplitudes, y.amplitudes), atol=1e-15
     )
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_projection_and_discard_match_the_moveaxis_form(data, seed):
-    state, _, _ = _kernel_case(data, seed)
-    for label in state.labels:
-        slices = outcome_slices_reference(state, label)
-        for outcome, _, projected in measure_all_branches(state, label):
-            kept = outcome_slices_reference(projected, label)
-            assert np.array_equal(kept[outcome], slices[outcome])
-            assert not kept[1 - outcome].any()
-            discarded = discard_register(projected, label)
-            assert discarded.labels == tuple(x for x in state.labels if x != label)
-            assert np.array_equal(discarded.amplitudes, slices[outcome])
-        # measure projects the same way, then renormalizes
-        record, post = measure(state, label, rng=seed)
-        kept = outcome_slices_reference(post, label)
-        assert not kept[1 - record.outcome].any()
-        np.testing.assert_allclose(
-            kept[record.outcome] * np.sqrt(record.probability), slices[record.outcome],
-            rtol=0, atol=1e-15,
-        )

@@ -22,7 +22,6 @@ from hypercnot import (
     hyper_bell_state,
     hyper_cnot_checkpoints,
     hyper_cnot_state,
-    normalize,
     photon_state,
     prepare_cluster_stages,
     reorder_registers,
@@ -50,6 +49,8 @@ from oracles import (
     gate_output_expected,
     hybrid_cz_expected,
     measure_all_branches,
+    normalize,
+    outcome_weights_reference,
     pass_matrix,
     pre_measurement_expected,
     random_amplitude_pair,
@@ -58,6 +59,7 @@ from oracles import (
     step_checkpoints,
     step_cluster_stages,
     step_gate_runs,
+    step_spin_readout,
     target_scattered_expected,
 )
 
@@ -1023,6 +1025,83 @@ def test_readout_of_protocol_entangled_spin(rng):
     assert abs(prob - record.probability) < 1e-12
     assert fidelity_up_to_global_phase(post, normalize(projected)) >= 1 - 1e-12
 
+
+
+def _random_passive_pair(rng):
+    moduli = rng.uniform(0.0, 1.0, size=2)
+    phases = np.exp(2j * np.pi * rng.uniform(size=2))
+    return ReflectionPair(*(moduli * phases).tolist())
+
+
+READOUT_PAIRS = {
+    "ideal": None,
+    "g0.5": ReflectionPair.from_params(CavityParams(g=0.5)),  # the hot phase lags
+    "g1.56-ks0.2": ReflectionPair.from_params(CavityParams(g=1.56, kappa_s=0.2)),
+    "random": _random_passive_pair(np.random.default_rng(19)),
+}
+
+
+def _spin_between_spectators(rng):
+    """A random sub-normalized state with e1 after one or two spectator
+    registers and before one or two more."""
+    before, after = rng.integers(1, 3, size=2)
+    regs = (
+        tuple(Register(f"p{i}", ("0", "1")) for i in range(before))
+        + (spin_register("e1"),)
+        + tuple(Register(f"q{i}", ("0", "1")) for i in range(after))
+    )
+    state = random_state(regs, rng)
+    return StateVector(regs, state.amplitudes * rng.uniform(0.2, 1.0))
+
+
+@pytest.mark.parametrize("name", list(READOUT_PAIRS))
+def test_kraus_readout_matches_the_step_path(name, rng):
+    pair = READOUT_PAIRS[name]
+    for _ in range(25):
+        state = _spin_between_spectators(rng)
+        for seed in range(4):
+            # an int seed and a Generator draw the same stream
+            gen = seed if seed % 2 else np.random.default_rng(seed)
+            record, post = spin_readout(state, "e1", pair, rng=gen)
+            outcome, weight, reference = step_spin_readout(state, "e1", pair, seed)
+            assert (record.register_label, record.basis, record.outcome) == ("e1", "custom", outcome)
+            assert record.outcome_name == ("up", "down")[outcome]
+            assert abs(record.probability - weight) < 1e-12
+            assert post.labels == state.labels
+            np.testing.assert_allclose(post.amplitudes, reference.amplitudes, rtol=0, atol=1e-12)
+
+
+def _readout_weights(state, pair):
+    """Both outcome weights of a readout, each from the first seed that draws it."""
+    weights = {}
+    for seed in range(2000):
+        record, _ = spin_readout(state, "e1", pair, rng=seed)
+        weights.setdefault(record.outcome, record.probability)
+        if len(weights) == 2:
+            return weights[0], weights[1]
+    raise AssertionError(f"only outcome {set(weights)} drawn")
+
+
+def test_readout_weights_sum_to_the_probe_survival(rng):
+    # one probe pass survives with s/2, s = |r_cold|^2 + |r_hot|^2, whatever
+    # the spin: the per-pass survival behind eta = (s/2)^4
+    for _ in range(20):
+        state = _spin_between_spectators(rng)
+        pair = _random_passive_pair(rng)
+        s = abs(pair.r_cold) ** 2 + abs(pair.r_hot) ** 2
+        assert abs(sum(_readout_weights(state, pair)) - state.norm2 * s / 2) < 1e-12
+        # ideal mode reads the spin's own marginals
+        np.testing.assert_allclose(
+            _readout_weights(state, None), outcome_weights_reference(state, "e1"), rtol=0, atol=1e-12
+        )
+
+
+def test_readout_with_no_surviving_probe_is_a_zero_survival_error():
+    st = readout_system((0.6, 0.8))
+    with pytest.raises(ZeroSurvivalError, match="^zero survival: no probe amplitude returns"):
+        spin_readout(st, "e1", ReflectionPair(0, 0), rng=0)
+    with pytest.raises(ZeroSurvivalError, match="^zero survival: no probe amplitude returns"):
+        spin_readout(StateVector(st.registers, np.zeros(4)), "e1", rng=0)
 
 # -- cluster preparation -------------------------------------------------------------
 

@@ -1,14 +1,21 @@
-"""Static checks on the package source, with the stdlib ast module only:
-no module imports a name it never uses, and every module-level private
-name is referenced somewhere in the package, so dead code cannot linger
-after a deletion."""
+"""Static checks on the source, with the stdlib ast module only: no package
+module, test file or script imports a name it never uses, and every
+module-level private name is referenced somewhere in the package, so dead
+code cannot linger after a deletion."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hypercnot"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hypercnot"
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
 MODULES = sorted(name for name in TREES if name != "__init__.py")
+# every file whose imports must be used; __init__.py imports to re-export
+IMPORTERS = {f"src/hypercnot/{module}": TREES[module] for module in MODULES} | {
+    path.relative_to(ROOT).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+    for folder in ("tests", "scripts")
+    for path in sorted((ROOT / folder).glob("*.py"))
+}
 
 
 def _quoted_annotations(tree: ast.AST):
@@ -42,8 +49,7 @@ def _referenced(tree: ast.AST) -> set[str]:
 
 def test_no_unused_imports():
     unused = []
-    for module in MODULES:
-        tree = TREES[module]
+    for module, tree in IMPORTERS.items():
         loaded = _loaded(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
