@@ -15,6 +15,7 @@ win, and keys the running command does not define are ignored.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -58,6 +59,14 @@ def _finite_float(raw: str) -> float:
     return value
 
 
+def _tolerance(raw: str) -> float:
+    """argparse type for --tolerance: a finite, non-negative number."""
+    value = _finite_float(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {raw!r}")
+    return value
+
+
 def _seed(raw: str) -> int:
     """argparse type for --seed: a non-negative integer, as numpy's seeding
     requires."""
@@ -95,7 +104,7 @@ def load_config(path: str) -> dict[str, str]:
     Every key must name a value-taking option of some command. Values stay
     strings: main() passes them through that option's own type and choices.
     """
-    known = set().union(*_config_flags(build_parser()).values())
+    known = set().union(*_config_flags(_parser()).values())
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -333,21 +342,23 @@ def cmd_sweep(args, parser) -> int:
         parser.error(str(exc))
     except OverflowError:  # the library's error for a g whose square overflows
         parser.error(f"g_max = {args.g_max:g} is too large: g**2 overflows a float")
-    # every axis value is formatted once; per point only the figures are new
-    gamma_cell = f"{args.gamma:.10g},"
-    ks_cells = [f"{ks:.10g},{gamma_cell}" for ks in lattice.kappa_s_values]
-    g_cells = [f"{g:.10g}," for g in lattice.g_values]
-    prefixes = [g + ks for g in g_cells for ks in ks_cells]
     header = "g_over_kappa,kappa_s_over_kappa,gamma_over_kappa,F,eta"
-    if lattice.F_sim is None:
-        rows = ["%s%.10g,%.10g" % cells for cells in zip(prefixes, lattice.F, lattice.eta)]
-    else:
+    columns = [lattice.F, lattice.eta]
+    if lattice.F_sim is not None:
         header += ",F_sim,eta_sim"
-        rows = [
-            "%s%.10g,%.10g,%.10g,%.10g" % cells
-            for cells in zip(prefixes, lattice.F, lattice.eta, lattice.F_sim, lattice.eta)
-        ]
-    _emit("\n".join([header, *rows, ""]), args.out)
+        columns += [lattice.F_sim, lattice.eta]
+    # every axis value is formatted once, into a template of all the rows;
+    # one % pass then converts the figures, point after point
+    figures = ",".join(["%.10g"] * len(columns)) + "\n"
+    gamma_cell = f"{args.gamma:.10g},"
+    ks_rows = [f"{ks:.10g},{gamma_cell}{figures}" for ks in lattice.kappa_s_values]
+    g_cells = [f"{g:.10g}," for g in lattice.g_values]
+    template = "".join([header, "\n", *[g + row for g in g_cells for row in ks_rows]])
+    # the figures interleaved point by point, as the template takes them
+    cells = [None] * (len(columns) * len(lattice.F))
+    for i, column in enumerate(columns):
+        cells[i :: len(columns)] = column
+    _emit(template % tuple(cells), args.out)
     return 0
 
 
@@ -488,15 +499,22 @@ def build_parser() -> argparse.ArgumentParser:
         cavity=False,
     )
     p.add_argument(
-        "--tolerance", type=_finite_float, default=REFERENCE_TOLERANCE, help="default %(default)s"
+        "--tolerance", type=_tolerance, default=REFERENCE_TOLERANCE, help="default %(default)s"
     )
     p.add_argument("--simulate", action="store_true", help="also report circuit-level figures")
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process: nothing changes a parser once it is
+    built, and parse_args fills a fresh namespace on every call."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     # a command reports its usage errors through its own parser, as argparse
     # does for its type errors: "hypercnot gate: error: ..."

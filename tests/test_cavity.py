@@ -285,9 +285,3 @@ def test_ideal_scatter_is_unitary(seed):
     np.testing.assert_allclose(matrix.conj().T @ matrix, np.eye(4), rtol=0, atol=1e-15)
     out = apply_operator(st_, ["p.pol", "e"], matrix)
     assert abs(out.norm2 - st_.norm2) < 1e-12
-
-
-def test_scatter_requires_registers(rng):
-    st_ = random_state((POL, SPIN), rng)
-    with pytest.raises(ValueError):
-        apply_operator(st_, ["missing", "e"], scatter_matrix(ReflectionPair.ideal()))

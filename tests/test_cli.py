@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hypercnot import analysis, protocols, sweep
+from hypercnot import analysis, cli, protocols, sweep
 from hypercnot.cli import load_config, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -377,6 +377,24 @@ def test_config_sets_amplitude_options(tmp_path, capsys):
     assert "|L,a2,L,b2>" in out
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    _, simulated, _ = run_cli(capsys, "sweep", "--resolution", "3", "--simulate")
+    _, plain, _ = run_cli(capsys, "sweep", "--resolution", "3")
+    assert "F_sim" in simulated
+    assert "F_sim" not in plain  # --simulate does not outlive its call
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = physical\ng = 2.4\n")
+    _, physical, _ = run_cli(capsys, "gate", "--config", str(cfg), "--format", "json")
+    _, ideal, _ = run_cli(capsys, "gate", "--format", "json")
+    assert json.loads(physical)["mode"] == "physical"
+    assert json.loads(ideal)["mode"] == "ideal"  # nor do a config file's values
+    assert len(built) == 1
+
+
 def test_config_keys_of_other_commands_are_ignored(capsys):
     # sample.cfg sets mode, g, kappa_s, detuning and format, which sweep lacks
     _, plain, _ = run_cli(capsys, "sweep", "--resolution", "3")
@@ -406,6 +424,32 @@ def test_non_finite_float_options_are_usage_errors(command, flag, value, capsys)
         main([command, f"{flag}={value}"])
     assert err.value.code == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_negative_tolerance_is_a_usage_error(via_config, tmp_path, capsys):
+    if via_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tolerance = -1\n")
+        argv = ["paper-check", "--config", str(cfg)]
+    else:
+        argv = ["paper-check", "--tolerance", "-1"]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "hypercnot paper-check: error: argument --tolerance: "
+        "expected a non-negative number, got '-1'"
+    )
+
+
+def test_zero_tolerance_is_accepted(capsys):
+    # the published values are rounded, so none is met exactly
+    code, out, _ = run_cli(capsys, "paper-check", "--tolerance", "0")
+    assert code == 1
+    assert out.endswith("out of tolerance 0\n")
 
 
 # the library's CavityParams check, reached through each command that builds parameters

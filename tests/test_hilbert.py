@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercnot import (
+    ReflectionPair,
     Register,
     StateVector,
     apply_operator,
@@ -15,6 +16,7 @@ from hypercnot import (
     basis_state,
     fidelity_up_to_global_phase,
     reorder_registers,
+    scatter_matrix,
     tensor_product,
     tensor_state,
 )
@@ -154,6 +156,8 @@ def test_apply_operator_errors(rng):
         apply_operator(st_, ["q0"], np.eye(4))
     with pytest.raises(ValueError):
         apply_operator(st_, ["q0", "q0"], np.eye(4))
+    with pytest.raises(ValueError):  # the first of two targets is unknown
+        apply_operator(st_, ["missing", "q1"], scatter_matrix(ReflectionPair.ideal()))
 
 
 @settings(max_examples=40, deadline=None)
