@@ -4,7 +4,6 @@ gate mediated by charged-dot microcavity spins."""
 __version__ = "0.1.0"
 
 from .hilbert import (
-    MeasurementRecord,
     Register,
     StateVector,
     apply_operator,
@@ -30,6 +29,7 @@ from .protocols import (
     ClusterStages,
     GateRun,
     HyperBellState,
+    MeasurementRecord,
     TruthTableRow,
     analyze_hyper_bell,
     bell_decoding_table,

@@ -183,15 +183,6 @@ class ReflectionPair:
         """Relative phase hot minus cold; ideal() has the +pi/2 that drives the gate."""
         return self.phi_hot - self.phi_cold
 
-    @property
-    def faraday_up(self) -> float:
-        """Circular-basis rotation angle for spin up; spin down gets the opposite."""
-        return (self.phi_cold - self.phi_hot) / 2
-
-    @property
-    def faraday_down(self) -> float:
-        return -self.faraday_up
-
 
 def scatter_matrix(reflection: ReflectionPair) -> np.ndarray:
     """Diagonal scattering map on (polarization, spin), order (R,L)x(up,down).

@@ -122,14 +122,18 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def _reflection(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ReflectionPair | None:
-    if args.mode == "ideal":
-        return None
-    if args.g is None:
+    """The pair physical mode runs at, or None in ideal mode; the cavity
+    values are validated in both modes."""
+    ideal = args.mode == "ideal"
+    if args.g is None and not ideal:
         parser.error("physical mode requires --g (or g in the config file)")
+    g = 0.0 if args.g is None else args.g
     try:
-        params = CavityParams(g=args.g, kappa_s=args.kappa_s, gamma=args.gamma, detuning=args.detuning)
+        params = CavityParams(g=g, kappa_s=args.kappa_s, gamma=args.gamma, detuning=args.detuning)
     except ValueError as exc:
         parser.error(str(exc))
+    if ideal:
+        return None
     try:
         return ReflectionPair.from_params(params)
     except OverflowError:  # the library's error for a g whose square overflows

@@ -66,10 +66,6 @@ class Register:
             )
         object.__setattr__(self, "basis_names", names)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.basis_names)
-
     def index_of(self, name: str) -> int:
         """Basis index of a named basis state."""
         try:
@@ -136,22 +132,6 @@ class StateVector:
 
     def __repr__(self) -> str:  # the 64-entry array is noise in tracebacks
         return f"StateVector(registers={self.labels}, norm2={self.norm2:.6g})"
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Outcome of a single-register measurement.
-
-    ``probability`` is the outcome's weight, the squared norm of the
-    post-measurement state before renormalization; for a normalized input
-    that is the Born probability.
-    """
-
-    register_label: str
-    basis: str  # "custom" (spin_readout reads a spin through a probe photon)
-    outcome: int
-    outcome_name: str
-    probability: float
 
 
 # -- validation, one state or a stack of them --------------------------------

@@ -79,7 +79,6 @@ import numpy as np
 
 from .cavity import ReflectionPair, scatter_matrix
 from .hilbert import (
-    MeasurementRecord,
     Register,
     StateVector,
     apply_operator,
@@ -558,6 +557,21 @@ def _gate_runs(
 _READOUT_BASIS = np.array([[1, -1j], [1, 1j]], dtype=np.complex128) / np.sqrt(2.0)
 
 
+@dataclass(frozen=True)
+class MeasurementRecord:
+    """Outcome of a spin readout.
+
+    ``probability`` is the outcome's weight, the squared norm of the
+    post-measurement state before renormalization; for a normalized input
+    that is the Born probability.
+    """
+
+    register_label: str
+    outcome: int
+    outcome_name: str
+    probability: float
+
+
 def spin_readout(
     state: StateVector,
     spin_label: str,
@@ -597,7 +611,6 @@ def spin_readout(
     probability = float(weights[outcome])
     record = MeasurementRecord(
         register_label=spin_label,
-        basis="custom",
         outcome=outcome,
         outcome_name=state.registers[axis].basis_names[outcome],
         probability=probability,

@@ -69,6 +69,15 @@ SPIN_NAMES = ("up", "down")
 
 PREPARED_SPIN = np.array([1j, 1.0]) / SQ2  # SPIN_ROT_PLUS acting on |up>
 
+# Elements no circuit table places, written from their physical action on
+# the (R, L) or (up, down) basis. The CPBS-sandwich checks compose the first
+# three into the cavity pass.
+HWP_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)  # bit-flip plate, R <-> L
+WP_U1 = np.diag([-1j, -1j])  # the -i plate in the second spatial path
+WP_U2 = np.diag([1, -1j])  # -i phase on L only
+# undoes SPIN_ROT_PLUS: (i up + down)/sqrt2 -> up, (i up - down)/sqrt2 -> down
+SPIN_ROT_MINUS = np.array([[-1j, 1], [-1j, -1]]) / SQ2
+
 
 def embed_matrix(num_registers: int, target_axes: list[int], mat: np.ndarray) -> np.ndarray:
     """Explicit full matrix of an operator embedded on some registers.

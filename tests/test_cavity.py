@@ -179,8 +179,6 @@ def test_reflection_pair_phases():
     pair = ReflectionPair.from_params(params(g=2.4))
     assert abs(pair.phi_cold + np.pi / 2) < 1e-12
     assert abs(pair.delta_phi - (pair.phi_hot - pair.phi_cold)) < 1e-15
-    assert abs(pair.faraday_up + pair.faraday_down) < 1e-15
-    assert abs(pair.faraday_up - (pair.phi_cold - pair.phi_hot) / 2) < 1e-15
 
 
 def test_reflection_pair_rejects_gain():

@@ -462,8 +462,16 @@ NEGATIVE_CAVITY_ARGV = [
 ]
 
 
-@pytest.mark.parametrize("argv", NEGATIVE_CAVITY_ARGV, ids=[argv[0] for argv in NEGATIVE_CAVITY_ARGV])
-def test_negative_cavity_parameters_are_usage_errors(argv, capsys):
+# ideal mode runs no cavity, but validates the cavity values it is given all the same
+NEGATIVE_IDEAL_ARGV = [
+    ["truth-table", "--g", "-1"],
+    ["gate", "--gamma", "-5"],
+    ["cluster", "--kappa-s", "-3"],
+    ["bell-analyze", "--g", "-1"],
+]
+
+
+def assert_negative_cavity_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
@@ -476,6 +484,23 @@ def test_negative_cavity_parameters_are_usage_errors(argv, capsys):
         in captured.err
     )
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_CAVITY_ARGV, ids=[argv[0] for argv in NEGATIVE_CAVITY_ARGV])
+def test_negative_cavity_parameters_are_usage_errors(argv, capsys):
+    assert_negative_cavity_usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_IDEAL_ARGV, ids=[argv[0] for argv in NEGATIVE_IDEAL_ARGV])
+def test_negative_cavity_parameters_are_usage_errors_in_ideal_mode(argv, capsys):
+    assert_negative_cavity_usage_error(argv, capsys)
+
+
+def test_ideal_mode_accepts_valid_cavity_parameters_silently(capsys):
+    # above the side-leakage guidance, where physical mode warns
+    code, out, err = run_cli(capsys, "truth-table", "--g", "2.4", "--kappa-s", "1.5")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / "truth-table.txt").read_text()
 
 
 @pytest.mark.parametrize("pair", ["1e200,1e200", "1e-200,0"], ids=["overflow", "underflow"])

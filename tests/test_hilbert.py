@@ -44,7 +44,6 @@ def test_register_validation():
         Register("x", ("R", "R"))
     with pytest.raises(ValueError):
         Register("x", ("R",))
-    assert POL.dimension == 2
     assert POL.index_of("L") == 1
     with pytest.raises(ValueError):
         POL.index_of("H")

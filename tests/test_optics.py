@@ -3,9 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercnot import ElementKind, Register, basis_state, element_matrix, tensor_state
+from hypercnot import (
+    ElementKind,
+    Register,
+    apply_operator,
+    basis_state,
+    element_matrix,
+    protocols,
+    tensor_state,
+)
 from conftest import random_state
-from oracles import apply_element, conditional_element, embed_matrix
+from oracles import (
+    HWP_X,
+    SPIN_ROT_MINUS,
+    WP_U1,
+    WP_U2,
+    apply_element,
+    conditional_element,
+    embed_matrix,
+)
 
 SQ2 = np.sqrt(2.0)
 
@@ -15,25 +31,36 @@ SPIN = Register("e1", ("up", "down"))
 
 ALL_KINDS = list(ElementKind)
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_every_element_is_unitary(kind):
-    m = element_matrix(kind)
+# every fixed matrix: the library's elements, then the test oracles' four,
+# all under the one id scheme of the element kinds
+MATRICES = {str(kind): element_matrix(kind) for kind in ALL_KINDS} | {
+    f"ElementKind.{name}": m
+    for name, m in [("HWP_X", HWP_X), ("WP_U1", WP_U1), ("WP_U2", WP_U2), ("SPIN_ROT_MINUS", SPIN_ROT_MINUS)]
+}
+
+
+def test_every_element_is_placed_by_a_circuit_table():
+    tables = [ops for _, ops in protocols._STAGES]
+    tables += [protocols._BELL_ANALYSIS, *protocols._CLUSTER_SEGMENTS]
+    placed = {op[0] for ops in tables for op in ops}
+    assert [kind for kind in ALL_KINDS if kind not in placed] == []
+
+
+@pytest.mark.parametrize("m", MATRICES.values(), ids=MATRICES.keys())
+def test_every_element_is_unitary(m):
     np.testing.assert_allclose(m.conj().T @ m, np.eye(2), atol=1e-14)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_element_then_inverse_restores_state(kind, rng):
+@pytest.mark.parametrize("m", MATRICES.values(), ids=MATRICES.keys())
+def test_element_then_inverse_restores_state(m, rng):
     st_ = random_state((POL,), rng)
-    m = element_matrix(kind)
-    out = apply_element(st_, kind, "a.pol")
-    from hypercnot import apply_operator
-
+    out = apply_operator(st_, ["a.pol"], m)
     back = apply_operator(out, ["a.pol"], m.conj().T)
     np.testing.assert_allclose(back.amplitudes, st_.amplitudes, atol=1e-12)
 
 
 def test_bit_flip_plate():
-    out = apply_element(basis_state([POL], ["R"]), ElementKind.HWP_X, "a.pol")
+    out = apply_operator(basis_state([POL], ["R"]), ["a.pol"], HWP_X)
     assert abs(out.amplitude("L") - 1) < 1e-15
 
 
@@ -57,13 +84,12 @@ def test_beam_splitter_on_first_path():
 
 def test_quarter_phase_plate_action():
     st_ = tensor_state([(POL, (1 / SQ2, 1 / SQ2))])
-    out = apply_element(st_, ElementKind.WP_U2, "a.pol")
+    out = apply_operator(st_, ["a.pol"], WP_U2)
     np.testing.assert_allclose(out.amplitudes, [1 / SQ2, -1j / SQ2], atol=1e-15)
 
 
 def test_global_phase_plate_is_scalar():
-    m = element_matrix(ElementKind.WP_U1)
-    np.testing.assert_allclose(m, -1j * np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(WP_U1, -1j * np.eye(2), atol=1e-15)
 
 
 def test_phase_flip_plate_signs():
@@ -82,8 +108,7 @@ def test_spin_rotation_images():
 
 def test_spin_rotation_minus_inverts_plus():
     plus = element_matrix(ElementKind.SPIN_ROT_PLUS)
-    minus = element_matrix(ElementKind.SPIN_ROT_MINUS)
-    np.testing.assert_allclose(minus @ plus, np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(SPIN_ROT_MINUS @ plus, np.eye(2), atol=1e-15)
 
 
 # -- conditional elements -----------------------------------------------------
@@ -98,7 +123,7 @@ def test_conditional_phase_flip_on_second_path():
 
 def test_conditional_skips_unoccupied_branch(rng):
     st_ = tensor_state([(POL, (0.6, 0.8)), (SPATIAL, (1, 0))])
-    out = conditional_element(st_, ElementKind.HWP_X, "a.pol", "a.spatial", 1)
+    out = conditional_element(st_, ElementKind.HWP_H, "a.pol", "a.spatial", 1)
     np.testing.assert_allclose(out.amplitudes, st_.amplitudes, atol=1e-15)
 
 
@@ -131,4 +156,4 @@ def test_conditional_matches_block_diagonal_oracle(seed, control_value):
 def test_conditional_rejects_bad_control_value(rng):
     st_ = random_state((POL, SPATIAL), rng)
     with pytest.raises(ValueError):
-        conditional_element(st_, ElementKind.HWP_X, "a.pol", "a.spatial", 2)
+        conditional_element(st_, ElementKind.HWP_H, "a.pol", "a.spatial", 2)

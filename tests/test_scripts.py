@@ -1,12 +1,8 @@
-"""Smoke tests of the runnable scripts against outputs captured in golden/,
-and of the README's library quickstart."""
+"""Smoke tests of the runnable script against its output captured in
+golden/, and of the README's library quickstart."""
 
-import gzip
 import runpy
-import sys
 from pathlib import Path
-
-import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = REPO_ROOT / "scripts"
@@ -18,16 +14,6 @@ def test_reproduce_benchmarks_output(capsys):
     captured = capsys.readouterr()
     assert captured.out == (GOLDEN_DIR / "reproduce_benchmarks.txt").read_text()
     assert captured.err == ""
-
-
-def test_performance_surface_writes_the_default_sweep(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "surface.csv"
-    monkeypatch.setattr(sys, "argv", ["performance_surface.py", str(out)])
-    with pytest.raises(SystemExit) as exit_info:
-        runpy.run_path(str(SCRIPTS / "performance_surface.py"), run_name="__main__")
-    assert exit_info.value.code == 0
-    assert capsys.readouterr().out == ""
-    assert out.read_bytes() == gzip.decompress((GOLDEN_DIR / "sweep.csv.gz").read_bytes())
 
 
 def test_readme_quickstart_runs(capsys):
