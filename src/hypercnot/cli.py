@@ -1,6 +1,11 @@
 """Command-line frontend: truth tables, gate runs, cluster preparation,
 Bell-state analysis, parameter sweeps, and benchmark checks.
 
+main() dispatches by name: command ``x-y`` runs this module's ``cmd_x_y``.
+Every command but ``sweep`` is a report: it builds its rows once, as the
+dicts ``--format json`` prints, and renders its text lines and computes its
+exit code from those same rows. ``sweep`` always writes CSV.
+
 Exit codes: 0 success, 1 validation failure (a mismatch, an out-of-
 tolerance value, or a run the physics leaves undefined, such as zero
 survival), 2 usage error. Output is deterministic for a fixed
@@ -166,14 +171,19 @@ def _amplitude_pair(raw: str) -> np.ndarray:
 
 
 def _input_state(args: argparse.Namespace, parser: argparse.ArgumentParser):
+    """The joint input: the amplitude flags, else the --input preset (uniform by default)."""
+    flags = {
+        attr: "--" + attr.replace("_", "-")
+        for attr in ("a_pol", "a_spatial", "b_pol", "b_spatial")
+        if getattr(args, attr) is not None
+    }
+    if flags and args.input is not None:
+        parser.error(f"--input cannot be combined with {', '.join(flags.values())}")
     pairs = {}
-    for attr in ("a_pol", "a_spatial", "b_pol", "b_spatial"):
+    for attr, flag in flags.items():
         pair = getattr(args, attr)
-        if pair is None:
-            continue
         norm = float(np.linalg.norm(pair))
         if abs(norm - 1.0) > 1e-6:
-            flag = "--" + attr.replace("_", "-")
             print(f"warning: {flag} renormalized (norm was {norm:.9g})", file=sys.stderr)
         pairs[attr] = pair / norm
     if pairs:
@@ -182,7 +192,7 @@ def _input_state(args: argparse.Namespace, parser: argparse.ArgumentParser):
         a = photon_state("a", pairs.get("a_pol", default), pairs.get("a_spatial", default))
         b = photon_state("b", pairs.get("b_pol", default), pairs.get("b_spatial", default))
         return tensor_product(a, b)
-    if args.input == "uniform":
+    if args.input in (None, "uniform"):
         return uniform_two_photon_state()
     if args.input.startswith("basis:"):
         names = [n.strip() for n in args.input[len("basis:"):].split(",")]
@@ -198,33 +208,37 @@ def _input_state(args: argparse.Namespace, parser: argparse.ArgumentParser):
 # -- commands ------------------------------------------------------------
 
 
+def _report(args: argparse.Namespace, lines: list[str], payload: dict, ok: bool = True) -> int:
+    """Write the text lines, or the JSON payload under --format json; exit 0 if ok, else 1."""
+    if args.format == "json":
+        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    else:
+        _emit("\n".join(lines) + "\n", args.out)
+    return 0 if ok else 1
+
+
 def cmd_truth_table(args, parser) -> int:
     reflection = _reflection(args, parser)
-    rows = truth_table(reflection)
+    rows = [
+        {
+            "input": list(r.input_names),
+            "expected": list(r.expected_names),
+            "observed": list(r.observed_names),
+            "min_fidelity": r.min_fidelity,
+            "ok": r.ok,
+        }
+        for r in truth_table(reflection)
+    ]
+    passed = sum(row["ok"] for row in rows)
     lines = [f"{'input':<16} {'expected':<16} {'observed':<16} {'fidelity':>10}  result"]
     for row in rows:
+        names = [",".join(row[key]) for key in ("input", "expected", "observed")]
         lines.append(
-            f"{','.join(row.input_names):<16} {','.join(row.expected_names):<16} "
-            f"{','.join(row.observed_names):<16} {row.min_fidelity:>10.6f}  "
-            f"{'PASS' if row.ok else 'FAIL'}"
+            f"{names[0]:<16} {names[1]:<16} {names[2]:<16} {row['min_fidelity']:>10.6f}  "
+            f"{'PASS' if row['ok'] else 'FAIL'}"
         )
-    passed = sum(row.ok for row in rows)
     lines.append(f"{passed}/16 PASS")
-    payload = {
-        "rows": [
-            {
-                "input": list(r.input_names),
-                "expected": list(r.expected_names),
-                "observed": list(r.observed_names),
-                "min_fidelity": r.min_fidelity,
-                "ok": r.ok,
-            }
-            for r in rows
-        ],
-        "passed": passed,
-    }
-    _emit(_render(lines, payload, args.format), args.out)
-    return 0 if passed == 16 else 1
+    return _report(args, lines, {"rows": rows, "passed": passed}, passed == 16)
 
 
 def cmd_gate(args, parser) -> int:
@@ -235,35 +249,31 @@ def cmd_gate(args, parser) -> int:
         runs = [hyper_cnot_state(joint, reflection, branch_mode="sample", seed=args.seed)]
     else:
         runs = hyper_cnot_state(joint, reflection)
-    lines = [
-        f"mode={runs[0].mode} survival={runs[0].survival_probability:.9f}",
-        f"{'e1':>4} {'e2':>4} {'p(branch)':>10} {'fidelity':>10}  feed-forward",
-    ]
-    branch_rows = []
-    for run in runs:
-        fid = fidelity_up_to_global_phase(run.final_state, ideal_final)
-        ff = ",".join(run.feed_forward_ops) or "-"
-        names = ("up", "down")
-        lines.append(
-            f"{names[run.spin_outcomes[0]]:>4} {names[run.spin_outcomes[1]]:>4} "
-            f"{run.branch_probability:>10.6f} {fid:>10.6f}  {ff}"
-        )
-        branch_rows.append(
-            {
-                "spin_outcomes": list(run.spin_outcomes),
-                "branch_probability": run.branch_probability,
-                "fidelity_vs_ideal": fid,
-                "feed_forward_ops": list(run.feed_forward_ops),
-            }
-        )
-    lines.append(f"final state ({runs[-1].mode}, last branch): {runs[-1].final_state.terms()}")
     payload = {
         "mode": runs[0].mode,
         "survival_probability": runs[0].survival_probability,
-        "branches": branch_rows,
+        "branches": [
+            {
+                "spin_outcomes": list(run.spin_outcomes),
+                "branch_probability": run.branch_probability,
+                "fidelity_vs_ideal": fidelity_up_to_global_phase(run.final_state, ideal_final),
+                "feed_forward_ops": list(run.feed_forward_ops),
+            }
+            for run in runs
+        ],
     }
-    _emit(_render(lines, payload, args.format), args.out)
-    return 0
+    lines = [
+        f"mode={payload['mode']} survival={payload['survival_probability']:.9f}",
+        f"{'e1':>4} {'e2':>4} {'p(branch)':>10} {'fidelity':>10}  feed-forward",
+    ]
+    for branch in payload["branches"]:
+        e1, e2 = (("up", "down")[e] for e in branch["spin_outcomes"])
+        lines.append(
+            f"{e1:>4} {e2:>4} {branch['branch_probability']:>10.6f} "
+            f"{branch['fidelity_vs_ideal']:>10.6f}  {','.join(branch['feed_forward_ops']) or '-'}"
+        )
+    lines.append(f"final state ({runs[-1].mode}, last branch): {runs[-1].final_state.terms()}")
+    return _report(args, lines, payload)
 
 
 def cmd_cluster(args, parser) -> int:
@@ -276,15 +286,16 @@ def cmd_cluster(args, parser) -> int:
         ("after conditional flip", stages.after_conditional_flip, ideal.after_conditional_flip),
         ("cluster", stages.cluster, ideal.cluster),
     ]
-    lines = []
-    payload = {"stages": []}
-    for name, got, want in pairs:
-        fid = fidelity_up_to_global_phase(got, want)
-        lines.append(f"{name:<26} fidelity vs ideal target: {fid:.9f}")
-        payload["stages"].append({"stage": name, "fidelity_vs_ideal": fid})
+    rows = [
+        {"stage": name, "fidelity_vs_ideal": fidelity_up_to_global_phase(got, want)}
+        for name, got, want in pairs
+    ]
+    lines = [
+        f"{row['stage']:<26} fidelity vs ideal target: {row['fidelity_vs_ideal']:.9f}"
+        for row in rows
+    ]
     lines.append(f"cluster state: {stages.cluster.terms()}")
-    _emit(_render(lines, payload, args.format), args.out)
-    return 0
+    return _report(args, lines, {"stages": rows})
 
 
 def cmd_bell_analyze(args, parser) -> int:
@@ -295,25 +306,10 @@ def cmd_bell_analyze(args, parser) -> int:
         requests = [(args.pol, args.spatial)]
     else:
         requests = [(p, s) for p in range(4) for s in range(4)]
-    lines = [f"{'input':<14} {'pattern':<22} {'decoded':<14} {'deterministic':<13} min-prob"]
-    payload = {"rows": []}
-    patterns = []
-    ok = True
+    rows = []
     for pol, spatial in requests:
         result = analyze_hyper_bell(HyperBellState(pol, spatial), reflection)
-        decoded_ok = (result.pol_index, result.spatial_index) == (pol, spatial)
-        ok = ok and decoded_ok
-        patterns.append(result.pattern)
-        decoded = (
-            f"{BELL_NAMES[result.pol_index]},{BELL_NAMES[result.spatial_index]}"
-            if result.pol_index is not None
-            else "?"
-        )
-        lines.append(
-            f"{BELL_NAMES[pol]},{BELL_NAMES[spatial]:<9} {','.join(result.pattern):<22} "
-            f"{decoded:<14} {str(result.deterministic):<13} {result.min_outcome_probability:.6f}"
-        )
-        payload["rows"].append(
+        rows.append(
             {
                 "input": [pol, spatial],
                 "pattern": list(result.pattern),
@@ -322,15 +318,19 @@ def cmd_bell_analyze(args, parser) -> int:
                 "min_outcome_probability": result.min_outcome_probability,
             }
         )
-    distinct = len(set(patterns)) == len(patterns)
-    ok = ok and distinct
-    lines.append(
-        f"{len(set(patterns))}/{len(patterns)} distinct patterns: "
-        f"{'PASS' if ok else 'FAIL'}"
-    )
-    payload["distinct"] = distinct
-    _emit(_render(lines, payload, args.format), args.out)
-    return 0 if ok else 1
+    patterns = len({tuple(row["pattern"]) for row in rows})
+    distinct = patterns == len(rows)
+    ok = distinct and all(row["decoded"] == row["input"] for row in rows)
+    lines = [f"{'input':<14} {'pattern':<22} {'decoded':<14} {'deterministic':<13} min-prob"]
+    for row in rows:
+        pol, spatial = (BELL_NAMES[i] for i in row["input"])
+        decoded = "?" if None in row["decoded"] else ",".join(BELL_NAMES[i] for i in row["decoded"])
+        lines.append(
+            f"{pol},{spatial:<9} {','.join(row['pattern']):<22} {decoded:<14} "
+            f"{str(row['deterministic']):<13} {row['min_outcome_probability']:.6f}"
+        )
+    lines.append(f"{patterns}/{len(rows)} distinct patterns: {'PASS' if ok else 'FAIL'}")
+    return _report(args, lines, {"rows": rows, "distinct": distinct}, ok)
 
 
 def cmd_sweep(args, parser) -> int:
@@ -367,77 +367,59 @@ def cmd_sweep(args, parser) -> int:
 
 
 def cmd_paper_check(args, parser) -> int:
-    tolerance, gamma = args.tolerance, args.gamma
     try:
-        rows = reference_check(gamma)
+        checks = reference_check(args.gamma)
     except ValueError as exc:
         parser.error(str(exc))
+    payload = {"tolerance": args.tolerance, "rows": []}
     lines = [
         f"{'g/k':>6} {'ks/k':>5} {'F ref':>7} {'F calc':>8} {'|dF|':>8} "
         f"{'eta ref':>8} {'eta calc':>9} {'|deta|':>8}  result"
     ]
-    payload = {"tolerance": tolerance, "rows": []}
-    all_ok = True
-    for row in rows:
-        ok = row.within(tolerance)
-        all_ok = all_ok and ok
+    for check in checks:
+        row = {
+            "g_over_kappa": check.point.g_over_kappa,
+            "kappa_s_over_kappa": check.point.kappa_s_over_kappa,
+            "fidelity_reference": check.point.fidelity,
+            "fidelity_computed": check.fidelity_computed,
+            "efficiency_reference": check.point.efficiency,
+            "efficiency_computed": check.efficiency_computed,
+            "ok": check.within(args.tolerance),
+        }
+        payload["rows"].append(row)
         lines.append(
-            f"{row.point.g_over_kappa:>6.2f} {row.point.kappa_s_over_kappa:>5.2f} "
-            f"{row.point.fidelity:>7.3f} {row.fidelity_computed:>8.4f} {row.fidelity_delta:>8.5f} "
-            f"{row.point.efficiency:>8.3f} {row.efficiency_computed:>9.4f} {row.efficiency_delta:>8.5f}"
-            f"  {'PASS' if ok else 'FAIL'}"
-        )
-        payload["rows"].append(
-            {
-                "g_over_kappa": row.point.g_over_kappa,
-                "kappa_s_over_kappa": row.point.kappa_s_over_kappa,
-                "fidelity_reference": row.point.fidelity,
-                "fidelity_computed": row.fidelity_computed,
-                "efficiency_reference": row.point.efficiency,
-                "efficiency_computed": row.efficiency_computed,
-                "ok": ok,
-            }
+            f"{row['g_over_kappa']:>6.2f} {row['kappa_s_over_kappa']:>5.2f} "
+            f"{row['fidelity_reference']:>7.3f} {row['fidelity_computed']:>8.4f} "
+            f"{check.fidelity_delta:>8.5f} {row['efficiency_reference']:>8.3f} "
+            f"{row['efficiency_computed']:>9.4f} {check.efficiency_delta:>8.5f}"
+            f"  {'PASS' if row['ok'] else 'FAIL'}"
         )
     if args.simulate:
         lines.append("")
         lines.append("circuit-level cross-check (uniform input, complex reflections):")
         payload["simulated"] = []
-        for row in rows:
-            params = CavityParams(
-                g=row.point.g_over_kappa, kappa_s=row.point.kappa_s_over_kappa, gamma=gamma
-            )
-            f_sim, eta_sim = simulated_performance(params)
-            lines.append(
-                f"  g={row.point.g_over_kappa:.2f} ks={row.point.kappa_s_over_kappa:.2f}: "
-                f"F_sim={f_sim:.4f} (formula {row.fidelity_computed:.4f}), "
-                f"eta_sim={eta_sim:.6f} (formula {row.efficiency_computed:.6f})"
-            )
+        for row in payload["rows"]:
+            g, ks = row["g_over_kappa"], row["kappa_s_over_kappa"]
+            f_sim, eta_sim = simulated_performance(CavityParams(g=g, kappa_s=ks, gamma=args.gamma))
             payload["simulated"].append(
-                {
-                    "g_over_kappa": row.point.g_over_kappa,
-                    "kappa_s_over_kappa": row.point.kappa_s_over_kappa,
-                    "F_sim": f_sim,
-                    "eta_sim": eta_sim,
-                }
+                {"g_over_kappa": g, "kappa_s_over_kappa": ks, "F_sim": f_sim, "eta_sim": eta_sim}
             )
-    lines.append(f"{'all within' if all_ok else 'out of'} tolerance {tolerance:g}")
-    _emit(_render(lines, payload, args.format), args.out)
-    return 0 if all_ok else 1
-
-
-def _render(lines: list[str], payload: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    return "\n".join(lines) + "\n"
+            lines.append(
+                f"  g={g:.2f} ks={ks:.2f}: F_sim={f_sim:.4f} "
+                f"(formula {row['fidelity_computed']:.4f}), "
+                f"eta_sim={eta_sim:.6f} (formula {row['efficiency_computed']:.6f})"
+            )
+    ok = all(row["ok"] for row in payload["rows"])
+    lines.append(f"{'all within' if ok else 'out of'} tolerance {args.tolerance:g}")
+    return _report(args, lines, payload, ok)
 
 
 # -- parser ---------------------------------------------------------------
 
 
-def _command(commands, name: str, func, help: str, cavity: bool = True, formats: bool = True):
+def _command(commands, name: str, help: str, cavity: bool = True, formats: bool = True):
     """Add one subcommand with the options it shares with the others."""
     sub = commands.add_parser(name, help=help, allow_abbrev=False)
-    sub.set_defaults(func=func)
     sub.add_argument("--config", help="flat key=value config file; flags override it")
     sub.add_argument("--out", help="write output to a file instead of stdout")
     if formats:
@@ -465,26 +447,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hypercnot {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    _command(
-        commands, "truth-table", cmd_truth_table, "run all 16 basis inputs and verify the logic"
-    )
+    _command(commands, "truth-table", "run all 16 basis inputs and verify the logic")
 
-    p = _command(commands, "gate", cmd_gate, "run the gate on a configurable input state")
-    p.add_argument("--input", default="uniform", help="'uniform' or 'basis:R,a1,R,b1'")
+    p = _command(commands, "gate", "run the gate on a configurable input state")
+    p.add_argument("--input", help="'uniform' (the default) or 'basis:R,a1,R,b1'")
     p.add_argument("--a-pol", type=_amplitude_pair, help="control polarization amplitudes 'c0,c1'")
     p.add_argument("--a-spatial", type=_amplitude_pair, help="control spatial amplitudes 'c0,c1'")
     p.add_argument("--b-pol", type=_amplitude_pair, help="target polarization amplitudes 'c0,c1'")
     p.add_argument("--b-spatial", type=_amplitude_pair, help="target spatial amplitudes 'c0,c1'")
     p.add_argument("--seed", type=_seed, help="sample one spin branch with this seed")
 
-    _command(commands, "cluster", cmd_cluster, "prepare the two-photon four-qubit cluster state")
+    _command(commands, "cluster", "prepare the two-photon four-qubit cluster state")
 
-    p = _command(commands, "bell-analyze", cmd_bell_analyze, "decode hyperentangled Bell states")
+    p = _command(commands, "bell-analyze", "decode hyperentangled Bell states")
     p.add_argument("--pol", type=int, choices=range(4), help="analyze a single state: pol index")
     p.add_argument("--spatial", type=int, choices=range(4), help="spatial index")
 
     p = _command(
-        commands, "sweep", cmd_sweep, "grid of closed-form performance figures as CSV",
+        commands, "sweep", "grid of closed-form performance figures as CSV",
         cavity=False, formats=False,
     )
     p.add_argument(
@@ -499,8 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = _command(
-        commands, "paper-check", cmd_paper_check, "compare against the published benchmark values",
-        cavity=False,
+        commands, "paper-check", "compare against the published benchmark values", cavity=False
     )
     p.add_argument(
         "--tolerance", type=_tolerance, default=REFERENCE_TOLERANCE, help="default %(default)s"
@@ -538,8 +517,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # library warnings become one plain stderr line each, like the
         # amplitude-renormalization warning; the filters stay as they are
         warnings.showwarning = _show_warning
+        # looked up by name on each call, so a patched cmd_* function is the one run
+        run = globals()["cmd_" + args.command.replace("-", "_")]
         try:
-            return args.func(args, command)
+            return run(args, command)
         except (OSError, ZeroSurvivalError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -1,6 +1,8 @@
 import gzip
 import json
+import re
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -83,6 +85,35 @@ def test_gate_amplitude_flags_renormalize_with_warning(capsys):
     assert "renormalized" in err
 
 
+@pytest.mark.parametrize(
+    "argv,cfg,flags",
+    [
+        (["--input", "bogus", "--a-pol", "1,0"], None, "--a-pol"),
+        (
+            ["--input", "basis:L,a2,R,b1", "--a-pol", "1,0", "--b-spatial", "0,1"],
+            None,
+            "--a-pol, --b-spatial",
+        ),
+        (["--b-spatial", "0,1"], "input = uniform\n", "--b-spatial"),
+        (["--input", "uniform"], "a_spatial = 0.6,0.8001\n", "--a-spatial"),
+    ],
+    ids=["unknown-preset", "basis-preset", "input-in-config", "amplitude-in-config"],
+)
+def test_gate_input_and_amplitude_flags_are_a_usage_error(argv, cfg, flags, tmp_path, capsys):
+    if cfg is not None:
+        (tmp_path / "run.cfg").write_text(cfg)
+        argv = ["--config", str(tmp_path / "run.cfg"), *argv]
+    with pytest.raises(SystemExit) as err:
+        main(["gate", *argv])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"hypercnot gate: error: --input cannot be combined with {flags}"
+    )
+    assert "warning" not in captured.err  # rejected before any amplitude is renormalized
+
+
 def test_gate_sampling_is_deterministic(capsys):
     _, out_a, _ = run_cli(capsys, "gate", "--seed", "5")
     _, out_b, _ = run_cli(capsys, "gate", "--seed", "5")
@@ -138,15 +169,6 @@ def test_paper_check_fails_at_unrealistic_tolerance(capsys):
     code, out, _ = run_cli(capsys, "paper-check", "--tolerance", "0.0001")
     assert code == 1
     assert "FAIL" in out
-
-
-def test_paper_check_json_matches_text_values(capsys):
-    code, out, _ = run_cli(capsys, "paper-check", "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert len(payload["rows"]) == 4
-    assert all(row["ok"] for row in payload["rows"])
-    assert abs(payload["rows"][0]["fidelity_computed"] - 0.9431595580655449) < 1e-12
 
 
 def test_paper_check_simulate_flag(capsys):
@@ -637,7 +659,8 @@ def test_golden_output(golden, expected_code, argv, tmp_path, monkeypatch, capsy
     if ".csv" in golden:
         argv += ["--out", str(out_file)]
     code = main(argv)
-    stdout = capsys.readouterr().out.encode()
+    captured = capsys.readouterr()
+    stdout = captured.out.encode()
     want = (GOLDEN_DIR / golden).read_bytes()
     if golden.endswith(".gz"):
         want = gzip.decompress(want)
@@ -646,6 +669,9 @@ def test_golden_output(golden, expected_code, argv, tmp_path, monkeypatch, capsy
     assert got == want
     if ".csv" in golden:
         assert stdout == b""
+    # only the simulated sweeps write to stderr: their side-leakage warning
+    if not (argv[0] == "sweep" and "--simulate" in argv):
+        assert captured.err == ""
 
 
 # JSON outputs captured before the gate was compiled once. Floats may move in
@@ -684,6 +710,63 @@ def test_golden_json_output(golden, argv, capsys):
     assert code == 0
     want = json.loads((GOLDEN_DIR / golden).read_text())
     assert_json_matches(json.loads(out), want)
+
+
+# -- text and JSON: one set of rows ---------------------------------------------------
+
+REPORT_ARGV = [
+    f"{command} {mode}".strip()
+    for command in ("truth-table", "gate", "cluster", "bell-analyze")
+    for mode in ("", "--mode physical --g 0.5")
+] + ["paper-check --simulate", "paper-check --tolerance 0.0001"]
+
+
+def json_floats(value):
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, (dict, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from json_floats(item)
+
+
+@pytest.mark.parametrize("argv", REPORT_ARGV)
+def test_text_report_prints_the_json_rows(argv, capsys):
+    text_code, text, _ = run_cli(capsys, *argv.split())
+    json_code, out, _ = run_cli(capsys, *argv.split(), "--format", "json")
+    payload = json.loads(out)
+    assert text_code == json_code
+    # every JSON float is printed at the text's fixed precision: each one claims
+    # the most precise printed number it rounds to, and no number twice
+    printed = Counter(re.findall(r"\d+\.\d+", text))
+    for value in json_floats(payload):
+        shown = [f"{value:.{digits}f}" for digits in range(12, 0, -1)]
+        match = next((number for number in shown if printed[number]), None)
+        assert match is not None, f"{value!r} is not printed in the text"
+        printed[match] -= 1
+    # the verdicts: PASS/FAIL and True/False per row, then the summary line
+    lines = text.splitlines()
+    for row, line in zip(payload.get("rows", []), lines[1:]):
+        if "ok" in row:
+            assert line.split()[-1] == ("PASS" if row["ok"] else "FAIL")
+        if "deterministic" in row:
+            assert line.split()[3] == str(row["deterministic"])
+    if "passed" in payload:
+        assert lines[-1] == f"{payload['passed']}/16 PASS"
+    if "distinct" in payload:
+        shown, total = lines[-1].split()[0].split("/")
+        assert (shown == total) == payload["distinct"]
+    if argv.startswith("paper-check"):
+        assert abs(payload["rows"][0]["fidelity_computed"] - 0.9431595580655449) < 1e-12
+
+
+def test_main_runs_the_command_it_finds_by_name(monkeypatch, capsys):
+    # the parser is built, and bound to nothing, before the command is replaced
+    cli._parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_sweep", lambda args, parser: calls.append(args.resolution) or 0)
+    assert main(["sweep", "--resolution", "3"]) == 0
+    assert calls == [3]
+    assert capsys.readouterr().out == ""
 
 
 # -- generic ------------------------------------------------------------------------

@@ -1,19 +1,8 @@
-"""Smoke tests of the runnable script against its output captured in
-golden/, and of the README's library quickstart."""
+"""Smoke test of the README's library quickstart."""
 
-import runpy
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-SCRIPTS = REPO_ROOT / "scripts"
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-
-
-def test_reproduce_benchmarks_output(capsys):
-    runpy.run_path(str(SCRIPTS / "reproduce_benchmarks.py"), run_name="__main__")
-    captured = capsys.readouterr()
-    assert captured.out == (GOLDEN_DIR / "reproduce_benchmarks.txt").read_text()
-    assert captured.err == ""
 
 
 def test_readme_quickstart_runs(capsys):
