@@ -55,7 +55,6 @@ from .analysis import (
     REFERENCE_TOLERANCE,
     SweepResult,
     formula_performance,
-    performance_point,
     reference_check,
     simulated_performance,
     sweep,

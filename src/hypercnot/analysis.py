@@ -21,10 +21,10 @@ abs(complex) and np.float_power for every ``**`` (_lattice_closed_form).
 formula_performance and _closed_form stay scalar for single points. The
 core returns plain float columns: the two axes, F, eta and, when
 simulated, F_sim (a simulated sweep's eta_sim column is its eta column).
-sweep and performance_point build all their PerformancePoint rows from
-them in one pass (_rows), writing each row's fields straight into a bare
-instance. The CLI renders its CSV straight from the columns, without
-rows, and formats each axis value once.
+sweep builds all its PerformancePoint rows from them in one pass (_rows),
+writing each row's fields straight into a bare instance; a one-point sweep
+gives the row at a single (g, kappa_s). The CLI renders its CSV straight
+from the columns, without rows, and formats each axis value once.
 
 The simulated figures are those of the full circuit with the complex
 reflection amplitudes. simulated_performance applies the gate's Kraus
@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import product, repeat
 from numbers import Integral
 from typing import NamedTuple
@@ -145,13 +144,6 @@ def _uniform_fidelity(r_cold, r_hot) -> np.ndarray:
         return (0.5 + 2 * (x / s) ** 2) ** 2
 
 
-@cache
-def _uniform_input() -> StateVector:
-    """The default input of simulated_performance, built once per process (a
-    StateVector is immutable, so every caller shares it)."""
-    return uniform_two_photon_state()
-
-
 def simulated_performance(
     params: CavityParams, input_state: StateVector | None = None
 ) -> tuple[float, float]:
@@ -164,28 +156,18 @@ def simulated_performance(
     the survival probability. At zero survival the fidelity is undefined
     and ``(nan, 0.0)`` is returned.
     """
-    joint = input_state if input_state is not None else _uniform_input()
+    joint = input_state if input_state is not None else uniform_two_photon_state()
     try:
         ordered, outputs, _, total, survival = _gate_outputs(
             joint, ReflectionPair.from_params(params)
         )
     except ZeroSurvivalError:
         return math.nan, 0.0
-    # every ideal branch carries the same corrected output: the (0, 0) one
-    ideal = (_gate_plan(None).kraus[0, 0] @ ordered.amplitudes.reshape(16, -1)).reshape(-1)
+    # every ideal branch carries the same corrected output: the (0, 0) one,
+    # whose Kraus operator is the plan matrix's first 16 rows
+    ideal = (_gate_plan(None).matrix[:16] @ ordered.amplitudes.reshape(16, -1)).reshape(-1)
     overlap2 = np.abs(outputs.reshape(4, -1) @ ideal.conj()) ** 2
     return float(overlap2.sum() / (np.sum(np.abs(ideal) ** 2) * total)), survival
-
-
-def performance_point(
-    g: float,
-    kappa_s: float,
-    gamma: float = 0.1,
-    include_simulation: bool = False,
-) -> PerformancePoint:
-    """Figures of merit at one (g, kappa_s) point: a one-point sweep."""
-    lattice = _sweep_lattice((g, g), (kappa_s, kappa_s), 1, gamma, include_simulation)
-    return _rows(lattice, gamma)[0]
 
 
 class _Lattice(NamedTuple):
@@ -210,9 +192,8 @@ def _sweep_lattice(
 ) -> _Lattice:
     """Everything sweep does up to its rows, returned as columns.
 
-    Its callers are sweep, performance_point and the CLI's sweep command,
-    so the side-leakage warning names the frame two up: the caller of
-    sweep or performance_point, or cli.main.
+    Its callers are sweep and the CLI's sweep command, so the side-leakage
+    warning names the frame two up: the caller of sweep, or cli.main.
     """
     if isinstance(resolution, bool) or not isinstance(resolution, Integral):
         raise TypeError(f"resolution must be an integer, got {resolution!r}")

@@ -42,7 +42,6 @@ from .protocols import (
     BELL_NAMES,
     HyperBellState,
     ZeroSurvivalError,
-    _gate_runs,
     analyze_hyper_bell,
     hyper_cnot_state,
     photon_registers,
@@ -244,7 +243,7 @@ def cmd_truth_table(args, parser) -> int:
 def cmd_gate(args, parser) -> int:
     reflection = _reflection(args, parser)
     joint = _input_state(args, parser)
-    ideal_final = _gate_runs(joint, None)[0].final_state
+    ideal_final = hyper_cnot_state(joint, None)[0].final_state
     if args.seed is not None:
         runs = [hyper_cnot_state(joint, reflection, branch_mode="sample", seed=args.seed)]
     else:

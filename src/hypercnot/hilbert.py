@@ -108,9 +108,6 @@ class StateVector:
                 return i
         raise ValueError(f"unknown register label {label!r}; known: {self.labels}")
 
-    def register(self, label: str) -> Register:
-        return self.registers[self.register_index(label)]
-
     def amplitude(self, *names: str) -> complex:
         """Amplitude of one basis state, addressed by per-register names."""
         return complex(self.amplitudes[basis_index(self.registers, names)])

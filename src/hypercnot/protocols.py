@@ -38,16 +38,18 @@ tensor whose axis 0 is the power of r_cold, and keeps the coefficients at
 each named checkpoint; the pre_measurement ones, with the spins projected
 and the feed-forward folded in, are the coefficients of the gate's four
 16x16 Kraus operators, one per spin-outcome pair. All are kept read-only.
-evaluate_branches gives the Kraus operators at N reflection pairs with one
-(N, 5) by (5, ...) contraction. Every circuit-level number takes one path:
-the gate plan of its pair, the Kraus operators there, built once per pair
-in a bounded LRU cache, so a call at a cached pair does only
+One evaluator, _evaluate, contracts any of them with the powers of N
+reflection pairs; evaluate_branches gives the Kraus operators that way.
+Every circuit-level number takes one path: the gate plan of its pair, the
+four Kraus operators there stacked as one (64, 16) matrix, built once per
+pair in a bounded LRU cache, so a call at a cached pair does only
 input-dependent work. _gate_outputs multiplies the input by the plan once;
-hyper_cnot_state derives every GateRun from that product, picks and samples
-the branches on their weights as Python floats, and normalizes the live
-branches and validates their final states as one stack (state_stack). The
-truth table goes through it; analysis.simulated_performance compares the
-product with the ideal plan's (0, 0) Kraus operator times the same input. A
+hyper_cnot_state derives every GateRun from that product, picks the
+branches on their weights as Python floats, samples them with _draw, the
+single uniform draw of Generator.choice, and normalizes the live branches
+and validates their final states as one stack (state_stack). The truth
+table goes through it; analysis.simulated_performance compares the product
+with the ideal plan's (0, 0) Kraus operator times the same input. A
 simulated sweep evaluates no gate: for the uniform input it uses the exact
 closed form in analysis, which the tests hold to the Kraus operators.
 
@@ -73,6 +75,7 @@ import struct
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import product
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -119,8 +122,11 @@ def photon_state(name: str, pol_pair, spatial_pair) -> StateVector:
     return tensor_state([(pol, pol_pair), (spatial, spatial_pair)])
 
 
+@cache
 def uniform_two_photon_state() -> StateVector:
-    """Both photons in the uniform superposition of both degrees of freedom."""
+    """Both photons in the uniform superposition of both degrees of freedom,
+    built once per process (a StateVector is immutable, so every caller
+    shares it)."""
     plus = (1 / np.sqrt(2.0), 1 / np.sqrt(2.0))
     return tensor_product(
         photon_state("a", plus, plus), photon_state("b", plus, plus)
@@ -247,10 +253,13 @@ def _compile_stages() -> tuple[tuple[tuple[str, np.ndarray], ...], np.ndarray]:
     return tuple(checkpoints), kraus
 
 
-def _powers(r_cold: np.ndarray, r_hot: np.ndarray, degree: int) -> np.ndarray:
-    """r_cold**k * r_hot**(degree - k) for k = 0 .. degree, one row per pair."""
-    k = np.arange(degree + 1)
-    return r_cold[:, None] ** k * r_hot[:, None] ** (degree - k)
+def _evaluate(coefficients: np.ndarray, r_cold: np.ndarray, r_hot: np.ndarray) -> np.ndarray:
+    """Compiled coefficients of degree d = len(coefficients) - 1, axis 0 the
+    power k of r_cold, evaluated at N pairs: sum_k r_cold**k r_hot**(d - k)
+    coefficients[k], with axis 0 of the result one entry per pair."""
+    k = np.arange(len(coefficients))
+    powers = r_cold[:, None] ** k * r_hot[:, None] ** (len(coefficients) - 1 - k)
+    return np.tensordot(powers, coefficients, axes=1)
 
 
 # -- the staged checkpoints ------------------------------------------------
@@ -304,8 +313,7 @@ def hyper_cnot_checkpoints(
     registers = joint.registers + (spin_register(SPIN_1), spin_register(SPIN_2))
     names, rows = [], []
     for name, coefficients in _compile_stages()[0]:
-        powers = _powers(r_cold, r_hot, len(coefficients) - 1)
-        operator = (powers @ coefficients.reshape(len(coefficients), -1)).reshape(64, 16)
+        operator = _evaluate(coefficients, r_cold, r_hot)[0]
         # photons, spins, other registers -> the spins first, as the stack
         out = (operator @ amplitudes).reshape(16, 4, -1).transpose(1, 0, 2)
         names.append(name)
@@ -329,16 +337,16 @@ def evaluate_branches(r_cold, r_hot) -> np.ndarray:
     r_hot = np.ravel(np.asarray(r_hot, dtype=np.complex128))
     if r_cold.shape != r_hot.shape:
         raise ValueError(f"got {r_cold.size} cold and {r_hot.size} hot reflections")
-    return np.tensordot(_powers(r_cold, r_hot, _GATE_DEGREE), _compile_stages()[1], axes=1)
+    return _evaluate(_compile_stages()[1], r_cold, r_hot)
 
 
 class _GatePlan(NamedTuple):
     """The gate, homogeneous of degree 4 in the pair, at the pair scaled by a
-    power of two (exact) to unit size, where no weight underflows: its
-    read-only Kraus operators (2, 2, 16, 16), a (64, 16) matrix view of the
-    same array, and the scale's exponent."""
+    power of two (exact) to unit size, where no weight underflows: its four
+    Kraus operators stacked as one read-only (64, 16) matrix, rows
+    2 * e1 outcome + e2 outcome, then output amplitude, and the scale's
+    exponent."""
 
-    kraus: np.ndarray
     matrix: np.ndarray
     exponent: int
 
@@ -373,9 +381,9 @@ def _gate_plan(reflection: ReflectionPair | None) -> _GatePlan:
 def _plan_for_bits(key: bytes) -> _GatePlan:
     cold_re, cold_im, hot_re, hot_im = _PAIR_BITS.unpack(key)
     r_cold, r_hot, exponent = _unit_pair(complex(cold_re, cold_im), complex(hot_re, hot_im))
-    kraus = evaluate_branches(r_cold, r_hot)[0]
-    kraus.flags.writeable = False
-    return _GatePlan(kraus, kraus.reshape(64, 16), exponent)
+    matrix = evaluate_branches(r_cold, r_hot).reshape(64, 16)
+    matrix.flags.writeable = False
+    return _GatePlan(matrix, exponent)
 
 
 # -- the fixed optics after the gate ---------------------------------------
@@ -437,23 +445,6 @@ class ZeroSurvivalError(ValueError):
     photons, or a spin readout's probe."""
 
 
-def hyper_cnot_state(
-    joint: StateVector,
-    reflection: ReflectionPair | None = None,
-    branch_mode: str = "enumerate",
-    seed: int | None = None,
-) -> list[GateRun] | GateRun:
-    """Run the gate on a joint two-photon state (any entanglement allowed).
-
-    ``branch_mode="enumerate"`` returns all four spin branches, skipping
-    empty ones; ``"sample"`` draws one branch with a seeded PRNG. In ideal
-    mode all enumerated branches carry the same corrected state. Raises
-    ZeroSurvivalError when no amplitude reaches the spin measurement.
-    """
-    runs = _gate_runs(joint, reflection, branch_mode, seed)
-    return runs[0] if branch_mode == "sample" else runs
-
-
 def _gate_outputs(
     joint: StateVector, reflection: ReflectionPair | None
 ) -> tuple[StateVector, np.ndarray, list[float], float, float]:
@@ -487,34 +478,32 @@ def _live(weights: list[float]) -> list[int]:
     return [branch for branch, weight in enumerate(weights) if weight]
 
 
-def _normalized(w0: float, w1: float) -> tuple[float, float]:
-    """Two weights divided by their sum: the IEEE operations of p / p.sum()
-    on a two-entry float64 array, so the sampled bits stay numpy's."""
+def _draw(rng: np.random.Generator, w0: float, w1: float) -> int:
+    """``int(rng.choice(2, p=[w0, w1] / (w0 + w1)))`` from the same single
+    uniform draw and IEEE operations: for two outcomes Generator.choice
+    divides cdf = p.cumsum() by cdf[-1] and returns
+    cdf.searchsorted(rng.random(), "right"), 1 exactly when cdf[0] <= the draw."""
     total = w0 + w1
-    return w0 / total, w1 / total
+    p0, p1 = w0 / total, w1 / total
+    return int(p0 / (p0 + p1) <= rng.random())
 
 
-def _choose(rng: np.random.Generator, p: tuple[float, float]) -> int:
-    """``int(rng.choice(2, p=p))`` from the same single uniform draw.
-
-    For two outcomes Generator.choice builds cdf = p.cumsum(), divides it
-    by cdf[-1] and returns cdf.searchsorted(rng.random(), "right"), which is
-    1 exactly when cdf[0] <= the draw.
-    """
-    return int(p[0] / (p[0] + p[1]) <= rng.random())
-
-
-def _gate_runs(
+def hyper_cnot_state(
     joint: StateVector,
-    reflection: ReflectionPair | None,
+    reflection: ReflectionPair | None = None,
     branch_mode: str = "enumerate",
     seed: int | None = None,
-) -> list[GateRun]:
-    """hyper_cnot_state's runs: the non-empty branches in outcome order, or
-    the one sampled branch. The branches are picked and sampled on Python
-    floats, then normalized, taken back to the input's register order and
-    validated as one stack.
+) -> list[GateRun] | GateRun:
+    """Run the gate on a joint two-photon state (any entanglement allowed).
 
+    ``branch_mode="enumerate"`` returns all four spin branches, skipping
+    empty ones, in outcome order; ``"sample"`` returns the one branch drawn
+    with a seeded PRNG. In ideal mode all enumerated branches carry the same
+    corrected state. Raises ZeroSurvivalError when no amplitude reaches the
+    spin measurement.
+
+    The branches are picked and sampled on Python floats, then normalized,
+    taken back to the input's register order and validated as one stack.
     Each run is a bare instance whose fields are stored straight into its
     __dict__, as analysis._rows builds its rows: the state the generated
     frozen __init__ leaves (GateRun has no __post_init__ to skip).
@@ -524,11 +513,11 @@ def _gate_runs(
     mode = "ideal" if reflection is None else "physical"
     ordered, outputs, weights, total, survival = _gate_outputs(joint, reflection)
     if branch_mode == "sample":
-        # one Generator.choice draw on e1, then one on e2 given e1, so a
-        # seed selects the same branch as measuring the spins one by one
+        # one draw on e1, then one on e2 given e1, so a seed selects the
+        # same branch as measuring the spins one by one
         rng = np.random.default_rng(seed)
-        o1 = _choose(rng, _normalized(weights[0] + weights[1], weights[2] + weights[3]))
-        live = [2 * o1 + _choose(rng, _normalized(weights[2 * o1], weights[2 * o1 + 1]))]
+        o1 = _draw(rng, weights[0] + weights[1], weights[2] + weights[3])
+        live = [2 * o1 + _draw(rng, weights[2 * o1], weights[2 * o1 + 1])]
     else:
         live = _live(weights)
         seed = None  # enumerated runs carry no seed
@@ -547,7 +536,7 @@ def _gate_runs(
         fields["branch_probability"] = weights[branch] / total
         fields["seed"] = seed
         runs.append(run)
-    return runs
+    return runs[0] if branch_mode == "sample" else runs
 
 
 # -- spin readout --------------------------------------------------------
@@ -602,13 +591,12 @@ def spin_readout(
     kraus = (basis / np.sqrt(2.0)) @ np.diag(scatter_matrix(refl)).reshape(2, 2)
     axis = state.register_index(spin_label)
     marginal = np.sum(np.abs(state.amplitudes.reshape(2**axis, 2, -1)) ** 2, axis=(0, 2))
-    weights = np.abs(kraus) ** 2 @ marginal
-    total = float(weights.sum())
-    if total == 0.0:
+    weights = (np.abs(kraus) ** 2 @ marginal).tolist()
+    if weights[0] + weights[1] == 0.0:
         raise ZeroSurvivalError("zero survival: no probe amplitude returns, so the readout is undefined")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    outcome = int(gen.choice(2, p=weights / total))
-    probability = float(weights[outcome])
+    outcome = _draw(gen, *weights)
+    probability = weights[outcome]
     record = MeasurementRecord(
         register_label=spin_label,
         outcome=outcome,
@@ -730,6 +718,8 @@ class HyperBellState:
 
     def __post_init__(self) -> None:
         for idx in (self.pol_index, self.spatial_index):
+            if isinstance(idx, bool) or not isinstance(idx, Integral):
+                raise TypeError(f"Bell index must be an integer, got {idx!r}")
             if idx not in (0, 1, 2, 3):
                 raise ValueError(f"Bell index must be 0..3, got {idx}")
 

@@ -151,7 +151,8 @@ def _discard(state: StateVector, register_label: str, outcome: int) -> StateVect
 
 def _sample(branches, rng: np.random.Generator) -> int:
     """One outcome of measure_all_branches' branches, drawn on their relative
-    weights with the Generator.choice call the library makes."""
+    weights with Generator.choice, whose single uniform draw the library's
+    _draw reproduces."""
     weights = np.array([probability for _, probability, _ in branches])
     return int(rng.choice(2, p=weights / weights.sum()))
 
@@ -546,7 +547,7 @@ def step_bell_pattern(state: StateVector, reflection=None) -> tuple[tuple[str, .
     for reg in PHOTON_REGS:
         weights = outcome_weights_reference(st, reg.label)
         outcome = int(np.argmax(weights))
-        names.append(st.register(reg.label).basis_names[outcome])
+        names.append(reg.basis_names[outcome])
         min_prob = min(min_prob, float(weights[outcome] / weights.sum()))
     return tuple(names), min_prob
 

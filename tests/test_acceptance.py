@@ -28,7 +28,6 @@ from hypercnot import (
     uniform_two_photon_state,
 )
 from hypercnot.cli import main as cli_main
-from hypercnot.protocols import _gate_runs
 from conftest import random_state, random_unitary, three_registers
 from oracles import (
     cluster_after_flip_expected,
@@ -224,8 +223,8 @@ def test_criterion_9_property_suite(tmp_path):
         photon_state("a", random_amplitude_pair(rng), random_amplitude_pair(rng)),
         photon_state("b", random_amplitude_pair(rng), random_amplitude_pair(rng)),
     )
-    once = _gate_runs(joint, None)[0].final_state
-    twice = _gate_runs(once, None)[0].final_state
+    once = hyper_cnot_state(joint, None)[0].final_state
+    twice = hyper_cnot_state(once, None)[0].final_state
     if fidelity_up_to_global_phase(twice, joint) < 1 - FID_TOL:
         problems.append("gate squared is not the identity")
 

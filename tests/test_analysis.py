@@ -16,7 +16,6 @@ from hypercnot import (
     formula_performance,
     hyper_cnot_state,
     lattice_reflections,
-    performance_point,
     photon_state,
     reference_check,
     reflect_cold,
@@ -29,7 +28,6 @@ from hypercnot import (
 )
 from hypercnot import analysis
 from hypercnot.cavity import SIDE_LEAKAGE_WARNING
-from hypercnot.protocols import _gate_runs
 from conftest import random_state
 from oracles import efficiency_oracle, engine_uniform_figures, random_amplitude_pair
 
@@ -38,7 +36,7 @@ SQ2 = np.sqrt(2.0)
 
 def step_path_figures(params, joint):
     """(F, eta) from enumerated step-path GateRuns: the per-point reference."""
-    ideal_final = _gate_runs(joint, None)[0].final_state
+    ideal_final = hyper_cnot_state(joint, None)[0].final_state
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # side-leakage guidance
         runs = hyper_cnot_state(joint, ReflectionPair.from_params(params))
@@ -128,7 +126,7 @@ def test_strong_coupling_simulation_nearly_ideal():
 
 
 def test_performance_point_with_simulation():
-    point = performance_point(1.0, 0.2, include_simulation=True)
+    (point,) = sweep((1.0, 1.0), (0.2, 0.2), 1, include_simulation=True).grid
     assert point.F_sim is not None and point.eta_sim is not None
     assert abs(point.eta_sim - point.eta_formula) < 1e-9
     assert 0.0 <= point.F_sim <= 1.0
@@ -143,10 +141,11 @@ def test_default_input_is_the_uniform_state():
 
 
 def test_cached_uniform_input_is_shared_and_read_only():
-    joint = analysis._uniform_input()
-    assert joint is analysis._uniform_input()
-    assert joint.registers == uniform_two_photon_state().registers
-    assert np.array_equal(joint.amplitudes, uniform_two_photon_state().amplitudes)
+    joint = uniform_two_photon_state()
+    assert joint is uniform_two_photon_state()
+    fresh = uniform_two_photon_state.__wrapped__()
+    assert joint.registers == fresh.registers
+    assert np.array_equal(joint.amplitudes, fresh.amplitudes)
     with pytest.raises(ValueError):
         joint.amplitudes[0] = 1.0
 
@@ -360,9 +359,8 @@ def test_simulated_sweep_warns_once_for_side_leakage():
     "call",
     [
         lambda: sweep((1.0, 1.0), (1.5, 1.5), 1, include_simulation=True),
-        lambda: performance_point(1.0, 1.5, include_simulation=True),
     ],
-    ids=["sweep", "performance_point"],
+    ids=["sweep"],
 )
 def test_side_leakage_warning_names_the_caller(call):
     with warnings.catch_warnings(record=True) as caught:
@@ -471,7 +469,7 @@ def test_bulk_rows_behave_like_constructed_points(include_simulation):
     # only the constructor's state while PerformancePoint has no __post_init__
     assert not hasattr(analysis.PerformancePoint, "__post_init__")
     rows = sweep((0.5, 2.4), (0.0, 0.4), 3, 0.1, include_simulation).grid
-    rows.append(performance_point(1.56, 0.2, 0.1, include_simulation))
+    rows += sweep((1.56, 1.56), (0.2, 0.2), 1, 0.1, include_simulation).grid
     for row in rows:
         values = [getattr(row, f.name) for f in dataclasses.fields(row)]
         built = analysis.PerformancePoint(*values)

@@ -190,7 +190,7 @@ def test_applications_are_bitwise_the_per_branch_form(pair, monkeypatch):
     # the same applications with the gate and the Bell analysis in their
     # per-branch form; the code around them is shared
     with monkeypatch.context() as patched:
-        patched.setattr(protocols, "_gate_runs", per_branch_gate_runs)
+        patched.setattr(protocols, "hyper_cnot_state", per_branch_gate_runs)
         patched.setattr(protocols, "_bell_pattern", per_branch_bell_pattern)
         want_rows = truth_table(pair)
         want_analyses = [
@@ -226,7 +226,7 @@ def test_ideal_unit_pair_is_the_rescaled_ideal_pair():
         assert (_hex(got.real), _hex(got.imag)) == (_hex(want.real), _hex(want.imag))
     plan = protocols._gate_plan(None)
     assert plan.exponent == 1
-    assert plan.kraus.tobytes() == per_branch_unit_kraus(None)[0].tobytes()
+    assert plan.matrix.tobytes() == per_branch_unit_kraus(None)[0].tobytes()
 
 
 @pytest.mark.parametrize("pair", [PAIRS["ideal"], PAIRS["physical"]], ids=["ideal", "physical"])

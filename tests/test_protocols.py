@@ -579,9 +579,8 @@ def test_single_draw_sampler_is_generator_choice(weights, seed):
     # the gate's sampler picks what Generator.choice picks from the same
     # seed, and consumes the same single draw
     w = np.array(weights)
-    p = w / w.sum()
     ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert protocols._choose(ours, p) == int(reference.choice(2, p=p))
+    assert protocols._draw(ours, *weights) == int(reference.choice(2, p=w / w.sum()))
     assert ours.random() == reference.random()
 
 
@@ -870,19 +869,18 @@ def test_cached_kraus_operators_give_bitwise_outputs(rng):
     protocols._plan_for_bits.cache_clear()
     cold = outputs()
     plan = protocols._gate_plan(pair)
-    kraus = plan.kraus
+    matrix = plan.matrix
     assert protocols._plan_for_bits.cache_info().misses == 1
     assert outputs() == cold
-    assert kraus.shape == (2, 2, 16, 16)
+    assert matrix.shape == (64, 16)
     with pytest.raises(ValueError):
-        kraus[0, 0, 0, 0] = 1.0
+        matrix[0, 0] = 1.0
     fresh = protocols.evaluate_branches(pair.r_cold, pair.r_hot)
-    assert kraus.tobytes() == fresh[0].tobytes()
-    # the matrix the gate multiplies by is a read-only view, not a copy, and
-    # the cache stays bounded
+    assert matrix.tobytes() == fresh[0].tobytes()
+    # the matrix the gate multiplies by is read-only, and the cache stays
+    # bounded
     assert plan.exponent == 0
-    assert plan.matrix.shape == (64, 16) and np.shares_memory(plan.matrix, kraus)
-    assert not plan.matrix.flags.writeable
+    assert not matrix.flags.writeable
     assert protocols._plan_for_bits.cache_info().maxsize == 32
 
 
@@ -892,11 +890,11 @@ def test_signed_zero_pairs_have_their_own_kraus_entries():
     r_cold = 0.5 - 0.5j
     signed = ReflectionPair(r_cold, complex(-0.0, -0.0))
     protocols._plan_for_bits.cache_clear()
-    negative = protocols._gate_plan(signed).kraus.tobytes()
+    negative = protocols._gate_plan(signed).matrix.tobytes()
     protocols._plan_for_bits.cache_clear()
-    positive = protocols._gate_plan(ReflectionPair(r_cold, 0j)).kraus
-    assert protocols._gate_plan(signed).kraus.tobytes() == negative
-    assert protocols._gate_plan(ReflectionPair(r_cold, 0j)).kraus is positive
+    positive = protocols._gate_plan(ReflectionPair(r_cold, 0j)).matrix
+    assert protocols._gate_plan(signed).matrix.tobytes() == negative
+    assert protocols._gate_plan(ReflectionPair(r_cold, 0j)).matrix is positive
     info = protocols._plan_for_bits.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
 
@@ -1275,7 +1273,19 @@ def test_analysis_rejects_unnormalized_input(monkeypatch):
 def test_bell_index_validation():
     with pytest.raises(ValueError):
         HyperBellState(4, 0)
+    with pytest.raises(ValueError):
+        HyperBellState(0, -1)
     assert HyperBellState(2, 3).combined_index == 11
+    # an index must be an integer: a float or a bool is a TypeError, not a
+    # stray failure further on or a silent decode as 0 or 1
+    for bad in ((1.0, 0), (0, 2.0), (True, 2), (1, False), (np.float64(1.0), 0), ("1", 0), (None, 0)):
+        with pytest.raises(TypeError, match="Bell index"):
+            HyperBellState(*bad)
+    with pytest.raises(TypeError, match="Bell index"):
+        hyper_bell_state(2.0, 1)
+    for good in (np.int64(2), np.int32(2), np.uint8(2)):
+        assert HyperBellState(good, 3).combined_index == 11
+        assert hyper_bell_state(good, 3) is hyper_bell_state(2, 3)
 
 
 def test_physical_mode_analysis_still_decodes():
