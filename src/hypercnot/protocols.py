@@ -57,9 +57,9 @@ The linear optics the applications place after the gate is fixed, so it is
 written once as tables (_BELL_ANALYSIS, and the three _CLUSTER_SEGMENTS) and
 compiled once per process, by the same interpreter on the identity, into a
 read-only 16x16 matrix on the photon registers. The Bell analysis multiplies
-the gate's first non-empty branch by its map and reads the four
-single-photon marginals off the product; the cluster preparation runs the
-gate once and then makes one matrix-vector product per checkpoint.
+the gate's first non-empty branch by its map and reads the four single-photon
+marginals off the outcome probabilities in one product with _MARGINALS, an
+(8, 16) 0/1 matrix; the cluster preparation makes one product per checkpoint.
 
 The staged checkpoints, hyper_cnot_checkpoints, take the same input as
 hyper_cnot_state: a joint two-photon StateVector in any register order,
@@ -76,7 +76,8 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import product
 from numbers import Integral
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -225,7 +226,7 @@ def _interpret(t: np.ndarray, ops) -> np.ndarray:
 @cache
 def _compile_stages() -> tuple[tuple[tuple[str, np.ndarray], ...], np.ndarray]:
     """Interpret _STAGES on the identity, with both spins starting up, once
-    per process; every array is read-only, since every caller shares it.
+    per process; each array owns its data and is read-only: callers share it.
 
     Returns each checkpoint's name and coefficients, shape (j + 1, 64, 16)
     after j cavity passes: power k of r_cold, output amplitude (the photon
@@ -247,7 +248,7 @@ def _compile_stages() -> tuple[tuple[tuple[str, np.ndarray], ...], np.ndarray]:
         flipped = [slice(None)] * t.ndim
         flipped[_AXIS[spin]] = flipped[_AXIS[target]] = 1
         t[tuple(flipped)] *= -1
-    kraus = np.moveaxis(t.reshape(-1, 16, 2, 2, 16), 1, 3)
+    kraus = np.moveaxis(t.reshape(-1, 16, 2, 2, 16), 1, 3).copy()
     for coefficients in [c for _, c in checkpoints] + [kraus]:
         coefficients.flags.writeable = False
     return tuple(checkpoints), kraus
@@ -381,7 +382,7 @@ def _gate_plan(reflection: ReflectionPair | None) -> _GatePlan:
 def _plan_for_bits(key: bytes) -> _GatePlan:
     cold_re, cold_im, hot_re, hot_im = _PAIR_BITS.unpack(key)
     r_cold, r_hot, exponent = _unit_pair(complex(cold_re, cold_im), complex(hot_re, hot_im))
-    matrix = evaluate_branches(r_cold, r_hot).reshape(64, 16)
+    matrix = evaluate_branches(r_cold, r_hot).reshape(64, 16).copy()
     matrix.flags.writeable = False
     return _GatePlan(matrix, exponent)
 
@@ -403,12 +404,20 @@ _CLUSTER_SEGMENTS = (
 @cache
 def _optics_map(table: tuple) -> np.ndarray:
     """A table of fixed optics as one 16x16 matrix on the photon registers in
-    PHOTON_LABELS order, kept read-only: interpreted once per process on the
+    PHOTON_LABELS order, a read-only copy: interpreted once per process on the
     identity, with a power axis of size 1, since it holds no cavity pass."""
     identity = np.eye(16, dtype=np.complex128).reshape(1, 2, 2, 2, 2, 16)
-    matrix = _interpret(identity, table).reshape(16, 16)
+    matrix = _interpret(identity, table).reshape(16, 16).copy()
     matrix.flags.writeable = False
     return matrix
+
+
+# the Bell readout: row 2 * r + o is 1 on the basis states i (PHOTON_LABELS order)
+# where photon register r reads o, so times the 16 probabilities it gives the marginals
+_MARGINALS = np.array(
+    [[(i >> 3 - r) & 1 == o for i in range(16)] for r in range(4) for o in (0, 1)], float
+)
+_MARGINALS.flags.writeable = False
 
 
 # -- the hyper-CNOT gate -------------------------------------------------
@@ -739,10 +748,6 @@ _BELL_AMPLITUDES = np.array(
 # more than this below 1
 _DETERMINISTIC_TOL = 1e-9
 
-# the axes summed over for each photon register's marginal, on the analysed
-# branch with shape (2, 2, 2, 2, spectator amplitudes)
-_OTHER_AXES = tuple(tuple(a for a in range(5) if a != axis) for axis in range(4))
-
 
 def hyper_bell_state(pol_index: int, spatial_index: int) -> StateVector:
     """The hyperentangled Bell state over both photons' registers."""
@@ -777,35 +782,40 @@ class BellAnalysis:
     min_outcome_probability: float
 
 
-def _bell_pattern(
-    state: StateVector, reflection: ReflectionPair | None
-) -> tuple[tuple[str, ...], float]:
-    """The likelier outcome of each photon register, and the least of their
-    probabilities, after the gate's first non-empty branch and the compiled
-    _BELL_ANALYSIS optics; any other registers are summed over."""
+def _bell_readout(registers, branch: np.ndarray) -> tuple[tuple[str, ...], float]:
+    """Each photon register's likelier outcome, 1 only where p1 > p0 (argmax's
+    first-max rule), and the least p_o / (p0 + p1), for a branch (16, spectator
+    amplitudes) after the _BELL_ANALYSIS optics; registers in PHOTON_LABELS order."""
+    probabilities = np.square(np.abs(_optics_map(_BELL_ANALYSIS) @ branch)).sum(1)
+    marginals = (_MARGINALS @ probabilities).tolist()
+    names, least = [], []
+    for register, p0, p1 in zip(registers, marginals[::2], marginals[1::2]):
+        names.append(register.basis_names[int(p1 > p0)])
+        least.append(max(p0, p1) / (p0 + p1))
+    return tuple(names), min(least)
+
+
+def _bell_pattern(state: StateVector, reflection: ReflectionPair | None):
+    """_bell_readout of the gate's first non-empty branch."""
     ordered, outputs, weights, _, _ = _gate_outputs(state, reflection)
-    branch = outputs[_live(weights)[0]]
-    probabilities = (np.abs(_optics_map(_BELL_ANALYSIS) @ branch) ** 2).reshape(2, 2, 2, 2, -1)
-    marginals = np.array([probabilities.sum(axis=others) for others in _OTHER_AXES])
-    outcomes = np.argmax(marginals, axis=1)
-    names = tuple(reg.basis_names[o] for reg, o in zip(ordered.registers, outcomes))
-    return names, float(np.min(marginals[range(4), outcomes] / marginals.sum(axis=1)))
+    return _bell_readout(ordered.registers, outputs[_live(weights)[0]])
 
 
 @lru_cache(maxsize=1)
-def bell_decoding_table() -> dict[tuple[str, str, str, str], tuple[int, int]]:
+def bell_decoding_table() -> Mapping[tuple[str, str, str, str], tuple[int, int]]:
     """Outcome pattern -> (pol index, spatial index), derived by enumeration.
 
     The table is generated by running all 16 ideal-mode analyses rather
-    than asserted a priori; it doubles as documentation of the decoder.
+    than asserted a priori; it doubles as documentation of the decoder, and
+    every caller shares it as one read-only view.
     """
     table: dict[tuple[str, str, str, str], tuple[int, int]] = {}
-    for pol, spatial in product(range(4), range(4)):
-        pattern, _ = _bell_pattern(hyper_bell_state(pol, spatial), None)
+    for index, state in enumerate(_bell_states()):
+        pattern, _ = _bell_pattern(state, None)
         if pattern in table:
             raise AssertionError(f"decoding collision at pattern {pattern}")
-        table[pattern] = (pol, spatial)
-    return table
+        table[pattern] = divmod(index, 4)
+    return MappingProxyType(table)
 
 
 def analyze_hyper_bell(
@@ -820,7 +830,7 @@ def analyze_hyper_bell(
     indices can be read off the decoding table.
     """
     if isinstance(state, HyperBellState):
-        state = hyper_bell_state(state.pol_index, state.spatial_index)  # normalized
+        state = _bell_states()[state.combined_index]  # normalized
     elif abs(state.norm2 - 1.0) > 1e-9:
         raise ValueError("analysis input must be normalized")
     pattern, min_prob = _bell_pattern(state, reflection)

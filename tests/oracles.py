@@ -2,7 +2,7 @@
 
 Everything here is assembled directly from amplitude bookkeeping (closed
 forms of the staged circuit) or brute-force index arithmetic, never by
-running the circuit under test. There are three exceptions. The step path
+running the circuit under test. There are four exceptions. The step path
 reads the library's circuit table, protocols._STAGES, and its cavity-pass
 table, but not its compile: step_checkpoints, the reference for
 hyper_cnot_checkpoints, pushes the joint input it is given through the
@@ -17,10 +17,12 @@ own moveaxis kernels (measure_all_branches, outcome_slices_reference).
 step_bell_pattern and step_cluster_stages, the references for the compiled
 Bell analysis and cluster preparation, take the first branch
 step_gate_runs keeps and apply the optics after the gate one element at a
-time (apply_element, conditional_element). engine_uniform_figures
-evaluates the compiled gate's Kraus operators at many pairs at once: it is
-the reference for the exact uniform-input form, and the tests hold the
-compiled gate to step_gate_runs.
+time (apply_element, conditional_element). reduction_bell_pattern, the
+tight reference for the Bell readout's marginal product, runs the compiled
+gate and optics and sums each photon register's marginal over the other
+axes. engine_uniform_figures evaluates the compiled gate's Kraus operators
+at many pairs at once: it is the reference for the exact uniform-input
+form, and the tests hold the compiled gate to step_gate_runs.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from hypercnot import (
     tensor_state,
     uniform_two_photon_state,
 )
+from hypercnot import protocols
 from hypercnot.optics import conditional_matrix
 from hypercnot.protocols import _CAVITY_PASS, _PASS_COLD, _PASS_TURNED, _STAGES, BRANCH_FLOOR
 
@@ -550,6 +553,27 @@ def step_bell_pattern(state: StateVector, reflection=None) -> tuple[tuple[str, .
         names.append(reg.basis_names[outcome])
         min_prob = min(min_prob, float(weights[outcome] / weights.sum()))
     return tuple(names), min_prob
+
+
+def reduction_bell_pattern(state: StateVector, reflection=None) -> tuple[tuple[str, ...], float]:
+    """The Bell readout as four axis reductions: analyze_hyper_bell's pattern
+    and least single-photon outcome probability, on the library's own gate
+    branch and _BELL_ANALYSIS map.
+
+    The outcome probabilities, shaped (2, 2, 2, 2, spectator amplitudes),
+    are summed over every axis but one photon register's; each register's
+    outcome is the argmax of its marginal.
+    """
+    ordered, outputs, weights, _, _ = protocols._gate_outputs(state, reflection)
+    branch = outputs[protocols._live(weights)[0]]
+    optics = protocols._optics_map(protocols._BELL_ANALYSIS)
+    probabilities = (np.abs(optics @ branch) ** 2).reshape(2, 2, 2, 2, -1)
+    marginals = np.array(
+        [probabilities.sum(axis=tuple(a for a in range(5) if a != axis)) for axis in range(4)]
+    )
+    outcomes = np.argmax(marginals, axis=1)
+    names = tuple(reg.basis_names[o] for reg, o in zip(ordered.registers, outcomes))
+    return names, float(np.min(marginals[range(4), outcomes] / marginals.sum(axis=1)))
 
 
 def step_cluster_stages(reflection=None) -> ClusterStages:

@@ -6,7 +6,8 @@ from a plan cached per reflection pair. The references here are the
 per-branch form it replaced: numpy branch selection (np.flatnonzero,
 Generator.choice on the weight arrays), numpy weight sums, the pair rescaled
 with frexp and ldexp on every call, and one StateVector, with its own
-validation, per branch and per cluster stage.
+validation, per branch and per cluster stage. The Bell readout after the
+gate is shared, so the Bell comparison checks the gate's bits.
 Every output is compared as raw bytes (amplitudes) or float.hex (floats).
 """
 
@@ -85,14 +86,11 @@ def per_branch_gate_runs(joint, reflection, branch_mode="enumerate", seed=None):
 
 
 def per_branch_bell_pattern(state, reflection):
+    # the readout after the gate is the library's own: its reference is
+    # oracles.reduction_bell_pattern, in test_protocols
     ordered, outputs, weights, _, _ = per_branch_gate_outputs(state, reflection)
     branch = outputs.reshape(4, 16, -1)[np.flatnonzero(weights)[0]]
-    optics = protocols._optics_map(protocols._BELL_ANALYSIS)
-    probabilities = (np.abs(optics @ branch) ** 2).reshape(2, 2, 2, 2, -1)
-    marginals = np.array([probabilities.sum(axis=others) for others in protocols._OTHER_AXES])
-    outcomes = np.argmax(marginals, axis=1)
-    names = tuple(reg.basis_names[o] for reg, o in zip(ordered.registers, outcomes))
-    return names, float(np.min(marginals[range(4), outcomes] / marginals.sum(axis=1)))
+    return protocols._bell_readout(ordered.registers, branch)
 
 
 def per_branch_cluster_stages(reflection):

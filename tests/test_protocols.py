@@ -56,6 +56,7 @@ from oracles import (
     pass_matrix,
     pre_measurement_expected,
     random_amplitude_pair,
+    reduction_bell_pattern,
     state_from_terms,
     step_bell_pattern,
     step_checkpoints,
@@ -881,7 +882,26 @@ def test_cached_kraus_operators_give_bitwise_outputs(rng):
     # bounded
     assert plan.exponent == 0
     assert not matrix.flags.writeable
+    assert matrix.base is None or not matrix.base.flags.writeable
     assert protocols._plan_for_bits.cache_info().maxsize == 32
+
+
+def test_cached_arrays_have_no_writeable_base():
+    # a read-only view over a writeable array could still be written through
+    # its .base, changing every later call that shares it
+    checkpoints, kraus = protocols._compile_stages()
+    arrays = dict(checkpoints)
+    arrays["kraus"] = kraus
+    arrays["ideal plan"] = protocols._gate_plan(None).matrix
+    arrays["physical plan"] = protocols._gate_plan(ReflectionPair(0.3 - 0.5j, 0.8 + 0.1j)).matrix
+    for i, table in enumerate((protocols._BELL_ANALYSIS,) + protocols._CLUSTER_SEGMENTS):
+        arrays[f"optics {i}"] = protocols._optics_map(table)
+    arrays["marginals"] = protocols._MARGINALS
+    for name, array in arrays.items():
+        assert not array.flags.writeable, name
+        assert array.base is None or not array.base.flags.writeable, name
+        with pytest.raises(ValueError):
+            array.flat[0] = 1
 
 
 def test_signed_zero_pairs_have_their_own_kraus_entries():
@@ -1204,6 +1224,62 @@ def test_decoding_table_is_complete():
     table = bell_decoding_table()
     assert len(table) == 16
     assert sorted(table.values()) == [(p, s) for p in range(4) for s in range(4)]
+
+
+def test_decoding_table_is_a_shared_read_only_view():
+    table = bell_decoding_table()
+    assert table is bell_decoding_table()
+    pattern = next(iter(table))
+    with pytest.raises(TypeError):
+        table[pattern] = (0, 0)
+    with pytest.raises(TypeError):
+        del table[pattern]
+    with pytest.raises(TypeError):
+        dict.clear(table)
+    with pytest.raises(AttributeError):  # a read-only mapping has no clear()
+        table.clear()
+    assert len(table) == 16 and table.get(pattern) in table.values()
+    result = analyze_hyper_bell(HyperBellState(1, 2))
+    assert (result.pol_index, result.spatial_index) == (1, 2)
+
+
+def test_marginal_matrix_selects_each_register_outcome():
+    # row 2 * r + o is the indicator of photon register r reading o, in
+    # PHOTON_LABELS order: the marginal of a basis state is 1 on its own bits
+    assert protocols._MARGINALS.shape == (8, 16)
+    for index in range(16):
+        bits = [(index >> (3 - r)) & 1 for r in range(4)]
+        want = [float(bit == o) for bit in bits for o in (0, 1)]
+        assert protocols._MARGINALS[:, index].tolist() == want
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bell_readout_is_the_axis_reduction(seed):
+    # the marginal product against the four axis reductions it replaced, on
+    # the 16 Bell states, random states whose registers are out of
+    # photon-major order and include a spectator, and the 16 basis states,
+    # whose photon-a marginals tie exactly in ideal mode, where argmax picks
+    # the first outcome
+    rng = np.random.default_rng(seed)
+    a_pol, a_spatial, b_pol, b_spatial = PHOTON_REGS
+    spectator = Register("c", ("0", "1"))
+    orders = [
+        (b_spatial, spectator, a_pol, b_pol, a_spatial),
+        (spectator, a_spatial, b_pol, a_pol, b_spatial),
+    ]
+    inputs = [hyper_bell_state(p, s) for p in range(4) for s in range(4)]
+    inputs += [random_state(order, rng) for order in orders]
+    inputs += protocols._basis_inputs()[1]
+    table = bell_decoding_table()
+    for pair in (None, _random_passive_pair(rng), _random_passive_pair(rng)):
+        for state in inputs:
+            result = analyze_hyper_bell(state, pair)
+            pattern, min_prob = reduction_bell_pattern(state, pair)
+            assert result.pattern == pattern
+            assert (result.pol_index, result.spatial_index) == table.get(pattern, (None, None))
+            assert result.deterministic == (min_prob >= 1 - 1e-9)
+            # the sums run in another order: within 2 ulp
+            assert abs(result.min_outcome_probability - min_prob) <= 2 * math.ulp(min_prob)
 
 
 def test_non_bell_input_is_flagged():
