@@ -15,16 +15,22 @@ Every sweep runs through one lattice core, _sweep_lattice. It evaluates
 the reflections once per lattice (cavity.lattice_reflections: r_cold per
 kappa_s column, r_hot per point) and computes the closed forms from those
 same numbers as numpy array arithmetic, so each point is bitwise what
-formula_performance gives at its parameters. The bits are kept by using
-only the ufuncs that round as the scalar formula does: np.hypot for
-abs(complex) and np.float_power for every ``**`` (_lattice_closed_form).
-formula_performance and _closed_form stay scalar for single points. The
-core returns plain float columns: the two axes, F, eta and, when
-simulated, F_sim (a simulated sweep's eta_sim column is its eta column).
-sweep builds all its PerformancePoint rows from them in one pass (_rows),
-writing each row's fields straight into a bare instance; a one-point sweep
-gives the row at a single (g, kappa_s). The CLI renders its CSV straight
-from the columns, without rows, and formats each axis value once.
+formula_performance gives at its parameters. The closed forms run on the
+(g, kappa_s) grid: u = |r_cold| and its square are taken once per kappa_s
+column and broadcast against v = |r_hot| per point, and F and eta are
+raveled g-major once. The bits are kept by using only the ufuncs that
+round as the scalar formula does: np.hypot for abs(complex) and
+np.float_power for every ``**`` (_lattice_closed_form). The simulated
+F_sim column stays on flat, contiguous arrays, since numpy's complex
+multiply can round a broadcast product differently. formula_performance
+and _closed_form stay scalar for single points. The core returns plain
+float columns: the two axes, F, eta and, when simulated, F_sim (a
+simulated sweep's eta_sim column is its eta column). sweep builds all its
+PerformancePoint rows from them in one pass (_rows), writing each row's
+fields straight into a bare instance; a one-point sweep gives the row at a
+single (g, kappa_s). The CLI renders its CSV straight from the columns,
+without rows, and formats each axis value once, joining one row block per
+g value.
 
 The simulated figures are those of the full circuit with the complex
 reflection amplitudes. simulated_performance applies the gate's Kraus
@@ -109,6 +115,11 @@ def _lattice_closed_form(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.n
     the C pow that Python's float ** calls (np.power and ``**`` on arrays
     differ in the last bit), and where u**2 + v**2 == 0 the pair is
     (nan, 0.0), as _closed_form gives when it catches the ZeroDivisionError.
+
+    u and v broadcast: a sweep passes u once per kappa_s column, shape (K,),
+    and v once per point on the (G, K) grid, so u**2 is taken K times, not
+    G * K. Real float64 ufuncs round each element alike whatever the shapes,
+    so the result is bitwise that of u tiled to v's shape.
     """
     s = np.float_power(u, 2) + np.float_power(v, 2)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -207,9 +218,10 @@ def _sweep_lattice(
     g_values = np.linspace(g_range[0], g_range[1], resolution).tolist()
     ks_values = np.linspace(kappa_s_range[0], kappa_s_range[1], resolution).tolist()
     r_cold, r_hot = lattice_reflections(params, g_values, ks_values)
-    u = np.tile(np.hypot(r_cold.real, r_cold.imag), resolution)
-    v = np.hypot(r_hot.real, r_hot.imag)
-    f, eta = _lattice_closed_form(u, v)
+    # u per kappa_s column broadcasts against v on the (g, kappa_s) grid
+    u = np.hypot(r_cold.real, r_cold.imag)
+    v = np.hypot(r_hot.real, r_hot.imag).reshape(resolution, resolution)
+    f, eta = (column.ravel().tolist() for column in _lattice_closed_form(u, v))
     leaky = resolution * sum(ks >= SIDE_LEAKAGE_WARNING for ks in ks_values)
     f_sim = None
     if include_simulation:
@@ -222,6 +234,8 @@ def _sweep_lattice(
                 stacklevel=3,
             )
         _require_passive(u.max(), v.max())
+        # flat, not broadcast: numpy's complex multiply may round a broadcast
+        # product differently from the contiguous one (at resolution 1)
         f_sim = _uniform_fidelity(np.tile(r_cold, resolution), r_hot).tolist()
     provenance = {
         "package": f"hypercnot {__version__}",
@@ -229,7 +243,7 @@ def _sweep_lattice(
         "gamma_over_kappa": repr(gamma),
         "side_leakage_points": str(leaky),
     }
-    return _Lattice(g_values, ks_values, f.tolist(), eta.tolist(), f_sim, provenance)
+    return _Lattice(g_values, ks_values, f, eta, f_sim, provenance)
 
 
 def sweep(

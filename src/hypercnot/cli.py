@@ -350,13 +350,14 @@ def cmd_sweep(args, parser) -> int:
     if lattice.F_sim is not None:
         header += ",F_sim,eta_sim"
         columns += [lattice.F_sim, lattice.eta]
-    # every axis value is formatted once, into a template of all the rows;
-    # one % pass then converts the figures, point after point
+    # every axis value is formatted once, into a template of all the rows,
+    # one block per g value: its cell joined before each kappa_s row; one
+    # % pass then converts the figures, point after point
     figures = ",".join(["%.10g"] * len(columns)) + "\n"
     gamma_cell = f"{args.gamma:.10g},"
     ks_rows = [f"{ks:.10g},{gamma_cell}{figures}" for ks in lattice.kappa_s_values]
     g_cells = [f"{g:.10g}," for g in lattice.g_values]
-    template = "".join([header, "\n", *[g + row for g in g_cells for row in ks_rows]])
+    template = "".join([header, "\n", *[g + g.join(ks_rows) for g in g_cells]])
     # the figures interleaved point by point, as the template takes them
     cells = [None] * (len(columns) * len(lattice.F))
     for i, column in enumerate(columns):

@@ -828,17 +828,20 @@ def analyze_hyper_bell(
     the 16 Bell products onto a distinct product basis state, so all four
     single-photon measurements come out deterministic and the pair of
     indices can be read off the decoding table.
+
+    The result is a bare instance whose fields are stored straight into its
+    __dict__, as hyper_cnot_state builds its GateRuns: the state the
+    generated frozen __init__ leaves (BellAnalysis has no __post_init__).
     """
     if isinstance(state, HyperBellState):
         state = _bell_states()[state.combined_index]  # normalized
     elif abs(state.norm2 - 1.0) > 1e-9:
         raise ValueError("analysis input must be normalized")
     pattern, min_prob = _bell_pattern(state, reflection)
-    decoded = bell_decoding_table().get(pattern)
-    return BellAnalysis(
-        pol_index=decoded[0] if decoded else None,
-        spatial_index=decoded[1] if decoded else None,
-        pattern=pattern,
-        deterministic=min_prob >= 1.0 - _DETERMINISTIC_TOL,
-        min_outcome_probability=min_prob,
-    )
+    analysis = object.__new__(BellAnalysis)
+    fields = analysis.__dict__
+    fields["pol_index"], fields["spatial_index"] = bell_decoding_table().get(pattern, (None, None))
+    fields["pattern"] = pattern
+    fields["deterministic"] = min_prob >= 1.0 - _DETERMINISTIC_TOL
+    fields["min_outcome_probability"] = min_prob
+    return analysis

@@ -329,6 +329,58 @@ def test_lattice_closed_form_is_bitwise_the_scalar_closed_form(pairs):
     assert_lattice_closed_form_is_bitwise(pairs)
 
 
+@st.composite
+def axis_ranges(draw, hi):
+    """A sweep axis range (lo, hi) in [0, hi], degenerate (lo == hi) one time in two."""
+    a, b = draw(st.floats(0.0, hi)), draw(st.floats(0.0, hi))
+    return (a, a) if draw(st.booleans()) else (min(a, b), max(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g_range=axis_ranges(4.0),
+    kappa_s_range=axis_ranges(2.5),
+    resolution=st.integers(1, 12),
+    gamma=st.sampled_from([0.0, 0.02, 0.1, 0.3]) | st.floats(0.0, 1.0),
+    simulate=st.booleans(),
+)
+@example(g_range=(1.56, 1.56), kappa_s_range=(0.2, 0.2), resolution=1, gamma=0.1, simulate=True)
+@example(g_range=(0.0, 0.0), kappa_s_range=(0.0, 0.0), resolution=1, gamma=0.0, simulate=True)
+@example(g_range=(0.0, 3.0), kappa_s_range=(0.0, 2.0), resolution=12, gamma=0.0, simulate=True)
+def test_sweep_lattice_on_the_grid_is_bitwise_the_flat_evaluation(
+    g_range, kappa_s_range, resolution, gamma, simulate
+):
+    """The sweep's columns are bitwise the flat, per-point evaluation.
+
+    _sweep_lattice broadcasts u = |r_cold| per kappa_s column against v per
+    point on the (g, kappa_s) grid; the reference tiles u to every point.
+    F_sim must stay on the flat, contiguous arrays: numpy's complex multiply
+    can round a broadcast product differently from the tiled 1-D one, which
+    shows at resolution 1, where a (1, 1) x (1,) broadcast differs in the
+    last bit of F_sim at some points. This test guards that hazard.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # side-leakage guidance
+        lattice = analysis._sweep_lattice(g_range, kappa_s_range, resolution, gamma, simulate)
+    params = CavityParams(g=g_range[1], kappa_s=kappa_s_range[1], gamma=gamma)
+    r_cold, r_hot = lattice_reflections(params, lattice.g_values, lattice.kappa_s_values)
+    u = np.hypot(r_cold.real, r_cold.imag)
+    v_flat = np.hypot(r_hot.real, r_hot.imag)
+    want_f, want_eta = analysis._lattice_closed_form(np.tile(u, resolution), v_flat)
+
+    def hexes(column):
+        return [float.hex(x) for x in column]
+
+    assert len(lattice.F) == len(lattice.eta) == resolution**2
+    assert hexes(lattice.F) == hexes(want_f.tolist())
+    assert hexes(lattice.eta) == hexes(want_eta.tolist())
+    if simulate:
+        want_f_sim = analysis._uniform_fidelity(np.tile(r_cold, resolution), r_hot)
+        assert hexes(lattice.F_sim) == hexes(want_f_sim.tolist())
+    else:
+        assert lattice.F_sim is None
+
+
 def test_simulated_sweep_rejects_active_reflections(monkeypatch):
     def amplified(params, g_values, kappa_s_values):
         r_cold, r_hot = lattice_reflections(params, g_values, kappa_s_values)

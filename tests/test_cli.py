@@ -648,6 +648,14 @@ GOLDEN_CASES = [
     # rendered by the compiled engine before the exact uniform-input form replaced it
     ("sweep_simulate.csv.gz", 0, "sweep --simulate"),
     ("sweep_gamma0.2.csv.gz", 0, "sweep --gamma 0.2"),
+    # one simulated point: the resolution-1 lattice, recorded before the
+    # closed forms were evaluated on the broadcast (g, kappa_s) grid
+    (
+        "sweep_point_simulate.csv",
+        0,
+        "sweep --g-min 1.56 --g-max 1.56 --kappa-s-min 0.2 --kappa-s-max 0.2"
+        " --resolution 1 --simulate",
+    ),
 ]
 
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from hypercnot import (
+    BellAnalysis,
     CavityParams,
     GateRun,
     HyperBellState,
@@ -246,3 +247,31 @@ def test_bulk_runs_behave_like_constructed_runs(pair):
             run.branch_probability = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             del run.seed
+
+
+@pytest.mark.parametrize("pair", [PAIRS["ideal"], PAIRS["physical"]], ids=["ideal", "physical"])
+def test_bell_analyses_behave_like_constructed_analyses(pair):
+    # analyze_hyper_bell writes its fields straight into a bare instance,
+    # which is only the constructor's state while BellAnalysis has no
+    # __post_init__; the 16 Bell inputs and one input that is not a Bell state
+    assert not hasattr(BellAnalysis, "__post_init__")
+    inputs = [HyperBellState(p, s) for p in range(4) for s in range(4)]
+    for state in inputs + [INPUTS["photon-major"]]:
+        result = analyze_hyper_bell(state, pair)
+        built = BellAnalysis(
+            pol_index=result.pol_index,
+            spatial_index=result.spatial_index,
+            pattern=result.pattern,
+            deterministic=result.deterministic,
+            min_outcome_probability=result.min_outcome_probability,
+        )
+        assert type(result) is BellAnalysis
+        assert result == built and built == result
+        assert hash(result) == hash(built)
+        assert repr(result) == repr(built)
+        assert list(vars(result).items()) == list(vars(built).items())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.pol_index = 0
+        if isinstance(state, HyperBellState):
+            indices = (result.pol_index, result.spatial_index)
+            assert indices == (state.pol_index, state.spatial_index)
