@@ -11,26 +11,25 @@ folds in the two auxiliary-photon spin readouts, hence the sixth power of
 the per-pass overlap. Both reduce to 1 when u = v = 1, and F alone reaches
 1 whenever u = v because balanced loss renormalizes away.
 
-Every sweep runs through one lattice core, _sweep_lattice. It evaluates
-the reflections once per lattice (cavity.lattice_reflections: r_cold per
-kappa_s column, r_hot per point) and computes the closed forms from those
-same numbers as numpy array arithmetic, so each point is bitwise what
-formula_performance gives at its parameters. The closed forms run on the
-(g, kappa_s) grid: u = |r_cold| and its square are taken once per kappa_s
-column and broadcast against v = |r_hot| per point, and F and eta are
-raveled g-major once. The bits are kept by using only the ufuncs that
-round as the scalar formula does: np.hypot for abs(complex) and
-np.float_power for every ``**`` (_lattice_closed_form). The simulated
-F_sim column stays on flat, contiguous arrays, since numpy's complex
-multiply can round a broadcast product differently. formula_performance
-and _closed_form stay scalar for single points. The core returns plain
-float columns: the two axes, F, eta and, when simulated, F_sim (a
-simulated sweep's eta_sim column is its eta column). sweep builds all its
-PerformancePoint rows from them in one pass (_rows), writing each row's
-fields straight into a bare instance; a one-point sweep gives the row at a
-single (g, kappa_s). The CLI renders its CSV straight from the columns,
-without rows, and formats each axis value once, joining one row block per
-g value.
+Every sweep runs through one lattice core, _sweep_lattice. It builds both
+axes as np.linspace would, bit for bit (_axis), evaluates the reflections
+once per lattice (cavity.lattice_reflections: r_cold per kappa_s column,
+r_hot per point), and computes every figure from those same numbers in one
+pass over their real planes on the (g, kappa_s) grid (_lattice_figures).
+Only real ufuncs that round as the scalar formulas do are used: np.hypot
+for abs(complex), np.float_power for every ``**``, and elementwise float64
+arithmetic, which rounds alike whatever the shapes. np.abs and numpy's
+complex multiply are not: each differs in the last bit at some points, the
+multiply according to the operands' shapes. So each point's F and eta are
+bitwise formula_performance at its parameters, and its F_sim is bitwise
+the Python scalar formula. formula_performance and _closed_form stay
+scalar for single points. The core returns plain float columns, g-major:
+the two axes, F, eta and, when simulated, F_sim (a simulated sweep's
+eta_sim column is its eta column). sweep builds all its PerformancePoint
+rows from them in one pass (_rows), writing each row's fields straight
+into a bare instance; a one-point sweep gives the row at a single
+(g, kappa_s). The CLI renders its CSV straight from the columns, without
+rows, and formats each axis value once, joining one row block per g value.
 
 The simulated figures are those of the full circuit with the complex
 reflection amplitudes. simulated_performance applies the gate's Kraus
@@ -38,16 +37,15 @@ operators at the pair, cached per pair in protocols, to its input (the
 uniform state, built once per process, or any joint state), and takes the
 ideal (0, 0) Kraus operator times the same input as the reference output.
 For the uniform input the circuit-level figures have an exact closed form
-in the two complex reflections (_uniform_fidelity), and a simulated sweep
-computes its fidelity column from it in one vectorized pass over the
-lattice, without evaluating the gate; the tests hold it to the Kraus
-operators on random pairs and on whole lattices. Simulated efficiency is exactly the closed
-form's ((u**2 + v**2) / 2) ** 4 (norms ignore phases), so a simulated
-sweep's eta_sim column is its eta column. Simulated fidelity differs from
-the closed form in general: the closed form assumes ideal reflection
-phases and charges for the two readout reflections, while the
-circuit-level number keeps the true phases and measures the spins
-directly. Both are reported side by side.
+in the two complex reflections (_lattice_figures), so a simulated sweep
+computes its fidelity column without evaluating the gate; the tests hold
+it to the Kraus operators on random pairs and on whole lattices.
+Simulated efficiency is exactly the closed form's ((u**2 + v**2) / 2) ** 4
+(norms ignore phases), so a simulated sweep's eta_sim column is its eta
+column. Simulated fidelity differs from the closed form in general: the
+closed form assumes ideal reflection phases and charges for the two
+readout reflections, while the circuit-level number keeps the true phases
+and measures the spins directly. Both are reported side by side.
 """
 
 from __future__ import annotations
@@ -98,8 +96,8 @@ class SweepResult:
 def _closed_form(u: float, v: float) -> tuple[float, float]:
     """(F, eta) from the reflection magnitudes u = |r_cold| and v = |r_hot|.
 
-    Plain Python arithmetic, the reference that _lattice_closed_form
-    matches bit for bit. Where no light survives (u**2 + v**2 == 0) the
+    Plain Python arithmetic, the reference that _lattice_figures matches
+    bit for bit. Where no light survives (u**2 + v**2 == 0) the
     fidelity is undefined: (nan, 0.0), as simulated_performance gives at
     zero survival.
     """
@@ -110,49 +108,38 @@ def _closed_form(u: float, v: float) -> tuple[float, float]:
     return per_pass**6, ((u**2 + v**2) / 2) ** 4
 
 
-def _lattice_closed_form(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_closed_form over arrays, bit for bit: every power is np.float_power,
-    the C pow that Python's float ** calls (np.power and ``**`` on arrays
-    differ in the last bit), and where u**2 + v**2 == 0 the pair is
-    (nan, 0.0), as _closed_form gives when it catches the ZeroDivisionError.
+def _lattice_figures(
+    u: np.ndarray, v: np.ndarray, x: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(F, eta, F_sim) over arrays, from u = |r_cold|, v = |r_hot| and
+    x = Im(r_hot * conj(r_cold)); F_sim is None when x is.
 
-    u and v broadcast: a sweep passes u once per kappa_s column, shape (K,),
-    and v once per point on the (G, K) grid, so u**2 is taken K times, not
-    G * K. Real float64 ufuncs round each element alike whatever the shapes,
-    so the result is bitwise that of u tiled to v's shape.
+    F and eta are _closed_form's. With s = u**2 + v**2, the uniform input's
+    circuit-level fidelity is exactly F_sim = (1/2 + 2 (x/s)**2)**2, and its
+    efficiency (s/2)**4 is eta; x/s keeps x**2 / s**2 from underflowing.
+    Every power is np.float_power, the C pow that Python's float ** calls
+    (np.power and ``**`` on arrays differ in the last bit), so each figure
+    is its Python scalar formula bit for bit. Where s == 0 both fidelities
+    are nan and eta is 0.0, as _closed_form gives on its ZeroDivisionError.
+
+    The arguments broadcast: a sweep passes u once per kappa_s column and v
+    and x once per point on the (G, K) grid. Real float64 ufuncs round each
+    element alike whatever the shapes, so the result is bitwise that of u
+    tiled to v's shape.
     """
     s = np.float_power(u, 2) + np.float_power(v, 2)
+    zero = s == 0.0
+    f_sim = None
     with np.errstate(divide="ignore", invalid="ignore"):
-        per_pass = np.float_power(u + v, 2) / (2 * s)
-    f = np.where(s == 0.0, math.nan, np.float_power(per_pass, 6))
-    return f, np.float_power(s / 2, 4)
+        f = np.where(zero, math.nan, np.float_power(np.float_power(u + v, 2) / (2 * s), 6))
+        if x is not None:
+            f_sim = np.where(zero, math.nan, np.float_power(0.5 + 2 * np.float_power(x / s, 2), 2))
+    return f, np.float_power(s / 2, 4), f_sim
 
 
 def formula_performance(params: CavityParams) -> tuple[float, float]:
     """Closed-form (fidelity, efficiency) from the reflection magnitudes."""
     return _closed_form(abs(reflect_cold(params)), abs(reflect_hot(params)))
-
-
-def _uniform_fidelity(r_cold, r_hot) -> np.ndarray:
-    """simulated_performance's fidelity on the default uniform input, in
-    exact closed form, one entry per pair.
-
-    With s = |r_cold|**2 + |r_hot|**2 and x = Im(r_hot * conj(r_cold)), which
-    is |r_cold| |r_hot| sin(delta_phi):
-
-        F = (1/2 + 2 (x/s)**2)**2,    eta = (s/2)**4
-
-    so eta is exactly the closed-form efficiency, and F differs from the
-    closed form only through the true relative phase. One vectorized pass
-    over the pairs, equal to the gate to round-off. F is written through
-    x/s, as x**2 / s**2 would underflow long before s does. Where s = 0, x
-    is 0 too, so F is 0/0 = nan.
-    """
-    r_cold, r_hot = np.asarray(r_cold), np.asarray(r_hot)
-    s = np.abs(r_cold) ** 2 + np.abs(r_hot) ** 2
-    x = (r_hot * r_cold.conj()).imag
-    with np.errstate(invalid="ignore"):
-        return (0.5 + 2 * (x / s) ** 2) ** 2
 
 
 def simulated_performance(
@@ -194,6 +181,24 @@ class _Lattice(NamedTuple):
     provenance: dict[str, str]
 
 
+def _axis(lo: float, hi: float, n: int) -> list[float]:
+    """np.linspace(lo, hi, n).tolist(), bit for bit, in Python arithmetic:
+    i * step + lo, numpy's fallback i / div * delta + lo where the step
+    underflows to 0, 0.0 * delta + lo for one value, and the last of several
+    values set to hi."""
+    lo, hi = float(lo), float(hi)
+    delta, div = hi - lo, n - 1
+    if div == 0:
+        return [0.0 * delta + lo]
+    step = delta / div
+    if step == 0.0:
+        values = [i / div * delta + lo for i in range(div)]
+    else:
+        values = [i * step + lo for i in range(div)]
+    values.append(hi)
+    return values
+
+
 def _sweep_lattice(
     g_range: tuple[float, float],
     kappa_s_range: tuple[float, float],
@@ -213,17 +218,22 @@ def _sweep_lattice(
     for name, (lo, hi) in (("g", g_range), ("kappa_s", kappa_s_range)):
         if not 0 <= lo <= hi < math.inf:
             raise ValueError(f"{name} range must satisfy 0 <= lo <= hi < inf, got {(lo, hi)}")
+    resolution = int(resolution)  # a narrow numpy integer would wrap the point count
     # validates gamma once for the whole lattice; every point lies inside the corner
     params = CavityParams(g=g_range[1], kappa_s=kappa_s_range[1], gamma=gamma)
-    g_values = np.linspace(g_range[0], g_range[1], resolution).tolist()
-    ks_values = np.linspace(kappa_s_range[0], kappa_s_range[1], resolution).tolist()
+    g_values = _axis(*g_range, resolution)
+    ks_values = _axis(*kappa_s_range, resolution)
     r_cold, r_hot = lattice_reflections(params, g_values, ks_values)
-    # u per kappa_s column broadcasts against v on the (g, kappa_s) grid
-    u = np.hypot(r_cold.real, r_cold.imag)
-    v = np.hypot(r_hot.real, r_hot.imag).reshape(resolution, resolution)
-    f, eta = (column.ravel().tolist() for column in _lattice_closed_form(u, v))
+    # real planes: r_cold's per kappa_s column broadcast against r_hot's per
+    # point on the (g, kappa_s) grid
+    cold_re, cold_im = r_cold.real, r_cold.imag
+    hot = r_hot.reshape(resolution, resolution)
+    u = np.hypot(cold_re, cold_im)
+    v = np.hypot(hot.real, hot.imag)
+    # Im(r_hot * conj(r_cold)) as CPython's complex product rounds it
+    x = hot.imag * cold_re - hot.real * cold_im if include_simulation else None
+    f, eta, f_sim = _lattice_figures(u, v, x)
     leaky = resolution * sum(ks >= SIDE_LEAKAGE_WARNING for ks in ks_values)
-    f_sim = None
     if include_simulation:
         if leaky:
             warnings.warn(
@@ -234,16 +244,14 @@ def _sweep_lattice(
                 stacklevel=3,
             )
         _require_passive(u.max(), v.max())
-        # flat, not broadcast: numpy's complex multiply may round a broadcast
-        # product differently from the contiguous one (at resolution 1)
-        f_sim = _uniform_fidelity(np.tile(r_cold, resolution), r_hot).tolist()
+        f_sim = f_sim.ravel().tolist()
     provenance = {
         "package": f"hypercnot {__version__}",
         "detuning": repr(params.detuning),
         "gamma_over_kappa": repr(gamma),
         "side_leakage_points": str(leaky),
     }
-    return _Lattice(g_values, ks_values, f, eta, f_sim, provenance)
+    return _Lattice(g_values, ks_values, f.ravel().tolist(), eta.ravel().tolist(), f_sim, provenance)
 
 
 def sweep(

@@ -323,7 +323,7 @@ def cmd_bell_analyze(args, parser) -> int:
     lines = [f"{'input':<14} {'pattern':<22} {'decoded':<14} {'deterministic':<13} min-prob"]
     for row in rows:
         pol, spatial = (BELL_NAMES[i] for i in row["input"])
-        decoded = "?" if None in row["decoded"] else ",".join(BELL_NAMES[i] for i in row["decoded"])
+        decoded = ",".join(BELL_NAMES[i] for i in row["decoded"])
         lines.append(
             f"{pol},{spatial:<9} {','.join(row['pattern']):<22} {decoded:<14} "
             f"{str(row['deterministic']):<13} {row['min_outcome_probability']:.6f}"

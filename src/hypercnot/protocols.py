@@ -771,12 +771,11 @@ class BellAnalysis:
     """Decoded Bell indices plus the raw measurement pattern.
 
     ``deterministic`` is False when any single-photon measurement would not
-    be certain, which is the signature of a non-Bell (or lossy) input;
-    indices are None when the pattern matches no Bell state.
+    be certain, which is the signature of a non-Bell (or lossy) input.
     """
 
-    pol_index: int | None
-    spatial_index: int | None
+    pol_index: int
+    spatial_index: int
     pattern: tuple[str, str, str, str]
     deterministic: bool
     min_outcome_probability: float
@@ -840,7 +839,7 @@ def analyze_hyper_bell(
     pattern, min_prob = _bell_pattern(state, reflection)
     analysis = object.__new__(BellAnalysis)
     fields = analysis.__dict__
-    fields["pol_index"], fields["spatial_index"] = bell_decoding_table().get(pattern, (None, None))
+    fields["pol_index"], fields["spatial_index"] = bell_decoding_table()[pattern]
     fields["pattern"] = pattern
     fields["deterministic"] = min_prob >= 1.0 - _DETERMINISTIC_TOL
     fields["min_outcome_probability"] = min_prob

@@ -27,6 +27,8 @@ form, and the tests hold the compiled gate to step_gate_runs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from hypercnot import (
@@ -616,3 +618,15 @@ def engine_uniform_figures(r_cold, r_hot, chunk: int = 512) -> tuple[np.ndarray,
         fidelity.append(np.where(survival > 0.0, f, np.nan))
         eta.append(survival)
     return np.concatenate(fidelity), np.concatenate(eta)
+
+
+def scalar_uniform_fidelity(r_cold: complex, r_hot: complex) -> float:
+    """The uniform input's exact circuit-level fidelity in Python scalar
+    arithmetic, (1/2 + 2 (x/s)**2)**2 with s = |r_cold|**2 + |r_hot|**2 and
+    x = Im(r_hot * conj(r_cold)): the reference a simulated sweep's F_sim
+    matches bit for bit. nan where no light survives (s == 0)."""
+    try:
+        x_over_s = (r_hot * r_cold.conjugate()).imag / (abs(r_cold) ** 2 + abs(r_hot) ** 2)
+    except ZeroDivisionError:
+        return math.nan
+    return (0.5 + 2 * x_over_s**2) ** 2

@@ -12,6 +12,7 @@ from hypercnot import (
     REFERENCE_POINTS,
     ReflectionPair,
     Register,
+    evaluate_branches,
     fidelity_up_to_global_phase,
     formula_performance,
     hyper_cnot_state,
@@ -26,12 +27,31 @@ from hypercnot import (
     tensor_product,
     uniform_two_photon_state,
 )
-from hypercnot import analysis
+from hypercnot import analysis, protocols
 from hypercnot.cavity import SIDE_LEAKAGE_WARNING
 from conftest import random_state
-from oracles import efficiency_oracle, engine_uniform_figures, random_amplitude_pair
+from oracles import (
+    efficiency_oracle,
+    engine_uniform_figures,
+    random_amplitude_pair,
+    scalar_uniform_fidelity,
+)
 
 SQ2 = np.sqrt(2.0)
+
+
+def hexes(column):
+    return [float.hex(x) for x in column]
+
+
+def pair_figures(r_cold, r_hot):
+    """_lattice_figures at flat reflection pairs, with u, v and x formed
+    from the real planes as _sweep_lattice forms them."""
+    r_cold, r_hot = np.asarray(r_cold), np.asarray(r_hot)
+    u = np.hypot(r_cold.real, r_cold.imag)
+    v = np.hypot(r_hot.real, r_hot.imag)
+    x = r_hot.imag * r_cold.real - r_hot.real * r_cold.imag
+    return analysis._lattice_figures(u, v, x)
 
 
 def step_path_figures(params, joint):
@@ -215,8 +235,7 @@ def test_uniform_figures_match_the_engine(mags, phases):
     # below this scale the engine's degree-8 survival leaves the normal floats
     assume(max(mags) == 0.0 or max(mags) >= 1e-30)
     r_cold, r_hot = (np.array([m * np.exp(1j * p)]) for m, p in zip(mags, phases))
-    f = analysis._uniform_fidelity(r_cold, r_hot)
-    eta = ((abs(r_cold) ** 2 + abs(r_hot) ** 2) / 2) ** 4  # the closed-form efficiency
+    _, eta, f = pair_figures(r_cold, r_hot)
     want_f, want_eta = engine_uniform_figures(r_cold, r_hot)
     assert abs(eta[0] - want_eta[0]) <= 1e-12
     if math.isnan(want_f[0]):
@@ -229,8 +248,47 @@ def test_uniform_figures_match_the_engine(mags, phases):
 def test_uniform_figures_at_zero_survival(r_cold, r_hot):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no division warning escapes
-        f = analysis._uniform_fidelity(np.array([r_cold]), np.array([r_hot]))
-    assert math.isnan(f[0])
+        f, eta, f_sim = pair_figures(np.array([r_cold]), np.array([r_hot]))
+    assert math.isnan(f[0]) and math.isnan(f_sim[0]) and eta[0] == 0.0
+
+
+def test_branch_weighted_fidelity_is_f_sim_on_the_application_inputs(rng):
+    """On the 16 hyper-Bell inputs, the 16 basis inputs and the cluster
+    preparation's input, the branch-weighted fidelity
+    sum_b |<U psi|K_b psi>|**2 / sum_b ||K_b psi||**2 is the uniform input's
+    F_sim at every pair, to round-off.
+
+    The identity does not hold for arbitrary inputs: random product states
+    miss it by far more than round-off, which the last assertion shows.
+    """
+    ideal = ReflectionPair.ideal()
+    u = 2 * evaluate_branches(ideal.r_cold, ideal.r_hot)[0, 0, 0]
+    states = [*protocols._bell_states(), *protocols._basis_inputs()[1], protocols._cluster_input()]
+    assert {state.registers for state in states} == {uniform_two_photon_state().registers}
+    moduli = rng.uniform(0.0, 1.0, size=(2, 300))
+    r_cold, r_hot = moduli * np.exp(2j * np.pi * rng.uniform(size=(2, 300)))
+    _, _, f_sim = pair_figures(r_cold, r_hot)
+    kraus = evaluate_branches(r_cold, r_hot).reshape(300, 4, 16, 16)
+
+    def branch_weighted(inputs):
+        out = kraus @ inputs  # pair, branch, output amplitude, input
+        overlap2 = np.abs(np.einsum("nboc,oc->nbc", out, (u @ inputs).conj())) ** 2
+        return overlap2.sum(1) / np.square(np.abs(out)).sum(axis=(1, 2))
+
+    fidelity = branch_weighted(np.stack([state.amplitudes for state in states], axis=1))
+    assert fidelity.shape == (300, 33)
+    np.testing.assert_allclose(fidelity, np.repeat(f_sim[:, None], 33, 1), rtol=0, atol=1e-12)
+    products = np.stack(
+        [
+            tensor_product(
+                photon_state("a", random_amplitude_pair(rng), random_amplitude_pair(rng)),
+                photon_state("b", random_amplitude_pair(rng), random_amplitude_pair(rng)),
+            ).amplitudes
+            for _ in range(8)
+        ],
+        axis=1,
+    )
+    assert np.abs(branch_weighted(products) - f_sim[:, None]).max() > 0.01
 
 
 @pytest.mark.parametrize("gamma", [0.02, 0.1, 0.3])
@@ -282,7 +340,7 @@ def test_sweep_closed_form_is_bitwise_the_per_point_formula(gamma):
         assert r_hot[n] == reflect_hot(params)
 
 
-# (u, v) pairs at the edges of _closed_form: no light, squares that
+# (u, v) pairs at the edges of _closed_form and _lattice_figures: no light, squares that
 # underflow (u**2 + v**2 == 0 while (u + v)**2 may not be), subnormal
 # squares, balanced loss (F exactly 1.0) and a lossless side
 CLOSED_FORM_EDGES = [
@@ -305,7 +363,8 @@ def assert_lattice_closed_form_is_bitwise(pairs):
     u, v = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no division or underflow warning escapes
-        f, eta = analysis._lattice_closed_form(u, v)
+        f, eta, f_sim = analysis._lattice_figures(u, v)
+    assert f_sim is None
     want = np.array([analysis._closed_form(a, b) for a, b in pairs]).reshape(-1, 2)
     assert np.stack([f, eta], axis=1).tobytes() == want.tobytes()
     return f, eta
@@ -352,33 +411,104 @@ def test_sweep_lattice_on_the_grid_is_bitwise_the_flat_evaluation(
 ):
     """The sweep's columns are bitwise the flat, per-point evaluation.
 
-    _sweep_lattice broadcasts u = |r_cold| per kappa_s column against v per
-    point on the (g, kappa_s) grid; the reference tiles u to every point.
-    F_sim must stay on the flat, contiguous arrays: numpy's complex multiply
-    can round a broadcast product differently from the tiled 1-D one, which
-    shows at resolution 1, where a (1, 1) x (1,) broadcast differs in the
-    last bit of F_sim at some points. This test guards that hazard.
+    _sweep_lattice broadcasts r_cold's real planes per kappa_s column against
+    r_hot's per point on the (g, kappa_s) grid; the reference tiles r_cold to
+    every point. Only real float64 ufuncs may run on the grid: numpy's complex
+    multiply can round a broadcast product differently from the tiled 1-D
+    one, which shows at resolution 1, where a (1, 1) x (1,) broadcast differs
+    in the last bit at some points. This test guards that hazard.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # side-leakage guidance
         lattice = analysis._sweep_lattice(g_range, kappa_s_range, resolution, gamma, simulate)
     params = CavityParams(g=g_range[1], kappa_s=kappa_s_range[1], gamma=gamma)
     r_cold, r_hot = lattice_reflections(params, lattice.g_values, lattice.kappa_s_values)
-    u = np.hypot(r_cold.real, r_cold.imag)
-    v_flat = np.hypot(r_hot.real, r_hot.imag)
-    want_f, want_eta = analysis._lattice_closed_form(np.tile(u, resolution), v_flat)
-
-    def hexes(column):
-        return [float.hex(x) for x in column]
-
+    want_f, want_eta, want_f_sim = pair_figures(np.tile(r_cold, resolution), r_hot)
     assert len(lattice.F) == len(lattice.eta) == resolution**2
     assert hexes(lattice.F) == hexes(want_f.tolist())
     assert hexes(lattice.eta) == hexes(want_eta.tolist())
     if simulate:
-        want_f_sim = analysis._uniform_fidelity(np.tile(r_cold, resolution), r_hot)
         assert hexes(lattice.F_sim) == hexes(want_f_sim.tolist())
     else:
         assert lattice.F_sim is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g_range=axis_ranges(4.0),
+    kappa_s_range=axis_ranges(2.5),
+    resolution=st.integers(1, 12),
+    gamma=st.sampled_from([0.0, 0.02, 0.1, 0.3]) | st.floats(0.0, 1.0),
+)
+@example(g_range=(1.56, 1.56), kappa_s_range=(0.2, 0.2), resolution=1, gamma=0.1)
+@example(g_range=(0.0, 3.0), kappa_s_range=(0.0, 2.0), resolution=12, gamma=0.1)
+# steps that underflow to 0: np.linspace's fallback, i / div * delta + lo
+@example(g_range=(0.0, 2e-323), kappa_s_range=(1e-310, 1e-310), resolution=12, gamma=0.1)
+def test_sweep_columns_are_bitwise_the_scalar_formulas(g_range, kappa_s_range, resolution, gamma):
+    """Each axis is np.linspace's, and at each point F and eta are
+    _closed_form's and F_sim is the Python scalar formula's, at reflect_cold
+    and reflect_hot of that point, bit for bit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # side-leakage guidance
+        lattice = analysis._sweep_lattice(g_range, kappa_s_range, resolution, gamma, True)
+    assert hexes(lattice.g_values) == hexes(np.linspace(*g_range, resolution).tolist())
+    assert hexes(lattice.kappa_s_values) == hexes(np.linspace(*kappa_s_range, resolution).tolist())
+    want = []
+    for g in lattice.g_values:
+        for ks in lattice.kappa_s_values:
+            params = CavityParams(g=g, kappa_s=ks, gamma=gamma)
+            r_cold, r_hot = reflect_cold(params), reflect_hot(params)
+            f, eta = analysis._closed_form(abs(r_cold), abs(r_hot))
+            want.append((f, eta, scalar_uniform_fidelity(r_cold, r_hot)))
+    want_f, want_eta, want_f_sim = zip(*want)
+    assert hexes(lattice.F) == hexes(want_f)
+    assert hexes(lattice.eta) == hexes(want_eta)
+    assert hexes(lattice.F_sim) == hexes(want_f_sim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ends=st.tuples(st.floats(0.0, 1e308), st.floats(0.0, 1e308))
+    | st.tuples(st.floats(0.0, 1e-300), st.floats(0.0, 1e-300)),
+    n=st.integers(1, 60),
+)
+# the step underflows to 0, and numpy's fallback i / div * delta + lo gives
+# values between the ends
+@example(ends=(0.0, 5e-323), n=41)
+@example(ends=(0.0, 5e-324), n=3)
+@example(ends=(1e-310, 3e-310), n=41)
+@example(ends=(0.0, 1.7976931348623157e308), n=7)
+@example(ends=(-0.0, 0.0), n=1)
+@example(ends=(-0.0, 0.0), n=2)
+@example(ends=(0, 3), n=7)  # integer and numpy ends, as sweep accepts them
+@example(ends=(np.float64(0.2), np.float64(2.6)), n=101)
+def test_axis_is_bitwise_linspace(ends, n):
+    lo, hi = sorted(ends)
+    values = analysis._axis(lo, hi, n)
+    assert all(type(value) is float for value in values)
+    with np.errstate(over="ignore"):  # numpy also forms div * step, then overwrites it with hi
+        want = np.linspace(lo, hi, n).tolist()
+    assert hexes(values) == hexes(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    parts=st.tuples(*[st.floats(-1.0, 1.0)] * 4)
+    | st.tuples(*[st.floats(-1e-150, 1e-150)] * 4),
+)
+@example(parts=(0.0, 0.0, 0.0, 0.0))
+@example(parts=(-0.0, 0.0, 0.0, -0.0))
+@example(parts=(0.0, -1.0, 1.0, 0.0))  # the ideal pair: F_sim = 1
+@example(parts=(0.3, -0.2, 0.3, -0.2))  # r_cold = r_hot: x = 0 and F_sim = 1/4
+@example(parts=(5e-324, 0.0, 0.0, 5e-324))
+def test_lattice_figures_sim_is_bitwise_the_scalar_formula(parts):
+    r_cold, r_hot = complex(*parts[:2]), complex(*parts[2:])
+    assume(abs(r_cold) <= 1.0 and abs(r_hot) <= 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division or underflow warning escapes
+        f, eta, f_sim = pair_figures(np.array([r_cold]), np.array([r_hot]))
+    assert hexes(f_sim) == [float.hex(scalar_uniform_fidelity(r_cold, r_hot))]
+    assert hexes([f[0], eta[0]]) == hexes(analysis._closed_form(abs(r_cold), abs(r_hot)))
 
 
 def test_simulated_sweep_rejects_active_reflections(monkeypatch):
@@ -488,6 +618,32 @@ def test_monotonicity_beyond_the_anticrossing_dip():
     assert all(b >= a - 1e-12 for a, b in zip(etas, etas[1:]))
 
 
+def test_only_the_efficiency_grows_monotonically_beyond_the_dip():
+    # the README's sentence, at gamma = 0.1 on g in [0.6, 6]: eta never falls
+    # at kappa_s = 0, 0.2 and 1; the fidelities do
+    figures = {}
+    for ks in (0.0, 0.2, 1.0):
+        grid = sweep((0.6, 6.0), (ks, ks), 541, include_simulation=True).grid
+        g, f, eta, f_sim = (
+            np.array([getattr(p, name) for p in grid])
+            for name in ("g_over_kappa", "F_formula", "eta_formula", "F_sim")
+        )
+        assert (np.diff(eta) >= 0.0).all(), ks
+        figures[ks] = g, f, f_sim
+    # F_closed reaches 1 where |r_cold| = |r_hot|, g ~ 0.86 at kappa_s = 0.2,
+    # and falls beyond it
+    g, f, _ = figures[0.2]
+    assert (np.diff(f) < 0.0).any()
+    assert abs(g[f.argmax()] - 0.86) < 0.011 and f.max() > 1 - 1e-4
+    assert abs(f[-1] - 0.944) < 5e-4
+    # F_sim drops 0.27 below its running maximum just above g = 0.6 at
+    # kappa_s = 0, and peaks at 0.9631 near g = 3.5 at kappa_s = 0.2
+    _, _, f_sim = figures[0.0]
+    assert abs((np.maximum.accumulate(f_sim) - f_sim).max() - 0.27) < 0.005
+    g, _, f_sim = figures[0.2]
+    assert abs(f_sim.max() - 0.9631) < 5e-5 and abs(g[f_sim.argmax()] - 3.5) < 0.011
+
+
 def test_anticrossing_dip_exists():
     # documents why the monotonic assertion starts at 0.8: the figures dip
     # between weak coupling and the strong-coupling recovery
@@ -539,6 +695,17 @@ def test_bulk_rows_behave_like_constructed_points(include_simulation):
             row.F_formula = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             del row.eta_sim
+
+
+def test_sweep_counts_side_leakage_at_a_numpy_integer_resolution():
+    # a narrow numpy integer resolution is taken as a Python int, so the
+    # point count does not wrap around
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = sweep((0.0, 3.0), (0.0, 2.0), resolution=np.uint8(200))
+    assert len(result.grid) == 200 * 200
+    leaky = sum(p.kappa_s_over_kappa >= SIDE_LEAKAGE_WARNING for p in result.grid)
+    assert result.provenance["side_leakage_points"] == str(leaky) == str(70 * 200)
 
 
 def test_sweep_is_deterministic():

@@ -656,6 +656,14 @@ GOLDEN_CASES = [
         "sweep --g-min 1.56 --g-max 1.56 --kappa-s-min 0.2 --kappa-s-max 0.2"
         " --resolution 1 --simulate",
     ),
+    # recorded while F_sim was a flat complex pass, before it moved to the
+    # grid's real planes; 168 of its 441 points are above the side-leakage
+    # guidance
+    (
+        "sweep_resolution21_gamma0.3_simulate.csv",
+        0,
+        "sweep --simulate --gamma 0.3 --resolution 21",
+    ),
 ]
 
 

@@ -760,6 +760,21 @@ def test_engine_ideal_map_is_half_the_double_cnot():
         np.testing.assert_allclose(k, phase * half_perm, rtol=0, atol=1e-12)
 
 
+def test_down_down_branch_is_exactly_the_double_cnot(rng):
+    # K_11 = (r_hot**2 - r_cold**2)**2 / 8 * U at every pair, with U = CNOT x
+    # CNOT twice the ideal K_00: the (down, down) spin outcome heralds a
+    # perfect hyper-CNOT, whatever the input
+    ideal = ReflectionPair.ideal()
+    u = 2 * evaluate_branches(ideal.r_cold, ideal.r_hot)[0, 0, 0]
+    np.testing.assert_allclose(u, cnot_cnot_permutation(), rtol=0, atol=1e-12)
+    pairs = [_random_passive_pair(rng) for _ in range(300)]
+    r_cold = np.array([pair.r_cold for pair in pairs])
+    r_hot = np.array([pair.r_hot for pair in pairs])
+    k11 = evaluate_branches(r_cold, r_hot)[:, 1, 1]
+    want = ((r_hot**2 - r_cold**2) ** 2 / 8)[:, None, None] * u
+    np.testing.assert_allclose(k11, want, rtol=0, atol=1e-12)
+
+
 def test_engine_batches_pairs_and_columns_independently(rng):
     pairs = [ReflectionPair.ideal(), ReflectionPair(-0.8j, 0.9), ReflectionPair(0.3, 0.7j)]
     inputs = [uniform_two_photon_state(), random_state(PHOTON_REGS, rng)]
@@ -1224,6 +1239,9 @@ def test_decoding_table_is_complete():
     table = bell_decoding_table()
     assert len(table) == 16
     assert sorted(table.values()) == [(p, s) for p in range(4) for s in range(4)]
+    # every readout pattern decodes, so analyze_hyper_bell always has indices
+    outcomes = [register.basis_names for register in PHOTON_REGS]
+    assert sorted(table) == sorted(product(*outcomes))
 
 
 def test_decoding_table_is_a_shared_read_only_view():
@@ -1276,7 +1294,7 @@ def test_bell_readout_is_the_axis_reduction(seed):
             result = analyze_hyper_bell(state, pair)
             pattern, min_prob = reduction_bell_pattern(state, pair)
             assert result.pattern == pattern
-            assert (result.pol_index, result.spatial_index) == table.get(pattern, (None, None))
+            assert (result.pol_index, result.spatial_index) == table[pattern]
             assert result.deterministic == (min_prob >= 1 - 1e-9)
             # the sums run in another order: within 2 ulp
             assert abs(result.min_outcome_probability - min_prob) <= 2 * math.ulp(min_prob)
@@ -1308,7 +1326,7 @@ def test_bell_analysis_matches_step_path(g, kappa_s, seed):
             result = analyze_hyper_bell(state, pair)
             pattern, min_prob = step_bell_pattern(state, pair)
             assert result.pattern == pattern
-            assert (result.pol_index, result.spatial_index) == table.get(pattern, (None, None))
+            assert (result.pol_index, result.spatial_index) == table[pattern]
             assert result.deterministic == (min_prob >= 1 - 1e-9)
             assert abs(result.min_outcome_probability - min_prob) <= 1e-12
 
