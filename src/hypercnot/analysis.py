@@ -23,13 +23,15 @@ complex multiply are not: each differs in the last bit at some points, the
 multiply according to the operands' shapes. So each point's F and eta are
 bitwise formula_performance at its parameters, and its F_sim is bitwise
 the Python scalar formula. formula_performance and _closed_form stay
-scalar for single points. The core returns plain float columns, g-major:
-the two axes, F, eta and, when simulated, F_sim (a simulated sweep's
-eta_sim column is its eta column). sweep builds all its PerformancePoint
-rows from them in one pass (_rows), writing each row's fields straight
-into a bare instance; a one-point sweep gives the row at a single
-(g, kappa_s). The CLI renders its CSV straight from the columns, without
-rows, and formats each axis value once, joining one row block per g value.
+scalar for single points. The core returns the two axes and the figure
+columns, g-major, keyed by their CSV names in CSV order: F, eta and, when
+simulated, F_sim and eta_sim (the eta list itself). This module alone
+decides those columns. sweep builds all its PerformancePoint rows from them
+in one pass (_rows), writing each row's fields straight into a bare
+instance; a one-point sweep gives the row at a single (g, kappa_s). The CLI
+renders its CSV straight from the columns, without rows: its header names
+the three axis cells and then the column keys, and it formats each axis
+value once, joining one row block per g value.
 
 The simulated figures are those of the full circuit with the complex
 reflection amplitudes. simulated_performance applies the gate's Kraus
@@ -64,6 +66,7 @@ from .cavity import (
     SIDE_LEAKAGE_WARNING,
     CavityParams,
     ReflectionPair,
+    _SIDE_LEAKAGE_CLAUSE,
     _require_passive,
     lattice_reflections,
     reflect_cold,
@@ -169,15 +172,14 @@ def simulated_performance(
 
 
 class _Lattice(NamedTuple):
-    """One sweep as plain float columns, g-major: the two axes, the
-    closed-form F and eta per point, and F_sim when the sweep is simulated
-    (its eta_sim column is eta itself, as (s/2)**4 is the closed-form eta)."""
+    """One sweep as plain float columns, g-major: the two axes and the
+    figure columns keyed by CSV name in CSV order, the closed-form F and eta
+    per point, then F_sim and eta_sim when the sweep is simulated (eta_sim
+    is the eta list itself, as (s/2)**4 is the closed-form eta)."""
 
     g_values: list[float]
     kappa_s_values: list[float]
-    F: list[float]
-    eta: list[float]
-    F_sim: list[float] | None
+    columns: dict[str, list[float]]
     provenance: dict[str, str]
 
 
@@ -233,25 +235,24 @@ def _sweep_lattice(
     # Im(r_hot * conj(r_cold)) as CPython's complex product rounds it
     x = hot.imag * cold_re - hot.real * cold_im if include_simulation else None
     f, eta, f_sim = _lattice_figures(u, v, x)
+    columns = {"F": f.ravel().tolist(), "eta": eta.ravel().tolist()}
     leaky = resolution * sum(ks >= SIDE_LEAKAGE_WARNING for ks in ks_values)
     if include_simulation:
         if leaky:
             warnings.warn(
-                f"{leaky} of {len(r_hot)} lattice points have kappa_s at or above the "
-                f"{SIDE_LEAKAGE_WARNING:g} kappa guidance for reaching the -pi/2 "
-                "relative reflection phase",
+                f"{leaky} of {len(r_hot)} lattice points have kappa_s {_SIDE_LEAKAGE_CLAUSE}",
                 UserWarning,
                 stacklevel=3,
             )
         _require_passive(u.max(), v.max())
-        f_sim = f_sim.ravel().tolist()
+        columns |= {"F_sim": f_sim.ravel().tolist(), "eta_sim": columns["eta"]}
     provenance = {
         "package": f"hypercnot {__version__}",
         "detuning": repr(params.detuning),
         "gamma_over_kappa": repr(gamma),
         "side_leakage_points": str(leaky),
     }
-    return _Lattice(g_values, ks_values, f.ravel().tolist(), eta.ravel().tolist(), f_sim, provenance)
+    return _Lattice(g_values, ks_values, columns, provenance)
 
 
 def sweep(
@@ -290,14 +291,13 @@ def _rows(lattice: _Lattice, gamma: float) -> list[PerformancePoint]:
     leaves (PerformancePoint has no __post_init__ to skip), without the
     seven object.__setattr__ calls that make __init__ several times slower.
     """
-    if lattice.F_sim is None:
-        f_sim = eta_sim = repeat(None)
-    else:
-        f_sim, eta_sim = lattice.F_sim, lattice.eta
+    columns = lattice.columns
+    f_sim = columns.get("F_sim", repeat(None))
+    eta_sim = columns.get("eta_sim", repeat(None))
     points = product(lattice.g_values, lattice.kappa_s_values)
     new = object.__new__
     rows = []
-    for (g, ks), f, eta, fs, es in zip(points, lattice.F, lattice.eta, f_sim, eta_sim):
+    for (g, ks), f, eta, fs, es in zip(points, columns["F"], columns["eta"], f_sim, eta_sim):
         row = new(PerformancePoint)
         state = row.__dict__
         state["g_over_kappa"] = g

@@ -26,6 +26,11 @@ import numpy as np
 # side leakage above ~1.3 kappa puts the -pi/2 relative phase out of reach;
 # documented operating guidance, not a hard constraint
 SIDE_LEAKAGE_WARNING = 1.3
+# the end of every side-leakage warning, single point or lattice
+_SIDE_LEAKAGE_CLAUSE = (
+    f"at or above the {SIDE_LEAKAGE_WARNING:g} kappa guidance for reaching the "
+    "-pi/2 relative reflection phase"
+)
 
 
 @dataclass(frozen=True)
@@ -157,9 +162,7 @@ class ReflectionPair:
     def from_params(cls, params: CavityParams) -> "ReflectionPair":
         if params.kappa_s >= SIDE_LEAKAGE_WARNING:
             warnings.warn(
-                f"kappa_s = {params.kappa_s:g} kappa is at or above the "
-                f"{SIDE_LEAKAGE_WARNING:g} kappa guidance for reaching the "
-                "-pi/2 relative reflection phase",
+                f"kappa_s = {params.kappa_s:g} kappa is {_SIDE_LEAKAGE_CLAUSE}",
                 UserWarning,
                 stacklevel=2,
             )
@@ -167,21 +170,9 @@ class ReflectionPair:
 
     @classmethod
     def ideal(cls) -> "ReflectionPair":
-        """Lossless limit: cold phase -pi/2, hot phase 0."""
+        """Lossless limit: cold phase -pi/2, hot phase 0, so the relative phase
+        arg r_hot - arg r_cold is the +pi/2 that drives the gate."""
         return cls(-1j, 1.0 + 0j)
-
-    @property
-    def phi_cold(self) -> float:
-        return float(np.angle(self.r_cold))
-
-    @property
-    def phi_hot(self) -> float:
-        return float(np.angle(self.r_hot))
-
-    @property
-    def delta_phi(self) -> float:
-        """Relative phase hot minus cold; ideal() has the +pi/2 that drives the gate."""
-        return self.phi_hot - self.phi_cold
 
 
 def scatter_matrix(reflection: ReflectionPair) -> np.ndarray:

@@ -111,7 +111,8 @@ def load_config(path: str) -> dict[str, str]:
     known = set().union(*_config_flags(_parser()).values())
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
+        # lines without their ending, so that an error quotes the line alone
+        for lineno, raw in enumerate(fh.read().split("\n"), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -345,11 +346,9 @@ def cmd_sweep(args, parser) -> int:
         parser.error(str(exc))
     except OverflowError:  # the library's error for a g whose square overflows
         parser.error(f"g_max = {args.g_max:g} is too large: g**2 overflows a float")
-    header = "g_over_kappa,kappa_s_over_kappa,gamma_over_kappa,F,eta"
-    columns = [lattice.F, lattice.eta]
-    if lattice.F_sim is not None:
-        header += ",F_sim,eta_sim"
-        columns += [lattice.F_sim, lattice.eta]
+    # the figure columns, named and ordered by analysis, follow the three axis cells
+    columns = lattice.columns
+    header = ",".join(["g_over_kappa,kappa_s_over_kappa,gamma_over_kappa", *columns])
     # every axis value is formatted once, into a template of all the rows,
     # one block per g value: its cell joined before each kappa_s row; one
     # % pass then converts the figures, point after point
@@ -359,8 +358,8 @@ def cmd_sweep(args, parser) -> int:
     g_cells = [f"{g:.10g}," for g in lattice.g_values]
     template = "".join([header, "\n", *[g + g.join(ks_rows) for g in g_cells]])
     # the figures interleaved point by point, as the template takes them
-    cells = [None] * (len(columns) * len(lattice.F))
-    for i, column in enumerate(columns):
+    cells = [None] * sum(map(len, columns.values()))
+    for i, column in enumerate(columns.values()):
         cells[i :: len(columns)] = column
     _emit(template % tuple(cells), args.out)
     return 0

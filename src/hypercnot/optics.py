@@ -1,11 +1,12 @@
 """The fixed elements of the circuit tables, as exact 2x2 matrices.
 
 There are no tunable wave-plate angles, and every element listed here is
-placed by a circuit table in protocols (_STAGES, _BELL_ANALYSIS or
-_CLUSTER_SEGMENTS). The circular-basis polarizing beam splitter (CPBS),
-its bit-flip plates and the cavity-pass phase plates have no entry: each
-CPBS/bit-flip/cavity sandwich and its phase plate are folded into the
-single cavity-pass diagonal (see protocols._PASS_COLD and _PASS_TURNED).
+placed by a circuit table in protocols (_STAGES or _CLUSTER_SEGMENTS, whose
+first segment, _CONTROL_HADAMARDS, is also the Bell analysis). The
+circular-basis polarizing beam splitter (CPBS), its bit-flip plates and the
+cavity-pass phase plates have no entry: each CPBS/bit-flip/cavity sandwich
+and its phase plate are folded into the single cavity-pass diagonal (see
+protocols._PASS_COLD and _PASS_TURNED).
 """
 
 from __future__ import annotations

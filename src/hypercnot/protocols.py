@@ -54,10 +54,11 @@ simulated sweep evaluates no gate: for the uniform input it uses the exact
 closed form in analysis, which the tests hold to the Kraus operators.
 
 The linear optics the applications place after the gate is fixed, so it is
-written once as tables (_BELL_ANALYSIS, and the three _CLUSTER_SEGMENTS) and
-compiled once per process, by the same interpreter on the identity, into a
-read-only 16x16 matrix on the photon registers. The Bell analysis multiplies
-the gate's first non-empty branch by its map and reads the four single-photon
+written once as tables (the three _CLUSTER_SEGMENTS, whose first,
+_CONTROL_HADAMARDS, is also the whole Bell analysis) and compiled once per
+process, by the same interpreter on the identity, into a read-only 16x16
+matrix on the photon registers. The Bell analysis multiplies the gate's
+first non-empty branch by its map and reads the four single-photon
 marginals off the outcome probabilities in one product with _MARGINALS, an
 (8, 16) 0/1 matrix; the cluster preparation makes one product per checkpoint.
 
@@ -389,13 +390,15 @@ def _plan_for_bits(key: bytes) -> _GatePlan:
 
 # -- the fixed optics after the gate ---------------------------------------
 
-# The linear optics the applications place after the gate, one table each,
-# read by _optics_map: (element kind, register) or, for an element sitting in
-# one path, (element kind, register, control register, control value).
-_BELL_ANALYSIS = ((ElementKind.HWP_H, A_POL), (ElementKind.BS, A_SPATIAL))
+# The linear optics the applications place after the gate, as tables read by
+# _optics_map: (element kind, register) or, for an element sitting in one
+# path, (element kind, register, control register, control value).
+# the control photon's Hadamards: the whole Bell analysis, and the cluster's
+# first segment
+_CONTROL_HADAMARDS = ((ElementKind.HWP_H, A_POL), (ElementKind.BS, A_SPATIAL))
 # the three checkpoint segments of the cluster preparation
 _CLUSTER_SEGMENTS = (
-    ((ElementKind.HWP_H, A_POL), (ElementKind.BS, A_SPATIAL)),
+    _CONTROL_HADAMARDS,
     ((ElementKind.HWP_PHASEFLIP, A_POL, A_SPATIAL, 1),),
     ((ElementKind.HWP_H, B_POL), (ElementKind.BS, B_SPATIAL)),
 )
@@ -580,12 +583,12 @@ def spin_readout(
 
     The auxiliary photon is measured in the basis {(R + iL)/sqrt2,
     (R - iL)/sqrt2}. Which outcome is declared up follows the sign of
-    Im(r_hot conj r_cold), that of sin(delta_phi), as a calibrated experiment
-    would choose it: where it is >= 0, as for the ideal pair, the + outcome
-    is up and the - outcome down; otherwise the other way round. In ideal
-    mode this projects the spin exactly like a computational-basis
-    measurement; with lossy reflections a small misassignment survives in
-    the returned state.
+    Im(r_hot conj r_cold), that of sin(delta_phi) with delta_phi =
+    arg r_hot - arg r_cold, as a calibrated experiment would choose it:
+    where it is >= 0, as for the ideal pair, the + outcome is up and the -
+    outcome down; otherwise the other way round. In ideal mode this projects
+    the spin exactly like a computational-basis measurement; with lossy
+    reflections a small misassignment survives in the returned state.
 
     The probe is no register: scattered and projected onto an analysis
     state, it leaves a diagonal 2x2 Kraus pair on the spin, kraus[o, s] the
@@ -784,8 +787,8 @@ class BellAnalysis:
 def _bell_readout(registers, branch: np.ndarray) -> tuple[tuple[str, ...], float]:
     """Each photon register's likelier outcome, 1 only where p1 > p0 (argmax's
     first-max rule), and the least p_o / (p0 + p1), for a branch (16, spectator
-    amplitudes) after the _BELL_ANALYSIS optics; registers in PHOTON_LABELS order."""
-    probabilities = np.square(np.abs(_optics_map(_BELL_ANALYSIS) @ branch)).sum(1)
+    amplitudes) after the _CONTROL_HADAMARDS; registers in PHOTON_LABELS order."""
+    probabilities = np.square(np.abs(_optics_map(_CONTROL_HADAMARDS) @ branch)).sum(1)
     marginals = (_MARGINALS @ probabilities).tolist()
     names, least = [], []
     for register, p0, p1 in zip(registers, marginals[::2], marginals[1::2]):

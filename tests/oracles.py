@@ -560,7 +560,7 @@ def step_bell_pattern(state: StateVector, reflection=None) -> tuple[tuple[str, .
 def reduction_bell_pattern(state: StateVector, reflection=None) -> tuple[tuple[str, ...], float]:
     """The Bell readout as four axis reductions: analyze_hyper_bell's pattern
     and least single-photon outcome probability, on the library's own gate
-    branch and _BELL_ANALYSIS map.
+    branch and _CONTROL_HADAMARDS map.
 
     The outcome probabilities, shaped (2, 2, 2, 2, spectator amplitudes),
     are summed over every axis but one photon register's; each register's
@@ -568,7 +568,7 @@ def reduction_bell_pattern(state: StateVector, reflection=None) -> tuple[tuple[s
     """
     ordered, outputs, weights, _, _ = protocols._gate_outputs(state, reflection)
     branch = outputs[protocols._live(weights)[0]]
-    optics = protocols._optics_map(protocols._BELL_ANALYSIS)
+    optics = protocols._optics_map(protocols._CONTROL_HADAMARDS)
     probabilities = (np.abs(optics @ branch) ** 2).reshape(2, 2, 2, 2, -1)
     marginals = np.array(
         [probabilities.sum(axis=tuple(a for a in range(5) if a != axis)) for axis in range(4)]

@@ -300,7 +300,7 @@ def test_simulated_sweep_matches_the_engine_on_the_default_lattice(gamma):
         CavityParams(g=3.0, kappa_s=2.0, gamma=gamma), lattice.g_values, lattice.kappa_s_values
     )
     want_f, want_eta = engine_uniform_figures(np.tile(r_cold, 101), np.array(r_hot))
-    f, eta = np.array(lattice.F_sim), np.array(lattice.eta)
+    f, eta = np.array(lattice.columns["F_sim"]), np.array(lattice.columns["eta_sim"])
     assert len(f) == 101 * 101
     np.testing.assert_allclose(f, want_f, rtol=0, atol=1e-12)
     np.testing.assert_allclose(eta, want_eta, rtol=0, atol=1e-12)
@@ -424,13 +424,16 @@ def test_sweep_lattice_on_the_grid_is_bitwise_the_flat_evaluation(
     params = CavityParams(g=g_range[1], kappa_s=kappa_s_range[1], gamma=gamma)
     r_cold, r_hot = lattice_reflections(params, lattice.g_values, lattice.kappa_s_values)
     want_f, want_eta, want_f_sim = pair_figures(np.tile(r_cold, resolution), r_hot)
-    assert len(lattice.F) == len(lattice.eta) == resolution**2
-    assert hexes(lattice.F) == hexes(want_f.tolist())
-    assert hexes(lattice.eta) == hexes(want_eta.tolist())
+    columns = lattice.columns
+    assert len(columns["F"]) == len(columns["eta"]) == resolution**2
+    assert hexes(columns["F"]) == hexes(want_f.tolist())
+    assert hexes(columns["eta"]) == hexes(want_eta.tolist())
     if simulate:
-        assert hexes(lattice.F_sim) == hexes(want_f_sim.tolist())
+        assert list(columns) == ["F", "eta", "F_sim", "eta_sim"]
+        assert hexes(columns["F_sim"]) == hexes(want_f_sim.tolist())
+        assert columns["eta_sim"] is columns["eta"]
     else:
-        assert lattice.F_sim is None
+        assert list(columns) == ["F", "eta"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -461,9 +464,9 @@ def test_sweep_columns_are_bitwise_the_scalar_formulas(g_range, kappa_s_range, r
             f, eta = analysis._closed_form(abs(r_cold), abs(r_hot))
             want.append((f, eta, scalar_uniform_fidelity(r_cold, r_hot)))
     want_f, want_eta, want_f_sim = zip(*want)
-    assert hexes(lattice.F) == hexes(want_f)
-    assert hexes(lattice.eta) == hexes(want_eta)
-    assert hexes(lattice.F_sim) == hexes(want_f_sim)
+    assert hexes(lattice.columns["F"]) == hexes(want_f)
+    assert hexes(lattice.columns["eta"]) == hexes(want_eta)
+    assert hexes(lattice.columns["F_sim"]) == hexes(want_f_sim)
 
 
 @settings(max_examples=300, deadline=None)

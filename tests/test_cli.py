@@ -391,6 +391,16 @@ def test_config_values_get_flag_type_and_choice_checks(command, line, tmp_path):
     assert err.value.code == 2
 
 
+def test_config_sweep_is_the_flag_sweep(tmp_path, capsys):
+    cfg = tmp_path / "gamma0.2.cfg"
+    cfg.write_text("gamma = 0.2\n")
+    out_file = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(out_file))
+    assert (code, out, err) == (0, "", "")
+    want = gzip.decompress((GOLDEN_DIR / "sweep_gamma0.2.csv.gz").read_bytes())
+    assert out_file.read_bytes() == want
+
+
 def test_config_sets_amplitude_options(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("a-pol = 0,1\na_spatial = 0,1\nb_pol = 1,0\nb_spatial = 1,0\n")
@@ -534,6 +544,41 @@ def test_amplitude_pairs_without_a_usable_norm_are_usage_errors(pair, capsys):
     assert captured.out == ""
     assert "argument --a-pol: expected two comma-separated amplitudes" in captured.err
     assert f"with a finite, nonzero norm, got {pair!r}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,cfg,message",
+    [
+        (["sweep"], "gamma 0.2\n", "{cfg}:1: expected key = value, got 'gamma 0.2'"),
+        (
+            ["gate", "--a-pol", "x,y"],
+            None,
+            "argument --a-pol: could not parse 'x,y' as complex amplitudes",
+        ),
+        (
+            ["gate", "--input", "basis:L,a2,R"],
+            None,
+            "basis preset needs four names, e.g. basis:L,a2,R,b1",
+        ),
+        (["gate", "--input", "foo"], None, "unknown input preset 'foo'"),
+        (["bell-analyze", "--pol", "1"], None, "--pol and --spatial must be given together"),
+        (["bell-analyze", "--spatial", "1"], None, "--pol and --spatial must be given together"),
+    ],
+    ids=["config-line", "amplitudes", "basis-names", "input-preset", "pol-alone", "spatial-alone"],
+)
+def test_usage_errors_are_one_error_line(argv, cfg, message, tmp_path, capsys):
+    if cfg is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(cfg)
+        argv = [*argv, "--config", str(path)]
+        message = message.format(cfg=path)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"hypercnot {argv[0]}: error: {message}"
     assert "Traceback" not in captured.err
 
 

@@ -113,6 +113,31 @@ def test_tensor_state_rejects_unnormalized_factor():
         tensor_state([(POL, (1.0, 1e-4))])
 
 
+TWO_REGISTERS = tensor_state([(POL, (1, 0)), (SPIN, (1, 0))])
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: tensor_state([]), "tensor_state needs at least one factor"),
+        (lambda: tensor_state([(POL, (1, 0, 0))]), "factor for 'a.pol' must have two amplitudes"),
+        (
+            lambda: reorder_registers(TWO_REGISTERS, ["a.pol"]),
+            "('a.pol',) is not a permutation of ('a.pol', 'e1')",
+        ),
+        (
+            lambda: reorder_registers(TWO_REGISTERS, ["a.pol", "a.pol"]),
+            "('a.pol', 'a.pol') is not a permutation of ('a.pol', 'e1')",
+        ),
+    ],
+    ids=["no-factor", "three-amplitudes", "missing-label", "repeated-label"],
+)
+def test_malformed_states_are_rejected(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 # -- apply_operator ----------------------------------------------------------
 
 

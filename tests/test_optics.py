@@ -41,7 +41,7 @@ MATRICES = {str(kind): element_matrix(kind) for kind in ALL_KINDS} | {
 
 def test_every_element_is_placed_by_a_circuit_table():
     tables = [ops for _, ops in protocols._STAGES]
-    tables += [protocols._BELL_ANALYSIS, *protocols._CLUSTER_SEGMENTS]
+    tables += protocols._CLUSTER_SEGMENTS
     placed = {op[0] for ops in tables for op in ops}
     assert [kind for kind in ALL_KINDS if kind not in placed] == []
 

@@ -909,7 +909,7 @@ def test_cached_arrays_have_no_writeable_base():
     arrays["kraus"] = kraus
     arrays["ideal plan"] = protocols._gate_plan(None).matrix
     arrays["physical plan"] = protocols._gate_plan(ReflectionPair(0.3 - 0.5j, 0.8 + 0.1j)).matrix
-    for i, table in enumerate((protocols._BELL_ANALYSIS,) + protocols._CLUSTER_SEGMENTS):
+    for i, table in enumerate(protocols._CLUSTER_SEGMENTS):
         arrays[f"optics {i}"] = protocols._optics_map(table)
     arrays["marginals"] = protocols._MARGINALS
     for name, array in arrays.items():
