@@ -13,9 +13,10 @@ the per-pass overlap. Both reduce to 1 when u = v = 1, and F alone reaches
 
 Every sweep runs through one lattice core, _sweep_lattice. It builds both
 axes as np.linspace would, bit for bit (_axis), evaluates the reflections
-once per lattice (cavity.lattice_reflections: r_cold per kappa_s column,
-r_hot per point), and computes every figure from those same numbers in one
-pass over their real planes on the (g, kappa_s) grid (_lattice_figures).
+once per lattice as real float64 planes (cavity._reflection_planes: r_cold's
+real and imaginary parts per kappa_s column, r_hot's per point), and
+computes every figure from those same numbers in one pass over the planes
+on the (g, kappa_s) grid (_lattice_figures); no complex array is built.
 Only real ufuncs that round as the scalar formulas do are used: np.hypot
 for abs(complex), np.float_power for every ``**``, and elementwise float64
 arithmetic, which rounds alike whatever the shapes. np.abs and numpy's
@@ -31,7 +32,7 @@ in one pass (_rows), writing each row's fields straight into a bare
 instance; a one-point sweep gives the row at a single (g, kappa_s). The CLI
 renders its CSV straight from the columns, without rows: its header names
 the three axis cells and then the column keys, and it formats each axis
-value once, joining one row block per g value.
+value once and writes the rows one g block at a time.
 
 The simulated figures are those of the full circuit with the complex
 reflection amplitudes. simulated_performance applies the gate's Kraus
@@ -67,8 +68,8 @@ from .cavity import (
     CavityParams,
     ReflectionPair,
     _SIDE_LEAKAGE_CLAUSE,
+    _reflection_planes,
     _require_passive,
-    lattice_reflections,
     reflect_cold,
     reflect_hot,
 )
@@ -131,12 +132,16 @@ def _lattice_figures(
     tiled to v's shape.
     """
     s = np.float_power(u, 2) + np.float_power(v, 2)
-    zero = s == 0.0
     f_sim = None
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = np.where(zero, math.nan, np.float_power(np.float_power(u + v, 2) / (2 * s), 6))
+        f = np.float_power(np.float_power(u + v, 2) / (2 * s), 6)
         if x is not None:
-            f_sim = np.where(zero, math.nan, np.float_power(0.5 + 2 * np.float_power(x / s, 2), 2))
+            f_sim = np.float_power(0.5 + 2 * np.float_power(x / s, 2), 2)
+    if not s.all():
+        zero = s == 0.0
+        f = np.where(zero, math.nan, f)
+        if f_sim is not None:
+            f_sim = np.where(zero, math.nan, f_sim)
     return f, np.float_power(s / 2, 4), f_sim
 
 
@@ -225,26 +230,24 @@ def _sweep_lattice(
     params = CavityParams(g=g_range[1], kappa_s=kappa_s_range[1], gamma=gamma)
     g_values = _axis(*g_range, resolution)
     ks_values = _axis(*kappa_s_range, resolution)
-    r_cold, r_hot = lattice_reflections(params, g_values, ks_values)
-    # real planes: r_cold's per kappa_s column broadcast against r_hot's per
-    # point on the (g, kappa_s) grid
-    cold_re, cold_im = r_cold.real, r_cold.imag
-    hot = r_hot.reshape(resolution, resolution)
+    cold_re, cold_im, hot_re, hot_im = _reflection_planes(params, g_values, ks_values)
+    # r_cold's planes per kappa_s column broadcast against r_hot's per point
+    # on the (g, kappa_s) grid
     u = np.hypot(cold_re, cold_im)
-    v = np.hypot(hot.real, hot.imag)
+    v = np.hypot(hot_re, hot_im)
     # Im(r_hot * conj(r_cold)) as CPython's complex product rounds it
-    x = hot.imag * cold_re - hot.real * cold_im if include_simulation else None
+    x = hot_im * cold_re - hot_re * cold_im if include_simulation else None
     f, eta, f_sim = _lattice_figures(u, v, x)
     columns = {"F": f.ravel().tolist(), "eta": eta.ravel().tolist()}
     leaky = resolution * sum(ks >= SIDE_LEAKAGE_WARNING for ks in ks_values)
     if include_simulation:
         if leaky:
             warnings.warn(
-                f"{leaky} of {len(r_hot)} lattice points have kappa_s {_SIDE_LEAKAGE_CLAUSE}",
+                f"{leaky} of {resolution**2} lattice points have kappa_s {_SIDE_LEAKAGE_CLAUSE}",
                 UserWarning,
                 stacklevel=3,
             )
-        _require_passive(u.max(), v.max())
+        _require_passive(np.maximum.reduce(u), np.maximum.reduce(v, axis=None))
         columns |= {"F_sim": f_sim.ravel().tolist(), "eta_sim": columns["eta"]}
     provenance = {
         "package": f"hypercnot {__version__}",

@@ -12,6 +12,13 @@ Default probe point: the probe sits half a linewidth above the cavity
 bare-cavity reflection phase is exactly -pi/2, while the coupled-cavity
 phase tends to 0 only deep in the strong-coupling regime, so finite
 coupling leaves a residual phase error that feeds the fidelity loss.
+
+Over a (g, kappa_s) lattice the reflections come from one kernel,
+_reflection_planes: the real and imaginary parts of r_cold once per kappa_s
+column and of r_hot once per point, as float64 arrays, every value bitwise
+reflect_cold and reflect_hot at its point. Sweeps read these planes
+directly; lattice_reflections checks the axes as CavityParams does and packs
+the same planes into complex128 arrays.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ _SIDE_LEAKAGE_CLAUSE = (
     f"at or above the {SIDE_LEAKAGE_WARNING:g} kappa guidance for reaching the "
     "-pi/2 relative reflection phase"
 )
+# the error of every rate check, single point or lattice axis
+_RATES_ERROR = "g, kappa_s and gamma must be non-negative and finite"
 
 
 @dataclass(frozen=True)
@@ -50,7 +59,7 @@ class CavityParams:
         # chained comparisons are False for NaN, so every check rejects it too
         g, kappa_s, gamma = self.g, self.kappa_s, self.gamma
         if not (0.0 <= g < math.inf and 0.0 <= kappa_s < math.inf and 0.0 <= gamma < math.inf):
-            raise ValueError("g, kappa_s and gamma must be non-negative and finite")
+            raise ValueError(_RATES_ERROR)
         if not math.isfinite(self.detuning):
             raise ValueError("detuning must be finite")
 
@@ -93,6 +102,76 @@ def reflect_hot(params: CavityParams) -> complex:
     return _hot(params.g, _dipole_term(params), _cavity_term(params, params.kappa_s))
 
 
+def _reflection_planes(
+    params: CavityParams, g_values: list[float], kappa_s_values: list[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(cold_re, cold_im, hot_re, hot_im): the real and imaginary parts of
+    r_cold once per kappa_s value, shape (K,), and of r_hot once per point,
+    shape (G, K), as float64 arrays, every value bitwise what reflect_cold
+    and reflect_hot give. The axes are not checked here.
+
+    The per-column terms (c, r_cold, d*c) and the per-row g**2 are Python
+    arithmetic. Per point, r_hot = 1 - d / b with b = d*c + g**2 is float64
+    ufuncs that repeat CPython's complex operations one for one: the float
+    g**2 adds to the real part of d*c only, and d / b is CPython's
+    _Py_c_quot (Smith's method). Its operands are chosen once per point by
+    np.where on |Re b| >= |Im b|: the divisor p and the other part o of b,
+    then the numerator pair (n1, n2), (Re d, Im d) or swapped. One form then
+    serves both branches: with ratio = o / p and denom = p + o * ratio,
+    Re(d / b) = (n1 + n2 * ratio) / denom and t = (n2 - n1 * ratio) / denom.
+    On the swapped branch CPython's Im(d / b) is (n1 * ratio - n2) / denom,
+    which is -t up to the sign of a zero. So Im r_hot = 0.0 - Im(d / b) is
+    ``0.0 - t`` on the |Re| branch and ``0.0 + t`` on the other, bit for bit
+    with signed zeros: 0.0 + t and 0.0 - (-t) agree, and 0.0 plus or minus
+    any zero is +0.0. numpy's complex ``/`` and ``abs`` would differ in the
+    last bit. A column whose d*c is not finite, far outside any physical
+    range, takes the scalar path. The scalar errors are kept: OverflowError
+    when some g**2 overflows, ZeroDivisionError when a denominator is 0.
+    """
+    dipole = _dipole_term(params)
+    # _cavity_term's sum, left to right, with its first two terms added once
+    base = 1j * -params.detuning + 0.5
+    cavity = [base + kappa_s / 2 for kappa_s in kappa_s_values]
+    cold = np.array([_cold(c) for c in cavity], dtype=np.complex128)
+    dc = [dipole * c for c in cavity]
+    # what complex + float gives the imaginary part: the same on every row
+    b_im = np.array([(z + 0.0).imag for z in dc])
+    a_re, a_im = dipole.real, dipole.imag
+    with np.errstate(all="ignore"):  # CPython's float arithmetic is silent IEEE
+        b_re = np.add.outer([g**2 for g in g_values], [z.real for z in dc])
+        if not b_im.all() and ((b_re == 0.0) & (b_im == 0.0))[np.array(g_values) != 0.0].any():
+            raise ZeroDivisionError("complex division by zero")
+        by_real = np.abs(b_re) >= np.abs(b_im)
+        p = np.where(by_real, b_re, b_im)
+        o = np.where(by_real, b_im, b_re)
+        n1 = np.where(by_real, a_re, a_im)
+        n2 = np.where(by_real, a_im, a_re)
+        ratio = o / p
+        denom = p + o * ratio
+        hot_re = 1.0 - (n1 + n2 * ratio) / denom
+        t = (n2 - n1 * ratio) / denom
+        hot_im = 0.0 + t
+        np.subtract(0.0, t, out=hot_im, where=by_real)
+    cold_re, cold_im = cold.real, cold.imag
+    if 0.0 in g_values:
+        bare = np.array(g_values) == 0.0
+        hot_re[bare] = cold_re
+        hot_im[bare] = cold_im
+    for j, z in enumerate(dc):
+        if not cmath.isfinite(z):
+            column = [_hot(g, dipole, cavity[j]) for g in g_values]
+            hot_re[:, j] = [r.real for r in column]
+            hot_im[:, j] = [r.imag for r in column]
+    return cold_re, cold_im, hot_re, hot_im
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """A complex128 array holding the two real planes, bits unchanged."""
+    z = np.empty(re.shape, dtype=np.complex128)
+    z.real, z.imag = re, im
+    return z
+
+
 def lattice_reflections(
     params: CavityParams, g_values: list[float], kappa_s_values: list[float]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -101,42 +180,15 @@ def lattice_reflections(
 
     ``params`` supplies gamma and the detuning; its own g and kappa_s are
     ignored. Returns r_cold once per kappa_s value (it does not depend on g)
-    and r_hot once per point, g-major.
-
-    The per-column terms (c, r_cold, d*c) and the per-row g**2 are Python
-    arithmetic. Per point, r_hot = 1 - d / (d*c + g**2) is float64 ufuncs
-    that repeat CPython's complex operations one for one: the float g**2
-    adds to the real part of d*c, and the division is CPython's _Py_c_quot
-    (Smith's method), with its branch, |Re| >= |Im| of the denominator,
-    chosen per point. numpy's complex ``/`` and ``abs`` would differ in the
-    last bit. A column whose d*c is not finite, far outside any physical
-    range, takes the scalar path. The scalar errors are kept: OverflowError
-    when some g**2 overflows, ZeroDivisionError when a denominator is 0.
+    and r_hot once per point, g-major. A negative, NaN or infinite axis
+    value raises CavityParams' ValueError. The values come from the real
+    planes of _reflection_planes, which sweeps use directly.
     """
-    dipole = _dipole_term(params)
-    cavity = [_cavity_term(params, kappa_s) for kappa_s in kappa_s_values]
-    r_cold = np.array([_cold(c) for c in cavity], dtype=np.complex128)
-    dc = [dipole * c for c in cavity]
-    g = np.array(g_values, dtype=np.float64)
-    # what complex + float gives the imaginary part: the same on every row
-    b_im = np.array([(z + 0.0).imag for z in dc])
-    a_re, a_im = dipole.real, dipole.imag
-    with np.errstate(all="ignore"):  # CPython's float arithmetic is silent IEEE
-        b_re = np.add.outer([gv**2 for gv in g_values], [z.real for z in dc])
-        if not b_im.all() and ((b_re == 0.0) & (b_im == 0.0))[g != 0.0].any():
-            raise ZeroDivisionError("complex division by zero")
-        by_real = np.abs(b_re) >= np.abs(b_im)
-        ratio = np.where(by_real, b_im / b_re, b_re / b_im)
-        denom = np.where(by_real, b_re + b_im * ratio, b_re * ratio + b_im)
-        q_re = np.where(by_real, a_re + a_im * ratio, a_re * ratio + a_im) / denom
-        q_im = np.where(by_real, a_im - a_re * ratio, a_im * ratio - a_re) / denom
-        r_hot = np.empty(b_re.shape, dtype=np.complex128)
-        r_hot.real, r_hot.imag = 1.0 - q_re, 0.0 - q_im
-    r_hot[g == 0.0] = r_cold
-    for j, z in enumerate(dc):
-        if not cmath.isfinite(z):
-            r_hot[:, j] = [_hot(gv, dipole, cavity[j]) for gv in g_values]
-    return r_cold, r_hot.reshape(-1)
+    for value in (*g_values, *kappa_s_values):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(_RATES_ERROR)
+    cold_re, cold_im, hot_re, hot_im = _reflection_planes(params, g_values, kappa_s_values)
+    return _complex(cold_re, cold_im), _complex(hot_re, hot_im).reshape(-1)
 
 
 def _require_passive(*moduli: float) -> None:

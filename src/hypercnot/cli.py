@@ -25,7 +25,8 @@ import json
 import math
 import sys
 import warnings
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -145,12 +146,13 @@ def _reflection(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Re
         parser.error(f"g = {args.g:g} is too large: g**2 overflows a float")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write the text chunks, in order as they come, to ``out`` or stdout."""
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _amplitude_pair(raw: str) -> np.ndarray:
@@ -211,9 +213,9 @@ def _input_state(args: argparse.Namespace, parser: argparse.ArgumentParser):
 def _report(args: argparse.Namespace, lines: list[str], payload: dict, ok: bool = True) -> int:
     """Write the text lines, or the JSON payload under --format json; exit 0 if ok, else 1."""
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _emit([json.dumps(payload, indent=2, sort_keys=True) + "\n"], args.out)
     else:
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     return 0 if ok else 1
 
 
@@ -348,20 +350,25 @@ def cmd_sweep(args, parser) -> int:
         parser.error(f"g_max = {args.g_max:g} is too large: g**2 overflows a float")
     # the figure columns, named and ordered by analysis, follow the three axis cells
     columns = lattice.columns
-    header = ",".join(["g_over_kappa,kappa_s_over_kappa,gamma_over_kappa", *columns])
-    # every axis value is formatted once, into a template of all the rows,
-    # one block per g value: its cell joined before each kappa_s row; one
-    # % pass then converts the figures, point after point
+    header = ",".join(["g_over_kappa,kappa_s_over_kappa,gamma_over_kappa", *columns]) + "\n"
+    # every axis value is formatted once, into one template per g value: its
+    # cell joined before each kappa_s row; one % pass per g block then
+    # converts that block's figures, point after point, and is written out
+    # before the next block is formatted
     figures = ",".join(["%.10g"] * len(columns)) + "\n"
     gamma_cell = f"{args.gamma:.10g},"
     ks_rows = [f"{ks:.10g},{gamma_cell}{figures}" for ks in lattice.kappa_s_values]
-    g_cells = [f"{g:.10g}," for g in lattice.g_values]
-    template = "".join([header, "\n", *[g + g.join(ks_rows) for g in g_cells]])
-    # the figures interleaved point by point, as the template takes them
+    # the figures interleaved point by point, as the templates take them
     cells = [None] * sum(map(len, columns.values()))
     for i, column in enumerate(columns.values()):
         cells[i :: len(columns)] = column
-    _emit(template % tuple(cells), args.out)
+    g_cells = [f"{g:.10g}," for g in lattice.g_values]
+    step = len(columns) * len(ks_rows)
+    blocks = (
+        (g + g.join(ks_rows)) % tuple(cells[i * step : (i + 1) * step])
+        for i, g in enumerate(g_cells)
+    )
+    _emit(chain([header], blocks), args.out)
     return 0
 
 

@@ -447,6 +447,10 @@ def test_sweep_lattice_on_the_grid_is_bitwise_the_flat_evaluation(
 @example(g_range=(0.0, 3.0), kappa_s_range=(0.0, 2.0), resolution=12, gamma=0.1)
 # steps that underflow to 0: np.linspace's fallback, i / div * delta + lo
 @example(g_range=(0.0, 2e-323), kappa_s_range=(1e-310, 1e-310), resolution=12, gamma=0.1)
+# windows of the standard axes, np.linspace(0, 3, 101) and np.linspace(0, 2, 101),
+# at the shapes of the sim_sweep workload in perfbench
+@example(g_range=(0.09, 1.98), kappa_s_range=(0.1, 1.9000000000000001), resolution=10, gamma=0.1)
+@example(g_range=(0.0, 3.0), kappa_s_range=(0.4, 2.0), resolution=11, gamma=0.1)
 def test_sweep_columns_are_bitwise_the_scalar_formulas(g_range, kappa_s_range, resolution, gamma):
     """Each axis is np.linspace's, and at each point F and eta are
     _closed_form's and F_sim is the Python scalar formula's, at reflect_cold
@@ -515,12 +519,14 @@ def test_lattice_figures_sim_is_bitwise_the_scalar_formula(parts):
 
 
 def test_simulated_sweep_rejects_active_reflections(monkeypatch):
-    def amplified(params, g_values, kappa_s_values):
-        r_cold, r_hot = lattice_reflections(params, g_values, kappa_s_values)
-        r_hot[-1] = 1.0 + 2e-9
-        return r_cold, r_hot
+    planes = analysis._reflection_planes
 
-    monkeypatch.setattr(analysis, "lattice_reflections", amplified)
+    def amplified(params, g_values, kappa_s_values):
+        cold_re, cold_im, hot_re, hot_im = planes(params, g_values, kappa_s_values)
+        hot_re[-1, -1], hot_im[-1, -1] = 1.0 + 2e-9, 0.0
+        return cold_re, cold_im, hot_re, hot_im
+
+    monkeypatch.setattr(analysis, "_reflection_planes", amplified)
     with pytest.raises(ValueError, match=r"passive reflection requires \|r\| <= 1"):
         sweep((0.0, 3.0), (0.0, 1.0), resolution=3, include_simulation=True)
 

@@ -143,6 +143,9 @@ def ranges(limit):
 @example(gamma=0.1, detuning=0.5, g_range=(1e-300, 1e-170), kappa_s_range=(0.0, 2.0), n_g=3, n_ks=3)
 @example(gamma=0.0, detuning=0.0, g_range=(1e-170, 1.0), kappa_s_range=(0.0, 2.0), n_g=3, n_ks=2)
 @example(gamma=0.1, detuning=0.5, g_range=(0.0, 1e200), kappa_s_range=(0.0, 2.0), n_g=3, n_ks=2)
+# Re(d*c) + g**2 is exactly 0: the swapped branch with a zero real divisor,
+# where Im(d / b) is -0.0 and r_hot's imaginary part is 0.0 - (-0.0) = +0.0
+@example(gamma=0.0, detuning=0.5, g_range=(0.5, 0.5), kappa_s_range=(0.0, 0.0), n_g=1, n_ks=1)
 def test_lattice_reflections_are_bitwise_the_scalar_formulas(
     gamma, detuning, g_range, kappa_s_range, n_g, n_ks
 ):
@@ -163,6 +166,17 @@ def test_lattice_reflections_are_bitwise_the_scalar_formulas(
     assert r_cold.dtype == r_hot.dtype == np.complex128
     assert r_cold.tobytes() == want_cold.tobytes()
     assert r_hot.tobytes() == want_hot.tobytes()
+
+
+@pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("axis", ["g", "kappa_s"])
+def test_lattice_reflections_reject_what_params_reject(axis, bad):
+    g_values, ks_values = [0.0, 1.0], [0.0, 0.5]
+    (g_values if axis == "g" else ks_values).append(bad)
+    with pytest.raises(ValueError, match="non-negative and finite"):
+        lattice_reflections(params(), g_values, ks_values)
+    with pytest.raises(ValueError, match="non-negative and finite"):
+        params(**{axis: bad})
 
 
 def test_params_validation():
