@@ -18,7 +18,6 @@ from .hilbert import (
 from .cavity import (
     CavityParams,
     ReflectionPair,
-    lattice_reflections,
     reflect_cold,
     reflect_hot,
     scatter_matrix,

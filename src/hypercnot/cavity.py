@@ -17,8 +17,7 @@ Over a (g, kappa_s) lattice the reflections come from one kernel,
 _reflection_planes: the real and imaginary parts of r_cold once per kappa_s
 column and of r_hot once per point, as float64 arrays, every value bitwise
 reflect_cold and reflect_hot at its point. Sweeps read these planes
-directly; lattice_reflections checks the axes as CavityParams does and packs
-the same planes into complex128 arrays.
+directly; the sweep checks its axes before they reach the kernel.
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ _SIDE_LEAKAGE_CLAUSE = (
     f"at or above the {SIDE_LEAKAGE_WARNING:g} kappa guidance for reaching the "
     "-pi/2 relative reflection phase"
 )
-# the error of every rate check, single point or lattice axis
-_RATES_ERROR = "g, kappa_s and gamma must be non-negative and finite"
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,7 @@ class CavityParams:
         # chained comparisons are False for NaN, so every check rejects it too
         g, kappa_s, gamma = self.g, self.kappa_s, self.gamma
         if not (0.0 <= g < math.inf and 0.0 <= kappa_s < math.inf and 0.0 <= gamma < math.inf):
-            raise ValueError(_RATES_ERROR)
+            raise ValueError("g, kappa_s and gamma must be non-negative and finite")
         if not math.isfinite(self.detuning):
             raise ValueError("detuning must be finite")
 
@@ -82,7 +79,12 @@ def _hot(g: float, dipole_term: complex, cavity_term: complex) -> complex:
     if g == 0.0:
         # reduce to the bare-cavity branch through the same arithmetic path
         return _cold(cavity_term)
-    return complex(1 - dipole_term / (dipole_term * cavity_term + g**2))
+    b = dipole_term * cavity_term + g**2
+    if dipole_term == 0:
+        # gamma = 0 on resonance: r_hot = 1 for every g > 0, also where g**2
+        # underflows and b is 0; where b != 0, 1 - d / b gives these bits too
+        return 1 + 0j
+    return complex(1 - dipole_term / b)
 
 
 def reflect_cold(params: CavityParams) -> complex:
@@ -125,8 +127,10 @@ def _reflection_planes(
     with signed zeros: 0.0 + t and 0.0 - (-t) agree, and 0.0 plus or minus
     any zero is +0.0. numpy's complex ``/`` and ``abs`` would differ in the
     last bit. A column whose d*c is not finite, far outside any physical
-    range, takes the scalar path. The scalar errors are kept: OverflowError
-    when some g**2 overflows, ZeroDivisionError when a denominator is 0.
+    range, takes the scalar path. At d = 0 (gamma = 0 on resonance) r_hot is
+    1 at every g > 0, as in _hot. The scalar errors are kept: OverflowError
+    when some g**2 overflows, ZeroDivisionError when b is 0 at some g > 0
+    while d is not, which takes a subnormal gamma or detuning.
     """
     dipole = _dipole_term(params)
     # _cavity_term's sum, left to right, with its first two terms added once
@@ -139,7 +143,11 @@ def _reflection_planes(
     a_re, a_im = dipole.real, dipole.imag
     with np.errstate(all="ignore"):  # CPython's float arithmetic is silent IEEE
         b_re = np.add.outer([g**2 for g in g_values], [z.real for z in dc])
-        if not b_im.all() and ((b_re == 0.0) & (b_im == 0.0))[np.array(g_values) != 0.0].any():
+        if (
+            dipole != 0
+            and not b_im.all()
+            and ((b_re == 0.0) & (b_im == 0.0))[np.array(g_values) != 0.0].any()
+        ):
             raise ZeroDivisionError("complex division by zero")
         by_real = np.abs(b_re) >= np.abs(b_im)
         p = np.where(by_real, b_re, b_im)
@@ -152,6 +160,9 @@ def _reflection_planes(
         t = (n2 - n1 * ratio) / denom
         hot_im = 0.0 + t
         np.subtract(0.0, t, out=hot_im, where=by_real)
+    if dipole == 0:  # as in _hot, also where b is 0
+        hot_re.fill(1.0)
+        hot_im.fill(0.0)
     cold_re, cold_im = cold.real, cold.imag
     if 0.0 in g_values:
         bare = np.array(g_values) == 0.0
@@ -163,32 +174,6 @@ def _reflection_planes(
             hot_re[:, j] = [r.real for r in column]
             hot_im[:, j] = [r.imag for r in column]
     return cold_re, cold_im, hot_re, hot_im
-
-
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """A complex128 array holding the two real planes, bits unchanged."""
-    z = np.empty(re.shape, dtype=np.complex128)
-    z.real, z.imag = re, im
-    return z
-
-
-def lattice_reflections(
-    params: CavityParams, g_values: list[float], kappa_s_values: list[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reflections over a (g, kappa_s) lattice as complex128 arrays, every
-    value bitwise what reflect_cold and reflect_hot give at its point.
-
-    ``params`` supplies gamma and the detuning; its own g and kappa_s are
-    ignored. Returns r_cold once per kappa_s value (it does not depend on g)
-    and r_hot once per point, g-major. A negative, NaN or infinite axis
-    value raises CavityParams' ValueError. The values come from the real
-    planes of _reflection_planes, which sweeps use directly.
-    """
-    for value in (*g_values, *kappa_s_values):
-        if not 0.0 <= value < math.inf:
-            raise ValueError(_RATES_ERROR)
-    cold_re, cold_im, hot_re, hot_im = _reflection_planes(params, g_values, kappa_s_values)
-    return _complex(cold_re, cold_im), _complex(hot_re, hot_im).reshape(-1)
 
 
 def _require_passive(*moduli: float) -> None:

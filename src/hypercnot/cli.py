@@ -144,6 +144,11 @@ def _reflection(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Re
         return ReflectionPair.from_params(params)
     except OverflowError:  # the library's error for a g whose square overflows
         parser.error(f"g = {args.g:g} is too large: g**2 overflows a float")
+    except ZeroDivisionError:  # only a subnormal gamma or detuning gets here
+        parser.error(
+            f"r_hot is undefined at g = {args.g:g}, gamma = {args.gamma:g}, "
+            f"detuning = {args.detuning:g}: d*c + g**2 rounds to 0"
+        )
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:

@@ -16,7 +16,6 @@ from hypercnot import (
     fidelity_up_to_global_phase,
     formula_performance,
     hyper_cnot_state,
-    lattice_reflections,
     photon_state,
     reference_check,
     reflect_cold,
@@ -28,7 +27,7 @@ from hypercnot import (
     uniform_two_photon_state,
 )
 from hypercnot import analysis, protocols
-from hypercnot.cavity import SIDE_LEAKAGE_WARNING
+from hypercnot.cavity import SIDE_LEAKAGE_WARNING, _reflection_planes
 from conftest import random_state
 from oracles import (
     efficiency_oracle,
@@ -52,6 +51,15 @@ def pair_figures(r_cold, r_hot):
     v = np.hypot(r_hot.real, r_hot.imag)
     x = r_hot.imag * r_cold.real - r_hot.real * r_cold.imag
     return analysis._lattice_figures(u, v, x)
+
+
+def scalar_reflections(g_values, kappa_s_values, gamma):
+    """reflect_cold and reflect_hot at every lattice point, g-major, as flat
+    complex128 arrays: the per-point reference for a sweep's reflections."""
+    points = [CavityParams(g=g, kappa_s=ks, gamma=gamma) for g in g_values for ks in kappa_s_values]
+    r_cold = np.array([reflect_cold(params) for params in points], dtype=np.complex128)
+    r_hot = np.array([reflect_hot(params) for params in points], dtype=np.complex128)
+    return r_cold, r_hot
 
 
 def step_path_figures(params, joint):
@@ -296,10 +304,8 @@ def test_simulated_sweep_matches_the_engine_on_the_default_lattice(gamma):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # side-leakage guidance
         lattice = analysis._sweep_lattice((0.0, 3.0), (0.0, 2.0), 101, gamma, True)
-    r_cold, r_hot = lattice_reflections(
-        CavityParams(g=3.0, kappa_s=2.0, gamma=gamma), lattice.g_values, lattice.kappa_s_values
-    )
-    want_f, want_eta = engine_uniform_figures(np.tile(r_cold, 101), np.array(r_hot))
+    r_cold, r_hot = scalar_reflections(lattice.g_values, lattice.kappa_s_values, gamma)
+    want_f, want_eta = engine_uniform_figures(r_cold, r_hot)
     f, eta = np.array(lattice.columns["F_sim"]), np.array(lattice.columns["eta_sim"])
     assert len(f) == 101 * 101
     np.testing.assert_allclose(f, want_f, rtol=0, atol=1e-12)
@@ -332,12 +338,16 @@ def test_sweep_closed_form_is_bitwise_the_per_point_formula(gamma):
         for point in result.grid:
             params = CavityParams(g=point.g_over_kappa, kappa_s=point.kappa_s_over_kappa, gamma=gamma)
             assert (point.F_formula, point.eta_formula) == formula_performance(params)
-    r_cold, r_hot = lattice_reflections(CavityParams(g=3.0, gamma=gamma), g_values, ks_values)
-    assert len(r_cold) == 9 and len(r_hot) == 81
+    cold_re, cold_im, hot_re, hot_im = _reflection_planes(
+        CavityParams(g=3.0, gamma=gamma), g_values, ks_values
+    )
+    assert cold_re.shape == (9,) and hot_re.shape == (9, 9)
     for n, point in enumerate(closed.grid):
         params = CavityParams(g=point.g_over_kappa, kappa_s=point.kappa_s_over_kappa, gamma=gamma)
-        assert r_cold[n % 9] == reflect_cold(params)
-        assert r_hot[n] == reflect_hot(params)
+        i, j = divmod(n, 9)
+        r_cold, r_hot = reflect_cold(params), reflect_hot(params)
+        assert hexes([cold_re[j], cold_im[j]]) == hexes([r_cold.real, r_cold.imag])
+        assert hexes([hot_re[i, j], hot_im[i, j]]) == hexes([r_hot.real, r_hot.imag])
 
 
 # (u, v) pairs at the edges of _closed_form and _lattice_figures: no light, squares that
@@ -412,18 +422,18 @@ def test_sweep_lattice_on_the_grid_is_bitwise_the_flat_evaluation(
     """The sweep's columns are bitwise the flat, per-point evaluation.
 
     _sweep_lattice broadcasts r_cold's real planes per kappa_s column against
-    r_hot's per point on the (g, kappa_s) grid; the reference tiles r_cold to
-    every point. Only real float64 ufuncs may run on the grid: numpy's complex
-    multiply can round a broadcast product differently from the tiled 1-D
-    one, which shows at resolution 1, where a (1, 1) x (1,) broadcast differs
-    in the last bit at some points. This test guards that hazard.
+    r_hot's per point on the (g, kappa_s) grid; the reference takes
+    reflect_cold and reflect_hot at every point and evaluates the figures on
+    flat arrays. Only real float64 ufuncs may run on the grid: numpy's
+    complex multiply can round a broadcast product differently from the flat
+    1-D one, which shows at resolution 1, where a (1, 1) x (1,) broadcast
+    differs in the last bit at some points. This test guards that hazard.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # side-leakage guidance
         lattice = analysis._sweep_lattice(g_range, kappa_s_range, resolution, gamma, simulate)
-    params = CavityParams(g=g_range[1], kappa_s=kappa_s_range[1], gamma=gamma)
-    r_cold, r_hot = lattice_reflections(params, lattice.g_values, lattice.kappa_s_values)
-    want_f, want_eta, want_f_sim = pair_figures(np.tile(r_cold, resolution), r_hot)
+    r_cold, r_hot = scalar_reflections(lattice.g_values, lattice.kappa_s_values, gamma)
+    want_f, want_eta, want_f_sim = pair_figures(r_cold, r_hot)
     columns = lattice.columns
     assert len(columns["F"]) == len(columns["eta"]) == resolution**2
     assert hexes(columns["F"]) == hexes(want_f.tolist())
@@ -451,6 +461,9 @@ def test_sweep_lattice_on_the_grid_is_bitwise_the_flat_evaluation(
 # at the shapes of the sim_sweep workload in perfbench
 @example(g_range=(0.09, 1.98), kappa_s_range=(0.1, 1.9000000000000001), resolution=10, gamma=0.1)
 @example(g_range=(0.0, 3.0), kappa_s_range=(0.4, 2.0), resolution=11, gamma=0.1)
+# d*c overflows in 3 of the 4 kappa_s columns, which take the kernel's
+# scalar fallback
+@example(g_range=(0.0, 3.0), kappa_s_range=(0.0, 1e10), resolution=4, gamma=1e300)
 def test_sweep_columns_are_bitwise_the_scalar_formulas(g_range, kappa_s_range, resolution, gamma):
     """Each axis is np.linspace's, and at each point F and eta are
     _closed_form's and F_sim is the Python scalar formula's, at reflect_cold

@@ -11,13 +11,12 @@ from hypercnot import (
     ReflectionPair,
     Register,
     apply_operator,
-    lattice_reflections,
     reflect_cold,
     reflect_hot,
     scatter_matrix,
     tensor_state,
 )
-from hypercnot.cavity import _cavity_term, _dipole_term
+from hypercnot.cavity import _cavity_term, _dipole_term, _reflection_planes
 from conftest import random_state
 from oracles import embed_matrix
 
@@ -146,7 +145,11 @@ def ranges(limit):
 # Re(d*c) + g**2 is exactly 0: the swapped branch with a zero real divisor,
 # where Im(d / b) is -0.0 and r_hot's imaginary part is 0.0 - (-0.0) = +0.0
 @example(gamma=0.0, detuning=0.5, g_range=(0.5, 0.5), kappa_s_range=(0.0, 0.0), n_g=1, n_ks=1)
-def test_lattice_reflections_are_bitwise_the_scalar_formulas(
+# d = 0 only up to a subnormal gamma: d*c + g**2 rounds to 0 and both raise
+@example(
+    gamma=1e-323, detuning=0.0, g_range=(1e-200, 1e-200), kappa_s_range=(0.0, 0.0), n_g=1, n_ks=1
+)
+def test_reflection_planes_are_bitwise_the_scalar_formulas(
     gamma, detuning, g_range, kappa_s_range, n_g, n_ks
 ):
     p = params(gamma=gamma, detuning=detuning)
@@ -154,29 +157,32 @@ def test_lattice_reflections_are_bitwise_the_scalar_formulas(
     try:
         want_cold = np.array([reflect_cold(replace(p, kappa_s=ks)) for ks in ks_values])
         want_hot = np.array(
-            [reflect_hot(replace(p, g=g, kappa_s=ks)) for g in g_values for ks in ks_values]
+            [[reflect_hot(replace(p, g=g, kappa_s=ks)) for ks in ks_values] for g in g_values]
         )
-    except ArithmeticError:  # g**2 overflows, or d*c + g**2 == 0
+    except ArithmeticError:  # g**2 overflows, or d*c + g**2 == 0 with d != 0
         with pytest.raises(ArithmeticError):
-            lattice_reflections(p, g_values, ks_values)
+            _reflection_planes(p, g_values, ks_values)
         return
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # silent, as the scalar arithmetic is
-        r_cold, r_hot = lattice_reflections(p, g_values, ks_values)
-    assert r_cold.dtype == r_hot.dtype == np.complex128
-    assert r_cold.tobytes() == want_cold.tobytes()
-    assert r_hot.tobytes() == want_hot.tobytes()
+        planes = _reflection_planes(p, g_values, ks_values)
+    want = (want_cold.real, want_cold.imag, want_hot.real, want_hot.imag)
+    for plane, ref in zip(planes, want, strict=True):
+        assert plane.dtype == np.float64 and plane.shape == ref.shape
+        assert plane.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize("axis", ["g", "kappa_s"])
-def test_lattice_reflections_reject_what_params_reject(axis, bad):
-    g_values, ks_values = [0.0, 1.0], [0.0, 0.5]
-    (g_values if axis == "g" else ks_values).append(bad)
-    with pytest.raises(ValueError, match="non-negative and finite"):
-        lattice_reflections(params(), g_values, ks_values)
-    with pytest.raises(ValueError, match="non-negative and finite"):
-        params(**{axis: bad})
+@pytest.mark.parametrize("g", [5e-324, 1e-200, 1e-170, 1.0, 1e150])
+@pytest.mark.parametrize("kappa_s", [0.0, 0.4, 1e300])
+def test_hot_reflection_is_one_without_the_dipole_term(g, kappa_s):
+    # gamma = 0 on resonance: d = 0, so r_hot = 1 - 0 / (d*c + g**2) = 1 at
+    # every g > 0, also where g**2 underflows and the denominator is 0
+    p = params(g=g, kappa_s=kappa_s, gamma=0.0, detuning=0.0)
+    assert _dipole_term(p) == 0
+    r = reflect_hot(p)
+    assert (r.real.hex(), r.imag.hex()) == ("0x1.0000000000000p+0", "0x0.0p+0")
+    _, _, hot_re, hot_im = _reflection_planes(p, [g], [kappa_s])
+    assert (hot_re[0, 0].hex(), hot_im[0, 0].hex()) == ("0x1.0000000000000p+0", "0x0.0p+0")
 
 
 def test_params_validation():
@@ -184,6 +190,8 @@ def test_params_validation():
         CavityParams(g=-0.1)
     with pytest.raises(ValueError):
         CavityParams(g=1.0, gamma=-1.0)
+    with pytest.raises(ValueError, match="non-negative and finite"):
+        CavityParams(g=1.0, kappa_s=-0.5)
 
 
 # -- reflection pairs -------------------------------------------------------

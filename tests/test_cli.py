@@ -634,6 +634,42 @@ def test_huge_g_is_a_usage_error(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+CAVITY_COMMANDS = ["gate", "truth-table", "cluster", "bell-analyze"]
+
+
+@pytest.mark.parametrize("g", ["1e-200", "1e-170"])
+@pytest.mark.parametrize("command", CAVITY_COMMANDS)
+def test_zero_dipole_term_runs_at_any_coupling(command, g, capsys):
+    # gamma = 0 on resonance: d = 0 and r_hot = 1 at every g > 0, also where
+    # g**2 underflows, so the run is the one at g = 1: the same lines and the
+    # same verdict (truth-table and bell-analyze FAIL there, and exit 1)
+    argv = [command, "--mode", "physical", "--gamma", "0", "--detuning", "0", "--g"]
+    want = run_cli(capsys, *argv, "1")
+    assert want[0] == (1 if command in ("truth-table", "bell-analyze") else 0)
+    assert want[2] == ""
+    assert run_cli(capsys, *argv, g) == want
+
+
+@pytest.mark.parametrize(
+    "cavity",
+    [["--gamma", "1e-323", "--detuning", "0"], ["--gamma", "0", "--detuning", "5e-324"]],
+    ids=["subnormal-gamma", "subnormal-detuning"],
+)
+@pytest.mark.parametrize("command", CAVITY_COMMANDS)
+def test_denominator_rounding_to_zero_is_a_usage_error(command, cavity, capsys):
+    # a subnormal gamma or detuning leaves d != 0 while d*c + g**2 rounds to
+    # 0: the library raises ZeroDivisionError, the CLI reports one error line
+    with pytest.raises(SystemExit) as err:
+        main([command, "--mode", "physical", "--g", "1e-200", *cavity])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith(
+        f"hypercnot {command}: error: r_hot is undefined at g = 1e-200, "
+    )
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
