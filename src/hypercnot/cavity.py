@@ -22,8 +22,7 @@ directly; the sweep checks its axes before they reach the kernel.
 
 from __future__ import annotations
 
-import cmath
-import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -32,6 +31,8 @@ import numpy as np
 # side leakage above ~1.3 kappa puts the -pi/2 relative phase out of reach;
 # documented operating guidance, not a hard constraint
 SIDE_LEAKAGE_WARNING = 1.3
+# the largest accepted |value| of every rate and of the detuning
+MAX_RATE = 1e150
 # the end of every side-leakage warning, single point or lattice
 _SIDE_LEAKAGE_CLAUSE = (
     f"at or above the {SIDE_LEAKAGE_WARNING:g} kappa guidance for reaching the "
@@ -45,6 +46,13 @@ class CavityParams:
 
     ``detuning`` is probe minus cavity frequency; the trion is resonant
     with the bare cavity.
+
+    Accepted: g, kappa_s and gamma in [0, MAX_RATE], detuning in
+    [-MAX_RATE, MAX_RATE], and gamma and |detuning| both 0 or the larger at
+    least the smallest normal float. There both reflections are finite
+    floats: no product in the formulas overflows, and d*c + g**2 is 0 only
+    where d = 0, since Im(d*c) = -detuning * (1 + kappa_s + gamma) / 2
+    cannot cancel and where detuning**2 underflows Re(d*c) >= gamma/4.
     """
 
     g: float
@@ -54,16 +62,24 @@ class CavityParams:
 
     def __post_init__(self) -> None:
         # chained comparisons are False for NaN, so every check rejects it too
-        g, kappa_s, gamma = self.g, self.kappa_s, self.gamma
-        if not (0.0 <= g < math.inf and 0.0 <= kappa_s < math.inf and 0.0 <= gamma < math.inf):
-            raise ValueError("g, kappa_s and gamma must be non-negative and finite")
-        if not math.isfinite(self.detuning):
-            raise ValueError("detuning must be finite")
+        g, kappa_s, gamma, detuning = self.g, self.kappa_s, self.gamma, self.detuning
+        if not (0.0 <= g <= MAX_RATE and 0.0 <= kappa_s <= MAX_RATE and 0.0 <= gamma <= MAX_RATE):
+            raise ValueError(
+                f"g, kappa_s and gamma must be non-negative and finite, at most {MAX_RATE:g}"
+            )
+        if not abs(detuning) <= MAX_RATE:
+            raise ValueError(f"detuning must be finite, with |detuning| at most {MAX_RATE:g}")
+        tiny = sys.float_info.min
+        if gamma < tiny and abs(detuning) < tiny and (gamma or detuning):
+            raise ValueError(
+                "gamma and detuning must both be 0, or the larger of gamma and |detuning| "
+                f"at least the smallest normal float, {tiny:g}"
+            )
 
 
-def _cavity_term(params: CavityParams, kappa_s: float) -> complex:
-    """c = i(w_c - w) + kappa/2 + kappa_s/2, with kappa_s given separately."""
-    return 1j * -params.detuning + 0.5 + kappa_s / 2
+def _cavity_term(params: CavityParams) -> complex:
+    """c = i(w_c - w) + kappa/2 + kappa_s/2."""
+    return 1j * -params.detuning + 0.5 + params.kappa_s / 2
 
 
 def _dipole_term(params: CavityParams) -> complex:
@@ -79,12 +95,11 @@ def _hot(g: float, dipole_term: complex, cavity_term: complex) -> complex:
     if g == 0.0:
         # reduce to the bare-cavity branch through the same arithmetic path
         return _cold(cavity_term)
-    b = dipole_term * cavity_term + g**2
     if dipole_term == 0:
         # gamma = 0 on resonance: r_hot = 1 for every g > 0, also where g**2
-        # underflows and b is 0; where b != 0, 1 - d / b gives these bits too
+        # underflows and d*c + g**2 is 0; elsewhere the division gives these bits too
         return 1 + 0j
-    return complex(1 - dipole_term / b)
+    return complex(1 - dipole_term / (dipole_term * cavity_term + g**2))
 
 
 def reflect_cold(params: CavityParams) -> complex:
@@ -92,7 +107,7 @@ def reflect_cold(params: CavityParams) -> complex:
 
     r0 = (i(w_c - w) - kappa/2 + kappa_s/2) / (i(w_c - w) + kappa/2 + kappa_s/2)
     """
-    return _cold(_cavity_term(params, params.kappa_s))
+    return _cold(_cavity_term(params))
 
 
 def reflect_hot(params: CavityParams) -> complex:
@@ -101,7 +116,7 @@ def reflect_hot(params: CavityParams) -> complex:
     r = 1 - kappa * d / (d * c + g**2) with d = i(w_X - w) + gamma/2 and
     c = i(w_c - w) + kappa/2 + kappa_s/2.
     """
-    return _hot(params.g, _dipole_term(params), _cavity_term(params, params.kappa_s))
+    return _hot(params.g, _dipole_term(params), _cavity_term(params))
 
 
 def _reflection_planes(
@@ -126,11 +141,9 @@ def _reflection_planes(
     ``0.0 - t`` on the |Re| branch and ``0.0 + t`` on the other, bit for bit
     with signed zeros: 0.0 + t and 0.0 - (-t) agree, and 0.0 plus or minus
     any zero is +0.0. numpy's complex ``/`` and ``abs`` would differ in the
-    last bit. A column whose d*c is not finite, far outside any physical
-    range, takes the scalar path. At d = 0 (gamma = 0 on resonance) r_hot is
-    1 at every g > 0, as in _hot. The scalar errors are kept: OverflowError
-    when some g**2 overflows, ZeroDivisionError when b is 0 at some g > 0
-    while d is not, which takes a subnormal gamma or detuning.
+    last bit. At d = 0 (gamma = 0 on resonance) r_hot is 1 at every g > 0,
+    as in _hot. Inside CavityParams' domain b is 0 only there, and nothing
+    overflows.
     """
     dipole = _dipole_term(params)
     # _cavity_term's sum, left to right, with its first two terms added once
@@ -143,12 +156,6 @@ def _reflection_planes(
     a_re, a_im = dipole.real, dipole.imag
     with np.errstate(all="ignore"):  # CPython's float arithmetic is silent IEEE
         b_re = np.add.outer([g**2 for g in g_values], [z.real for z in dc])
-        if (
-            dipole != 0
-            and not b_im.all()
-            and ((b_re == 0.0) & (b_im == 0.0))[np.array(g_values) != 0.0].any()
-        ):
-            raise ZeroDivisionError("complex division by zero")
         by_real = np.abs(b_re) >= np.abs(b_im)
         p = np.where(by_real, b_re, b_im)
         o = np.where(by_real, b_im, b_re)
@@ -168,11 +175,6 @@ def _reflection_planes(
         bare = np.array(g_values) == 0.0
         hot_re[bare] = cold_re
         hot_im[bare] = cold_im
-    for j, z in enumerate(dc):
-        if not cmath.isfinite(z):
-            column = [_hot(g, dipole, cavity[j]) for g in g_values]
-            hot_re[:, j] = [r.real for r in column]
-            hot_im[:, j] = [r.imag for r in column]
     return cold_re, cold_im, hot_re, hot_im
 
 

@@ -219,11 +219,7 @@ def tensor_state(parts: Sequence[tuple[Register, Sequence[complex]]]) -> StateVe
         raise ValueError("tensor_state needs at least one factor")
     registers = []
     amps = np.array([1.0], dtype=np.complex128)
-    seen = set()
     for reg, pair in parts:
-        if reg.label in seen:
-            raise ValueError(f"duplicate register label {reg.label!r}")
-        seen.add(reg.label)
         vec = np.asarray(pair, dtype=np.complex128).reshape(-1)
         if vec.size != 2:
             raise ValueError(f"factor for {reg.label!r} must have two amplitudes")

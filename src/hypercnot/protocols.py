@@ -784,23 +784,30 @@ class BellAnalysis:
     min_outcome_probability: float
 
 
-def _bell_readout(registers, branch: np.ndarray) -> tuple[tuple[str, ...], float]:
-    """Each photon register's likelier outcome, 1 only where p1 > p0 (argmax's
-    first-max rule), and the least p_o / (p0 + p1), for a branch (16, spectator
-    amplitudes) after the _CONTROL_HADAMARDS; registers in PHOTON_LABELS order."""
+def _bell_readout(branch: np.ndarray) -> tuple[tuple[int, ...], float]:
+    """Each photon register's likelier outcome bit, 1 only where p1 > p0
+    (argmax's first-max rule), and the least p_o / (p0 + p1), for a branch
+    (16, spectator amplitudes) after the _CONTROL_HADAMARDS; registers in
+    PHOTON_LABELS order."""
     probabilities = np.square(np.abs(_optics_map(_CONTROL_HADAMARDS) @ branch)).sum(1)
     marginals = (_MARGINALS @ probabilities).tolist()
-    names, least = [], []
-    for register, p0, p1 in zip(registers, marginals[::2], marginals[1::2]):
-        names.append(register.basis_names[int(p1 > p0)])
+    bits, least = [], []
+    for p0, p1 in zip(marginals[::2], marginals[1::2]):
+        bits.append(int(p1 > p0))
         least.append(max(p0, p1) / (p0 + p1))
-    return tuple(names), min(least)
+    return tuple(bits), min(least)
 
 
 def _bell_pattern(state: StateVector, reflection: ReflectionPair | None):
-    """_bell_readout of the gate's first non-empty branch."""
+    """The input's photon registers in PHOTON_LABELS order, then the
+    _bell_readout of the gate's first non-empty branch."""
     ordered, outputs, weights, _, _ = _gate_outputs(state, reflection)
-    return _bell_readout(ordered.registers, outputs[_live(weights)[0]])
+    return ordered.registers[:4], *_bell_readout(outputs[_live(weights)[0]])
+
+
+def _outcome_names(registers, bits) -> tuple[str, ...]:
+    """The basis names the outcome bits read as on these registers."""
+    return tuple(register.basis_names[bit] for register, bit in zip(registers, bits))
 
 
 @lru_cache(maxsize=1)
@@ -813,7 +820,8 @@ def bell_decoding_table() -> Mapping[tuple[str, str, str, str], tuple[int, int]]
     """
     table: dict[tuple[str, str, str, str], tuple[int, int]] = {}
     for index, state in enumerate(_bell_states()):
-        pattern, _ = _bell_pattern(state, None)
+        registers, bits, _ = _bell_pattern(state, None)
+        pattern = _outcome_names(registers, bits)
         if pattern in table:
             raise AssertionError(f"decoding collision at pattern {pattern}")
         table[pattern] = divmod(index, 4)
@@ -829,7 +837,8 @@ def analyze_hyper_bell(
     The gate plus one Hadamard per control degree of freedom maps each of
     the 16 Bell products onto a distinct product basis state, so all four
     single-photon measurements come out deterministic and the pair of
-    indices can be read off the decoding table.
+    indices can be read off the decoding table, under the library's basis
+    names; ``pattern`` reads the same outcomes in the input's own names.
 
     The result is a bare instance whose fields are stored straight into its
     __dict__, as hyper_cnot_state builds its GateRuns: the state the
@@ -839,11 +848,12 @@ def analyze_hyper_bell(
         state = _bell_states()[state.combined_index]  # normalized
     elif abs(state.norm2 - 1.0) > 1e-9:
         raise ValueError("analysis input must be normalized")
-    pattern, min_prob = _bell_pattern(state, reflection)
+    registers, bits, min_prob = _bell_pattern(state, reflection)
     analysis = object.__new__(BellAnalysis)
     fields = analysis.__dict__
-    fields["pol_index"], fields["spatial_index"] = bell_decoding_table()[pattern]
-    fields["pattern"] = pattern
+    library_pattern = _outcome_names(_bell_states()[0].registers, bits)
+    fields["pol_index"], fields["spatial_index"] = bell_decoding_table()[library_pattern]
+    fields["pattern"] = _outcome_names(registers, bits)
     fields["deterministic"] = min_prob >= 1.0 - _DETERMINISTIC_TOL
     fields["min_outcome_probability"] = min_prob
     return analysis

@@ -192,17 +192,6 @@ def measure_all_branches(
     return branches
 
 
-def product_photon_terms(alpha, gamma, beta, delta) -> dict:
-    """Amplitudes of the product input over the four photon registers."""
-    terms = {}
-    for ip, pa in enumerate(POL_NAMES):
-        for isa, sa in enumerate(A_PATHS):
-            for jp, pb in enumerate(POL_NAMES):
-                for jsb, sb in enumerate(B_PATHS):
-                    terms[(pa, sa, pb, sb)] = alpha[ip] * gamma[isa] * beta[jp] * delta[jsb]
-    return terms
-
-
 def _with_system_registers(photon_factor, spin1_factor, spin2_factor) -> StateVector:
     """Assemble a 6-register state from per-basis factor callables."""
     terms = {}

@@ -1,9 +1,11 @@
+import math
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypercnot import (
@@ -16,7 +18,7 @@ from hypercnot import (
     scatter_matrix,
     tensor_state,
 )
-from hypercnot.cavity import _cavity_term, _dipole_term, _reflection_planes
+from hypercnot.cavity import MAX_RATE, _cavity_term, _dipole_term, _reflection_planes
 from conftest import random_state
 from oracles import embed_matrix
 
@@ -103,7 +105,7 @@ def lattice_axes(g_range, kappa_s_range, n_g, n_ks):
 
 def smith_branch(p, g, kappa_s):
     """The branch of CPython's complex division that reflect_hot takes."""
-    b = _dipole_term(p) * _cavity_term(p, kappa_s) + g**2
+    b = _dipole_term(p) * _cavity_term(replace(p, kappa_s=kappa_s)) + g**2
     return "real" if abs(b.real) >= abs(b.imag) else "imag"
 
 
@@ -125,12 +127,37 @@ def ranges(limit):
     return st.tuples(magnitudes(limit), magnitudes(limit)).map(sorted)
 
 
+def in_domain(g, kappa_s, gamma, detuning):
+    """CavityParams' domain, restated: every rate in [0, 1e150], |detuning|
+    at most 1e150, and gamma and |detuning| both 0 or the larger normal."""
+    bounded = all(0.0 <= x <= 1e150 for x in (g, kappa_s, gamma)) and abs(detuning) <= 1e150
+    floor = gamma == detuning == 0.0 or max(gamma, abs(detuning)) >= sys.float_info.min
+    return bounded and floor
+
+
+def scalar_planes(p, g_values, ks_values):
+    """The four planes _reflection_planes gives, from reflect_cold and
+    reflect_hot point by point."""
+    cold = np.array([reflect_cold(replace(p, kappa_s=ks)) for ks in ks_values])
+    hot = np.array([[reflect_hot(replace(p, g=g, kappa_s=ks)) for ks in ks_values] for g in g_values])
+    return cold.real, cold.imag, hot.real, hot.imag
+
+
+def assert_planes_are_scalar(p, g_values, ks_values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # silent, as the scalar arithmetic is
+        planes = _reflection_planes(p, g_values, ks_values)
+    for plane, ref in zip(planes, scalar_planes(p, g_values, ks_values), strict=True):
+        assert plane.dtype == np.float64 and plane.shape == ref.shape
+        assert plane.tobytes() == ref.tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    gamma=magnitudes(1e300),
-    detuning=st.floats(-10.0, 10.0) | st.floats(-1e200, 1e200),
-    g_range=ranges(1e200),
-    kappa_s_range=ranges(1e300),
+    gamma=magnitudes(1e150),
+    detuning=st.floats(-10.0, 10.0) | st.floats(-1e150, 1e150),
+    g_range=ranges(1e150),
+    kappa_s_range=ranges(1e150),
     n_g=st.integers(1, 8),
     n_ks=st.integers(1, 8),
 )
@@ -138,42 +165,78 @@ def ranges(limit):
 @example(**SMITH_EXAMPLES["real"])
 @example(**SMITH_EXAMPLES["imag real"])
 @example(gamma=0.0, detuning=0.5, g_range=(0.0, 3.0), kappa_s_range=(0.0, 2.0), n_g=4, n_ks=3)
-@example(gamma=1e300, detuning=0.5, g_range=(0.0, 3.0), kappa_s_range=(0.0, 1e300), n_g=3, n_ks=3)
+@example(gamma=1e150, detuning=0.5, g_range=(0.0, 3.0), kappa_s_range=(0.0, 1e150), n_g=3, n_ks=3)
 @example(gamma=0.1, detuning=0.5, g_range=(1e-300, 1e-170), kappa_s_range=(0.0, 2.0), n_g=3, n_ks=3)
 @example(gamma=0.0, detuning=0.0, g_range=(1e-170, 1.0), kappa_s_range=(0.0, 2.0), n_g=3, n_ks=2)
-@example(gamma=0.1, detuning=0.5, g_range=(0.0, 1e200), kappa_s_range=(0.0, 2.0), n_g=3, n_ks=2)
+@example(gamma=0.1, detuning=0.5, g_range=(0.0, 1e150), kappa_s_range=(0.0, 2.0), n_g=3, n_ks=2)
 # Re(d*c) + g**2 is exactly 0: the swapped branch with a zero real divisor,
 # where Im(d / b) is -0.0 and r_hot's imaginary part is 0.0 - (-0.0) = +0.0
 @example(gamma=0.0, detuning=0.5, g_range=(0.5, 0.5), kappa_s_range=(0.0, 0.0), n_g=1, n_ks=1)
-# d = 0 only up to a subnormal gamma: d*c + g**2 rounds to 0 and both raise
+# the smallest accepted gamma at detuning 0: d*c = gamma/4 is subnormal,
+# g**2 underflows, and d / (d*c + g**2) is 2
 @example(
-    gamma=1e-323, detuning=0.0, g_range=(1e-200, 1e-200), kappa_s_range=(0.0, 0.0), n_g=1, n_ks=1
+    gamma=sys.float_info.min,
+    detuning=0.0,
+    g_range=(1e-200, 1e-200),
+    kappa_s_range=(0.0, 0.0),
+    n_g=1,
+    n_ks=1,
 )
 def test_reflection_planes_are_bitwise_the_scalar_formulas(
     gamma, detuning, g_range, kappa_s_range, n_g, n_ks
 ):
+    assume(in_domain(1.0, 0.0, gamma, detuning))
     p = params(gamma=gamma, detuning=detuning)
-    g_values, ks_values = lattice_axes(g_range, kappa_s_range, n_g, n_ks)
+    assert_planes_are_scalar(p, *lattice_axes(g_range, kappa_s_range, n_g, n_ks))
+
+
+# 0, the subnormal and normal floors, small, physical and huge values, and
+# the bound, drawn on every axis
+EDGE_RATES = [
+    0.0, 5e-324, 1e-320, sys.float_info.min / 2, sys.float_info.min, 1e-300, 1e-160,
+    0.5, 1.0, 1e10, 1e149, 1e150,
+]
+
+
+def rates(limit):
+    return st.sampled_from(EDGE_RATES) | st.floats(0.0, 10.0) | st.floats(0.0, limit)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    g=rates(1e160),
+    kappa_s=rates(1e160),
+    gamma=rates(1e160),
+    detuning=st.builds(math.copysign, rates(1e160), st.sampled_from([1.0, -1.0])),
+    n_g=st.integers(1, 4),
+    n_ks=st.integers(1, 4),
+)
+@example(g=1e150, kappa_s=1e150, gamma=1e150, detuning=1e150, n_g=3, n_ks=3)
+@example(g=1e150, kappa_s=1e150, gamma=1e150, detuning=-1e150, n_g=3, n_ks=3)
+@example(g=1.0, kappa_s=0.0, gamma=1e-320, detuning=0.5, n_g=2, n_ks=1)
+@example(g=1.0, kappa_s=0.0, gamma=0.1, detuning=5e-324, n_g=2, n_ks=1)
+@example(g=5e-324, kappa_s=0.0, gamma=0.0, detuning=0.0, n_g=2, n_ks=1)
+# above the bound, where r_hot would be nan
+@example(g=1.0, kappa_s=0.0, gamma=1e200, detuning=1e200, n_g=1, n_ks=1)
+def test_every_accepted_cavity_has_finite_reflections(g, kappa_s, gamma, detuning, n_g, n_ks):
     try:
-        want_cold = np.array([reflect_cold(replace(p, kappa_s=ks)) for ks in ks_values])
-        want_hot = np.array(
-            [[reflect_hot(replace(p, g=g, kappa_s=ks)) for ks in ks_values] for g in g_values]
-        )
-    except ArithmeticError:  # g**2 overflows, or d*c + g**2 == 0 with d != 0
-        with pytest.raises(ArithmeticError):
-            _reflection_planes(p, g_values, ks_values)
+        p = CavityParams(g=g, kappa_s=kappa_s, gamma=gamma, detuning=detuning)
+    except ValueError:
+        assert not in_domain(g, kappa_s, gamma, detuning)
         return
+    for r in (reflect_cold(p), reflect_hot(p)):
+        assert np.isfinite(r) and abs(r) <= 1 + 1e-9, r
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # silent, as the scalar arithmetic is
-        planes = _reflection_planes(p, g_values, ks_values)
-    want = (want_cold.real, want_cold.imag, want_hot.real, want_hot.imag)
-    for plane, ref in zip(planes, want, strict=True):
-        assert plane.dtype == np.float64 and plane.shape == ref.shape
-        assert plane.tobytes() == ref.tobytes()
+        warnings.simplefilter("ignore", UserWarning)  # side-leakage guidance
+        ReflectionPair.from_params(p)
+    # every point of a lattice up to this corner is in the domain too
+    g_values, ks_values = np.linspace(0.0, g, n_g).tolist(), np.linspace(0.0, kappa_s, n_ks).tolist()
+    assert_planes_are_scalar(p, g_values, ks_values)
+    assert in_domain(g, kappa_s, gamma, detuning)
 
 
 @pytest.mark.parametrize("g", [5e-324, 1e-200, 1e-170, 1.0, 1e150])
-@pytest.mark.parametrize("kappa_s", [0.0, 0.4, 1e300])
+@pytest.mark.parametrize("kappa_s", [0.0, 0.4, 1e150])
 def test_hot_reflection_is_one_without_the_dipole_term(g, kappa_s):
     # gamma = 0 on resonance: d = 0, so r_hot = 1 - 0 / (d*c + g**2) = 1 at
     # every g > 0, also where g**2 underflows and the denominator is 0
@@ -192,6 +255,18 @@ def test_params_validation():
         CavityParams(g=1.0, gamma=-1.0)
     with pytest.raises(ValueError, match="non-negative and finite"):
         CavityParams(g=1.0, kappa_s=-0.5)
+    # every rate and the detuning, either sign, is bounded by MAX_RATE = 1e150
+    assert MAX_RATE == 1e150
+    above = math.nextafter(1e150, math.inf)
+    for name, sign in (("g", 1), ("kappa_s", 1), ("gamma", 1), ("detuning", 1), ("detuning", -1)):
+        params(**{name: sign * 1e150})
+        with pytest.raises(ValueError, match=f"{name}.* at most 1e\\+150"):
+            params(**{name: sign * above})
+    # gamma and |detuning| are both 0, or the larger is at least the smallest normal float
+    params(gamma=1e-320, detuning=0.5)
+    for gamma, detuning in ((1e-320, 0.0), (0.0, 5e-324)):
+        with pytest.raises(ValueError, match="smallest normal float"):
+            params(gamma=gamma, detuning=detuning)
 
 
 # -- reflection pairs -------------------------------------------------------

@@ -609,8 +609,11 @@ def test_seed_zero_and_large_seeds_sample(capsys):
         assert len(out.splitlines()) == 4  # one sampled branch
 
 
-# a g whose square overflows a float: the library raises OverflowError, the
-# CLI reports it as a usage error naming g
+CAVITY_COMMANDS = ["gate", "truth-table", "cluster", "bell-analyze"]
+
+# a g above CavityParams' bound of 1e150, where g**2 would overflow a float,
+# or a gamma and detuning above it, where r_hot would be nan at g = 1: a
+# usage error naming the bound
 HUGE_G_ARGV = [
     ["gate", "--mode", "physical", "--g", "1e200"],
     ["truth-table", "--mode", "physical", "--g", "1e200"],
@@ -618,23 +621,28 @@ HUGE_G_ARGV = [
     ["bell-analyze", "--mode", "physical", "--g", "1e200"],
     ["sweep", "--g-max", "1e308", "--resolution", "2"],
 ]
+HUGE_RATE_ARGV = [
+    [command, "--mode", "physical", "--g", "1", "--gamma", "1e200", "--detuning", "1e200"]
+    for command in CAVITY_COMMANDS
+]
 
 
-@pytest.mark.parametrize("argv", HUGE_G_ARGV, ids=[argv[0] for argv in HUGE_G_ARGV])
+@pytest.mark.parametrize(
+    "argv",
+    HUGE_G_ARGV + HUGE_RATE_ARGV,
+    ids=[argv[0] for argv in HUGE_G_ARGV] + [f"{argv[0]}-gamma" for argv in HUGE_RATE_ARGV],
+)
 def test_huge_g_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    name = "g_max = 1e+308" if argv[0] == "sweep" else "g = 1e+200"
     assert captured.err.splitlines()[-1] == (
-        f"hypercnot {argv[0]}: error: {name} is too large: g**2 overflows a float"
+        f"hypercnot {argv[0]}: error: g, kappa_s and gamma must be non-negative and finite, "
+        "at most 1e+150"
     )
     assert "Traceback" not in captured.err
-
-
-CAVITY_COMMANDS = ["gate", "truth-table", "cluster", "bell-analyze"]
 
 
 @pytest.mark.parametrize("g", ["1e-200", "1e-170"])
@@ -657,15 +665,16 @@ def test_zero_dipole_term_runs_at_any_coupling(command, g, capsys):
 )
 @pytest.mark.parametrize("command", CAVITY_COMMANDS)
 def test_denominator_rounding_to_zero_is_a_usage_error(command, cavity, capsys):
-    # a subnormal gamma or detuning leaves d != 0 while d*c + g**2 rounds to
-    # 0: the library raises ZeroDivisionError, the CLI reports one error line
+    # a subnormal gamma or detuning would leave d != 0 while d*c + g**2
+    # rounds to 0: CavityParams rejects it, and the CLI reports one error line
     with pytest.raises(SystemExit) as err:
         main([command, "--mode", "physical", "--g", "1e-200", *cavity])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines()[-1].startswith(
-        f"hypercnot {command}: error: r_hot is undefined at g = 1e-200, "
+    assert captured.err.splitlines()[-1] == (
+        f"hypercnot {command}: error: gamma and detuning must both be 0, or the larger of "
+        "gamma and |detuning| at least the smallest normal float, 2.22507e-308"
     )
     assert "Traceback" not in captured.err
 

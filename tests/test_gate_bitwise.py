@@ -91,7 +91,7 @@ def per_branch_bell_pattern(state, reflection):
     # oracles.reduction_bell_pattern, in test_protocols
     ordered, outputs, weights, _, _ = per_branch_gate_outputs(state, reflection)
     branch = outputs.reshape(4, 16, -1)[np.flatnonzero(weights)[0]]
-    return protocols._bell_readout(ordered.registers, branch)
+    return ordered.registers[:4], *protocols._bell_readout(branch)
 
 
 def per_branch_cluster_stages(reflection):

@@ -1300,6 +1300,44 @@ def test_bell_readout_is_the_axis_reduction(seed):
             assert abs(result.min_outcome_probability - min_prob) <= 2 * math.ulp(min_prob)
 
 
+RENAMED_PHOTON_REGS = {
+    "pol": (
+        Register("a.pol", ("H", "V")),
+        Register("a.spatial", ("a1", "a2")),
+        Register("b.pol", ("H", "V")),
+        Register("b.spatial", ("b1", "b2")),
+    ),
+    "pol spatial": (
+        Register("a.pol", ("H", "V")),
+        Register("a.spatial", ("up", "down")),
+        Register("b.pol", ("V", "H")),
+        Register("b.spatial", ("x", "y")),
+    ),
+}
+
+
+@pytest.mark.parametrize("renamed", RENAMED_PHOTON_REGS)
+def test_bell_analysis_reads_any_basis_names(renamed):
+    # the same amplitudes on registers with other basis names decode alike;
+    # the pattern reads the same outcomes in the input's own names
+    registers = RENAMED_PHOTON_REGS[renamed]
+    pair = ReflectionPair.from_params(CavityParams(g=1.56, kappa_s=0.2))
+    for reflection in (None, pair):
+        for p, s in product(range(4), range(4)):
+            library = hyper_bell_state(p, s)
+            want = analyze_hyper_bell(library, reflection)
+            bits = [reg.index_of(name) for reg, name in zip(library.registers, want.pattern)]
+            state = StateVector(registers, library.amplitudes)
+            shuffled = reorder_registers(state, ["b.spatial", "a.pol", "b.pol", "a.spatial"])
+            for state in (state, shuffled):
+                got = analyze_hyper_bell(state, reflection)
+                assert (got.pol_index, got.spatial_index) == (p, s)
+                assert (want.pol_index, want.spatial_index) == (p, s)
+                assert got.deterministic == want.deterministic
+                assert got.min_outcome_probability.hex() == want.min_outcome_probability.hex()
+                assert got.pattern == tuple(reg.basis_names[b] for reg, b in zip(registers, bits))
+
+
 def test_non_bell_input_is_flagged():
     skewed = tensor_product(
         photon_state("a", (0.6, 0.8), PLUS), photon_state("b", PLUS, (1, 0))

@@ -1,7 +1,8 @@
 """Static checks on the source, with the stdlib ast module only: no package
-module, test file or script imports a name it never uses, and every
-module-level private name is referenced somewhere in the package, so dead
-code cannot linger after a deletion."""
+module, test file or script imports a name it never uses, every
+module-level private name is referenced somewhere in the package, and
+every module-level name of the test oracles is referenced by a test file
+or by another oracle, so dead code cannot linger after a deletion."""
 
 import ast
 from pathlib import Path
@@ -62,14 +63,19 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _definitions(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function, a class or an
+    assignment's targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+    return []
+
+
 def _private_definitions(tree: ast.Module) -> list[str]:
-    names = []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.append(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names += [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+    names = [name for node in tree.body for name in _definitions(node)]
     return [name for name in names if name.startswith("_") and not name.startswith("__")]
 
 
@@ -80,5 +86,28 @@ def test_every_private_module_name_is_referenced():
         for module in MODULES
         for name in _private_definitions(TREES[module])
         if name not in referenced
+    ]
+    assert unreferenced == []
+
+
+def test_every_oracle_is_referenced():
+    # a module-level name of oracles.py counts as used when a test file, or a
+    # statement of oracles.py other than the one defining it, refers to it
+    body = IMPORTERS["tests/oracles.py"].body
+    tests = set().union(
+        *(
+            _referenced(tree)
+            for module, tree in IMPORTERS.items()
+            if module.startswith("tests/") and module != "tests/oracles.py"
+        )
+    )
+    statements = [_referenced(node) for node in body]
+    unreferenced = [
+        name
+        for i, node in enumerate(body)
+        for name in _definitions(node)
+        if not name.startswith("__")
+        and name not in tests
+        and not any(name in refs for j, refs in enumerate(statements) if j != i)
     ]
     assert unreferenced == []
