@@ -69,7 +69,6 @@ from .cavity import (
     ReflectionPair,
     _SIDE_LEAKAGE_CLAUSE,
     _reflection_planes,
-    _require_passive,
     reflect_cold,
     reflect_hot,
 )
@@ -231,8 +230,7 @@ def _sweep_lattice(
     g_values = _axis(*g_range, resolution)
     ks_values = _axis(*kappa_s_range, resolution)
     cold_re, cold_im, hot_re, hot_im = _reflection_planes(params, g_values, ks_values)
-    # r_cold's planes per kappa_s column broadcast against r_hot's per point
-    # on the (g, kappa_s) grid
+    # r_cold's planes per kappa_s column broadcast against r_hot's per (g, kappa_s) point
     u = np.hypot(cold_re, cold_im)
     v = np.hypot(hot_re, hot_im)
     # Im(r_hot * conj(r_cold)) as CPython's complex product rounds it
@@ -247,7 +245,6 @@ def _sweep_lattice(
                 UserWarning,
                 stacklevel=3,
             )
-        _require_passive(np.maximum.reduce(u), np.maximum.reduce(v, axis=None))
         columns |= {"F_sim": f_sim.ravel().tolist(), "eta_sim": columns["eta"]}
     provenance = {
         "package": f"hypercnot {__version__}",
@@ -262,7 +259,7 @@ def sweep(
     g_range: tuple[float, float] = (0.0, 3.0),
     kappa_s_range: tuple[float, float] = (0.0, 2.0),
     resolution: int = 101,
-    gamma: float = 0.1,
+    gamma: float = CavityParams.gamma,
     include_simulation: bool = False,
 ) -> SweepResult:
     """Rectangular (g, kappa_s) lattice of performance figures, g-major order.
@@ -314,8 +311,8 @@ def _rows(lattice: _Lattice, gamma: float) -> list[PerformancePoint]:
     return rows
 
 
-# Published benchmark operating points, all at gamma = 0.1 kappa. Couplings
-# were quoted as 0.5, 2.4, 2.4 and 1.3 times (kappa + kappa_s).
+# Published benchmark operating points, all at CavityParams' default gamma and
+# detuning. Couplings were quoted as 0.5, 2.4, 2.4 and 1.3 times (kappa + kappa_s).
 @dataclass(frozen=True)
 class ReferencePoint:
     g_over_kappa: float
@@ -352,7 +349,7 @@ class ReferenceCheckRow:
         return self.fidelity_delta <= tolerance and self.efficiency_delta <= tolerance
 
 
-def reference_check(gamma: float = 0.1) -> list[ReferenceCheckRow]:
+def reference_check(gamma: float = CavityParams.gamma) -> list[ReferenceCheckRow]:
     """Evaluate the closed forms at every published benchmark point."""
     rows = []
     for point in REFERENCE_POINTS:

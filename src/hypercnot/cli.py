@@ -43,6 +43,7 @@ from .protocols import (
     BELL_NAMES,
     HyperBellState,
     ZeroSurvivalError,
+    _PLUS,
     analyze_hyper_bell,
     hyper_cnot_state,
     photon_registers,
@@ -111,7 +112,7 @@ def load_config(path: str) -> dict[str, str]:
     """
     known = set().union(*_config_flags(_parser()).values())
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         # lines without their ending, so that an error quotes the line alone
         for lineno, raw in enumerate(fh.read().split("\n"), 1):
             line = raw.split("#", 1)[0].strip()
@@ -186,10 +187,8 @@ def _input_state(args: argparse.Namespace, parser: argparse.ArgumentParser):
             print(f"warning: {flag} renormalized (norm was {norm:.9g})", file=sys.stderr)
         pairs[attr] = pair / norm
     if pairs:
-        s2 = 1 / np.sqrt(2.0)
-        default = np.array([s2, s2])
-        a = photon_state("a", pairs.get("a_pol", default), pairs.get("a_spatial", default))
-        b = photon_state("b", pairs.get("b_pol", default), pairs.get("b_spatial", default))
+        a = photon_state("a", pairs.get("a_pol", _PLUS), pairs.get("a_spatial", _PLUS))
+        b = photon_state("b", pairs.get("b_pol", _PLUS), pairs.get("b_spatial", _PLUS))
         return tensor_product(a, b)
     if args.input in (None, "uniform"):
         return uniform_two_photon_state()
@@ -429,13 +428,16 @@ def _command(commands, name: str, help: str, cavity: bool = True, formats: bool 
         sub.add_argument("--mode", choices=["ideal", "physical"], default="ideal")
         sub.add_argument("--g", type=_finite_float, help="coupling strength, units of kappa")
         sub.add_argument(
-            "--kappa-s", type=_finite_float, default=0.0, help="side leakage rate, units of kappa"
+            "--kappa-s", type=_finite_float, default=CavityParams.kappa_s,
+            help="side leakage rate, units of kappa",
         )
         sub.add_argument(
-            "--detuning", type=_finite_float, default=0.5, help="probe minus cavity frequency"
+            "--detuning", type=_finite_float, default=CavityParams.detuning,
+            help="probe minus cavity frequency",
         )
     sub.add_argument(
-        "--gamma", type=_finite_float, default=0.1, help="dipole decay rate, units of kappa"
+        "--gamma", type=_finite_float, default=CavityParams.gamma,
+        help="dipole decay rate, units of kappa",
     )
     return sub
 

@@ -84,6 +84,7 @@ import numpy as np
 
 from .cavity import ReflectionPair, scatter_matrix
 from .hilbert import (
+    NORM_ATOL,
     Register,
     StateVector,
     apply_operator,
@@ -104,6 +105,8 @@ SPIN_1 = "e1"
 SPIN_2 = "e2"
 
 PHOTON_LABELS = (A_POL, A_SPATIAL, B_POL, B_SPATIAL)
+
+_PLUS = (1 / np.sqrt(2.0), 1 / np.sqrt(2.0))  # (|0> + |1>)/sqrt2 on one register
 
 
 def photon_registers(name: str) -> tuple[Register, Register]:
@@ -129,10 +132,7 @@ def uniform_two_photon_state() -> StateVector:
     """Both photons in the uniform superposition of both degrees of freedom,
     built once per process (a StateVector is immutable, so every caller
     shares it)."""
-    plus = (1 / np.sqrt(2.0), 1 / np.sqrt(2.0))
-    return tensor_product(
-        photon_state("a", plus, plus), photon_state("b", plus, plus)
-    )
+    return tensor_product(photon_state("a", _PLUS, _PLUS), photon_state("b", _PLUS, _PLUS))
 
 
 # -- the cavity pass -----------------------------------------------------
@@ -693,8 +693,7 @@ class ClusterStages:
 def _cluster_input() -> StateVector:
     """(R+L)(path1+path2)/2 on photon a and R, path1 on photon b, built once
     per process (a StateVector is immutable, so every caller shares it)."""
-    plus = (1 / np.sqrt(2.0), 1 / np.sqrt(2.0))
-    return tensor_product(photon_state("a", plus, plus), photon_state("b", (1, 0), (1, 0)))
+    return tensor_product(photon_state("a", _PLUS, _PLUS), photon_state("b", (1, 0), (1, 0)))
 
 
 def prepare_cluster_stages(reflection: ReflectionPair | None = None) -> ClusterStages:
@@ -846,7 +845,7 @@ def analyze_hyper_bell(
     """
     if isinstance(state, HyperBellState):
         state = _bell_states()[state.combined_index]  # normalized
-    elif abs(state.norm2 - 1.0) > 1e-9:
+    elif abs(state.norm2 - 1.0) > NORM_ATOL:
         raise ValueError("analysis input must be normalized")
     registers, bits, min_prob = _bell_pattern(state, reflection)
     analysis = object.__new__(BellAnalysis)

@@ -355,6 +355,19 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     assert all(f < 1.0 for f in fidelities)  # physical mode took effect
 
 
+def test_config_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    # editors on some platforms save UTF-8 with a leading byte-order mark
+    text = "mode = physical\ng = 2.4\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_config(str(marked)) == load_config(str(plain)) == {"mode": "physical", "g": "2.4"}
+    marked_run = run_cli(capsys, "truth-table", "--config", str(marked))
+    assert marked_run == run_cli(capsys, "truth-table", "--config", str(plain))
+    code, out, _ = marked_run
+    assert code == 0 and "16/16 PASS" in out
+
+
 def test_flags_override_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("resolution = 3\n")

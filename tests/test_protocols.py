@@ -1402,6 +1402,18 @@ def test_analysis_rejects_unnormalized_input(monkeypatch):
         analyze_hyper_bell(st)
 
 
+@pytest.mark.parametrize("slack,accepted", [(0.5, True), (-0.5, True), (2.0, False), (-2.0, False)])
+def test_analysis_normalization_tolerance_is_the_state_tolerance(slack, accepted):
+    st = hyper_bell_state(0, 0)
+    scaled = type(st)(st.registers, st.amplitudes * math.sqrt(1.0 + slack * hilbert.NORM_ATOL))
+    assert abs(scaled.norm2 - 1.0) == pytest.approx(abs(slack) * hilbert.NORM_ATOL, rel=1e-6)
+    if accepted:
+        assert analyze_hyper_bell(scaled).pattern == analyze_hyper_bell(st).pattern
+    else:
+        with pytest.raises(ValueError, match="must be normalized"):
+            analyze_hyper_bell(scaled)
+
+
 def test_bell_index_validation():
     with pytest.raises(ValueError):
         HyperBellState(4, 0)
