@@ -15,13 +15,19 @@ lets survival probabilities be read directly off the squared norm. A state
 whose squared norm is not a finite number at most NORM_CAP is rejected when
 it is built, so NaN and infinite amplitudes never enter a computation.
 
-One validator checks every state, and it checks a stack of them at once:
-for a (k, 2**n) array of amplitude rows over one register tuple it checks
-the labels and the size once, every row's squared norm in one reduction,
-and makes one read-only copy. state_stack builds one StateVector per row
-from that copy, so a gate call validates its branch states once, not once
-per branch; StateVector's constructor runs the same validator on a one-row
-stack.
+One row validator checks every state's amplitudes, and it checks a stack
+of them at once: for a (k, 2**n) array of amplitude rows it checks the size
+once, every row's squared norm in one reduction, and makes one read-only
+copy. The register tuple is checked apart from the rows, for distinct
+labels. StateVector's constructor checks its registers and runs the row
+validator on a one-row stack; state_stack checks the registers once and
+builds one StateVector per row of the copy, so a gate call validates its
+branch states once, not once per branch. Rows over the registers of an
+existing StateVector, as a gate call's branch states are over its input's,
+take that state's registers and labels as they are (_states): they were
+checked when it was built and cannot change, so only the rows are checked
+again, and every new state still passes the size, norm and finiteness
+checks.
 
 apply_operator works on reshaped views, not on per-register axes: it
 transposes the target registers to the front, in target order, applies the
@@ -86,7 +92,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        regs, labels, stack = _checked_stack(self.registers, self.amplitudes, 1)
+        regs, labels = _checked_registers(self.registers)
+        stack = _checked_rows(self.amplitudes, 1, len(regs))
         object.__setattr__(self, "registers", regs)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "amplitudes", stack[0])
@@ -134,27 +141,30 @@ class StateVector:
 # -- validation, one state or a stack of them --------------------------------
 
 
-def _checked_stack(
-    registers: Sequence[Register], amplitudes, rows: int
-) -> tuple[tuple[Register, ...], tuple[str, ...], np.ndarray]:
-    """The registers and labels as tuples, and a read-only complex128 copy of
-    amplitudes as a (rows, 2**n) stack, each row a valid state over them.
-
-    Every StateVector is validated here: __post_init__ passes one row,
-    state_stack any number. The labels and the size are checked once,
-    every row's squared norm in one reduction.
-    """
+def _checked_registers(
+    registers: Sequence[Register],
+) -> tuple[tuple[Register, ...], tuple[str, ...]]:
+    """The registers and their labels as tuples; the labels must be distinct."""
     regs = tuple(registers)
     labels = tuple(r.label for r in regs)
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate register labels: {list(labels)}")
+    return regs, labels
+
+
+def _checked_rows(amplitudes, rows: int, n: int) -> np.ndarray:
+    """A read-only complex128 copy of amplitudes as a (rows, 2**n) stack,
+    each row a valid state over n registers.
+
+    The one row validator: every StateVector's amplitudes are checked here,
+    __post_init__'s as one row, state_stack's and _states' as one stack, with
+    every row's squared norm in one reduction.
+    """
     # a C-ordered copy that owns its data, so its rows, views of it, stay
     # read-only and each row's real and imaginary parts are adjacent floats
     stack = np.array(np.asarray(amplitudes).reshape(rows, -1), dtype=np.complex128, order="C")
-    if stack.shape[1] != 2 ** len(regs):
-        raise ValueError(
-            f"expected {2 ** len(regs)} amplitudes for {len(regs)} registers, got {stack.shape[1]}"
-        )
+    if stack.shape[1] != 2**n:
+        raise ValueError(f"expected {2**n} amplitudes for {n} registers, got {stack.shape[1]}")
     # each row's sum of squared real and imaginary parts; einsum, unlike the
     # ufuncs, leaves the floating-point flags unread, so NaN, infinite and
     # overflowing amplitudes are rejected below without a RuntimeWarning
@@ -163,7 +173,7 @@ def _checked_stack(
         if not norm2 <= NORM_CAP:  # also rejects NaN and infinite amplitudes
             raise ValueError(f"squared norm {norm2} is not finite or exceeds 1 (passive states)")
     stack.setflags(write=False)
-    return regs, labels, stack
+    return stack
 
 
 def state_stack(registers: Sequence[Register], amplitudes) -> list[StateVector]:
@@ -175,13 +185,21 @@ def state_stack(registers: Sequence[Register], amplitudes) -> list[StateVector]:
     StateVector(registers, amplitudes[i]) builds, without one validation
     per state.
     """
-    regs, labels, stack = _checked_stack(registers, amplitudes, len(amplitudes))
+    return _states(*_checked_registers(registers), amplitudes)
+
+
+def _states(
+    registers: tuple[Register, ...], labels: tuple[str, ...], amplitudes
+) -> list[StateVector]:
+    """state_stack over registers and labels already checked, a StateVector's
+    own: only the amplitudes are validated, by the one row validator."""
+    stack = _checked_rows(amplitudes, len(amplitudes), len(registers))
     new = object.__new__
     states = []
     for row in stack:
         state = new(StateVector)
         fields = state.__dict__
-        fields["registers"] = regs
+        fields["registers"] = registers
         fields["amplitudes"] = row
         fields["labels"] = labels
         states.append(state)

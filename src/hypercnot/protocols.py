@@ -47,8 +47,13 @@ input-dependent work. _gate_outputs multiplies the input by the plan once;
 hyper_cnot_state derives every GateRun from that product, picks the
 branches on their weights as Python floats, samples them with _draw, the
 single uniform draw of Generator.choice, and normalizes the live branches
-and validates their final states as one stack (state_stack). The truth
-table goes through it; analysis.simulated_performance compares the product
+and validates their final states as one stack. Those states are over the
+input's registers, which the input's own validation already checked, so
+the call hands the input's registers and labels to hilbert._states and
+only the new amplitudes go through the row validator: the size, norm and
+finiteness checks every state passes. The cluster preparation validates
+its four stages the same way. The truth table goes through
+hyper_cnot_state; analysis.simulated_performance compares the product
 with the ideal plan's (0, 0) Kraus operator times the same input. A
 simulated sweep evaluates no gate: for the uniform input it uses the exact
 closed form in analysis, which the tests hold to the Kraus operators.
@@ -87,6 +92,7 @@ from .hilbert import (
     NORM_ATOL,
     Register,
     StateVector,
+    _states,
     apply_operator,
     basis_names,
     basis_state,
@@ -436,11 +442,12 @@ class GateRun:
     """One executed gate branch after spin measurement and feed-forward.
 
     ``survival_probability`` is the squared norm just before the spin
-    measurement (1 in ideal mode); ``branch_probability`` is the chance of
-    this spin-outcome pair conditioned on survival. A branch whose weight
-    is at most BRANCH_FLOOR times the survival counts as empty: it is
-    never enumerated or sampled. ``feed_forward_ops`` lists the registers
-    that received a computational sign flip.
+    measurement (the input's squared norm in ideal mode);
+    ``branch_probability`` is the chance of this spin-outcome pair
+    conditioned on survival. A branch whose weight is at most BRANCH_FLOOR
+    times the survival counts as empty: it is never enumerated or sampled.
+    ``feed_forward_ops`` lists the registers that received a computational
+    sign flip.
     """
 
     mode: str
@@ -515,7 +522,8 @@ def hyper_cnot_state(
     spin measurement.
 
     The branches are picked and sampled on Python floats, then normalized,
-    taken back to the input's register order and validated as one stack.
+    taken back to the input's register order and validated as one stack,
+    whose states take the input's registers and labels as they are.
     Each run is a bare instance whose fields are stored straight into its
     __dict__, as analysis._rows builds its rows: the state the generated
     frozen __init__ leaves (GateRun has no __post_init__ to skip).
@@ -535,7 +543,7 @@ def hyper_cnot_state(
         seed = None  # enumerated runs carry no seed
     norms = np.array([math.sqrt(weights[branch]) for branch in live])
     finals = outputs.take(live, 0) / norms[:, None, None]
-    states = state_stack(joint.registers, _input_order(finals, ordered, joint))
+    states = _states(joint.registers, joint.labels, _input_order(finals, ordered, joint))
     new = object.__new__
     runs = []
     for branch, state in zip(live, states):
@@ -703,7 +711,8 @@ def prepare_cluster_stages(reflection: ReflectionPair | None = None) -> ClusterS
     runs the gate (its first non-empty branch, up,up in ideal mode), then
     the _CLUSTER_SEGMENTS, each one product with its compiled map:
     Hadamards on photon a, the path-controlled polarization sign flip, and
-    Hadamards on photon b. The four states are validated as one stack.
+    Hadamards on photon b. The four states are validated as one stack, over
+    the input's registers as they are.
     """
     joint = _cluster_input()  # photon-major, so the outputs are in its order
     _, outputs, weights, _, _ = _gate_outputs(joint, reflection)
@@ -711,7 +720,7 @@ def prepare_cluster_stages(reflection: ReflectionPair | None = None) -> ClusterS
     amplitudes = [outputs[first].reshape(16) / math.sqrt(weights[first])]
     for segment in _CLUSTER_SEGMENTS:
         amplitudes.append(_optics_map(segment) @ amplitudes[-1])
-    return ClusterStages(*state_stack(joint.registers, amplitudes))
+    return ClusterStages(*_states(joint.registers, joint.labels, amplitudes))
 
 
 # -- hyperentangled Bell states and their analysis ---------------------------

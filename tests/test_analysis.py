@@ -12,6 +12,7 @@ from hypercnot import (
     REFERENCE_POINTS,
     ReflectionPair,
     Register,
+    StateVector,
     evaluate_branches,
     fidelity_up_to_global_phase,
     formula_performance,
@@ -28,6 +29,7 @@ from hypercnot import (
 )
 from hypercnot import analysis, protocols
 from hypercnot.cavity import SIDE_LEAKAGE_WARNING, _reflection_planes
+from hypercnot.hilbert import NORM_ATOL
 from conftest import random_state
 from oracles import (
     efficiency_oracle,
@@ -161,11 +163,38 @@ def test_performance_point_with_simulation():
 
 
 def test_default_input_is_the_uniform_state():
-    # the default is the uniform input, built once per process
-    params = CavityParams(g=1.56, kappa_s=0.2)
-    f, eta = simulated_performance(params)
-    f_given, eta_given = simulated_performance(params, uniform_two_photon_state())
-    assert abs(f - f_given) <= 1e-15 and abs(eta - eta_given) <= 1e-15
+    # the default is the uniform input, built once per process with its ideal
+    # reference: the same bits as the uniform input passed explicitly, which
+    # takes the per-call path, at zero survival too
+    points = [
+        CavityParams(g=1.56, kappa_s=0.2),
+        CavityParams(g=0.5),
+        CavityParams(g=2.4),
+        CavityParams(g=2.88, kappa_s=0.2),
+        CavityParams(g=0.0),
+        CavityParams(g=1e6, kappa_s=1.2),
+        CavityParams(g=0.0, kappa_s=1.0, detuning=0.0),
+    ]
+    for params in points:
+        default = simulated_performance(params)
+        assert hexes(default) == hexes(simulated_performance(params, uniform_two_photon_state()))
+    assert math.isnan(default[0]) and default[1] == 0.0  # the last point: zero survival
+
+
+def test_simulated_performance_rejects_an_unnormalized_input():
+    # a sub-normalized input would scale the efficiency by its squared norm
+    params = CavityParams(g=2.4)
+    joint = uniform_two_photon_state()
+
+    def scaled(norm2):
+        return StateVector(joint.registers, joint.amplitudes * math.sqrt(norm2))
+
+    for norm2 in (0.5, 1.0 - 2 * NORM_ATOL, 1.0 + 2 * NORM_ATOL):
+        with pytest.raises(ValueError, match="must be normalized"):
+            simulated_performance(params, scaled(norm2))
+    f, eta = simulated_performance(params, scaled(1.0 - 0.5 * NORM_ATOL))
+    want_f, want_eta = simulated_performance(params)
+    assert abs(f - want_f) <= 1e-12 and abs(eta - want_eta) <= 1e-8
 
 
 def test_cached_uniform_input_is_shared_and_read_only():

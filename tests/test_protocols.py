@@ -628,18 +628,19 @@ def test_small_coupling_keeps_every_branch():
 )
 def test_gate_builds_one_state_per_run(pair, monkeypatch, rng):
     # a photon-major input is used as it is, and the runs' final states are
-    # the only states the call validates, all in one stack: each final state
-    # holds its row of the validated copy
+    # the only states the call validates, all in one stack through the one
+    # row validator: each final state holds its row of the validated copy
     joint = random_state(PHOTON_REGS, rng)
+    protocols._cluster_input()  # built once per process, before the spy
     stacks = []
-    check = hilbert._checked_stack
+    check = hilbert._checked_rows
 
-    def counted(registers, amplitudes, rows):
-        checked = check(registers, amplitudes, rows)
-        stacks.append(checked[-1])  # the validated copy
+    def counted(amplitudes, rows, n):
+        checked = check(amplitudes, rows, n)
+        stacks.append(checked)  # the validated copy
         return checked
 
-    monkeypatch.setattr(hilbert, "_checked_stack", counted)
+    monkeypatch.setattr(hilbert, "_checked_rows", counted)
     runs = hyper_cnot_state(joint, pair)
     assert len(runs) == 4
     assert [len(stack) for stack in stacks] == [4]
@@ -650,6 +651,13 @@ def test_gate_builds_one_state_per_run(pair, monkeypatch, rng):
     run = hyper_cnot_state(joint, pair, branch_mode="sample", seed=5)
     assert [len(stack) for stack in stacks] == [1]
     assert np.shares_memory(run.final_state.amplitudes, stacks[0])
+    # the cluster preparation validates its four stages as one stack
+    stacks.clear()
+    stages = prepare_cluster_stages(pair)
+    assert [len(stack) for stack in stacks] == [4]
+    for state, row in zip(vars(stages).values(), stacks[0], strict=True):
+        assert np.shares_memory(state.amplitudes, stacks[0])
+        assert np.array_equal(state.amplitudes, row)
 
 
 def test_permuted_input_with_a_spectator_matches_step_path(rng):
@@ -912,6 +920,9 @@ def test_cached_arrays_have_no_writeable_base():
     for i, table in enumerate(protocols._CLUSTER_SEGMENTS):
         arrays[f"optics {i}"] = protocols._optics_map(table)
     arrays["marginals"] = protocols._MARGINALS
+    reference, reference_norm2 = analysis._uniform_reference()
+    assert type(reference_norm2) is float  # immutable
+    arrays["uniform reference"] = reference
     for name, array in arrays.items():
         assert not array.flags.writeable, name
         assert array.base is None or not array.base.flags.writeable, name
