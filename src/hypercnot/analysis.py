@@ -35,17 +35,8 @@ the three axis cells and then the column keys, and it formats each axis
 value once and writes the rows one g block at a time.
 
 The simulated figures are those of the full circuit with the complex
-reflection amplitudes. simulated_performance applies the gate's Kraus
-operators at the pair, cached per pair in protocols, to its input (the
-uniform state, built once per process, or any normalized joint state), and
-takes the ideal (0, 0) Kraus operator times the same input as the
-reference output. That reference depends on the input alone, so the
-uniform input's, its conjugate (read-only) and squared norm, is built once
-per process too (_uniform_reference), by the expression an explicit input
-evaluates per call (_ideal_reference): the default input gives the bits of
-the uniform input passed explicitly, and no check is skipped. An explicit
-input's norm is checked per call; the uniform one is normalized by
-construction.
+reflection amplitudes, from protocols, which alone reads the gate, on the
+uniform state or on any joint state whose norm simulated_performance checks.
 For the uniform input the circuit-level figures have an exact closed form
 in the two complex reflections (_lattice_figures), so a simulated sweep
 computes its fidelity column without evaluating the gate; the tests hold
@@ -63,7 +54,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import product, repeat
 from numbers import Integral
 from typing import NamedTuple
@@ -81,7 +71,7 @@ from .cavity import (
     reflect_hot,
 )
 from .hilbert import NORM_ATOL, StateVector
-from .protocols import ZeroSurvivalError, _gate_outputs, _gate_plan, uniform_two_photon_state
+from .protocols import ZeroSurvivalError, _simulated_figures, uniform_two_photon_state
 
 
 @dataclass(frozen=True)
@@ -178,31 +168,9 @@ def simulated_performance(
     else:
         joint = input_state
     try:
-        ordered, outputs, _, total, survival = _gate_outputs(
-            joint, ReflectionPair.from_params(params)
-        )
+        return _simulated_figures(joint, ReflectionPair.from_params(params))
     except ZeroSurvivalError:
         return math.nan, 0.0
-    conj, norm2 = _uniform_reference() if input_state is None else _ideal_reference(ordered)
-    overlap2 = np.abs(outputs.reshape(4, -1) @ conj) ** 2
-    return float(overlap2.sum() / (norm2 * total)), survival
-
-
-def _ideal_reference(ordered: StateVector) -> tuple[np.ndarray, float]:
-    """The conjugate of the ideal gate's output on a photon-major input, and
-    its squared norm: every ideal branch carries the same corrected output,
-    the (0, 0) one, whose Kraus operator is the plan matrix's first 16 rows."""
-    ideal = (_gate_plan(None).matrix[:16] @ ordered.amplitudes.reshape(16, -1)).reshape(-1)
-    return ideal.conj(), float(np.sum(np.abs(ideal) ** 2))
-
-
-@cache
-def _uniform_reference() -> tuple[np.ndarray, float]:
-    """_ideal_reference of the uniform input, built once per process with its
-    conjugate read-only, as the input itself is: every caller shares it."""
-    conj, norm2 = _ideal_reference(uniform_two_photon_state())
-    conj.flags.writeable = False
-    return conj, norm2
 
 
 class _Lattice(NamedTuple):

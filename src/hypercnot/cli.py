@@ -43,10 +43,10 @@ from .protocols import (
     BELL_NAMES,
     HyperBellState,
     ZeroSurvivalError,
+    _PHOTON_REGISTERS,
     _PLUS,
     analyze_hyper_bell,
     hyper_cnot_state,
-    photon_registers,
     photon_state,
     prepare_cluster_stages,
     truth_table,
@@ -197,7 +197,7 @@ def _input_state(args: argparse.Namespace, parser: argparse.ArgumentParser):
         if len(names) != 4:
             parser.error("basis preset needs four names, e.g. basis:L,a2,R,b1")
         try:
-            return basis_state(photon_registers("a") + photon_registers("b"), names)
+            return basis_state(_PHOTON_REGISTERS, names)
         except ValueError as exc:
             parser.error(str(exc))
     parser.error(f"unknown input preset {args.input!r}")

@@ -53,19 +53,23 @@ the call hands the input's registers and labels to hilbert._states and
 only the new amplitudes go through the row validator: the size, norm and
 finiteness checks every state passes. The cluster preparation validates
 its four stages the same way. The truth table goes through
-hyper_cnot_state; analysis.simulated_performance compares the product
-with the ideal plan's (0, 0) Kraus operator times the same input. A
-simulated sweep evaluates no gate: for the uniform input it uses the exact
-closed form in analysis, which the tests hold to the Kraus operators.
+hyper_cnot_state. No other module reads the plan: the circuit-level figures
+of analysis.simulated_performance come from _simulated_figures, which
+compares the product with its reference, the ideal (0, 0) Kraus operator
+times the same input. The uniform input's reference is built once per
+process (_uniform_reference) by the expression any other input evaluates
+per call (_ideal_reference), so that input has the same bits whether it is
+the default or passed explicitly.
 
 The linear optics the applications place after the gate is fixed, so it is
 written once as tables (the three _CLUSTER_SEGMENTS, whose first,
 _CONTROL_HADAMARDS, is also the whole Bell analysis) and compiled once per
 process, by the same interpreter on the identity, into a read-only 16x16
-matrix on the photon registers. The Bell analysis multiplies the gate's
-first non-empty branch by its map and reads the four single-photon
-marginals off the outcome probabilities in one product with _MARGINALS, an
-(8, 16) 0/1 matrix; the cluster preparation makes one product per checkpoint.
+matrix on the photon registers. Both read the gate's first non-empty
+branch from _first_branch. The Bell analysis multiplies it, unnormalized,
+by its map and reads the four single-photon marginals off the outcome
+probabilities in one product with _MARGINALS, an (8, 16) 0/1 matrix; the
+cluster preparation normalizes it and makes one product per checkpoint.
 
 The staged checkpoints, hyper_cnot_checkpoints, take the same input as
 hyper_cnot_state: a joint two-photon StateVector in any register order,
@@ -114,6 +118,13 @@ PHOTON_LABELS = (A_POL, A_SPATIAL, B_POL, B_SPATIAL)
 
 _PLUS = (1 / np.sqrt(2.0), 1 / np.sqrt(2.0))  # (|0> + |1>)/sqrt2 on one register
 
+_IDEAL_PAIR = ReflectionPair.ideal()
+
+
+def _pair(reflection: ReflectionPair | None) -> ReflectionPair:
+    """The pair a call runs at: None is the ideal pair."""
+    return _IDEAL_PAIR if reflection is None else reflection
+
 
 def photon_registers(name: str) -> tuple[Register, Register]:
     """Polarization and spatial-mode registers of one photon."""
@@ -121,6 +132,9 @@ def photon_registers(name: str) -> tuple[Register, Register]:
         Register(f"{name}.pol", ("R", "L")),
         Register(f"{name}.spatial", (f"{name}1", f"{name}2")),
     )
+
+
+_PHOTON_REGISTERS = photon_registers("a") + photon_registers("b")  # PHOTON_LABELS order
 
 
 def spin_register(label: str) -> Register:
@@ -285,8 +299,6 @@ def _photon_major(joint: StateVector) -> StateVector:
     for spin in (SPIN_1, SPIN_2):
         if spin in labels:
             raise ValueError(f"input already contains the internal spin register {spin!r}")
-    if labels[:4] == PHOTON_LABELS:
-        return joint
     rest = [label for label in labels if label not in PHOTON_LABELS]
     return reorder_registers(joint, list(PHOTON_LABELS) + rest)
 
@@ -315,7 +327,7 @@ def hyper_cnot_checkpoints(
     powers of the pair (None: ideal), and one matrix product with the input.
     """
     ordered = _photon_major(joint)
-    pair = reflection if reflection is not None else ReflectionPair.ideal()
+    pair = _pair(reflection)
     r_cold, r_hot = np.array([pair.r_cold]), np.array([pair.r_hot])
     amplitudes = ordered.amplitudes.reshape(16, -1)
     registers = joint.registers + (spin_register(SPIN_1), spin_register(SPIN_2))
@@ -372,14 +384,13 @@ def _unit_pair(r_cold: complex, r_hot: complex) -> tuple[complex, complex, int]:
 
 # the key of a pair's plan: its raw bits, r_cold's real and imaginary parts, then r_hot's
 _PAIR_BITS = struct.Struct("4d")
-_IDEAL_PAIR = ReflectionPair.ideal()
 
 
 def _gate_plan(reflection: ReflectionPair | None) -> _GatePlan:
     """The plan at a reflection pair (None: ideal), cached on the pair's raw
     bits, so pairs that differ only in the sign of a zero part get plans of
     their own and no output depends on which pairs ran before."""
-    pair = _IDEAL_PAIR if reflection is None else reflection
+    pair = _pair(reflection)
     r_cold, r_hot = pair.r_cold, pair.r_hot
     return _plan_for_bits(_PAIR_BITS.pack(r_cold.real, r_cold.imag, r_hot.real, r_hot.imag))
 
@@ -492,9 +503,13 @@ def _gate_outputs(
     return ordered, outputs.reshape(4, 16, -1), weights, total, survival
 
 
-def _live(weights: list[float]) -> list[int]:
-    """The non-empty branches, in outcome order."""
-    return [branch for branch, weight in enumerate(weights) if weight]
+def _first_branch(joint: StateVector, reflection: ReflectionPair | None):
+    """The gate's first non-empty branch, in outcome order, on a joint input
+    at one reflection pair (None: ideal): the input with PHOTON_LABELS first,
+    the branch's corrected, unnormalized output (16, m), and its weight."""
+    ordered, outputs, weights, _, _ = _gate_outputs(joint, reflection)
+    first = next(branch for branch, weight in enumerate(weights) if weight)
+    return ordered, outputs[first], weights[first]
 
 
 def _draw(rng: np.random.Generator, w0: float, w1: float) -> int:
@@ -539,7 +554,7 @@ def hyper_cnot_state(
         o1 = _draw(rng, weights[0] + weights[1], weights[2] + weights[3])
         live = [2 * o1 + _draw(rng, weights[2 * o1], weights[2 * o1 + 1])]
     else:
-        live = _live(weights)
+        live = [branch for branch, weight in enumerate(weights) if weight]
         seed = None  # enumerated runs carry no seed
     norms = np.array([math.sqrt(weights[branch]) for branch in live])
     finals = outputs.take(live, 0) / norms[:, None, None]
@@ -557,6 +572,33 @@ def hyper_cnot_state(
         fields["seed"] = seed
         runs.append(run)
     return runs[0] if branch_mode == "sample" else runs
+
+
+def _ideal_reference(ordered: StateVector) -> tuple[np.ndarray, float]:
+    """The conjugate of the ideal gate's output on a photon-major input, and
+    its squared norm: every ideal branch carries the same corrected output,
+    the (0, 0) one, whose Kraus operator is the plan matrix's first 16 rows."""
+    ideal = (_gate_plan(None).matrix[:16] @ ordered.amplitudes.reshape(16, -1)).reshape(-1)
+    return ideal.conj(), float(np.sum(np.abs(ideal) ** 2))
+
+
+@cache
+def _uniform_reference() -> tuple[np.ndarray, float]:
+    """_ideal_reference of the uniform input, built once per process with its
+    conjugate read-only, as the input itself is: every caller shares it."""
+    conj, norm2 = _ideal_reference(uniform_two_photon_state())
+    conj.flags.writeable = False
+    return conj, norm2
+
+
+def _simulated_figures(joint: StateVector, reflection: ReflectionPair) -> tuple[float, float]:
+    """analysis.simulated_performance's figures of a joint input at one pair,
+    from one gate product. Raises ZeroSurvivalError at zero survival."""
+    ordered, outputs, _, total, survival = _gate_outputs(joint, reflection)
+    uniform = joint is uniform_two_photon_state()
+    conj, norm2 = _uniform_reference() if uniform else _ideal_reference(ordered)
+    overlap2 = np.abs(outputs.reshape(4, -1) @ conj) ** 2
+    return float(overlap2.sum() / (norm2 * total)), survival
 
 
 # -- spin readout --------------------------------------------------------
@@ -604,7 +646,7 @@ def spin_readout(
     is the outcome's weight before renormalization. Raises
     ZeroSurvivalError when no probe amplitude returns.
     """
-    refl = reflection if reflection is not None else ReflectionPair.ideal()
+    refl = _pair(reflection)
     leads = (refl.r_hot * refl.r_cold.conjugate()).imag >= 0
     basis = _READOUT_BASIS if leads else _READOUT_BASIS[::-1]
     # the probe's 1/sqrt2 amplitudes times the scattering, axes (polarization, spin)
@@ -652,9 +694,8 @@ def _basis_inputs() -> tuple[tuple, tuple[StateVector, ...], tuple, tuple[int, .
     """The 16 photon basis states in index order: their per-register names,
     the states, and the names and indices of their expected outputs, built
     once per process (a StateVector is immutable)."""
-    registers = photon_registers("a") + photon_registers("b")
-    names = tuple(basis_names(registers, index) for index in range(16))
-    states = tuple(basis_state(registers, n) for n in names)
+    names = tuple(basis_names(_PHOTON_REGISTERS, index) for index in range(16))
+    states = tuple(basis_state(_PHOTON_REGISTERS, n) for n in names)
     expected = tuple(expected_truth_table_output(n) for n in names)
     return names, states, expected, tuple(names.index(n) for n in expected)
 
@@ -715,9 +756,8 @@ def prepare_cluster_stages(reflection: ReflectionPair | None = None) -> ClusterS
     the input's registers as they are.
     """
     joint = _cluster_input()  # photon-major, so the outputs are in its order
-    _, outputs, weights, _, _ = _gate_outputs(joint, reflection)
-    first = _live(weights)[0]
-    amplitudes = [outputs[first].reshape(16) / math.sqrt(weights[first])]
+    _, branch, weight = _first_branch(joint, reflection)
+    amplitudes = [branch.reshape(16) / math.sqrt(weight)]
     for segment in _CLUSTER_SEGMENTS:
         amplitudes.append(_optics_map(segment) @ amplitudes[-1])
     return ClusterStages(*_states(joint.registers, joint.labels, amplitudes))
@@ -769,12 +809,11 @@ def hyper_bell_state(pol_index: int, spatial_index: int) -> StateVector:
 def _bell_states() -> tuple[StateVector, ...]:
     """The 16 hyperentangled Bell states in combined-index order, built once
     per process (a StateVector is immutable, so every caller shares them)."""
-    registers = photon_registers("a") + photon_registers("b")
     pairs = _BELL_AMPLITUDES.astype(np.complex128).reshape(4, 2, 2)
     # axes pol index, a.pol, b.pol, spatial index, a.spatial, b.spatial, taken
     # to the indices, then PHOTON_LABELS order
     amplitudes = np.multiply.outer(pairs, pairs).transpose(0, 3, 1, 4, 2, 5).reshape(16, 16)
-    return tuple(state_stack(registers, amplitudes))
+    return tuple(state_stack(_PHOTON_REGISTERS, amplitudes))
 
 
 @dataclass(frozen=True)
@@ -808,9 +847,9 @@ def _bell_readout(branch: np.ndarray) -> tuple[tuple[int, ...], float]:
 
 def _bell_pattern(state: StateVector, reflection: ReflectionPair | None):
     """The input's photon registers in PHOTON_LABELS order, then the
-    _bell_readout of the gate's first non-empty branch."""
-    ordered, outputs, weights, _, _ = _gate_outputs(state, reflection)
-    return ordered.registers[:4], *_bell_readout(outputs[_live(weights)[0]])
+    _bell_readout of the gate's first non-empty branch as it is, unnormalized."""
+    ordered, branch, _ = _first_branch(state, reflection)
+    return ordered.registers[:4], *_bell_readout(branch)
 
 
 def _outcome_names(registers, bits) -> tuple[str, ...]:
@@ -818,7 +857,7 @@ def _outcome_names(registers, bits) -> tuple[str, ...]:
     return tuple(register.basis_names[bit] for register, bit in zip(registers, bits))
 
 
-@lru_cache(maxsize=1)
+@cache
 def bell_decoding_table() -> Mapping[tuple[str, str, str, str], tuple[int, int]]:
     """Outcome pattern -> (pol index, spatial index), derived by enumeration.
 
@@ -847,21 +886,13 @@ def analyze_hyper_bell(
     single-photon measurements come out deterministic and the pair of
     indices can be read off the decoding table, under the library's basis
     names; ``pattern`` reads the same outcomes in the input's own names.
-
-    The result is a bare instance whose fields are stored straight into its
-    __dict__, as hyper_cnot_state builds its GateRuns: the state the
-    generated frozen __init__ leaves (BellAnalysis has no __post_init__).
     """
     if isinstance(state, HyperBellState):
         state = _bell_states()[state.combined_index]  # normalized
     elif abs(state.norm2 - 1.0) > NORM_ATOL:
         raise ValueError("analysis input must be normalized")
     registers, bits, min_prob = _bell_pattern(state, reflection)
-    analysis = object.__new__(BellAnalysis)
-    fields = analysis.__dict__
-    library_pattern = _outcome_names(_bell_states()[0].registers, bits)
-    fields["pol_index"], fields["spatial_index"] = bell_decoding_table()[library_pattern]
-    fields["pattern"] = _outcome_names(registers, bits)
-    fields["deterministic"] = min_prob >= 1.0 - _DETERMINISTIC_TOL
-    fields["min_outcome_probability"] = min_prob
-    return analysis
+    pol_index, spatial_index = bell_decoding_table()[_outcome_names(_PHOTON_REGISTERS, bits)]
+    pattern = _outcome_names(registers, bits)
+    deterministic = min_prob >= 1.0 - _DETERMINISTIC_TOL
+    return BellAnalysis(pol_index, spatial_index, pattern, deterministic, min_prob)

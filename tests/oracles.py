@@ -555,8 +555,7 @@ def reduction_bell_pattern(state: StateVector, reflection=None) -> tuple[tuple[s
     are summed over every axis but one photon register's; each register's
     outcome is the argmax of its marginal.
     """
-    ordered, outputs, weights, _, _ = protocols._gate_outputs(state, reflection)
-    branch = outputs[protocols._live(weights)[0]]
+    ordered, branch, _ = protocols._first_branch(state, reflection)
     optics = protocols._optics_map(protocols._CONTROL_HADAMARDS)
     probabilities = (np.abs(optics @ branch) ** 2).reshape(2, 2, 2, 2, -1)
     marginals = np.array(

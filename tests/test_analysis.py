@@ -211,13 +211,13 @@ def test_simulated_performance_applies_the_gate_once(monkeypatch, rng):
     # the ideal reference is the ideal (0, 0) Kraus operator times the input,
     # not a second gate application
     calls = []
-    outputs = analysis._gate_outputs
+    outputs = protocols._gate_outputs
 
     def counted(joint, reflection):
         calls.append(reflection)
         return outputs(joint, reflection)
 
-    monkeypatch.setattr(analysis, "_gate_outputs", counted)
+    monkeypatch.setattr(protocols, "_gate_outputs", counted)
     params = CavityParams(g=1.56, kappa_s=0.2)
     joint = random_state(uniform_two_photon_state().registers, rng)
     f, eta = simulated_performance(params, joint)

@@ -1,12 +1,16 @@
 import gzip
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import hypercnot
 from hypercnot import analysis, cli, protocols, sweep
 from hypercnot.cli import load_config, main
 
@@ -909,3 +913,25 @@ def test_unwritable_out_path_fails(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "error:" in captured.err
+
+
+# -- the module entry point -------------------------------------------------
+
+
+def run_module(*argv):
+    # a fresh interpreter that imports the package this test run imported
+    env = dict(os.environ, PYTHONPATH=str(Path(hypercnot.__file__).resolve().parents[1]))
+    command = [sys.executable, "-m", "hypercnot.cli", *argv]
+    return subprocess.run(command, capture_output=True, env=env, timeout=120, check=False)
+
+
+def test_module_entry_point_prints_the_paper_check():
+    result = run_module("paper-check")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN_DIR / "paper-check.txt").read_bytes()
+
+
+def test_module_entry_point_exits_2_on_a_usage_error():
+    result = run_module("gate", "--seed", "-1")
+    assert result.returncode == 2
+    assert b"--seed" in result.stderr

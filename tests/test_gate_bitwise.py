@@ -34,7 +34,7 @@ from hypercnot import (
     uniform_two_photon_state,
 )
 from hypercnot import analysis, protocols
-from hypercnot.protocols import BRANCH_FLOOR
+from hypercnot.protocols import BRANCH_FLOOR, PHOTON_LABELS
 from conftest import random_state
 from oracles import PHOTON_REGS
 
@@ -52,7 +52,10 @@ def per_branch_unit_kraus(reflection):
 
 
 def per_branch_gate_outputs(joint, reflection):
-    ordered = protocols._photon_major(joint)
+    # the photon registers first, then the others in input order, always by
+    # a transpose, the library's general path
+    rest = tuple(label for label in joint.labels if label not in PHOTON_LABELS)
+    ordered = reorder_registers(joint, PHOTON_LABELS + rest)
     kraus, exponent = per_branch_unit_kraus(reflection)
     outputs = kraus @ ordered.amplitudes.reshape(16, -1)
     weights = np.sum(np.abs(outputs) ** 2, axis=(2, 3))
@@ -132,6 +135,8 @@ def _inputs():
         "permuted": reorder_registers(photon_major, ["b.spatial", "a.pol", "b.pol", "a.spatial"]),
         "spectator": random_state((b_spatial, SPECTATOR, a_pol, b_pol, a_spatial), rng),
     }
+    # the photon registers first, in PHOTON_LABELS order, then the spectator
+    inputs["photon-prefix"] = reorder_registers(inputs["spectator"], PHOTON_LABELS + ("c",))
     # more draws, so that a change in the last bit of some branch shows
     inputs.update((f"random-{i}", random_state(PHOTON_REGS, rng)) for i in range(6))
     return inputs
@@ -251,9 +256,9 @@ def test_bulk_runs_behave_like_constructed_runs(pair):
 
 @pytest.mark.parametrize("pair", [PAIRS["ideal"], PAIRS["physical"]], ids=["ideal", "physical"])
 def test_bell_analyses_behave_like_constructed_analyses(pair):
-    # analyze_hyper_bell writes its fields straight into a bare instance,
-    # which is only the constructor's state while BellAnalysis has no
-    # __post_init__; the 16 Bell inputs and one input that is not a Bell state
+    # BellAnalysis stays a plain frozen record, so an analysis equals one
+    # built from its own fields; the 16 Bell inputs and one input that is
+    # not a Bell state
     assert not hasattr(BellAnalysis, "__post_init__")
     inputs = [HyperBellState(p, s) for p in range(4) for s in range(4)]
     for state in inputs + [INPUTS["photon-major"]]:

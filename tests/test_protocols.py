@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -920,7 +921,7 @@ def test_cached_arrays_have_no_writeable_base():
     for i, table in enumerate(protocols._CLUSTER_SEGMENTS):
         arrays[f"optics {i}"] = protocols._optics_map(table)
     arrays["marginals"] = protocols._MARGINALS
-    reference, reference_norm2 = analysis._uniform_reference()
+    reference, reference_norm2 = protocols._uniform_reference()
     assert type(reference_norm2) is float  # immutable
     arrays["uniform reference"] = reference
     for name, array in arrays.items():
@@ -1253,6 +1254,18 @@ def test_decoding_table_is_complete():
     # every readout pattern decodes, so analyze_hyper_bell always has indices
     outcomes = [register.basis_names for register in PHOTON_REGS]
     assert sorted(table) == sorted(product(*outcomes))
+
+
+def test_decoding_table_refuses_a_pattern_seen_twice(monkeypatch, request):
+    # a decoder that read two Bell states alike would make the table ambiguous
+    bits = (0, 1, 1, 0)
+    monkeypatch.setattr(
+        protocols, "_bell_pattern", lambda state, reflection: (PHOTON_REGS, bits, 1.0)
+    )
+    bell_decoding_table.cache_clear()
+    request.addfinalizer(bell_decoding_table.cache_clear)
+    with pytest.raises(AssertionError, match=re.escape("('R', 'a2', 'L', 'b1')")):
+        bell_decoding_table()
 
 
 def test_decoding_table_is_a_shared_read_only_view():
