@@ -65,11 +65,11 @@ The linear optics the applications place after the gate is fixed, so it is
 written once as tables (the three _CLUSTER_SEGMENTS, whose first,
 _CONTROL_HADAMARDS, is also the whole Bell analysis) and compiled once per
 process, by the same interpreter on the identity, into a read-only 16x16
-matrix on the photon registers. Both read the gate's first non-empty
-branch from _first_branch. The Bell analysis multiplies it, unnormalized,
-by its map and reads the four single-photon marginals off the outcome
-probabilities in one product with _MARGINALS, an (8, 16) 0/1 matrix; the
-cluster preparation normalizes it and makes one product per checkpoint.
+matrix on the photon registers. Both applications read the gate's first
+non-empty branch from _first_branch. The Bell analysis multiplies it,
+unnormalized, by its map and reads the four single-photon marginals off the
+outcome probabilities in one product with _MARGINALS; the cluster
+preparation normalizes it and makes one product per checkpoint.
 
 The staged checkpoints, hyper_cnot_checkpoints, take the same input as
 hyper_cnot_state: a joint two-photon StateVector in any register order,
