@@ -43,23 +43,23 @@ reflection pairs; evaluate_branches gives the Kraus operators that way.
 Every circuit-level number takes one path: the gate plan of its pair, the
 four Kraus operators there stacked as one (64, 16) matrix, built once per
 pair in a bounded LRU cache, so a call at a cached pair does only
-input-dependent work. _gate_outputs multiplies the input by the plan once;
-hyper_cnot_state derives every GateRun from that product, picks the
-branches on their weights as Python floats, samples them with _draw, the
-single uniform draw of Generator.choice, and normalizes the live branches
-and validates their final states as one stack. Those states are over the
-input's registers, which the input's own validation already checked, so
-the call hands the input's registers and labels to hilbert._states and
-only the new amplitudes go through the row validator: the size, norm and
-finiteness checks every state passes. The cluster preparation validates
-its four stages the same way. The truth table goes through
-hyper_cnot_state. No other module reads the plan: the circuit-level figures
-of analysis.simulated_performance come from _simulated_figures, which
-compares the product with its reference, the ideal (0, 0) Kraus operator
-times the same input. The uniform input's reference is built once per
-process (_uniform_reference) by the expression any other input evaluates
-per call (_ideal_reference), so that input has the same bits whether it is
-the default or passed explicitly.
+input-dependent work. _gate_outputs multiplies the input by the plan once
+and lists the non-empty branches; hyper_cnot_state derives every GateRun
+from that product, picks the branches on their weights as Python floats,
+samples them with _draw, the single uniform draw of Generator.choice,
+and normalizes the live branches and validates their final states as one
+stack. Those states are over the input's registers, which the input's own
+validation already checked, so the call hands the input's registers and
+labels to hilbert._states and only the new amplitudes go through the row
+validator: the size, norm and finiteness checks every state passes. The
+cluster preparation validates its four stages the same way. The truth
+table goes through hyper_cnot_state. No other module reads the plan: the
+circuit-level figures of analysis.simulated_performance come from
+_simulated_figures, which compares the product with its reference, the
+ideal (0, 0) Kraus operator times the same input. The uniform input's
+reference is built once per process (_uniform_reference) by the expression
+any other input evaluates per call (_ideal_reference), so that input has
+the same bits as a copy of it, which takes the per-call path.
 
 The linear optics the applications place after the gate is fixed, so it is
 written once as tables (the three _CLUSTER_SEGMENTS, whose first,
@@ -477,14 +477,15 @@ class ZeroSurvivalError(ValueError):
 
 def _gate_outputs(
     joint: StateVector, reflection: ReflectionPair | None
-) -> tuple[StateVector, np.ndarray, list[float], float, float]:
+) -> tuple[StateVector, np.ndarray, list[float], list[int], float, float]:
     """The gate applied to a joint input at one reflection pair (None: ideal).
 
     Returns the input with PHOTON_LABELS first, the plan's corrected,
     unnormalized branch outputs (4, 16, m), indexed by 2 * e1 outcome + e2
     outcome, their weights as four Python floats with every empty branch's
-    zero, their total, and the survival, which alone takes the plan's unit
-    scale back. Raises ZeroSurvivalError when no amplitude survives.
+    zero, the non-empty branches in outcome order, their total, and the
+    survival, which alone takes the plan's unit scale back. Raises
+    ZeroSurvivalError when no amplitude survives.
     """
     ordered = _photon_major(joint)
     plan = _gate_plan(reflection)
@@ -499,17 +500,17 @@ def _gate_outputs(
         )
     floor = BRANCH_FLOOR * total
     weights = [0.0 if weight <= floor else weight for weight in weights]
+    live = [branch for branch, weight in enumerate(weights) if weight]
     survival = math.ldexp(total, _GATE_DEGREE * 2 * plan.exponent)
-    return ordered, outputs.reshape(4, 16, -1), weights, total, survival
+    return ordered, outputs.reshape(4, 16, -1), weights, live, total, survival
 
 
 def _first_branch(joint: StateVector, reflection: ReflectionPair | None):
     """The gate's first non-empty branch, in outcome order, on a joint input
     at one reflection pair (None: ideal): the input with PHOTON_LABELS first,
     the branch's corrected, unnormalized output (16, m), and its weight."""
-    ordered, outputs, weights, _, _ = _gate_outputs(joint, reflection)
-    first = next(branch for branch, weight in enumerate(weights) if weight)
-    return ordered, outputs[first], weights[first]
+    ordered, outputs, weights, live, _, _ = _gate_outputs(joint, reflection)
+    return ordered, outputs[live[0]], weights[live[0]]
 
 
 def _draw(rng: np.random.Generator, w0: float, w1: float) -> int:
@@ -546,7 +547,7 @@ def hyper_cnot_state(
     if branch_mode not in ("enumerate", "sample"):
         raise ValueError(f"branch_mode must be 'enumerate' or 'sample', got {branch_mode!r}")
     mode = "ideal" if reflection is None else "physical"
-    ordered, outputs, weights, total, survival = _gate_outputs(joint, reflection)
+    ordered, outputs, weights, live, total, survival = _gate_outputs(joint, reflection)
     if branch_mode == "sample":
         # one draw on e1, then one on e2 given e1, so a seed selects the
         # same branch as measuring the spins one by one
@@ -554,7 +555,6 @@ def hyper_cnot_state(
         o1 = _draw(rng, weights[0] + weights[1], weights[2] + weights[3])
         live = [2 * o1 + _draw(rng, weights[2 * o1], weights[2 * o1 + 1])]
     else:
-        live = [branch for branch, weight in enumerate(weights) if weight]
         seed = None  # enumerated runs carry no seed
     norms = np.array([math.sqrt(weights[branch]) for branch in live])
     finals = outputs.take(live, 0) / norms[:, None, None]
@@ -594,7 +594,7 @@ def _uniform_reference() -> tuple[np.ndarray, float]:
 def _simulated_figures(joint: StateVector, reflection: ReflectionPair) -> tuple[float, float]:
     """analysis.simulated_performance's figures of a joint input at one pair,
     from one gate product. Raises ZeroSurvivalError at zero survival."""
-    ordered, outputs, _, total, survival = _gate_outputs(joint, reflection)
+    ordered, outputs, _, _, total, survival = _gate_outputs(joint, reflection)
     uniform = joint is uniform_two_photon_state()
     conj, norm2 = _uniform_reference() if uniform else _ideal_reference(ordered)
     overlap2 = np.abs(outputs.reshape(4, -1) @ conj) ** 2

@@ -164,8 +164,11 @@ def test_performance_point_with_simulation():
 
 def test_default_input_is_the_uniform_state():
     # the default is the uniform input, built once per process with its ideal
-    # reference: the same bits as the uniform input passed explicitly, which
-    # takes the per-call path, at zero survival too
+    # reference: the same bits as a distinct copy of that input, which takes
+    # the per-call reference path, at zero survival too
+    uniform = uniform_two_photon_state()
+    explicit = StateVector(uniform.registers, uniform.amplitudes.copy())
+    assert explicit is not uniform
     points = [
         CavityParams(g=1.56, kappa_s=0.2),
         CavityParams(g=0.5),
@@ -177,7 +180,7 @@ def test_default_input_is_the_uniform_state():
     ]
     for params in points:
         default = simulated_performance(params)
-        assert hexes(default) == hexes(simulated_performance(params, uniform_two_photon_state()))
+        assert hexes(default) == hexes(simulated_performance(params, explicit))
     assert math.isnan(default[0]) and default[1] == 0.0  # the last point: zero survival
 
 
