@@ -23,6 +23,8 @@ gate and optics and sums each photon register's marginal over the other
 axes. engine_uniform_figures evaluates the compiled gate's Kraus operators
 at many pairs at once: it is the reference for the exact uniform-input
 form, and the tests hold the compiled gate to step_gate_runs.
+tensordot_evaluate evaluates the compiled coefficients in their first
+(tensordot) form: the bitwise reference for the library's evaluator.
 """
 
 from __future__ import annotations
@@ -618,3 +620,16 @@ def scalar_uniform_fidelity(r_cold: complex, r_hot: complex) -> float:
     except ZeroDivisionError:
         return math.nan
     return (0.5 + 2 * x_over_s**2) ** 2
+
+
+def tensordot_evaluate(coefficients: np.ndarray, r_cold, r_hot) -> np.ndarray:
+    """Compiled coefficients of degree d = len(coefficients) - 1 evaluated
+    at N reflection pairs in their first form: the powers
+    r_cold**k r_hot**(d - k) of each pair as an (N, d + 1) array, one
+    np.tensordot over the power axis; axis 0 of the result is the pair.
+    The pairs are taken as evaluate_branches takes them."""
+    r_cold = np.ravel(np.asarray(r_cold, dtype=np.complex128))
+    r_hot = np.ravel(np.asarray(r_hot, dtype=np.complex128))
+    k = np.arange(len(coefficients))
+    powers = r_cold[:, None] ** k * r_hot[:, None] ** (len(coefficients) - 1 - k)
+    return np.tensordot(powers, coefficients, axes=1)

@@ -7,7 +7,10 @@ per-branch form it replaced: numpy branch selection (np.flatnonzero,
 Generator.choice on the weight arrays), numpy weight sums, the pair rescaled
 with frexp and ldexp on every call, and one StateVector, with its own
 validation, per branch and per cluster stage. The Bell readout after the
-gate is shared, so the Bell comparison checks the gate's bits.
+gate is shared, so the Bell comparison checks the gate's bits. The compiled
+coefficients are evaluated, for evaluate_branches, the plan and the staged
+checkpoints, as their first form evaluated them: one np.tensordot over the
+power axis (oracles.tensordot_evaluate).
 Every output is compared as raw bytes (amplitudes) or float.hex (floats).
 """
 
@@ -27,6 +30,7 @@ from hypercnot import (
     StateVector,
     analyze_hyper_bell,
     evaluate_branches,
+    hyper_cnot_checkpoints,
     hyper_cnot_state,
     prepare_cluster_stages,
     reorder_registers,
@@ -36,7 +40,7 @@ from hypercnot import (
 from hypercnot import analysis, protocols
 from hypercnot.protocols import BRANCH_FLOOR, PHOTON_LABELS
 from conftest import random_state
-from oracles import PHOTON_REGS
+from oracles import PHOTON_REGS, tensordot_evaluate
 
 # -- the per-branch form ------------------------------------------------------
 
@@ -280,3 +284,36 @@ def test_bell_analyses_behave_like_constructed_analyses(pair):
         if isinstance(state, HyperBellState):
             indices = (result.pol_index, result.spatial_index)
             assert indices == (state.pol_index, state.spatial_index)
+
+
+def test_kraus_evaluation_is_bitwise_the_tensordot_form():
+    # evaluate_branches at batches of N pairs, the plan at its unit-scaled
+    # pair and every staged checkpoint, each against the tensordot form at
+    # the same N; the pairs include the ideal one and a signed-zero one
+    rng = np.random.default_rng(20130301)
+    magnitudes, phases = rng.uniform(0.0, 1.0, (2, 300)), rng.uniform(-np.pi, np.pi, (2, 300))
+    r_cold, r_hot = magnitudes * np.exp(1j * phases)
+    ideal = ReflectionPair.ideal()
+    r_cold[:2] = ideal.r_cold, 0.5 - 0.5j
+    r_hot[:2] = ideal.r_hot, complex(-0.0, -0.0)
+    kraus = protocols._compile_stages()[1]
+    for n in (0, 1, 3, 300):
+        got = evaluate_branches(r_cold[:n], r_hot[:n])
+        want = tensordot_evaluate(kraus, r_cold[:n], r_hot[:n])
+        assert got.shape == want.shape == (n, 2, 2, 16, 16)
+        assert got.tobytes() == want.tobytes()
+    # the plan evaluates one pair, at the pair scaled to unit size
+    for cold, hot in zip(r_cold[:50].tolist(), r_hot[:50].tolist()):
+        unit_cold, unit_hot, _ = protocols._unit_pair(cold, hot)
+        want = tensordot_evaluate(kraus, unit_cold, unit_hot)[0].reshape(64, 16)
+        assert protocols._gate_plan(ReflectionPair(cold, hot)).matrix.tobytes() == want.tobytes()
+    # a checkpoint of a photon-major input is its operator times the input
+    joint = INPUTS["photon-major"]
+    column = joint.amplitudes.reshape(16, -1)
+    for pair in (None, PAIRS["physical"], ReflectionPair(complex(r_cold[2]), complex(r_hot[2]))):
+        states = hyper_cnot_checkpoints(joint, pair)
+        at = pair or ideal
+        for name, coefficients in protocols._compile_stages()[0]:
+            operator = tensordot_evaluate(coefficients, at.r_cold, at.r_hot)[0]
+            want = (operator @ column).reshape(-1)
+            assert states[name].amplitudes.tobytes() == want.tobytes(), name

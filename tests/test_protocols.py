@@ -793,6 +793,8 @@ def test_engine_batches_pairs_and_columns_independently(rng):
     for n, pair in enumerate(pairs):
         single = evaluate_branches(pair.r_cold, pair.r_hot)
         assert single.shape == (1, 2, 2, 16, 16)
+        # not bitwise: the pairs' powers are the same, but the (3, 5) product
+        # takes another BLAS kernel than the (1, 5) one, so the last bits move
         np.testing.assert_allclose(batched[n], single[0], rtol=0, atol=1e-15)
         for c, joint in enumerate(inputs):
             np.testing.assert_allclose(
@@ -828,13 +830,13 @@ def test_kraus_operators_are_evaluated_once_per_pair(monkeypatch, rng):
     # share one evaluation of the compiled polynomial, whatever the branch
     # mode, the application or the input
     evaluated = []
-    evaluate = protocols.evaluate_branches
+    evaluate = protocols._evaluate
 
-    def counted(r_cold, r_hot):
+    def counted(coefficients, r_cold, r_hot):
         evaluated.append(np.array([r_cold, r_hot]).tobytes())
-        return evaluate(r_cold, r_hot)
+        return evaluate(coefficients, r_cold, r_hot)
 
-    monkeypatch.setattr(protocols, "evaluate_branches", counted)
+    monkeypatch.setattr(protocols, "_evaluate", counted)
     protocols._plan_for_bits.cache_clear()
     joint = random_state(PHOTON_REGS, rng)
     params = CavityParams(g=1.56, kappa_s=0.2)
