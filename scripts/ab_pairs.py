@@ -8,9 +8,11 @@ time, both sides at the pair's seed. The side that runs first swaps from
 one pair to the next. Every run's last line of standard output is its
 result, one JSON object. For each end-to-end metric of BENCHMARK.json the
 script prints every run, the parent's median and quartiles, the change's
-median, and how many pairs the change wins in the metric's direction. A
-run that fails or reports ``correct`` false is flagged, and its metrics are
-left out.
+median, and how many pairs the change wins in the metric's direction. It
+also prints the two numbers a claimed gain is judged on: the change's
+median relative to the parent's, and the parent's interquartile range
+relative to its median. A run that fails or reports ``correct`` false is
+flagged, and its metrics are left out.
 
 The metric names, their directions and the command are read from this
 checkout's BENCHMARK.json; nothing is written to either checkout.
@@ -40,7 +42,9 @@ def summarize(
     failed or was not correct), the parent's median and quartiles (linear
     interpolation, numpy's default), the change's median, the pairs both
     sides completed, and how many of them the change wins: strictly better
-    in the metric's direction.
+    in the metric's direction. ``median_shift`` is the change's median over
+    the parent's, minus 1, and ``parent_spread`` the parent's interquartile
+    range over its median; each is None where a median or a quartile is.
     """
 
     def value(result: dict | None, name: str) -> float | None:
@@ -61,18 +65,22 @@ def summarize(
         q1 = q3 = None
         if len(kept_a) >= 2:
             q1, _, q3 = statistics.quantiles(kept_a, n=4, method="inclusive")
+        median_a = statistics.median(kept_a) if kept_a else None
+        median_b = statistics.median(kept_b) if kept_b else None
         summaries.append({
             "name": name,
             "unit": metric["unit"],
             "better": metric["better"],
             "parent": a,
             "change": b,
-            "parent_median": statistics.median(kept_a) if kept_a else None,
+            "parent_median": median_a,
             "parent_q1": q1,
             "parent_q3": q3,
-            "change_median": statistics.median(kept_b) if kept_b else None,
+            "change_median": median_b,
             "pairs": len(done),
             "wins": wins,
+            "median_shift": median_b / median_a - 1 if median_a and median_b is not None else None,
+            "parent_spread": (q3 - q1) / median_a if median_a and q1 is not None else None,
         })
     return summaries
 
@@ -93,6 +101,10 @@ def _number(x: float | None) -> str:
     return "-" if x is None else f"{x:.6g}"
 
 
+def _percent(x: float | None) -> str:
+    return "-" if x is None else f"{100 * x:+.2f}%"
+
+
 def render(summaries: list[dict]) -> str:
     lines = []
     for s in summaries:
@@ -104,6 +116,10 @@ def render(summaries: list[dict]) -> str:
             f" [q1 {_number(s['parent_q1'])}, q3 {_number(s['parent_q3'])}];"
             f" change median {_number(s['change_median'])};"
             f" change wins {s['wins']} of {s['pairs']} pairs"
+        )
+        lines.append(
+            f"  change median vs parent median {_percent(s['median_shift'])};"
+            f" parent IQR / parent median {_percent(s['parent_spread'])}"
         )
     return "\n".join(lines)
 

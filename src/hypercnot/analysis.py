@@ -247,7 +247,7 @@ def _sweep_lattice(
     provenance = {
         "package": f"hypercnot {__version__}",
         "detuning": repr(params.detuning),
-        "gamma_over_kappa": repr(gamma),
+        "gamma_over_kappa": repr(float(gamma)),
         "side_leakage_points": str(leaky),
     }
     return _Lattice(g_values, ks_values, columns, provenance)
@@ -274,9 +274,12 @@ def sweep(
     input, from their exact closed form over the whole lattice.
     ``provenance["side_leakage_points"]`` counts the points at or above the
     side-leakage guidance; a simulated sweep emits one UserWarning naming
-    that count, not one per point.
+    that count, not one per point. A numpy ``gamma`` is recorded in the
+    provenance, and returned on the result and every row, as the Python
+    float it equals.
     """
     lattice = _sweep_lattice(g_range, kappa_s_range, resolution, gamma, include_simulation)
+    gamma = float(gamma)  # validated there, so a numpy float but no string gets here
     return SweepResult(gamma, _rows(lattice, gamma), lattice.provenance)
 
 

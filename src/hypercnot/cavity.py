@@ -178,15 +178,6 @@ def _reflection_planes(
     return cold_re, cold_im, hot_re, hot_im
 
 
-def _require_passive(*moduli: float) -> None:
-    """A passive cavity cannot amplify: every |r| <= 1, up to round-off.
-
-    Written so that a NaN modulus fails the comparison and is rejected too.
-    """
-    if not all(m <= 1.0 + 1e-9 for m in moduli):
-        raise ValueError("passive reflection requires |r| <= 1")
-
-
 @dataclass(frozen=True)
 class ReflectionPair:
     """Bare (cold) and coupled (hot) reflection amplitudes of one unit."""
@@ -195,7 +186,10 @@ class ReflectionPair:
     r_hot: complex
 
     def __post_init__(self) -> None:
-        _require_passive(abs(self.r_cold), abs(self.r_hot))
+        # a passive cavity cannot amplify: |r| <= 1, up to round-off; written
+        # so that a NaN modulus fails the comparison and is rejected too
+        if not (abs(self.r_cold) <= 1.0 + 1e-9 and abs(self.r_hot) <= 1.0 + 1e-9):
+            raise ValueError("passive reflection requires |r| <= 1")
 
     @classmethod
     def from_params(cls, params: CavityParams) -> "ReflectionPair":

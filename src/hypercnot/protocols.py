@@ -37,12 +37,13 @@ circuit table. It runs the stages once per process on the identity, on a
 tensor whose axis 0 is the power of r_cold, and keeps the coefficients at
 each named checkpoint; the pre_measurement ones, with the spins projected
 and the feed-forward folded in, are the coefficients of the gate's four
-16x16 Kraus operators, one per spin-outcome pair. All are kept read-only.
-One evaluator, _evaluate, takes any of them flattened to one row per power
-of r_cold and makes one np.dot with the (N, d + 1) powers of N reflection
-pairs, the product np.tensordot over the power axis makes; evaluate_branches
-gives the Kraus operators at N pairs that way, and the checkpoints and the
-gate plan at one pair, from its two Python complex numbers.
+16x16 Kraus operators, one per spin-outcome pair. Each is kept as the one
+read-only (d + 1, 1024) block the evaluator reads, a row per power of
+r_cold. One evaluator, _evaluate, makes one np.dot of a block with the
+(N, d + 1) powers of N reflection pairs, the product np.tensordot over the
+power axis makes; evaluate_branches gives the Kraus operators at N pairs
+that way, and the checkpoints and the gate plan at one pair, from its two
+Python complex numbers.
 Every circuit-level number takes one path: the gate plan of its pair, the
 four Kraus operators there stacked as one (64, 16) matrix, built once per
 pair in a bounded LRU cache, so a call at a cached pair does only
@@ -251,15 +252,17 @@ def _interpret(t: np.ndarray, ops) -> np.ndarray:
 @cache
 def _compile_stages() -> tuple[tuple[tuple[str, np.ndarray], ...], np.ndarray]:
     """Interpret _STAGES on the identity, with both spins starting up, once
-    per process; each array owns its data and is read-only: callers share it.
+    per process; each array is C-contiguous, owns its data and is read-only:
+    callers share it. Each has shape (d + 1, 1024), the layout _evaluate
+    reads: row k holds the coefficients of r_cold**k r_hot**(d - k) as a
+    64 x 16 matrix in C order, output amplitude by input amplitude.
 
-    Returns each checkpoint's name and coefficients, shape (j + 1, 64, 16)
-    after j cavity passes: power k of r_cold, output amplitude (the photon
-    registers in PHOTON_LABELS order, then e1 and e2), input amplitude. Then
-    the Kraus coefficients, shape (5, 2, 2, 16, 16): power k of r_cold, e1
-    outcome, e2 outcome, output amplitude, input amplitude; they are the
-    pre_measurement ones with the spins projected onto each outcome pair and
-    its feed-forward applied.
+    Returns each checkpoint's name and coefficients, d = j after j cavity
+    passes, whose 64 outputs are the photon registers in PHOTON_LABELS order,
+    then e1 and e2. Then the Kraus coefficients, d = 4, whose 64 outputs are
+    2 * e1 outcome + e2 outcome, then the photon output amplitude; they are
+    the pre_measurement ones with the spins projected onto each outcome pair
+    and its feed-forward applied.
     """
     t = np.zeros((1, 16, 2, 2, 16), dtype=np.complex128)
     t[0, :, 0, 0] = np.eye(16)  # no pass yet, so power 0 only
@@ -267,13 +270,13 @@ def _compile_stages() -> tuple[tuple[tuple[str, np.ndarray], ...], np.ndarray]:
     checkpoints = []
     for name, ops in _STAGES:
         t = _interpret(t, ops)
-        checkpoints.append((name, t.reshape(len(t), 64, 16).copy()))
+        checkpoints.append((name, t.reshape(len(t), -1).copy()))
     # feed-forward: a down outcome flips the sign of its target's second basis state
     for spin, target in zip((SPIN_1, SPIN_2), _FEED_FORWARD_TARGETS):
         flipped = [slice(None)] * t.ndim
         flipped[_AXIS[spin]] = flipped[_AXIS[target]] = 1
         t[tuple(flipped)] *= -1
-    kraus = np.moveaxis(t.reshape(-1, 16, 2, 2, 16), 1, 3).copy()
+    kraus = np.moveaxis(t.reshape(-1, 16, 2, 2, 16), 1, 3).reshape(len(t), -1).copy()
     for coefficients in [c for _, c in checkpoints] + [kraus]:
         coefficients.flags.writeable = False
     return tuple(checkpoints), kraus
@@ -293,8 +296,8 @@ _EXPONENTS = tuple(_exponents(degree) for degree in range(_GATE_DEGREE + 1))
 
 
 def _evaluate(coefficients: np.ndarray, r_cold, r_hot) -> np.ndarray:
-    """Compiled coefficients of degree d, flat with shape (d + 1, size), row k
-    the power k of r_cold, evaluated at N pairs: shape (N, size), row n
+    """A _compile_stages table of degree d, shape (d + 1, 1024), row k the
+    power k of r_cold, evaluated at N pairs: shape (N, 1024), row n
     sum_k r_cold**k r_hot**(d - k) coefficients[k] at pair n.
 
     ``r_cold`` and ``r_hot`` are two (N, 1) arrays, or two Python complex
@@ -303,13 +306,6 @@ def _evaluate(coefficients: np.ndarray, r_cold, r_hot) -> np.ndarray:
     """
     cold, hot = _EXPONENTS[len(coefficients) - 1]
     return np.dot(r_cold**cold * r_hot**hot, coefficients)
-
-
-@cache
-def _kraus_rows() -> np.ndarray:
-    """The Kraus coefficients as _evaluate takes them, shape (5, 1024): a
-    read-only view of _compile_stages()[1], whose base is read-only too."""
-    return _compile_stages()[1].reshape(_GATE_DEGREE + 1, -1)
 
 
 # -- the staged checkpoints ------------------------------------------------
@@ -360,8 +356,7 @@ def hyper_cnot_checkpoints(
     registers = joint.registers + (spin_register(SPIN_1), spin_register(SPIN_2))
     names, rows = [], []
     for name, coefficients in _compile_stages()[0]:
-        flat = coefficients.reshape(len(coefficients), -1)
-        operator = _evaluate(flat, pair.r_cold, pair.r_hot).reshape(64, 16)
+        operator = _evaluate(coefficients, pair.r_cold, pair.r_hot).reshape(64, 16)
         # photons, spins, other registers -> the spins first, as the stack
         out = (operator @ amplitudes).reshape(16, 4, -1).transpose(1, 0, 2)
         names.append(name)
@@ -377,9 +372,10 @@ def evaluate_branches(r_cold, r_hot) -> np.ndarray:
 
     ``r_cold`` and ``r_hot`` hold N reflection amplitudes each. One (N, 5)
     by (5, 1024) product with the Kraus coefficients, compiled once per
-    process; returns shape (N, 2, 2, 16, 16): pair, e1 outcome, e2 outcome,
-    output and input amplitude. A Kraus operator applied to an input gives
-    that spin branch's corrected, unnormalized output.
+    process in that layout (_compile_stages); returns shape
+    (N, 2, 2, 16, 16): pair, e1 outcome, e2 outcome, output and input
+    amplitude. A Kraus operator applied to an input gives that spin
+    branch's corrected, unnormalized output.
 
     A pair's operators can differ in the last bits with the batch it comes
     in: its powers are the same, but an (N, 5) product takes another BLAS
@@ -392,7 +388,8 @@ def evaluate_branches(r_cold, r_hot) -> np.ndarray:
     r_hot = np.ravel(np.asarray(r_hot, dtype=np.complex128))
     if r_cold.shape != r_hot.shape:
         raise ValueError(f"got {r_cold.size} cold and {r_hot.size} hot reflections")
-    return _evaluate(_kraus_rows(), r_cold[:, None], r_hot[:, None]).reshape(-1, 2, 2, 16, 16)
+    kraus = _compile_stages()[1]
+    return _evaluate(kraus, r_cold[:, None], r_hot[:, None]).reshape(-1, 2, 2, 16, 16)
 
 
 class _GatePlan(NamedTuple):
@@ -435,7 +432,7 @@ def _gate_plan(reflection: ReflectionPair | None) -> _GatePlan:
 def _plan_for_bits(key: bytes) -> _GatePlan:
     cold_re, cold_im, hot_re, hot_im = _PAIR_BITS.unpack(key)
     r_cold, r_hot, exponent = _unit_pair(complex(cold_re, cold_im), complex(hot_re, hot_im))
-    product = _evaluate(_kraus_rows(), r_cold, r_hot)  # (1, 1024), owning its data
+    product = _evaluate(_compile_stages()[1], r_cold, r_hot)  # (1, 1024), owning its data
     product.flags.writeable = False
     return _GatePlan(product.reshape(64, 16), exponent)
 
@@ -692,8 +689,8 @@ def spin_readout(
     weights = (np.abs(kraus) ** 2 @ marginal).tolist()
     if weights[0] + weights[1] == 0.0:
         raise ZeroSurvivalError("zero survival: no probe amplitude returns, so the readout is undefined")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    outcome = _draw(gen, *weights)
+    # default_rng returns a Generator it is given as it is, so one is drawn from, not re-seeded
+    outcome = _draw(np.random.default_rng(rng), *weights)
     probability = weights[outcome]
     record = MeasurementRecord(
         register_label=spin_label,

@@ -40,6 +40,14 @@ def test_summary_reads_medians_quartiles_and_wins_in_each_direction():
     assert p90["parent_q1"] == pytest.approx(1.0) and p90["parent_q3"] == pytest.approx(1.1)
     assert p90["change_median"] == 0.9
     assert (p90["wins"], p90["pairs"]) == (3, 5)
+    # the two numbers a claimed gain is judged on
+    assert ops["median_shift"] == pytest.approx(5 / 120)
+    assert ops["parent_spread"] == pytest.approx(20 / 120)
+    assert p90["median_shift"] == pytest.approx(-0.1)
+    assert p90["parent_spread"] == pytest.approx(0.1)
+    text = ab_pairs.render([ops, p90])
+    assert "change median vs parent median +4.17%; parent IQR / parent median +16.67%" in text
+    assert "change median vs parent median -10.00%; parent IQR / parent median +10.00%" in text
 
 
 def test_failed_and_incorrect_runs_are_flagged_and_left_out():
@@ -57,3 +65,15 @@ def test_failed_and_incorrect_runs_are_flagged_and_left_out():
     text = ab_pairs.render([ops])
     assert "parent: 100 - 120" in text
     assert "change wins 0 of 1 pairs" in text
+    # quartiles 105 and 115 of the two parent runs kept
+    assert ops["median_shift"] == 0 and ops["parent_spread"] == pytest.approx(10 / 110)
+
+
+def test_shift_and_spread_are_absent_without_the_runs_they_need():
+    # one parent run has no quartiles; no correct change run has no median
+    (ops,) = ab_pairs.summarize([result(100, 1.0)], [result(90, 1.0)], METRICS[:1])
+    assert ops["median_shift"] == pytest.approx(-0.1)
+    assert ops["parent_spread"] is None
+    (ops,) = ab_pairs.summarize([result(100, 1.0)] * 2, [None, None], METRICS[:1])
+    assert (ops["median_shift"], ops["parent_spread"]) == (None, 0)
+    assert "change median vs parent median -; parent IQR / parent median +0.00%" in ab_pairs.render([ops])

@@ -748,6 +748,27 @@ def test_sweep_counts_side_leakage_at_a_numpy_integer_resolution():
     assert result.provenance["side_leakage_points"] == str(leaky) == str(70 * 200)
 
 
+@pytest.mark.parametrize("include_simulation", [False, True], ids=["plain", "simulate"])
+def test_a_numpy_gamma_is_kept_as_the_python_float_it_equals(include_simulation):
+    # the figure columns never depended on gamma's type; its provenance entry
+    # and the gamma fields of the result and the rows did
+    args = (0.5, 2.0), (0.0, 0.4), 3
+    plain = sweep(*args, 0.1, include_simulation)
+    numpy = sweep(*args, np.float64(0.1), include_simulation)
+    assert numpy.provenance == plain.provenance
+    assert numpy.provenance["gamma_over_kappa"] == "0.1"
+    assert type(numpy.gamma_over_kappa) is float
+    assert all(type(row.gamma_over_kappa) is float for row in numpy.grid)
+    columns = ("F_formula", "eta_formula") + (("F_sim", "eta_sim") if include_simulation else ())
+
+    def bits(result):
+        return np.array([[getattr(row, c) for c in columns] for row in result.grid]).tobytes()
+
+    assert bits(numpy) == bits(plain)
+    with pytest.raises(TypeError):
+        sweep(*args, "0.1", include_simulation)
+
+
 def test_sweep_is_deterministic():
     a = sweep((0.0, 3.0), (0.0, 2.0), resolution=5)
     b = sweep((0.0, 3.0), (0.0, 2.0), resolution=5)

@@ -305,7 +305,7 @@ def test_simulated_sweep_never_runs_the_engine(monkeypatch, capsys):
         raise AssertionError("a simulated sweep ran the compiled gate engine")
 
     monkeypatch.setattr(protocols, "_plan_for_bits", refuse)
-    monkeypatch.setattr(protocols, "evaluate_branches", refuse)
+    monkeypatch.setattr(protocols, "_evaluate", refuse)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # side-leakage guidance
         result = sweep(include_simulation=True)

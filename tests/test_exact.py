@@ -32,7 +32,7 @@ def gaussian_integers(coefficients: np.ndarray) -> np.ndarray:
 
 def test_kraus_coefficients_are_gaussian_integers_over_eight():
     kraus = protocols._compile_stages()[1]
-    assert kraus.shape == (5, 2, 2, 16, 16)
+    assert kraus.shape == (5, 1024)
     assert gaussian_integers(kraus).shape == kraus.shape
 
 
@@ -41,7 +41,7 @@ def test_down_down_coefficients_are_exactly_the_double_cnot():
     # CNOT: 8 x its coefficient on r_cold**k r_hot**(4 - k) is the k-th
     # coefficient of (1 - x**2)**2 times U, in integers
     permutation = [[int(entry) for entry in row] for row in cnot_cnot_permutation()]
-    down_down = gaussian_integers(protocols._compile_stages()[1][:, 1, 1])
+    down_down = gaussian_integers(protocols._compile_stages()[1].reshape(5, 2, 2, 16, 16)[:, 1, 1])
     for k, c in enumerate((1, 0, -2, 0, 1)):
         want = [[(c * entry, 0) for entry in row] for row in permutation]
         assert down_down[k].tolist() == want, k

@@ -296,7 +296,7 @@ def test_kraus_evaluation_is_bitwise_the_tensordot_form():
     ideal = ReflectionPair.ideal()
     r_cold[:2] = ideal.r_cold, 0.5 - 0.5j
     r_hot[:2] = ideal.r_hot, complex(-0.0, -0.0)
-    kraus = protocols._compile_stages()[1]
+    kraus = protocols._compile_stages()[1].reshape(5, 2, 2, 16, 16)
     for n in (0, 1, 3, 300):
         got = evaluate_branches(r_cold[:n], r_hot[:n])
         want = tensordot_evaluate(kraus, r_cold[:n], r_hot[:n])
@@ -314,6 +314,6 @@ def test_kraus_evaluation_is_bitwise_the_tensordot_form():
         states = hyper_cnot_checkpoints(joint, pair)
         at = pair or ideal
         for name, coefficients in protocols._compile_stages()[0]:
-            operator = tensordot_evaluate(coefficients, at.r_cold, at.r_hot)[0]
+            operator = tensordot_evaluate(coefficients, at.r_cold, at.r_hot)[0].reshape(64, 16)
             want = (operator @ column).reshape(-1)
             assert states[name].amplitudes.tobytes() == want.tobytes(), name

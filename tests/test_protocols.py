@@ -1,6 +1,6 @@
 import math
 import re
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -725,7 +725,7 @@ def test_non_finite_input_never_reaches_the_gate(bad, monkeypatch):
     def gate(*args):
         raise AssertionError("a non-finite input reached the gate")
 
-    monkeypatch.setattr(protocols, "evaluate_branches", gate)
+    monkeypatch.setattr(protocols, "_evaluate", gate)
     monkeypatch.setattr(protocols, "_plan_for_bits", gate)
     for position in range(16):
         amps = np.full(16, 0.25, dtype=complex)
@@ -867,7 +867,7 @@ def test_a_cached_pair_needs_no_compilation(monkeypatch, rng):
         raise AssertionError("a cached reflection pair was compiled again")
 
     monkeypatch.setattr(protocols, "_unit_pair", refuse)
-    monkeypatch.setattr(protocols, "evaluate_branches", refuse)
+    monkeypatch.setattr(protocols, "_evaluate", refuse)
     for reflection in pairs:
         assert len(hyper_cnot_state(joint, reflection)) == 4
         assert isinstance(hyper_cnot_state(joint, reflection, branch_mode="sample", seed=1), GateRun)
@@ -931,6 +931,22 @@ def test_cached_arrays_have_no_writeable_base():
         assert array.base is None or not array.base.flags.writeable, name
         with pytest.raises(ValueError):
             array.flat[0] = 1
+
+
+def test_compiled_tables_are_the_flat_rows_the_evaluator_reads():
+    # one (d + 1, 1024) block per table, d the cavity passes so far, that
+    # owns its data, so no view or reshape stands between it and _evaluate
+    checkpoints, kraus = protocols._compile_stages()
+    degrees = accumulate(
+        sum(op[0] is protocols._CAVITY_PASS for op in ops) for _, ops in protocols._STAGES
+    )
+    tables = [(name, d, c) for (name, c), d in zip(checkpoints, degrees)]
+    tables.append(("kraus", protocols._GATE_DEGREE, kraus))
+    assert [d for _, d, _ in tables] == [0, 1, 2, 2, 2, 4, 4, 4, 4]
+    for name, degree, table in tables:
+        assert table.shape == (degree + 1, 1024), name
+        assert table.flags.c_contiguous and not table.flags.writeable, name
+        assert table.base is None, name
 
 
 def test_signed_zero_pairs_have_their_own_kraus_entries():
@@ -1031,6 +1047,16 @@ def test_ideal_readout_equals_computational_measurement():
     _, prob, projected = branches[record.outcome]
     assert abs(record.probability - prob) < 1e-12
     assert fidelity_up_to_global_phase(post, normalize(projected)) >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_readout_draws_from_a_generator_it_is_given(seed):
+    # one uniform draw, taken from the caller's stream, not a re-seeded copy
+    g = np.random.default_rng(seed)
+    spin_readout(readout_system((0.6, 0.8)), "e1", rng=g)
+    fresh = np.random.default_rng(seed)
+    fresh.random()
+    assert g.random() == fresh.random()
 
 
 def test_physical_readout_probability_oracle():
