@@ -12,7 +12,7 @@ median, and how many pairs the change wins in the metric's direction. It
 also prints the two numbers a claimed gain is judged on: the change's
 median relative to the parent's, and the parent's interquartile range
 relative to its median. A run that fails or reports ``correct`` false is
-flagged, and its metrics are left out.
+flagged, its metrics are left out, and the script exits with status 1.
 
 The metric names, their directions and the command are read from this
 checkout's BENCHMARK.json; nothing is written to either checkout.
@@ -158,9 +158,10 @@ def main(argv: list[str] | None = None) -> int:
             results.append(run_once(benchmark["command"], checkout, args, seed))
             print(f"pair {i} seed {seed}: {name} done", file=sys.stderr, flush=True)
     print(render(summarize(parent, change, benchmark["end_to_end"])))
-    for line in flagged(parent, change):
+    flags = flagged(parent, change)
+    for line in flags:
         print("FLAGGED:", line)
-    return 0
+    return 1 if flags else 0
 
 
 if __name__ == "__main__":

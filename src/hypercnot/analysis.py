@@ -11,28 +11,13 @@ folds in the two auxiliary-photon spin readouts, hence the sixth power of
 the per-pass overlap. Both reduce to 1 when u = v = 1, and F alone reaches
 1 whenever u = v because balanced loss renormalizes away.
 
-Every sweep runs through one lattice core, _sweep_lattice. It builds both
-axes as np.linspace would, bit for bit (_axis), evaluates the reflections
-once per lattice as real float64 planes (cavity._reflection_planes: r_cold's
-real and imaginary parts per kappa_s column, r_hot's per point), and
-computes every figure from those same numbers in one pass over the planes
-on the (g, kappa_s) grid (_lattice_figures); no complex array is built.
-Only real ufuncs that round as the scalar formulas do are used: np.hypot
-for abs(complex), np.float_power for every ``**``, and elementwise float64
-arithmetic, which rounds alike whatever the shapes. np.abs and numpy's
-complex multiply are not: each differs in the last bit at some points, the
-multiply according to the operands' shapes. So each point's F and eta are
-bitwise formula_performance at its parameters, and its F_sim is bitwise
-the Python scalar formula. formula_performance and _closed_form stay
-scalar for single points. The core returns the two axes and the figure
-columns, g-major, keyed by their CSV names in CSV order: F, eta and, when
-simulated, F_sim and eta_sim (the eta list itself). This module alone
-decides those columns. sweep builds all its PerformancePoint rows from them
-in one pass (_rows), writing each row's fields straight into a bare
-instance; a one-point sweep gives the row at a single (g, kappa_s). The CLI
-renders its CSV straight from the columns, without rows: its header names
-the three axis cells and then the column keys, and it formats each axis
-value once and writes the rows one g block at a time.
+Every sweep runs through one lattice core, _sweep_lattice, which alone
+names and orders the figure columns (_Lattice). sweep builds its
+PerformancePoint rows from them (_rows), and the CLI renders its CSV from
+them without rows. Each point's F and eta are bitwise formula_performance
+at its parameters, and its F_sim is bitwise the Python scalar formula
+(_lattice_figures); formula_performance and _closed_form stay scalar for
+single points.
 
 The simulated figures are those of the full circuit with the complex
 reflection amplitudes, from protocols, which alone reads the gate, on the
@@ -126,7 +111,13 @@ def _lattice_figures(
     The arguments broadcast: a sweep passes u once per kappa_s column and v
     and x once per point on the (G, K) grid. Real float64 ufuncs round each
     element alike whatever the shapes, so the result is bitwise that of u
-    tiled to v's shape.
+    tiled to v's shape. The sweep forms its arguments from the real planes
+    of cavity._reflection_planes with ufuncs that round as Python's scalar
+    code does: u and v by np.hypot, which is abs(complex), and x as
+    hot_im * cold_re - hot_re * cold_im, CPython's complex product. np.abs
+    and numpy's complex multiply would each differ in the last bit at some
+    points, the multiply according to the operands' shapes, so no complex
+    array is built.
     """
     s = np.float_power(u, 2) + np.float_power(v, 2)
     f_sim = None
@@ -223,7 +214,9 @@ def _sweep_lattice(
         if not 0 <= lo <= hi < math.inf:
             raise ValueError(f"{name} range must satisfy 0 <= lo <= hi < inf, got {(lo, hi)}")
     resolution = int(resolution)  # a narrow numpy integer would wrap the point count
-    # validates gamma once for the whole lattice; every point lies inside the corner
+    # validates gamma and both corners once for the whole lattice, every point
+    # lying between them; the lower corner is built only to reject a bool there
+    CavityParams(g=g_range[0], kappa_s=kappa_s_range[0])
     params = CavityParams(g=g_range[1], kappa_s=kappa_s_range[1], gamma=gamma)
     g_values = _axis(*g_range, resolution)
     ks_values = _axis(*kappa_s_range, resolution)
@@ -264,8 +257,9 @@ def sweep(
 
     A degenerate range (equal endpoints) with resolution 1 yields a single
     point, which is how one reproduces an individual benchmark value.
-    Negative or non-finite range ends or ``gamma`` raise ValueError, and a
-    ``resolution`` that is not an integer (a bool or a float) raises TypeError.
+    Negative or non-finite range ends or ``gamma`` raise ValueError; a bool
+    among them, or a ``resolution`` that is not an integer (a bool or a
+    float), raises TypeError.
 
     The reflections are evaluated once per lattice: r_cold once per kappa_s
     column, r_hot once per point, and the closed forms use those same
@@ -287,10 +281,9 @@ def _rows(lattice: _Lattice, gamma: float) -> list[PerformancePoint]:
     """The lattice's points as PerformancePoint rows, g-major, in one pass
     over its columns.
 
-    Each row is a bare instance whose seven fields are stored straight into
-    its __dict__, in field order: the state the generated frozen __init__
-    leaves (PerformancePoint has no __post_init__ to skip), without the
-    seven object.__setattr__ calls that make __init__ several times slower.
+    Each row is a bare frozen instance with its seven fields in field
+    order, built as hilbert._states builds its states: the constructor's
+    state only while PerformancePoint has no __post_init__.
     """
     columns = lattice.columns
     f_sim = columns.get("F_sim", repeat(None))

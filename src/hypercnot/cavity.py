@@ -14,10 +14,7 @@ phase tends to 0 only deep in the strong-coupling regime, so finite
 coupling leaves a residual phase error that feeds the fidelity loss.
 
 Over a (g, kappa_s) lattice the reflections come from one kernel,
-_reflection_planes: the real and imaginary parts of r_cold once per kappa_s
-column and of r_hot once per point, as float64 arrays, every value bitwise
-reflect_cold and reflect_hot at its point. Sweeps read these planes
-directly; the sweep checks its axes before they reach the kernel.
+_reflection_planes, bitwise reflect_cold and reflect_hot at every point.
 """
 
 from __future__ import annotations
@@ -53,6 +50,7 @@ class CavityParams:
     floats: no product in the formulas overflows, and d*c + g**2 is 0 only
     where d = 0, since Im(d*c) = -detuning * (1 + kappa_s + gamma) / 2
     cannot cancel and where detuning**2 underflows Re(d*c) >= gamma/4.
+    A bool, Python's or numpy's, in any field raises TypeError.
     """
 
     g: float
@@ -63,6 +61,9 @@ class CavityParams:
     def __post_init__(self) -> None:
         # chained comparisons are False for NaN, so every check rejects it too
         g, kappa_s, gamma, detuning = self.g, self.kappa_s, self.gamma, self.detuning
+        # a bool compares as 0 or 1, so only its type tells it from a rate
+        if not {type(g), type(kappa_s), type(gamma), type(detuning)}.isdisjoint((bool, np.bool_)):
+            raise TypeError("g, kappa_s, gamma and detuning must be numbers, not bools")
         if not (0.0 <= g <= MAX_RATE and 0.0 <= kappa_s <= MAX_RATE and 0.0 <= gamma <= MAX_RATE):
             raise ValueError(
                 f"g, kappa_s and gamma must be non-negative and finite, at most {MAX_RATE:g}"
@@ -91,17 +92,6 @@ def _cold(cavity_term: complex) -> complex:
     return complex((cavity_term - 1.0) / cavity_term)
 
 
-def _hot(g: float, dipole_term: complex, cavity_term: complex) -> complex:
-    if g == 0.0:
-        # reduce to the bare-cavity branch through the same arithmetic path
-        return _cold(cavity_term)
-    if dipole_term == 0:
-        # gamma = 0 on resonance: r_hot = 1 for every g > 0, also where g**2
-        # underflows and d*c + g**2 is 0; elsewhere the division gives these bits too
-        return 1 + 0j
-    return complex(1 - dipole_term / (dipole_term * cavity_term + g**2))
-
-
 def reflect_cold(params: CavityParams) -> complex:
     """Reflection coefficient with the dot decoupled (bare cavity).
 
@@ -116,7 +106,15 @@ def reflect_hot(params: CavityParams) -> complex:
     r = 1 - kappa * d / (d * c + g**2) with d = i(w_X - w) + gamma/2 and
     c = i(w_c - w) + kappa/2 + kappa_s/2.
     """
-    return _hot(params.g, _dipole_term(params), _cavity_term(params))
+    g, d, c = params.g, _dipole_term(params), _cavity_term(params)
+    if g == 0.0:
+        # reduce to the bare-cavity branch through the same arithmetic path
+        return _cold(c)
+    if d == 0:
+        # gamma = 0 on resonance: r_hot = 1 for every g > 0, also where g**2
+        # underflows and d*c + g**2 is 0; elsewhere the division gives these bits too
+        return 1 + 0j
+    return complex(1 - d / (d * c + g**2))
 
 
 def _reflection_planes(
@@ -142,8 +140,8 @@ def _reflection_planes(
     with signed zeros: 0.0 + t and 0.0 - (-t) agree, and 0.0 plus or minus
     any zero is +0.0. numpy's complex ``/`` and ``abs`` would differ in the
     last bit. At d = 0 (gamma = 0 on resonance) r_hot is 1 at every g > 0,
-    as in _hot. Inside CavityParams' domain b is 0 only there, and nothing
-    overflows.
+    as in reflect_hot. Inside CavityParams' domain b is 0 only there, and
+    nothing overflows.
     """
     dipole = _dipole_term(params)
     # _cavity_term's sum, left to right, with its first two terms added once
@@ -167,7 +165,7 @@ def _reflection_planes(
         t = (n2 - n1 * ratio) / denom
         hot_im = 0.0 + t
         np.subtract(0.0, t, out=hot_im, where=by_real)
-    if dipole == 0:  # as in _hot, also where b is 0
+    if dipole == 0:  # as in reflect_hot, also where b is 0
         hot_re.fill(1.0)
         hot_im.fill(0.0)
     cold_re, cold_im = cold.real, cold.imag

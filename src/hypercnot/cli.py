@@ -50,7 +50,6 @@ from .protocols import (
     photon_state,
     prepare_cluster_stages,
     truth_table,
-    uniform_two_photon_state,
 )
 
 
@@ -171,7 +170,9 @@ def _amplitude_pair(raw: str) -> np.ndarray:
 
 
 def _input_state(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """The joint input: the amplitude flags, else the --input preset (uniform by default)."""
+    """The joint input: a basis: preset, else the product of the amplitude
+    flags with (|0> + |1>)/sqrt2 on every register no flag sets, the uniform
+    preset and the default."""
     flags = {
         attr: "--" + attr.replace("_", "-")
         for attr in ("a_pol", "a_spatial", "b_pol", "b_spatial")
@@ -179,20 +180,9 @@ def _input_state(args: argparse.Namespace, parser: argparse.ArgumentParser):
     }
     if flags and args.input is not None:
         parser.error(f"--input cannot be combined with {', '.join(flags.values())}")
-    pairs = {}
-    for attr, flag in flags.items():
-        pair = getattr(args, attr)
-        norm = float(np.linalg.norm(pair))
-        if abs(norm - 1.0) > 1e-6:
-            print(f"warning: {flag} renormalized (norm was {norm:.9g})", file=sys.stderr)
-        pairs[attr] = pair / norm
-    if pairs:
-        a = photon_state("a", pairs.get("a_pol", _PLUS), pairs.get("a_spatial", _PLUS))
-        b = photon_state("b", pairs.get("b_pol", _PLUS), pairs.get("b_spatial", _PLUS))
-        return tensor_product(a, b)
-    if args.input in (None, "uniform"):
-        return uniform_two_photon_state()
-    if args.input.startswith("basis:"):
+    if args.input not in (None, "uniform"):
+        if not args.input.startswith("basis:"):
+            parser.error(f"unknown input preset {args.input!r}")
         names = [n.strip() for n in args.input[len("basis:"):].split(",")]
         if len(names) != 4:
             parser.error("basis preset needs four names, e.g. basis:L,a2,R,b1")
@@ -200,7 +190,16 @@ def _input_state(args: argparse.Namespace, parser: argparse.ArgumentParser):
             return basis_state(_PHOTON_REGISTERS, names)
         except ValueError as exc:
             parser.error(str(exc))
-    parser.error(f"unknown input preset {args.input!r}")
+    pairs = {}
+    for attr, flag in flags.items():
+        pair = getattr(args, attr)
+        norm = float(np.linalg.norm(pair))
+        if abs(norm - 1.0) > 1e-6:
+            print(f"warning: {flag} renormalized (norm was {norm:.9g})", file=sys.stderr)
+        pairs[attr] = pair / norm
+    a = photon_state("a", pairs.get("a_pol", _PLUS), pairs.get("a_spatial", _PLUS))
+    b = photon_state("b", pairs.get("b_pol", _PLUS), pairs.get("b_spatial", _PLUS))
+    return tensor_product(a, b)
 
 
 # -- commands ------------------------------------------------------------

@@ -13,25 +13,8 @@ can be shared freely across threads or worker processes. A state may be
 sub-normalized after lossy scattering; nothing here renormalizes it, which
 lets survival probabilities be read directly off the squared norm. A state
 whose squared norm is not a finite number at most NORM_CAP is rejected when
-it is built, so NaN and infinite amplitudes never enter a computation.
-
-One row validator checks every state's amplitudes, and it checks a stack
-of them at once: for a (k, 2**n) array of amplitude rows it checks the size
-once, every row's squared norm in one reduction, and makes one read-only
-copy. The register tuple is checked apart from the rows, for distinct
-labels. StateVector's constructor checks its registers and runs the row
-validator on a one-row stack; state_stack checks the registers once and
-builds one StateVector per row of the copy, so a gate call validates its
-branch states once, not once per branch. Rows over the registers of an
-existing StateVector, as a gate call's branch states are over its input's,
-take that state's registers and labels as they are (_states): they were
-checked when it was built and cannot change, so only the rows are checked
-again, and every new state still passes the size, norm and finiteness
-checks.
-
-apply_operator works on reshaped views, not on per-register axes: it
-transposes the target registers to the front, in target order, applies the
-matrix to the (2**k, rest) block with one matmul and transposes back.
+it is built, so NaN and infinite amplitudes never enter a computation
+(_checked_rows).
 """
 
 from __future__ import annotations
@@ -158,7 +141,8 @@ def _checked_rows(amplitudes, rows: int, n: int) -> np.ndarray:
 
     The one row validator: every StateVector's amplitudes are checked here,
     __post_init__'s as one row, state_stack's and _states' as one stack, with
-    every row's squared norm in one reduction.
+    the size checked once and every row's squared norm in one reduction, so
+    a gate call validates its branch states once, not once per branch.
     """
     # a C-ordered copy that owns its data, so its rows, views of it, stay
     # read-only and each row's real and imaginary parts are adjacent floats
@@ -192,7 +176,16 @@ def _states(
     registers: tuple[Register, ...], labels: tuple[str, ...], amplitudes
 ) -> list[StateVector]:
     """state_stack over registers and labels already checked, a StateVector's
-    own: only the amplitudes are validated, by the one row validator."""
+    own, as a gate call's branch states are over its input's.
+
+    The registers were checked when that state was built and cannot change,
+    so only the amplitudes are validated, by the one row validator, and
+    every new state still passes the size, norm and finiteness checks. Each
+    state is a bare instance whose fields are stored straight into its
+    __dict__: the state the generated frozen __init__ and __post_init__
+    leave, without the object.__setattr__ calls that make a frozen __init__
+    several times slower.
+    """
     stack = _checked_rows(amplitudes, len(amplitudes), len(registers))
     new = object.__new__
     states = []
@@ -271,6 +264,10 @@ def apply_operator(
     The matrix dimension must be 2**len(target_labels); identity is implied
     on every other register. Matrix row/column index ordering follows the
     target label order, most significant first.
+
+    It works on reshaped views, not on per-register axes: it transposes the
+    target registers to the front, in target order, applies the matrix to
+    the (2**k, rest) block with one matmul and transposes back.
     """
     labels = list(target_labels)
     if len(set(labels)) != len(labels):

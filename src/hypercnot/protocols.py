@@ -32,55 +32,22 @@ One compiled gate
 The 14 stages are written once, in the _STAGES table. Each of the four
 cavity passes multiplies every amplitude by exactly one of r_cold and r_hot,
 so every amplitude after j passes is a homogeneous degree-j polynomial,
-sum_k r_cold**k r_hot**(j - k) C_k. One interpreter, _interpret, reads every
-circuit table. It runs the stages once per process on the identity, on a
-tensor whose axis 0 is the power of r_cold, and keeps the coefficients at
-each named checkpoint; the pre_measurement ones, with the spins projected
-and the feed-forward folded in, are the coefficients of the gate's four
-16x16 Kraus operators, one per spin-outcome pair. Each is kept as the one
-read-only (d + 1, 1024) block the evaluator reads, a row per power of
-r_cold. One evaluator, _evaluate, makes one np.dot of a block with the
-(N, d + 1) powers of N reflection pairs, the product np.tensordot over the
-power axis makes; evaluate_branches gives the Kraus operators at N pairs
-that way, and the checkpoints and the gate plan at one pair, from its two
-Python complex numbers.
-Every circuit-level number takes one path: the gate plan of its pair, the
-four Kraus operators there stacked as one (64, 16) matrix, built once per
-pair in a bounded LRU cache, so a call at a cached pair does only
-input-dependent work. A plan's matrix is the evaluator's product itself,
-made read-only, not a copy. _gate_outputs multiplies the input by the plan
-once and lists the non-empty branches; hyper_cnot_state derives every
-GateRun from that product, picks the branches on their weights as Python
-floats, samples them with _draw, the single uniform draw of
-Generator.choice, normalizes the live branches in place and validates
-their final states as one stack. Those states are over the input's registers, which the input's own
-validation already checked, so the call hands the input's registers and
-labels to hilbert._states and only the new amplitudes go through the row
-validator: the size, norm and finiteness checks every state passes. The
-cluster preparation validates its four stages the same way. The truth
-table goes through hyper_cnot_state. No other module reads the plan: the
-circuit-level figures of analysis.simulated_performance come from
-_simulated_figures, which compares the product with its reference, the
-ideal (0, 0) Kraus operator times the same input. The uniform input's
-reference is built once per process (_uniform_reference) by the expression
-any other input evaluates per call (_ideal_reference), so that input has
-the same bits as a copy of it, which takes the per-call path.
+sum_k r_cold**k r_hot**(j - k) C_k. So the circuit is compiled once per
+process, to its coefficients, and only evaluated per pair. One interpreter,
+_interpret, reads every circuit table: _STAGES, which _compile_stages
+compiles into the coefficients of every checkpoint and of the gate's four
+Kraus operators, and the fixed optics the applications place after the
+gate (_optics_map). One evaluator, _evaluate, evaluates a compiled table at
+reflection pairs: evaluate_branches at N pairs, hyper_cnot_checkpoints and
+the cached gate plan (_gate_plan) at one.
 
-The linear optics the applications place after the gate is fixed, so it is
-written once as tables (the three _CLUSTER_SEGMENTS, whose first,
-_CONTROL_HADAMARDS, is also the whole Bell analysis) and compiled once per
-process, by the same interpreter on the identity, into a read-only 16x16
-matrix on the photon registers. Both applications read the gate's first
-non-empty branch from _first_branch. The Bell analysis multiplies it,
-unnormalized, by its map and reads the four single-photon marginals off the
-outcome probabilities in one product with _MARGINALS; the cluster
-preparation normalizes it and makes one product per checkpoint.
-
-The staged checkpoints, hyper_cnot_checkpoints, take the same input as
-hyper_cnot_state: a joint two-photon StateVector in any register order,
-possibly with spectator registers. Each checkpoint is its coefficients
-evaluated at the pair times the input. The tests hold the checkpoints and
-the gate to a step path that applies _STAGES one operator at a time.
+Every circuit-level number takes one path, _gate_outputs: the plan of its
+pair times the input. hyper_cnot_state reads that product, and the truth
+table through it; the Bell analysis and the cluster preparation read its
+first non-empty branch (_first_branch); analysis.simulated_performance reads
+it through _simulated_figures. No other module reads the plan. The tests
+hold the checkpoints and the gate to a step path that applies _STAGES one
+operator at a time.
 """
 
 from __future__ import annotations
@@ -252,10 +219,12 @@ def _interpret(t: np.ndarray, ops) -> np.ndarray:
 @cache
 def _compile_stages() -> tuple[tuple[tuple[str, np.ndarray], ...], np.ndarray]:
     """Interpret _STAGES on the identity, with both spins starting up, once
-    per process; each array is C-contiguous, owns its data and is read-only:
-    callers share it. Each has shape (d + 1, 1024), the layout _evaluate
+    per process. Each array has shape (d + 1, 1024), the layout _evaluate
     reads: row k holds the coefficients of r_cold**k r_hot**(d - k) as a
-    64 x 16 matrix in C order, output amplitude by input amplitude.
+    64 x 16 matrix in C order, output amplitude by input amplitude. Each is
+    C-contiguous, owns its data and is read-only, so no reshape or view
+    stands between it and _evaluate, no writeable base sits behind it, and
+    callers share it.
 
     Returns each checkpoint's name and coefficients, d = j after j cavity
     passes, whose 64 outputs are the photon registers in PHOTON_LABELS order,
@@ -296,13 +265,13 @@ _EXPONENTS = tuple(_exponents(degree) for degree in range(_GATE_DEGREE + 1))
 
 
 def _evaluate(coefficients: np.ndarray, r_cold, r_hot) -> np.ndarray:
-    """A _compile_stages table of degree d, shape (d + 1, 1024), row k the
-    power k of r_cold, evaluated at N pairs: shape (N, 1024), row n
-    sum_k r_cold**k r_hot**(d - k) coefficients[k] at pair n.
+    """A _compile_stages table of degree d evaluated at N pairs: shape
+    (N, 1024), row n the table's polynomial at pair n.
 
     ``r_cold`` and ``r_hot`` are two (N, 1) arrays, or two Python complex
     numbers for one pair. Their (N, d + 1) powers make one np.dot with the
-    coefficients, the product np.tensordot over the power axis would make.
+    table, bitwise the product np.tensordot over the power axis would make
+    (test_kraus_evaluation_is_bitwise_the_tensordot_form).
     """
     cold, hot = _EXPONENTS[len(coefficients) - 1]
     return np.dot(r_cold**cold * r_hot**hot, coefficients)
@@ -370,16 +339,15 @@ def hyper_cnot_checkpoints(
 def evaluate_branches(r_cold, r_hot) -> np.ndarray:
     """The gate's four Kraus operators at N reflection pairs.
 
-    ``r_cold`` and ``r_hot`` hold N reflection amplitudes each. One (N, 5)
-    by (5, 1024) product with the Kraus coefficients, compiled once per
-    process in that layout (_compile_stages); returns shape
-    (N, 2, 2, 16, 16): pair, e1 outcome, e2 outcome, output and input
-    amplitude. A Kraus operator applied to an input gives that spin
-    branch's corrected, unnormalized output.
+    ``r_cold`` and ``r_hot`` hold N reflection amplitudes each. The Kraus
+    table of _compile_stages, evaluated at them in one product (_evaluate);
+    returns shape (N, 2, 2, 16, 16): pair, e1 outcome, e2 outcome, output
+    and input amplitude. A Kraus operator applied to an input gives that
+    spin branch's corrected, unnormalized output.
 
     A pair's operators can differ in the last bits with the batch it comes
-    in: its powers are the same, but an (N, 5) product takes another BLAS
-    kernel than a (1, 5) one (282 of 300 random pairs evaluated together
+    in: its powers are the same, but an N-row product takes another BLAS
+    kernel than a one-row one (282 of 300 random pairs evaluated together
     differ from the same pairs evaluated one by one, each by under 3e-17).
     The gate plan always evaluates one pair, so no gate output depends on
     other pairs.
@@ -569,12 +537,11 @@ def hyper_cnot_state(
     corrected state. Raises ZeroSurvivalError when no amplitude reaches the
     spin measurement.
 
-    The branches are picked and sampled on Python floats, then normalized,
-    taken back to the input's register order and validated as one stack,
-    whose states take the input's registers and labels as they are.
-    Each run is a bare instance whose fields are stored straight into its
-    __dict__, as analysis._rows builds its rows: the state the generated
-    frozen __init__ leaves (GateRun has no __post_init__ to skip).
+    The branches are picked and sampled on Python floats (_draw), then
+    normalized, taken back to the input's register order and validated as
+    one stack over the input's registers (hilbert._states). Each run is a
+    bare frozen instance, built as hilbert._states builds its states: the
+    constructor's state only while GateRun has no __post_init__.
     """
     if branch_mode not in ("enumerate", "sample"):
         raise ValueError(f"branch_mode must be 'enumerate' or 'sample', got {branch_mode!r}")
@@ -618,7 +585,10 @@ def _ideal_reference(ordered: StateVector) -> tuple[np.ndarray, float]:
 @cache
 def _uniform_reference() -> tuple[np.ndarray, float]:
     """_ideal_reference of the uniform input, built once per process with its
-    conjugate read-only, as the input itself is: every caller shares it."""
+    conjugate read-only, as the input itself is: every caller shares it.
+    It is the expression any other input evaluates per call, so the uniform
+    input has the same figures, bit for bit, as a copy of it, which takes
+    the per-call path."""
     conj, norm2 = _ideal_reference(uniform_two_photon_state())
     conj.flags.writeable = False
     return conj, norm2
@@ -785,8 +755,8 @@ def prepare_cluster_stages(reflection: ReflectionPair | None = None) -> ClusterS
     runs the gate (its first non-empty branch, up,up in ideal mode), then
     the _CLUSTER_SEGMENTS, each one product with its compiled map:
     Hadamards on photon a, the path-controlled polarization sign flip, and
-    Hadamards on photon b. The four states are validated as one stack, over
-    the input's registers as they are.
+    Hadamards on photon b. The four states are validated as one stack over
+    the input's registers (hilbert._states).
     """
     joint = _cluster_input()  # photon-major, so the outputs are in its order
     _, branch, weight = _first_branch(joint, reflection)

@@ -77,3 +77,25 @@ def test_shift_and_spread_are_absent_without_the_runs_they_need():
     (ops,) = ab_pairs.summarize([result(100, 1.0)] * 2, [None, None], METRICS[:1])
     assert (ops["median_shift"], ops["parent_spread"]) == (None, 0)
     assert "change median vs parent median -; parent IQR / parent median +0.00%" in ab_pairs.render([ops])
+
+
+@pytest.mark.parametrize("incorrect", [None, 3], ids=["all-correct", "one-incorrect"])
+def test_exit_status_is_1_when_any_run_is_flagged(incorrect, monkeypatch, capsys):
+    calls = []
+
+    def run_once(command, checkout, args, seed):
+        calls.append((checkout, seed))
+        return result(100, 1.0, correct=len(calls) != incorrect)
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    status = ab_pairs.main(["parent", "change", "--workload", "gate_apps", "--pairs", "2"])
+    out = capsys.readouterr().out
+    # the side that runs first alternates: pair 1 runs the change first
+    assert [(checkout.name, seed) for checkout, seed in calls] == [
+        ("parent", 1), ("change", 1), ("change", 2), ("parent", 2)
+    ]
+    if incorrect is None:
+        assert status == 0 and "FLAGGED" not in out
+    else:
+        assert status == 1
+        assert "FLAGGED: pair 1: change run not correct (1 failed)" in out

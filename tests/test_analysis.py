@@ -711,6 +711,25 @@ def test_sweep_validation():
         assert len(sweep((0.0, 3.0), (0.0, 2.0), resolution=good).grid) == 9
 
 
+@pytest.mark.parametrize(
+    "g_range,kappa_s_range,gamma",
+    [
+        ((0.5, 0.5), (0.0, 0.0), True),
+        ((0.5, 0.5), (0.0, 0.0), np.False_),
+        ((False, 0.5), (0.0, 0.0), 0.1),
+        ((0.0, np.True_), (0.0, 0.0), 0.1),
+        ((0.5, 0.5), (np.False_, 0.2), 0.1),
+        ((0.5, 0.5), (0.0, True), 0.1),
+    ],
+    ids=["gamma", "numpy-gamma", "g-lo", "g-hi", "kappa_s-lo", "kappa_s-hi"],
+)
+def test_sweep_rejects_a_bool_range_end_or_gamma(g_range, kappa_s_range, gamma):
+    # as resolution does: a bool would run as 0 or 1 and be recorded as a float
+    for simulate in (False, True):
+        with pytest.raises(TypeError, match="not bools"):
+            sweep(g_range, kappa_s_range, 2, gamma, simulate)
+
+
 @pytest.mark.parametrize("include_simulation", [False, True], ids=["plain", "simulate"])
 def test_bulk_rows_behave_like_constructed_points(include_simulation):
     # sweep writes each row's fields straight into a bare instance, which is

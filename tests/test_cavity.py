@@ -300,6 +300,14 @@ def test_params_reject_non_finite(name, value):
         params(**{name: value})
 
 
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_], ids=repr)
+@pytest.mark.parametrize("name", ["g", "kappa_s", "gamma", "detuning"])
+def test_params_reject_bools(name, value):
+    # a bool compares as 0 or 1, so it passes every range check as a number
+    with pytest.raises(TypeError, match="not bools"):
+        params(**{name: value})
+
+
 def test_side_leakage_warning_at_exact_threshold():
     with pytest.warns(UserWarning, match="at or above") as record:
         ReflectionPair.from_params(params(kappa_s=1.3))

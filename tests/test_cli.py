@@ -124,6 +124,16 @@ def test_gate_sampling_is_deterministic(capsys):
     assert out_a == out_b
 
 
+@pytest.mark.parametrize("mode", [[], ["--mode", "physical", "--g", "2.4"]], ids=["ideal", "g2.4"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_gate_default_input_is_the_uniform_preset(mode, fmt, capsys):
+    # the default input and --input uniform are one product state, built one way
+    default = run_cli(capsys, "gate", "--format", fmt, *mode)
+    uniform = run_cli(capsys, "gate", "--input", "uniform", "--format", fmt, *mode)
+    assert default[0] == 0
+    assert default == uniform
+
+
 def test_gate_physical_reports_branch_fidelities(capsys):
     code, out, _ = run_cli(
         capsys, "gate", "--mode", "physical", "--g", "0.5", "--format", "json"

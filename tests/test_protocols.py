@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercnot import (
+    ElementKind,
     GateRun,
     HyperBellState,
     MeasurementRecord,
@@ -43,10 +44,12 @@ from oracles import (
     SYSTEM_REGS,
     WP_U1,
     WP_U2,
+    apply_element,
     cluster_after_flip_expected,
     cluster_after_hadamards_expected,
     cluster_expected,
     cnot_cnot_permutation,
+    conditional_element,
     control_spatial_expected,
     embed_matrix,
     gate_output_expected,
@@ -1494,3 +1497,57 @@ def test_physical_mode_analysis_still_decodes():
 def test_truth_table_oracle_helper():
     assert expected_truth_table_output(("L", "a2", "R", "b1")) == ("L", "a2", "L", "b2")
     assert expected_truth_table_output(("R", "a1", "L", "b2")) == ("R", "a1", "L", "b2")
+
+
+# -- any circuit table through the interpreter ----------------------------
+
+_TABLE_REGISTERS = protocols.PHOTON_LABELS + (protocols.SPIN_1, protocols.SPIN_2)
+_TABLE_ELEMENTS = st.tuples(st.sampled_from(list(ElementKind)), st.sampled_from(_TABLE_REGISTERS))
+# (kind, target, control, control value) on any ordered pair of distinct registers
+_TABLE_CONDITIONALS = st.builds(
+    lambda kind, pair, value: (kind, pair[0], pair[1], value),
+    st.sampled_from(list(ElementKind)),
+    st.permutations(_TABLE_REGISTERS).map(lambda registers: registers[:2]),
+    st.integers(0, 1),
+)
+_TABLE_PASSES = st.tuples(
+    st.just(protocols._CAVITY_PASS),
+    st.sampled_from(protocols.PHOTON_LABELS),
+    st.sampled_from((protocols.SPIN_1, protocols.SPIN_2)),
+)
+
+
+@st.composite
+def circuit_tables(draw):
+    """A table of elements, conditional elements and at most _GATE_DEGREE
+    cavity passes, in any order, so _EXPONENTS covers its degree."""
+    ops = draw(st.lists(st.one_of(_TABLE_ELEMENTS, _TABLE_CONDITIONALS), max_size=6))
+    ops += draw(st.lists(_TABLE_PASSES, max_size=protocols._GATE_DEGREE))
+    return tuple(draw(st.permutations(ops)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    table=circuit_tables(),
+    magnitudes=st.tuples(*[st.floats(0.0, 1.0)] * 2),
+    phases=st.tuples(*[st.floats(-math.pi, math.pi)] * 2),
+)
+def test_any_circuit_table_compiles_to_its_step_path(table, magnitudes, phases):
+    # a table interpreted on the 64 x 64 identity and evaluated at a passive
+    # pair is the table stepped one operator at a time on every basis state
+    pair = ReflectionPair(*(m * complex(math.cos(p), math.sin(p)) for m, p in zip(magnitudes, phases)))
+    identity = np.eye(64, dtype=np.complex128).reshape((1,) + (2,) * 6 + (64,))
+    coefficients = protocols._interpret(identity, table)
+    coefficients = coefficients.reshape(len(coefficients), -1)
+    compiled = protocols._evaluate(coefficients, pair.r_cold, pair.r_hot).reshape(64, 64)
+    cavity_pass = pass_matrix(pair)
+    for index in range(64):
+        state = StateVector(SYSTEM_REGS, np.eye(64)[index])
+        for kind, label, *rest in table:
+            if kind is protocols._CAVITY_PASS:
+                state = hilbert.apply_operator(state, [label, *rest], cavity_pass)
+            elif rest:
+                state = conditional_element(state, kind, label, *rest)
+            else:
+                state = apply_element(state, kind, label)
+        assert np.max(np.abs(compiled[:, index] - state.amplitudes)) <= 1e-12, table
