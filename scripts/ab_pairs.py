@@ -11,8 +11,11 @@ script prints every run, the parent's median and quartiles, the change's
 median, and how many pairs the change wins in the metric's direction. It
 also prints the two numbers a claimed gain is judged on: the change's
 median relative to the parent's, and the parent's interquartile range
-relative to its median. A run that fails or reports ``correct`` false is
-flagged, its metrics are left out, and the script exits with status 1.
+relative to its median. Last comes the metric's no-regression verdict
+against its ``bound`` in BENCHMARK.json: "beyond bound", "unresolved" or
+"within bound" (see ``verdict``). A run that fails or reports ``correct``
+false is flagged, its metrics are left out, and the script exits with
+status 1; the verdicts do not change the exit status.
 
 The metric names, their directions and the command are read from this
 checkout's BENCHMARK.json; nothing is written to either checkout.
@@ -45,6 +48,7 @@ def summarize(
     in the metric's direction. ``median_shift`` is the change's median over
     the parent's, minus 1, and ``parent_spread`` the parent's interquartile
     range over its median; each is None where a median or a quartile is.
+    ``verdict`` is the metric's no-regression verdict at its ``bound``.
     """
 
     def value(result: dict | None, name: str) -> float | None:
@@ -67,6 +71,11 @@ def summarize(
             q1, _, q3 = statistics.quantiles(kept_a, n=4, method="inclusive")
         median_a = statistics.median(kept_a) if kept_a else None
         median_b = statistics.median(kept_b) if kept_b else None
+        shift = median_b / median_a - 1 if median_a and median_b is not None else None
+        spread = (q3 - q1) / median_a if median_a and q1 is not None else None
+        apart = bool(kept_a and kept_b) and (
+            min(kept_b) > max(kept_a) if higher else max(kept_b) < min(kept_a)
+        )
         summaries.append({
             "name": name,
             "unit": metric["unit"],
@@ -79,10 +88,33 @@ def summarize(
             "change_median": median_b,
             "pairs": len(done),
             "wins": wins,
-            "median_shift": median_b / median_a - 1 if median_a and median_b is not None else None,
-            "parent_spread": (q3 - q1) / median_a if median_a and q1 is not None else None,
+            "median_shift": shift,
+            "parent_spread": spread,
+            "bound": metric["bound"],
+            "verdict": verdict(shift, spread, metric["bound"], higher, apart),
         })
     return summaries
+
+
+def verdict(
+    shift: float | None, spread: float | None, bound: float, higher: bool, apart: bool
+) -> str | None:
+    """A metric's no-regression verdict at its relative ``bound``.
+
+    "beyond bound" where the change's median is worse than the parent's by
+    more than ``bound`` (``shift`` is the change's median over the parent's,
+    minus 1); else "unresolved" where the parent's ``spread`` (its IQR over
+    its median) exceeds ``bound`` or is unknown, unless ``apart``: every
+    change run better than every parent run; else "within bound". None
+    without a shift to judge.
+    """
+    if shift is None:
+        return None
+    if (-shift if higher else shift) > bound:
+        return "beyond bound"
+    if (spread is None or spread > bound) and not apart:
+        return "unresolved"
+    return "within bound"
 
 
 def flagged(parent: list[dict | None], change: list[dict | None]) -> list[str]:
@@ -121,6 +153,7 @@ def render(summaries: list[dict]) -> str:
             f"  change median vs parent median {_percent(s['median_shift'])};"
             f" parent IQR / parent median {_percent(s['parent_spread'])}"
         )
+        lines.append(f"  no-regression verdict at bound {s['bound']:.0%}: {s['verdict'] or '-'}")
     return "\n".join(lines)
 
 

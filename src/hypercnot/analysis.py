@@ -50,6 +50,7 @@ from .cavity import (
     SIDE_LEAKAGE_WARNING,
     CavityParams,
     ReflectionPair,
+    _NOT_NUMBERS,
     _SIDE_LEAKAGE_CLAUSE,
     _reflection_planes,
     reflect_cold,
@@ -211,12 +212,13 @@ def _sweep_lattice(
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
     for name, (lo, hi) in (("g", g_range), ("kappa_s", kappa_s_range)):
+        if not {type(lo), type(hi)}.isdisjoint(_NOT_NUMBERS):
+            raise TypeError(f"{name} range ends must be numbers, not bools or arrays")
         if not 0 <= lo <= hi < math.inf:
             raise ValueError(f"{name} range must satisfy 0 <= lo <= hi < inf, got {(lo, hi)}")
     resolution = int(resolution)  # a narrow numpy integer would wrap the point count
-    # validates gamma and both corners once for the whole lattice, every point
-    # lying between them; the lower corner is built only to reject a bool there
-    CavityParams(g=g_range[0], kappa_s=kappa_s_range[0])
+    # validates gamma and, with the range check above, every point once for the
+    # whole lattice, each lying between 0 and this upper corner
     params = CavityParams(g=g_range[1], kappa_s=kappa_s_range[1], gamma=gamma)
     g_values = _axis(*g_range, resolution)
     ks_values = _axis(*kappa_s_range, resolution)
@@ -258,8 +260,8 @@ def sweep(
     A degenerate range (equal endpoints) with resolution 1 yields a single
     point, which is how one reproduces an individual benchmark value.
     Negative or non-finite range ends or ``gamma`` raise ValueError; a bool
-    among them, or a ``resolution`` that is not an integer (a bool or a
-    float), raises TypeError.
+    or a numpy array among them, or a ``resolution`` that is not an integer
+    (a bool or a float), raises TypeError.
 
     The reflections are evaluated once per lattice: r_cold once per kappa_s
     column, r_hot once per point, and the closed forms use those same

@@ -35,6 +35,10 @@ _SIDE_LEAKAGE_CLAUSE = (
     f"at or above the {SIDE_LEAKAGE_WARNING:g} kappa guidance for reaching the "
     "-pi/2 relative reflection phase"
 )
+# a bool compares as 0 or 1 and an array element by element, so only the type
+# tells either from a number; a numpy scalar such as np.float64 is a number
+# (types are matched exactly: an ndarray subclass is not rejected)
+_NOT_NUMBERS = (bool, np.bool_, np.ndarray)
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,8 @@ class CavityParams:
     floats: no product in the formulas overflows, and d*c + g**2 is 0 only
     where d = 0, since Im(d*c) = -detuning * (1 + kappa_s + gamma) / 2
     cannot cancel and where detuning**2 underflows Re(d*c) >= gamma/4.
-    A bool, Python's or numpy's, in any field raises TypeError.
+    A bool, Python's or numpy's, or a numpy array of any shape in any field
+    raises TypeError.
     """
 
     g: float
@@ -61,9 +66,8 @@ class CavityParams:
     def __post_init__(self) -> None:
         # chained comparisons are False for NaN, so every check rejects it too
         g, kappa_s, gamma, detuning = self.g, self.kappa_s, self.gamma, self.detuning
-        # a bool compares as 0 or 1, so only its type tells it from a rate
-        if not {type(g), type(kappa_s), type(gamma), type(detuning)}.isdisjoint((bool, np.bool_)):
-            raise TypeError("g, kappa_s, gamma and detuning must be numbers, not bools")
+        if not {type(g), type(kappa_s), type(gamma), type(detuning)}.isdisjoint(_NOT_NUMBERS):
+            raise TypeError("g, kappa_s, gamma and detuning must be numbers, not bools or arrays")
         if not (0.0 <= g <= MAX_RATE and 0.0 <= kappa_s <= MAX_RATE and 0.0 <= gamma <= MAX_RATE):
             raise ValueError(
                 f"g, kappa_s and gamma must be non-negative and finite, at most {MAX_RATE:g}"

@@ -251,30 +251,18 @@ def _compile_stages() -> tuple[tuple[tuple[str, np.ndarray], ...], np.ndarray]:
     return tuple(checkpoints), kraus
 
 
-def _exponents(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """The powers of r_cold and of r_hot in the degree + 1 terms of a branch
-    polynomial, each a read-only row of shape (1, degree + 1)."""
-    cold = np.arange(degree + 1).reshape(1, -1).copy()
-    hot = degree - cold
-    cold.flags.writeable = hot.flags.writeable = False
-    return cold, hot
-
-
-# _EXPONENTS[d] holds the exponent rows of a branch polynomial of degree d
-_EXPONENTS = tuple(_exponents(degree) for degree in range(_GATE_DEGREE + 1))
-
-
 def _evaluate(coefficients: np.ndarray, r_cold, r_hot) -> np.ndarray:
     """A _compile_stages table of degree d evaluated at N pairs: shape
     (N, 1024), row n the table's polynomial at pair n.
 
     ``r_cold`` and ``r_hot`` are two (N, 1) arrays, or two Python complex
-    numbers for one pair. Their (N, d + 1) powers make one np.dot with the
-    table, bitwise the product np.tensordot over the power axis would make
-    (test_kraus_evaluation_is_bitwise_the_tensordot_form).
+    numbers for one pair. The exponent rows come from the table's own
+    length, so a table of any degree evaluates. Their (N, d + 1) powers make
+    one np.dot with the table, bitwise the product np.tensordot over the
+    power axis would make (test_kraus_evaluation_is_bitwise_the_tensordot_form).
     """
-    cold, hot = _EXPONENTS[len(coefficients) - 1]
-    return np.dot(r_cold**cold * r_hot**hot, coefficients)
+    cold = np.arange(len(coefficients)).reshape(1, -1)
+    return np.dot(r_cold**cold * r_hot ** (len(coefficients) - 1 - cold), coefficients)
 
 
 # -- the staged checkpoints ------------------------------------------------

@@ -99,3 +99,42 @@ def test_exit_status_is_1_when_any_run_is_flagged(incorrect, monkeypatch, capsys
     else:
         assert status == 1
         assert "FLAGGED: pair 1: change run not correct (1 failed)" in out
+
+
+@pytest.mark.parametrize(
+    "parent_ops,change_ops,expected",
+    [
+        # 25% slower against a 20% bound, however tight the parent's runs
+        ([100, 100, 100, 100, 100], [75, 76, 74, 75, 75], "beyond bound"),
+        # 2% slower, parent IQR 2% of its median
+        ([100, 101, 102, 103, 104], [100, 99, 100, 101, 98], "within bound"),
+        # no shift, but the parent's IQR is 40% of its median
+        ([60, 80, 100, 120, 140], [90, 110, 100, 95, 105], "unresolved"),
+        # as wide, but every change run beats every parent run
+        ([60, 80, 100, 120, 140], [150, 160, 170, 155, 165], "within bound"),
+        # one change run at or below the best parent run leaves it unresolved
+        ([60, 80, 100, 120, 140], [140, 160, 170, 155, 165], "unresolved"),
+    ],
+)
+def test_each_metric_gets_its_no_regression_verdict(parent_ops, change_ops, expected):
+    parent = [result(ops, 1.0) for ops in parent_ops]
+    change = [result(ops, 1.0) for ops in change_ops]
+    ops, p90 = ab_pairs.summarize(parent, change, METRICS)
+    assert ops["verdict"] == expected
+    assert p90["verdict"] == "within bound"
+    assert f"no-regression verdict at bound 20%: {expected}" in ab_pairs.render([ops])
+
+
+def test_verdict_follows_the_metric_direction_and_the_runs_it_has():
+    parent = [result(100, p90) for p90 in (1.0, 1.0, 1.1, 1.1)]
+    # lower is better: 30% more time is beyond the 25% bound, 30% less is not
+    (_, worse) = ab_pairs.summarize(parent, [result(100, 1.365)] * 4, METRICS)
+    (_, better) = ab_pairs.summarize(parent, [result(100, 0.735)] * 4, METRICS)
+    assert (worse["verdict"], better["verdict"]) == ("beyond bound", "within bound")
+    (ops,) = ab_pairs.summarize(parent, [None] * 4, METRICS[:1])
+    assert ops["verdict"] is None
+    assert "no-regression verdict at bound 20%: -" in ab_pairs.render([ops])
+    # one parent run has no spread to judge against, unless the runs are apart
+    (ops,) = ab_pairs.summarize(parent[:1], [result(99, 1.0)], METRICS[:1])
+    (apart,) = ab_pairs.summarize(parent[:1], [result(101, 1.0)], METRICS[:1])
+    assert (ops["verdict"], apart["verdict"]) == ("unresolved", "within bound")

@@ -720,8 +720,16 @@ def test_sweep_validation():
         ((0.0, np.True_), (0.0, 0.0), 0.1),
         ((0.5, 0.5), (np.False_, 0.2), 0.1),
         ((0.5, 0.5), (0.0, True), 0.1),
+        ((0.5, 0.5), (0.0, 0.0), np.array(0.1)),
+        ((np.array(0.5), 0.5), (0.0, 0.0), 0.1),
+        ((0.5, np.array([0.5])), (0.0, 0.0), 0.1),
+        ((0.5, 0.5), (np.array([0.0, 0.2]), 0.2), 0.1),
+        ((0.5, 0.5), (0.0, np.array(0.2)), 0.1),
     ],
-    ids=["gamma", "numpy-gamma", "g-lo", "g-hi", "kappa_s-lo", "kappa_s-hi"],
+    ids=[
+        "gamma", "numpy-gamma", "g-lo", "g-hi", "kappa_s-lo", "kappa_s-hi",
+        "array-gamma", "array-g-lo", "array-g-hi", "array-kappa_s-lo", "array-kappa_s-hi",
+    ],
 )
 def test_sweep_rejects_a_bool_range_end_or_gamma(g_range, kappa_s_range, gamma):
     # as resolution does: a bool would run as 0 or 1 and be recorded as a float

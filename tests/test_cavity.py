@@ -300,10 +300,15 @@ def test_params_reject_non_finite(name, value):
         params(**{name: value})
 
 
-@pytest.mark.parametrize("value", [True, False, np.True_, np.False_], ids=repr)
+@pytest.mark.parametrize(
+    "value",
+    [True, False, np.True_, np.False_, np.array(True), np.array(0.5), np.array([0.5])],
+    ids=repr,
+)
 @pytest.mark.parametrize("name", ["g", "kappa_s", "gamma", "detuning"])
 def test_params_reject_bools(name, value):
-    # a bool compares as 0 or 1, so it passes every range check as a number
+    # a bool compares as 0 or 1, and an array element by element, so each
+    # passes every range check as a number
     with pytest.raises(TypeError, match="not bools"):
         params(**{name: value})
 

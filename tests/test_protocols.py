@@ -1519,10 +1519,11 @@ _TABLE_PASSES = st.tuples(
 
 @st.composite
 def circuit_tables(draw):
-    """A table of elements, conditional elements and at most _GATE_DEGREE
-    cavity passes, in any order, so _EXPONENTS covers its degree."""
+    """A table of elements, conditional elements and at most six cavity
+    passes, in any order: up to the degree a gate with two photon readouts
+    would reach, beyond the compiled gate's four."""
     ops = draw(st.lists(st.one_of(_TABLE_ELEMENTS, _TABLE_CONDITIONALS), max_size=6))
-    ops += draw(st.lists(_TABLE_PASSES, max_size=protocols._GATE_DEGREE))
+    ops += draw(st.lists(_TABLE_PASSES, max_size=6))
     return tuple(draw(st.permutations(ops)))
 
 
