@@ -20,7 +20,6 @@ from .cavity import (
     ReflectionPair,
     reflect_cold,
     reflect_hot,
-    scatter_matrix,
 )
 from .optics import ElementKind, element_matrix
 from .protocols import (

@@ -50,8 +50,8 @@ from .cavity import (
     SIDE_LEAKAGE_WARNING,
     CavityParams,
     ReflectionPair,
-    _NOT_NUMBERS,
     _SIDE_LEAKAGE_CLAUSE,
+    _is_real,
     _reflection_planes,
     reflect_cold,
     reflect_hot,
@@ -212,8 +212,8 @@ def _sweep_lattice(
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
     for name, (lo, hi) in (("g", g_range), ("kappa_s", kappa_s_range)):
-        if not {type(lo), type(hi)}.isdisjoint(_NOT_NUMBERS):
-            raise TypeError(f"{name} range ends must be numbers, not bools or arrays")
+        if not (_is_real(lo) and _is_real(hi)):
+            raise TypeError(f"{name} range ends must be real numbers, not bools")
         if not 0 <= lo <= hi < math.inf:
             raise ValueError(f"{name} range must satisfy 0 <= lo <= hi < inf, got {(lo, hi)}")
     resolution = int(resolution)  # a narrow numpy integer would wrap the point count
@@ -242,7 +242,7 @@ def _sweep_lattice(
     provenance = {
         "package": f"hypercnot {__version__}",
         "detuning": repr(params.detuning),
-        "gamma_over_kappa": repr(float(gamma)),
+        "gamma_over_kappa": repr(params.gamma),
         "side_leakage_points": str(leaky),
     }
     return _Lattice(g_values, ks_values, columns, provenance)
@@ -259,9 +259,10 @@ def sweep(
 
     A degenerate range (equal endpoints) with resolution 1 yields a single
     point, which is how one reproduces an individual benchmark value.
-    Negative or non-finite range ends or ``gamma`` raise ValueError; a bool
-    or a numpy array among them, or a ``resolution`` that is not an integer
-    (a bool or a float), raises TypeError.
+    Negative or non-finite range ends or ``gamma`` raise ValueError; one
+    that is not a real number (a bool, a complex number, a Decimal or an
+    array), or a ``resolution`` that is not an integer (a bool or a float),
+    raises TypeError.
 
     The reflections are evaluated once per lattice: r_cold once per kappa_s
     column, r_hot once per point, and the closed forms use those same

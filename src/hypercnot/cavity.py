@@ -1,5 +1,5 @@
-"""Steady-state reflection of a charged-dot microcavity and the
-spin-conditioned photon scattering matrix it induces.
+"""Steady-state reflection of a charged-dot microcavity: the bare (cold) and
+coupled (hot) reflection amplitudes of one dot-cavity unit.
 
 All rates are expressed in units of the cavity decay rate kappa: kappa is
 the unit, not a parameter, so it is 1 throughout and appears in no
@@ -22,6 +22,7 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -35,10 +36,22 @@ _SIDE_LEAKAGE_CLAUSE = (
     f"at or above the {SIDE_LEAKAGE_WARNING:g} kappa guidance for reaching the "
     "-pi/2 relative reflection phase"
 )
-# a bool compares as 0 or 1 and an array element by element, so only the type
-# tells either from a number; a numpy scalar such as np.float64 is a number
-# (types are matched exactly: an ndarray subclass is not rejected)
-_NOT_NUMBERS = (bool, np.bool_, np.ndarray)
+
+
+def _is_real(value) -> bool:
+    """The rule for a rate, the detuning or a sweep range end: a numbers.Real,
+    so no complex number, Decimal, array of any kind or np.bool_, and no
+    Python bool, which is an Integral but compares as 0 or 1."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _as_float(value: Real) -> float:
+    """A real number as the nearest float; an integer or Fraction beyond the
+    float range as inf, which every range check rejects, whatever its sign."""
+    try:
+        return float(value)
+    except OverflowError:
+        return float("inf")
 
 
 @dataclass(frozen=True)
@@ -54,7 +67,8 @@ class CavityParams:
     floats: no product in the formulas overflows, and d*c + g**2 is 0 only
     where d = 0, since Im(d*c) = -detuning * (1 + kappa_s + gamma) / 2
     cannot cancel and where detuning**2 underflows Re(d*c) >= gamma/4.
-    A bool, Python's or numpy's, or a numpy array of any shape in any field
+    Each field is a real number, held as the float it equals (_is_real,
+    _as_float); a bool, a complex number, a Decimal or an array of any kind
     raises TypeError.
     """
 
@@ -66,8 +80,12 @@ class CavityParams:
     def __post_init__(self) -> None:
         # chained comparisons are False for NaN, so every check rejects it too
         g, kappa_s, gamma, detuning = self.g, self.kappa_s, self.gamma, self.detuning
-        if not {type(g), type(kappa_s), type(gamma), type(detuning)}.isdisjoint(_NOT_NUMBERS):
-            raise TypeError("g, kappa_s, gamma and detuning must be numbers, not bools or arrays")
+        if not type(g) is type(kappa_s) is type(gamma) is type(detuning) is float:
+            if not all(map(_is_real, (g, kappa_s, gamma, detuning))):
+                raise TypeError("g, kappa_s, gamma and detuning must be real numbers, not bools")
+            g, kappa_s, gamma, detuning = map(_as_float, (g, kappa_s, gamma, detuning))
+            # into the fields themselves, past the frozen __setattr__
+            self.__dict__.update(g=g, kappa_s=kappa_s, gamma=gamma, detuning=detuning)
         if not (0.0 <= g <= MAX_RATE and 0.0 <= kappa_s <= MAX_RATE and 0.0 <= gamma <= MAX_RATE):
             raise ValueError(
                 f"g, kappa_s and gamma must be non-negative and finite, at most {MAX_RATE:g}"
@@ -208,15 +226,3 @@ class ReflectionPair:
         """Lossless limit: cold phase -pi/2, hot phase 0, so the relative phase
         arg r_hot - arg r_cold is the +pi/2 that drives the gate."""
         return cls(-1j, 1.0 + 0j)
-
-
-def scatter_matrix(reflection: ReflectionPair) -> np.ndarray:
-    """Diagonal scattering map on (polarization, spin), order (R,L)x(up,down).
-
-    Coupled (hot) transitions are L with spin up and R with spin down; the
-    other two pairs see the bare cavity. With the ideal pair (-i, 1) this is
-    the phase table |R,up> -> -i, |L,up> -> +1, |R,down> -> +1, |L,down> -> -i.
-    """
-    c, h = reflection.r_cold, reflection.r_hot
-    return np.diag(np.array([c, h, h, c], dtype=np.complex128))
-

@@ -63,7 +63,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .cavity import ReflectionPair, scatter_matrix
+from .cavity import ReflectionPair
 from .hilbert import (
     NORM_ATOL,
     Register,
@@ -79,14 +79,8 @@ from .hilbert import (
 )
 from .optics import ElementKind, conditional_matrix, element_matrix
 
-A_POL = "a.pol"
-A_SPATIAL = "a.spatial"
-B_POL = "b.pol"
-B_SPATIAL = "b.spatial"
 SPIN_1 = "e1"
 SPIN_2 = "e2"
-
-PHOTON_LABELS = (A_POL, A_SPATIAL, B_POL, B_SPATIAL)
 
 _PLUS = (1 / np.sqrt(2.0), 1 / np.sqrt(2.0))  # (|0> + |1>)/sqrt2 on one register
 
@@ -106,7 +100,9 @@ def photon_registers(name: str) -> tuple[Register, Register]:
     )
 
 
-_PHOTON_REGISTERS = photon_registers("a") + photon_registers("b")  # PHOTON_LABELS order
+_PHOTON_REGISTERS = photon_registers("a") + photon_registers("b")
+
+PHOTON_LABELS = A_POL, A_SPATIAL, B_POL, B_SPATIAL = tuple(r.label for r in _PHOTON_REGISTERS)
 
 
 def spin_register(label: str) -> Register:
@@ -133,8 +129,9 @@ def uniform_two_photon_state() -> StateVector:
 # One cavity pass is diagonal on (path-or-polarization, spin), basis order
 # (0, up), (0, down), (1, up), (1, down). Entry j is r_cold where
 # _PASS_COLD[j], else r_hot, times -i where _PASS_TURNED[j]. The compile
-# (_cavity_pass) reads this table; the tests build the pass matrix from it
-# and hold that to the CPBS / plate sandwich.
+# (_cavity_pass) reads this table, and spin_readout reads _PASS_COLD on
+# (polarization, spin); the tests build the pass matrix from it and hold
+# that to the CPBS / plate sandwich.
 _PASS_COLD = (True, False, False, True)
 _PASS_TURNED = (False, False, True, True)
 
@@ -631,17 +628,18 @@ def spin_readout(
     the spin exactly like a computational-basis measurement; with lossy
     reflections a small misassignment survives in the returned state.
 
-    The probe is no register: scattered and projected onto an analysis
-    state, it leaves a diagonal 2x2 Kraus pair on the spin, kraus[o, s] the
-    amplitude of outcome o for spin basis state s. The record's probability
-    is the outcome's weight before renormalization. Raises
-    ZeroSurvivalError when no probe amplitude returns.
+    The probe is no register: scattered as _PASS_COLD says and projected
+    onto an analysis state, it leaves a diagonal 2x2 Kraus pair on the
+    spin, kraus[o, s] the amplitude of outcome o for spin basis state s.
+    The record's probability is the outcome's weight before renormalization.
+    Raises ZeroSurvivalError when no probe amplitude returns.
     """
     refl = _pair(reflection)
     leads = (refl.r_hot * refl.r_cold.conjugate()).imag >= 0
     basis = _READOUT_BASIS if leads else _READOUT_BASIS[::-1]
     # the probe's 1/sqrt2 amplitudes times the scattering, axes (polarization, spin)
-    kraus = (basis / np.sqrt(2.0)) @ np.diag(scatter_matrix(refl)).reshape(2, 2)
+    scattering = np.where(np.reshape(_PASS_COLD, (2, 2)), refl.r_cold, refl.r_hot)
+    kraus = (basis / np.sqrt(2.0)) @ scattering
     axis = state.register_index(spin_label)
     marginal = np.sum(np.abs(state.amplitudes.reshape(2**axis, 2, -1)) ** 2, axis=(0, 2))
     weights = (np.abs(kraus) ** 2 @ marginal).tolist()
@@ -822,18 +820,16 @@ class BellAnalysis:
     min_outcome_probability: float
 
 
-def _bell_readout(branch: np.ndarray) -> tuple[tuple[int, ...], float]:
-    """Each photon register's likelier outcome bit, 1 only where p1 > p0
-    (argmax's first-max rule), and the least p_o / (p0 + p1), for a branch
-    (16, spectator amplitudes) after the _CONTROL_HADAMARDS; registers in
-    PHOTON_LABELS order."""
+def _bell_readout(branch: np.ndarray) -> tuple[int, float]:
+    """The photon basis index of each photon register's likelier outcome
+    (PHOTON_LABELS order, the first most significant; 1 only where p1 > p0,
+    argmax's first-max rule) and the least p_o / (p0 + p1), for a branch
+    (16, spectator amplitudes) after the _CONTROL_HADAMARDS."""
     probabilities = np.square(np.abs(_optics_map(_CONTROL_HADAMARDS) @ branch)).sum(1)
     marginals = (_MARGINALS @ probabilities).tolist()
-    bits, least = [], []
-    for p0, p1 in zip(marginals[::2], marginals[1::2]):
-        bits.append(int(p1 > p0))
-        least.append(max(p0, p1) / (p0 + p1))
-    return tuple(bits), min(least)
+    pairs = list(zip(marginals[::2], marginals[1::2]))  # (p0, p1) per register
+    outcome = sum(int(p1 > p0) << 3 - r for r, (p0, p1) in enumerate(pairs))
+    return outcome, min(max(p0, p1) / (p0 + p1) for p0, p1 in pairs)
 
 
 def _bell_pattern(state: StateVector, reflection: ReflectionPair | None):
@@ -841,11 +837,6 @@ def _bell_pattern(state: StateVector, reflection: ReflectionPair | None):
     _bell_readout of the gate's first non-empty branch as it is, unnormalized."""
     ordered, branch, _ = _first_branch(state, reflection)
     return ordered.registers[:4], *_bell_readout(branch)
-
-
-def _outcome_names(registers, bits) -> tuple[str, ...]:
-    """The basis names the outcome bits read as on these registers."""
-    return tuple(register.basis_names[bit] for register, bit in zip(registers, bits))
 
 
 @cache
@@ -857,12 +848,12 @@ def bell_decoding_table() -> Mapping[tuple[str, str, str, str], tuple[int, int]]
     every caller shares it as one read-only view.
     """
     table: dict[tuple[str, str, str, str], tuple[int, int]] = {}
-    for index, state in enumerate(_bell_states()):
-        registers, bits, _ = _bell_pattern(state, None)
-        pattern = _outcome_names(registers, bits)
+    for combined, state in enumerate(_bell_states()):
+        registers, outcome, _ = _bell_pattern(state, None)
+        pattern = basis_names(registers, outcome)
         if pattern in table:
             raise AssertionError(f"decoding collision at pattern {pattern}")
-        table[pattern] = divmod(index, 4)
+        table[pattern] = divmod(combined, 4)
     return MappingProxyType(table)
 
 
@@ -882,8 +873,8 @@ def analyze_hyper_bell(
         state = _bell_states()[state.combined_index]  # normalized
     elif abs(state.norm2 - 1.0) > NORM_ATOL:
         raise ValueError("analysis input must be normalized")
-    registers, bits, min_prob = _bell_pattern(state, reflection)
-    pol_index, spatial_index = bell_decoding_table()[_outcome_names(_PHOTON_REGISTERS, bits)]
-    pattern = _outcome_names(registers, bits)
+    registers, outcome, min_prob = _bell_pattern(state, reflection)
+    pol_index, spatial_index = bell_decoding_table()[basis_names(_PHOTON_REGISTERS, outcome)]
+    pattern = basis_names(registers, outcome)
     deterministic = min_prob >= 1.0 - _DETERMINISTIC_TOL
     return BellAnalysis(pol_index, spatial_index, pattern, deterministic, min_prob)

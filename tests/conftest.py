@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,14 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def matrix_scalar(value: float) -> np.matrix:
+    """A 1x1 np.matrix, built without numpy's PendingDeprecationWarning for
+    the matrix subclass."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PendingDeprecationWarning)
+        return np.matrix(value)
 
 
 def three_registers() -> tuple[Register, ...]:

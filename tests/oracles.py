@@ -49,7 +49,6 @@ from hypercnot import (
     photon_state,
     reflect_cold,
     reflect_hot,
-    scatter_matrix,
     spin_register,
     tensor_product,
     tensor_state,
@@ -84,6 +83,17 @@ WP_U1 = np.diag([-1j, -1j])  # the -i plate in the second spatial path
 WP_U2 = np.diag([1, -1j])  # -i phase on L only
 # undoes SPIN_ROT_PLUS: (i up + down)/sqrt2 -> up, (i up - down)/sqrt2 -> down
 SPIN_ROT_MINUS = np.array([[-1j, 1], [-1j, -1]]) / SQ2
+
+
+def scatter_matrix(reflection: ReflectionPair) -> np.ndarray:
+    """Diagonal scattering map on (polarization, spin), order (R,L)x(up,down),
+    written from the giant Faraday rotation rule: L with spin up and R with
+    spin down see the coupled (hot) cavity, the other two pairs the bare
+    (cold) one. With the ideal pair (-i, 1) this is the phase table
+    |R,up> -> -i, |L,up> -> +1, |R,down> -> +1, |L,down> -> -i.
+    """
+    c, h = reflection.r_cold, reflection.r_hot
+    return np.diag(np.array([c, h, h, c], dtype=np.complex128))
 
 
 def embed_matrix(num_registers: int, target_axes: list[int], mat: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from hypercnot import (
 from hypercnot import analysis, protocols
 from hypercnot.cavity import SIDE_LEAKAGE_WARNING, _reflection_planes
 from hypercnot.hilbert import NORM_ATOL
-from conftest import random_state
+from conftest import matrix_scalar, random_state
 from oracles import (
     efficiency_oracle,
     engine_uniform_figures,
@@ -725,17 +727,41 @@ def test_sweep_validation():
         ((0.5, np.array([0.5])), (0.0, 0.0), 0.1),
         ((0.5, 0.5), (np.array([0.0, 0.2]), 0.2), 0.1),
         ((0.5, 0.5), (0.0, np.array(0.2)), 0.1),
+        ((0.5, np.ma.masked_array(0.5)), (0.0, 0.0), 0.1),
+        ((0.5, 0.5), (0.0, 0.0), matrix_scalar(0.1)),
+        ((0.5, 0.5), (Decimal("0.0"), 0.2), 0.1),
+        ((0.0, np.complex128(2.4 + 1j)), (0.0, 0.2), 0.1),
+        ((0.5, 0.5), (0.0, 0.0), 0.1 + 0j),
     ],
     ids=[
         "gamma", "numpy-gamma", "g-lo", "g-hi", "kappa_s-lo", "kappa_s-hi",
         "array-gamma", "array-g-lo", "array-g-hi", "array-kappa_s-lo", "array-kappa_s-hi",
+        "masked-g-hi", "matrix-gamma", "decimal-kappa_s-lo", "complex128-g-hi", "complex-gamma",
     ],
 )
 def test_sweep_rejects_a_bool_range_end_or_gamma(g_range, kappa_s_range, gamma):
-    # as resolution does: a bool would run as 0 or 1 and be recorded as a float
+    # as resolution does: a bool would run as 0 or 1 and be recorded as a
+    # float, and a complex range end would run at its real part
     for simulate in (False, True):
         with pytest.raises(TypeError, match="not bools"):
             sweep(g_range, kappa_s_range, 2, gamma, simulate)
+
+
+@pytest.mark.parametrize("value", [np.float32(0.3), np.int64(1), Fraction(3, 10)], ids=repr)
+@pytest.mark.parametrize("name", ["g", "kappa_s", "gamma", "detuning"])
+def test_real_rates_compute_as_the_float_they_equal(name, value):
+    # np.float32 would overflow when compared with MAX_RATE and compute in
+    # single precision; every real number is held as the float it equals
+    want = CavityParams(**{"g": 2.4, name: float(value)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = CavityParams(**{"g": 2.4, name: value})
+        figures = formula_performance(params), simulated_performance(params)
+    assert type(getattr(params, name)) is float and params == want
+    want_figures = formula_performance(want), simulated_performance(want)
+    assert [x.hex() for pair in figures for x in pair] == [
+        x.hex() for pair in want_figures for x in pair
+    ]
 
 
 @pytest.mark.parametrize("include_simulation", [False, True], ids=["plain", "simulate"])

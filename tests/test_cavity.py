@@ -2,6 +2,7 @@ import math
 import sys
 import warnings
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -15,12 +16,11 @@ from hypercnot import (
     apply_operator,
     reflect_cold,
     reflect_hot,
-    scatter_matrix,
     tensor_state,
 )
 from hypercnot.cavity import MAX_RATE, _cavity_term, _dipole_term, _reflection_planes
-from conftest import random_state
-from oracles import embed_matrix
+from conftest import matrix_scalar, random_state
+from oracles import embed_matrix, scatter_matrix
 
 SQ2 = np.sqrt(2.0)
 
@@ -293,7 +293,14 @@ def test_ideal_pair_values():
     assert abs(np.angle(pair.r_hot) - np.angle(pair.r_cold) - np.pi / 2) < 1e-15
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "value",
+    [
+        float("nan"), float("inf"), float("-inf"),
+        # beyond the float range, so no float equals them
+        pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400"),
+    ],
+)
 @pytest.mark.parametrize("name", ["g", "kappa_s", "gamma", "detuning"])
 def test_params_reject_non_finite(name, value):
     with pytest.raises(ValueError, match=f"{name}.* finite"):
@@ -302,13 +309,20 @@ def test_params_reject_non_finite(name, value):
 
 @pytest.mark.parametrize(
     "value",
-    [True, False, np.True_, np.False_, np.array(True), np.array(0.5), np.array([0.5])],
+    [
+        True, False, np.True_, np.False_, np.array(True), np.array(0.5), np.array([0.5]),
+        pytest.param(np.ma.masked_array(0.5), id="masked_array(0.5)"),
+        pytest.param(matrix_scalar(0.5), id="matrix(0.5)"),
+        Decimal("0.5"), np.complex128(0.5 + 1j), 0.5 + 1j,
+    ],
     ids=repr,
 )
 @pytest.mark.parametrize("name", ["g", "kappa_s", "gamma", "detuning"])
 def test_params_reject_bools(name, value):
     # a bool compares as 0 or 1, and an array element by element, so each
-    # passes every range check as a number
+    # passes every range check as a number; numpy orders a complex scalar by
+    # its real part, and an array subclass or a Decimal fails only later, in
+    # the formulas
     with pytest.raises(TypeError, match="not bools"):
         params(**{name: value})
 

@@ -16,7 +16,6 @@ from hypercnot import (
     basis_state,
     fidelity_up_to_global_phase,
     reorder_registers,
-    scatter_matrix,
     tensor_product,
     tensor_state,
 )
@@ -26,6 +25,7 @@ from oracles import (
     apply_operator_reference,
     embed_matrix,
     measure_all_branches,
+    scatter_matrix,
 )
 
 SQ2 = np.sqrt(2.0)

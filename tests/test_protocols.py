@@ -35,10 +35,11 @@ from hypercnot import (
     ZeroSurvivalError,
 )
 from hypercnot import analysis, hilbert, protocols
-from hypercnot.cavity import CavityParams, scatter_matrix
+from hypercnot.cavity import CavityParams
 from hypercnot.protocols import BRANCH_FLOOR
 from conftest import random_state
 from oracles import (
+    ANALYSIS_BRAS,
     HWP_X,
     PHOTON_REGS,
     SYSTEM_REGS,
@@ -61,6 +62,7 @@ from oracles import (
     pre_measurement_expected,
     random_amplitude_pair,
     reduction_bell_pattern,
+    scatter_matrix,
     state_from_terms,
     step_bell_pattern,
     step_checkpoints,
@@ -1149,6 +1151,29 @@ def test_kraus_readout_matches_the_step_path(name, rng):
             np.testing.assert_allclose(post.amplitudes, reference.amplitudes, rtol=0, atol=1e-12)
 
 
+def test_readout_is_bitwise_the_scatter_matrix_form(rng):
+    # the Kraus pair read off the cavity-pass table is bit for bit the one
+    # built from the diagonal of the scattering map the reflection rule gives
+    for _ in range(200):
+        state, pair = _spin_between_spectators(rng), _random_passive_pair(rng)
+        seed = int(rng.integers(2**32))
+        record, post = spin_readout(state, "e1", pair, rng=seed)
+        leads = (pair.r_hot * pair.r_cold.conjugate()).imag >= 0
+        basis = ANALYSIS_BRAS if leads else ANALYSIS_BRAS[::-1]
+        kraus = (basis / SQ2) @ np.diag(scatter_matrix(pair)).reshape(2, 2)
+        axis = state.register_index("e1")
+        marginal = np.sum(np.abs(state.amplitudes.reshape(2**axis, 2, -1)) ** 2, axis=(0, 2))
+        weights = (np.abs(kraus) ** 2 @ marginal).tolist()
+        outcome = protocols._draw(np.random.default_rng(seed), *weights)
+        probability = weights[outcome]
+        assert (record.outcome, record.outcome_name, record.probability.hex()) == (
+            outcome, ("up", "down")[outcome], probability.hex()
+        )
+        post_kraus = np.diag(kraus[outcome]) / math.sqrt(probability)
+        want = hilbert.apply_operator(state, ["e1"], post_kraus)
+        assert post.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
 def _readout_weights(state, pair):
     """Both outcome weights of a readout, each from the first seed that draws it."""
     weights = {}
@@ -1289,9 +1314,9 @@ def test_decoding_table_is_complete():
 
 def test_decoding_table_refuses_a_pattern_seen_twice(monkeypatch, request):
     # a decoder that read two Bell states alike would make the table ambiguous
-    bits = (0, 1, 1, 0)
+    outcome = 0b0110
     monkeypatch.setattr(
-        protocols, "_bell_pattern", lambda state, reflection: (PHOTON_REGS, bits, 1.0)
+        protocols, "_bell_pattern", lambda state, reflection: (PHOTON_REGS, outcome, 1.0)
     )
     bell_decoding_table.cache_clear()
     request.addfinalizer(bell_decoding_table.cache_clear)
