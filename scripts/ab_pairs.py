@@ -11,11 +11,12 @@ script prints every run, the parent's median and quartiles, the change's
 median, and how many pairs the change wins in the metric's direction. It
 also prints the two numbers a claimed gain is judged on: the change's
 median relative to the parent's, and the parent's interquartile range
-relative to its median. Last comes the metric's no-regression verdict
+relative to its median. Then come the metric's no-regression verdict
 against its ``bound`` in BENCHMARK.json: "beyond bound", "unresolved" or
-"within bound" (see ``verdict``). A run that fails or reports ``correct``
-false is flagged, its metrics are left out, and the script exits with
-status 1; the verdicts do not change the exit status.
+"within bound" (see ``verdict``), and its gain verdict, whether a claimed
+gain on it is "met" or "not met" (see ``gain``). A run that fails or
+reports ``correct`` false is flagged, its metrics are left out, and the
+script exits with status 1; the verdicts do not change the exit status.
 
 The metric names, their directions and the command are read from this
 checkout's BENCHMARK.json; nothing is written to either checkout.
@@ -48,7 +49,8 @@ def summarize(
     in the metric's direction. ``median_shift`` is the change's median over
     the parent's, minus 1, and ``parent_spread`` the parent's interquartile
     range over its median; each is None where a median or a quartile is.
-    ``verdict`` is the metric's no-regression verdict at its ``bound``.
+    ``verdict`` is the metric's no-regression verdict at its ``bound``, and
+    ``gain`` its gain verdict.
     """
 
     def value(result: dict | None, name: str) -> float | None:
@@ -92,6 +94,7 @@ def summarize(
             "parent_spread": spread,
             "bound": metric["bound"],
             "verdict": verdict(shift, spread, metric["bound"], higher, apart),
+            "gain": gain(shift, spread, wins, len(done), higher),
         })
     return summaries
 
@@ -115,6 +118,22 @@ def verdict(
     if (spread is None or spread > bound) and not apart:
         return "unresolved"
     return "within bound"
+
+
+def gain(shift: float | None, spread: float | None, wins: int, pairs: int, higher: bool) -> str | None:
+    """Whether a claimed gain on a metric is "met" or "not met".
+
+    Met where the change wins at least 9 of every 10 of the ``pairs`` both
+    sides completed, ties counting for neither, and its median beats the
+    parent's in the metric's direction by more than the parent's ``spread``
+    (its IQR over its median; ``shift`` is the change's median over the
+    parent's, minus 1). None without a completed pair, a shift or a spread
+    to judge.
+    """
+    if not pairs or shift is None or spread is None:
+        return None
+    gained = shift if higher else -shift
+    return "met" if 10 * wins >= 9 * pairs and gained > spread else "not met"
 
 
 def flagged(parent: list[dict | None], change: list[dict | None]) -> list[str]:
@@ -154,6 +173,10 @@ def render(summaries: list[dict]) -> str:
             f" parent IQR / parent median {_percent(s['parent_spread'])}"
         )
         lines.append(f"  no-regression verdict at bound {s['bound']:.0%}: {s['verdict'] or '-'}")
+        lines.append(
+            "  gain verdict (wins >= 9/10 of pairs, median shift beyond parent IQR / median):"
+            f" {s['gain'] or '-'}"
+        )
     return "\n".join(lines)
 
 

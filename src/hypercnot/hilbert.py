@@ -12,9 +12,11 @@ States are immutable values; every operation returns a new vector, so they
 can be shared freely across threads or worker processes. A state may be
 sub-normalized after lossy scattering; nothing here renormalizes it, which
 lets survival probabilities be read directly off the squared norm. A state
-whose squared norm is not a finite number at most NORM_CAP is rejected when
-it is built, so NaN and infinite amplitudes never enter a computation
-(_checked_rows).
+built from outside amplitudes, by StateVector or state_stack, is rejected
+when its squared norm is not a finite number at most NORM_CAP, so NaN and
+infinite amplitudes never enter a computation (_checked_rows). The gate's
+and the cluster preparation's output states skip that check: each is valid
+by construction from the branch weights the gate computed (_states).
 """
 
 from __future__ import annotations
@@ -139,10 +141,11 @@ def _checked_rows(amplitudes, rows: int, n: int) -> np.ndarray:
     """A read-only complex128 copy of amplitudes as a (rows, 2**n) stack,
     each row a valid state over n registers.
 
-    The one row validator: every StateVector's amplitudes are checked here,
-    __post_init__'s as one row, state_stack's and _states' as one stack, with
-    the size checked once and every row's squared norm in one reduction, so
-    a gate call validates its branch states once, not once per branch.
+    The one row validator, for amplitudes that enter from outside: those
+    of StateVector.__post_init__, as one row, and of state_stack, as one
+    stack, with the size checked once and every row's squared norm in one
+    reduction. States the gate and the cluster preparation build from their
+    own branch weights do not pass through it (_states).
     """
     # a C-ordered copy that owns its data, so its rows, views of it, stay
     # read-only and each row's real and imaginary parts are adjacent floats
@@ -166,27 +169,36 @@ def state_stack(registers: Sequence[Register], amplitudes) -> list[StateVector]:
 
     Entry i is flattened as StateVector flattens its amplitudes, and the
     state holds row i of one read-only copy of the stack: the state
-    StateVector(registers, amplitudes[i]) builds, without one validation
+    StateVector(registers, amplitudes[i]) builds, with the registers and
+    every row checked once (_checked_registers, _checked_rows), not once
     per state.
     """
-    return _states(*_checked_registers(registers), amplitudes)
+    regs, labels = _checked_registers(registers)
+    return _states(regs, labels, _checked_rows(amplitudes, len(amplitudes), len(regs)))
 
 
 def _states(
-    registers: tuple[Register, ...], labels: tuple[str, ...], amplitudes
+    registers: tuple[Register, ...], labels: tuple[str, ...], stack: np.ndarray
 ) -> list[StateVector]:
-    """state_stack over registers and labels already checked, a StateVector's
-    own, as a gate call's branch states are over its input's.
+    """One StateVector per row of a fresh C-ordered complex128 stack of shape
+    (rows, 2**n), over registers and labels already checked, a StateVector's
+    own.
 
-    The registers were checked when that state was built and cannot change,
-    so only the amplitudes are validated, by the one row validator, and
-    every new state still passes the size, norm and finiteness checks. Each
-    state is a bare instance whose fields are stored straight into its
-    __dict__: the state the generated frozen __init__ and __post_init__
-    leave, without the object.__setattr__ calls that make a frozen __init__
-    several times slower.
+    The one bare-state builder, and it validates nothing: each caller hands
+    it rows already valid. state_stack's rows have just passed _checked_rows;
+    the gate's branch states (protocols.hyper_cnot_state) and the cluster
+    stages (protocols.prepare_cluster_stages) are valid by construction from
+    the branch weights the gate computed. It sets the stack, and the array
+    the stack is a view of, read-only in place, without a copy, so the caller
+    hands over an array no one else writes to. Each state is a bare instance
+    whose fields are stored straight into its __dict__: the state the
+    generated frozen __init__ and __post_init__ leave, without the
+    object.__setattr__ calls that make a frozen __init__ several times
+    slower.
     """
-    stack = _checked_rows(amplitudes, len(amplitudes), len(registers))
+    stack.flags.writeable = False
+    if stack.base is not None:
+        stack.base.flags.writeable = False
     new = object.__new__
     states = []
     for row in stack:

@@ -48,12 +48,22 @@ first non-empty branch (_first_branch); analysis.simulated_performance reads
 it through _simulated_figures. No other module reads the plan. The tests
 hold the checkpoints and the gate to a step path that applies _STAGES one
 operator at a time.
+
+Where each output state's validity comes from: the input StateVector, the
+ReflectionPair and the CavityParams are validated where they are built, and
+the staged checkpoints are validated as one stack (hilbert.state_stack).
+The gate's branch states and the cluster stages are not checked again:
+each branch row is its output over the square root of the weight
+_gate_outputs computed for it, a normal float, so it has unit norm by
+construction, and the cluster stages are fixed unitary optics of such a
+row (hilbert._states).
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import product
@@ -432,6 +442,9 @@ _MARGINALS.flags.writeable = False
 # round-off amplitudes near 1e-16 of the surviving ones, so weights near 1e-32.
 BRANCH_FLOOR = 1e-24
 
+# below this floor a live branch weight could be subnormal, and lose digits
+_SMALLEST_NORMAL = sys.float_info.min
+
 
 @dataclass(frozen=True)
 class GateRun:
@@ -460,6 +473,14 @@ class ZeroSurvivalError(ValueError):
     photons, or a spin readout's probe."""
 
 
+def _branch_weights(outputs: np.ndarray) -> tuple[list[float], float]:
+    """The four branch weights of the plan's outputs (64, m) as Python
+    floats, and their total."""
+    weights = np.square(np.abs(outputs)).reshape(4, -1).sum(1).tolist()
+    # left to right, the order numpy sums four values in
+    return weights, weights[0] + weights[1] + weights[2] + weights[3]
+
+
 def _gate_outputs(
     joint: StateVector, reflection: ReflectionPair | None
 ) -> tuple[StateVector, np.ndarray, list[float], list[int], float, float]:
@@ -469,24 +490,36 @@ def _gate_outputs(
     unnormalized branch outputs (4, 16, m), indexed by 2 * e1 outcome + e2
     outcome, their weights as four Python floats with every empty branch's
     zero, the non-empty branches in outcome order, their total, and the
-    survival, which alone takes the plan's unit scale back. Raises
-    ZeroSurvivalError when no amplitude survives.
+    survival, which alone takes the plan's unit scale back.
+
+    Every non-empty weight is a normal float, so dividing a branch by its
+    square root normalizes it to round-off: where the floor of the empty
+    branches falls below the smallest normal float, as for a tiny input,
+    the outputs are first scaled by a power of two (exact) to unit size,
+    as _unit_pair scales the pair, and the survival takes that scale back
+    too. Raises ZeroSurvivalError only when every output amplitude is
+    exactly zero.
     """
     ordered = _photon_major(joint)
     plan = _gate_plan(reflection)
     outputs = plan.matrix @ ordered.amplitudes.reshape(16, -1)
-    weights = np.square(np.abs(outputs)).reshape(4, -1).sum(1).tolist()
-    # left to right, the order numpy sums four values in
-    total = weights[0] + weights[1] + weights[2] + weights[3]
-    if total == 0.0:
-        raise ZeroSurvivalError(
-            "zero survival: no photon amplitude reaches the spin measurement, "
-            "so the gate output is undefined"
-        )
+    weights, total = _branch_weights(outputs)
+    exponent = 0
+    if BRANCH_FLOOR * total < _SMALLEST_NORMAL:
+        parts = outputs.view(np.float64)
+        largest = float(np.max(np.abs(parts)))
+        if largest == 0.0:
+            raise ZeroSurvivalError(
+                "zero survival: no photon amplitude reaches the spin measurement, "
+                "so the gate output is undefined"
+            )
+        exponent = math.frexp(largest)[1]
+        outputs = np.ldexp(parts, -exponent).view(np.complex128)
+        weights, total = _branch_weights(outputs)
     floor = BRANCH_FLOOR * total
     weights = [0.0 if weight <= floor else weight for weight in weights]
     live = [branch for branch, weight in enumerate(weights) if weight]
-    survival = math.ldexp(total, _GATE_DEGREE * 2 * plan.exponent)
+    survival = math.ldexp(total, 2 * (exponent + _GATE_DEGREE * plan.exponent))
     return ordered, outputs.reshape(4, 16, -1), weights, live, total, survival
 
 
@@ -519,14 +552,22 @@ def hyper_cnot_state(
     ``branch_mode="enumerate"`` returns all four spin branches, skipping
     empty ones, in outcome order; ``"sample"`` returns the one branch drawn
     with a seeded PRNG. In ideal mode all enumerated branches carry the same
-    corrected state. Raises ZeroSurvivalError when no amplitude reaches the
-    spin measurement.
+    corrected state.
+
+    Raises ZeroSurvivalError only when every amplitude of the gate's output,
+    at the pair scaled to unit size, is exactly zero. A tiny pair or a tiny
+    input still gives defined, normalized branches with the branch
+    probabilities of its unit-size form; only survival_probability is tiny,
+    and it may underflow to 0.0.
 
     The branches are picked and sampled on Python floats (_draw), then
-    normalized, taken back to the input's register order and validated as
-    one stack over the input's registers (hilbert._states). Each run is a
-    bare frozen instance, built as hilbert._states builds its states: the
-    constructor's state only while GateRun has no __post_init__.
+    normalized by the square roots of their weights and taken back to the
+    input's register order, as one stack of states over the input's
+    registers (hilbert._states). They are not validated again: each row has
+    unit norm by construction (_gate_outputs), and the input was validated
+    when it was built. Each run is a bare frozen instance, built as
+    hilbert._states builds its states: the constructor's state only while
+    GateRun has no __post_init__.
     """
     if branch_mode not in ("enumerate", "sample"):
         raise ValueError(f"branch_mode must be 'enumerate' or 'sample', got {branch_mode!r}")
@@ -741,15 +782,17 @@ def prepare_cluster_stages(reflection: ReflectionPair | None = None) -> ClusterS
     runs the gate (its first non-empty branch, up,up in ideal mode), then
     the _CLUSTER_SEGMENTS, each one product with its compiled map:
     Hadamards on photon a, the path-controlled polarization sign flip, and
-    Hadamards on photon b. The four states are validated as one stack over
-    the input's registers (hilbert._states).
+    Hadamards on photon b. The four states are one stack over the input's
+    registers (hilbert._states), not validated again: the first is the
+    branch normalized by its weight, as in hyper_cnot_state, and each
+    segment is unitary.
     """
     joint = _cluster_input()  # photon-major, so the outputs are in its order
     _, branch, weight = _first_branch(joint, reflection)
     amplitudes = [branch.reshape(16) / math.sqrt(weight)]
     for segment in _CLUSTER_SEGMENTS:
         amplitudes.append(_optics_map(segment) @ amplitudes[-1])
-    return ClusterStages(*_states(joint.registers, joint.labels, amplitudes))
+    return ClusterStages(*_states(joint.registers, joint.labels, np.array(amplitudes)))
 
 
 # -- hyperentangled Bell states and their analysis ---------------------------

@@ -138,3 +138,47 @@ def test_verdict_follows_the_metric_direction_and_the_runs_it_has():
     (ops,) = ab_pairs.summarize(parent[:1], [result(99, 1.0)], METRICS[:1])
     (apart,) = ab_pairs.summarize(parent[:1], [result(101, 1.0)], METRICS[:1])
     assert (ops["verdict"], apart["verdict"]) == ("unresolved", "within bound")
+
+
+GAIN_PARENT = [100, 101, 102, 103, 104, 100, 101, 102, 103, 104]
+
+
+@pytest.mark.parametrize(
+    "change_ops,expected",
+    [
+        # every pair won, +9% against a parent IQR of 2% of its median
+        ([x * 1.09 for x in GAIN_PARENT], "met"),
+        # 9 of 10 pairs won, the least the rule allows
+        ([x * 1.09 for x in GAIN_PARENT[:9]] + [99], "met"),
+        # 8 of 10 pairs won, however large the shift
+        ([x * 1.5 for x in GAIN_PARENT[:8]] + [99, 99], "not met"),
+        # every pair won, but the +1.5% shift is inside the parent's spread
+        ([x * 1.015 for x in GAIN_PARENT], "not met"),
+        # 9% slower: the wrong direction
+        ([x * 0.91 for x in GAIN_PARENT], "not met"),
+    ],
+    ids=["met", "nine-of-ten", "too-few-wins", "inside-spread", "wrong-direction"],
+)
+def test_each_metric_gets_its_gain_verdict(change_ops, expected):
+    parent = [result(ops, 1.0) for ops in GAIN_PARENT]
+    change = [result(ops, 1.0) for ops in change_ops]
+    (ops,) = ab_pairs.summarize(parent, change, METRICS[:1])
+    assert ops["parent_spread"] == pytest.approx(2 / 102)
+    assert ops["gain"] == expected
+    assert f"median shift beyond parent IQR / median): {expected}" in ab_pairs.render([ops])
+
+
+def test_gain_verdict_follows_the_metric_direction_and_the_runs_it_has():
+    parent = [result(100, p90) for p90 in (1.0, 1.0, 1.1, 1.1) * 3]
+    # lower is better: 20% less time is a gain, 20% more is not
+    (_, faster) = ab_pairs.summarize(parent, [result(100, 0.84)] * 12, METRICS)
+    (_, slower) = ab_pairs.summarize(parent, [result(100, 1.26)] * 12, METRICS)
+    assert (faster["gain"], slower["gain"]) == ("met", "not met")
+    # the rule counts the completed pairs: 9 won of 9, one change run missing
+    (_, missing) = ab_pairs.summarize(parent[:10], [result(100, 0.84)] * 9 + [None], METRICS)
+    assert (missing["wins"], missing["pairs"], missing["gain"]) == (9, 9, "met")
+    # no verdict without a completed pair or a parent spread
+    (ops,) = ab_pairs.summarize(parent, [None] * 12, METRICS[:1])
+    (one,) = ab_pairs.summarize(parent[:1], [result(200, 1.0)], METRICS[:1])
+    assert (ops["gain"], one["gain"]) == (None, None)
+    assert "median shift beyond parent IQR / median): -" in ab_pairs.render([ops])

@@ -621,6 +621,127 @@ def test_tiny_reflections_give_defined_branches(rng):
         )
 
 
+def scaled_down(joint, k):
+    """joint with every amplitude times 2**-k, exactly."""
+    parts = np.ldexp(joint.amplitudes.view(np.float64), -k)
+    return StateVector(joint.registers, parts.view(np.complex128))
+
+
+def normal_shifts(joint):
+    """The largest k for which every nonzero part of joint times 2**-k is a
+    normal float, at least 2**-1022."""
+    parts = np.abs(joint.amplitudes.view(np.float64))
+    return math.frexp(parts[parts > 0].min())[1] + 1021
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [None, ReflectionPair.from_params(CavityParams(g=1.56, kappa_s=0.2, gamma=0.1)), ReflectionPair(0.0, 0.0)],
+    ids=["ideal", "physical", "zero"],
+)
+def test_tiny_inputs_give_the_branches_of_the_normalized_input(pair, rng):
+    # an input scaled by 2**-k, each part still a normal float, has branch
+    # weights that would be subnormal or underflow to 0; the gate scales its
+    # outputs to unit size first, so the branches are the normalized
+    # input's, and only the survival carries the scale. The gate raises
+    # only where every output amplitude is exactly zero, here at the zero pair
+    spectator = Register("c", ("0", "1"))
+    a_pol, a_spatial, b_pol, b_spatial = PHOTON_REGS
+    inputs = [uniform_two_photon_state(), random_state((b_spatial, spectator, a_pol, b_pol, a_spatial), rng)]
+    inputs += [random_state(PHOTON_REGS, rng) for _ in range(20)]
+    plan = protocols._gate_plan(pair).matrix
+    for joint in inputs:
+        top = normal_shifts(joint)
+        for k in sorted({0, 100, 500, 515, 520, 525, 530, 535, 540, 560, 600, 1000, top}):
+            if k > top:
+                continue
+            scaled = scaled_down(joint, k)
+            outputs = plan @ protocols._photon_major(scaled).amplitudes.reshape(16, -1)
+            if not outputs.any():
+                with pytest.raises(ZeroSurvivalError):
+                    hyper_cnot_state(scaled, pair)
+                continue
+            runs = hyper_cnot_state(scaled, pair)
+            reference = hyper_cnot_state(joint, pair)
+            assert [run.spin_outcomes for run in runs] == [ref.spin_outcomes for ref in reference]
+            for run, ref in zip(runs, reference):
+                assert abs(run.final_state.norm2 - 1.0) <= 1e-12
+                assert abs(run.branch_probability - ref.branch_probability) <= 1e-12
+                np.testing.assert_allclose(
+                    run.final_state.amplitudes, ref.final_state.amplitudes, rtol=0, atol=1e-12
+                )
+                survival = math.ldexp(ref.survival_probability, -2 * k)
+                assert math.isclose(run.survival_probability, survival, rel_tol=1e-12, abs_tol=1e-323)
+
+
+# the pairs of test_gate_bitwise.py's PAIRS the row-validator oracle runs at,
+# beside random physical pairs
+ORACLE_PAIRS = [
+    None,
+    ReflectionPair.from_params(CavityParams(g=0.0, kappa_s=0.3)),
+    ReflectionPair(0.0, 1.57900383923873e-40),
+]
+
+
+def oracle_input(kind, shift, rng):
+    """A photon-major, permuted-with-a-spectator or basis input, times
+    2**-shift, or less where a part would leave the normal floats."""
+    a_pol, a_spatial, b_pol, b_spatial = PHOTON_REGS
+    if kind == "photon-major":
+        joint = random_state(PHOTON_REGS, rng)
+    elif kind == "spectator":
+        regs = (a_pol, a_spatial, b_pol, b_spatial, Register("c", ("0", "1")))
+        joint = random_state(tuple(regs[i] for i in rng.permutation(5)), rng)
+    else:
+        joint = hilbert.basis_state(PHOTON_REGS, hilbert.basis_names(PHOTON_REGS, int(rng.integers(16))))
+    return scaled_down(joint, min(shift, normal_shifts(joint)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pair=st.one_of(
+        st.sampled_from(ORACLE_PAIRS),
+        st.builds(
+            lambda g, kappa_s: ReflectionPair.from_params(CavityParams(g=g, kappa_s=kappa_s)),
+            st.floats(0.0, 6.0),
+            st.floats(0.0, 0.9),
+        ),
+    ),
+    kind=st.sampled_from(["photon-major", "spectator", "basis"]),
+    shift=st.integers(0, 1022),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(pair=None, kind="photon-major", shift=531, seed=1)
+@example(pair=ORACLE_PAIRS[2], kind="spectator", shift=530, seed=1)
+@example(pair=ORACLE_PAIRS[1], kind="basis", shift=1022, seed=2)
+def test_built_stacks_pass_the_row_validator_unchanged(pair, kind, shift, seed):
+    # every stack the gate, the truth table and the cluster preparation
+    # build without the row validator is one the validator accepts and
+    # returns byte for byte, and every row is read-only down to its data
+    joint = oracle_input(kind, shift, np.random.default_rng(seed))
+    built = []
+    build = hilbert._states
+
+    def spy(registers, labels, stack):
+        states = build(registers, labels, stack)
+        built.append((len(registers), stack, states))
+        return states
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(protocols, "_states", spy)
+        hyper_cnot_state(joint, pair)
+        hyper_cnot_state(joint, pair, branch_mode="sample", seed=seed)
+        truth_table(pair)
+        prepare_cluster_stages(pair)
+    assert len(built) == 1 + 1 + 16 + 1
+    for n, stack, states in built:
+        checked = hilbert._checked_rows(stack, len(stack), n)
+        assert (checked.shape, checked.dtype) == (stack.shape, stack.dtype)
+        assert checked.tobytes() == stack.tobytes()
+        assert not stack.flags.writeable
+        assert_one_read_only_stack(states)
+
+
 def test_small_coupling_keeps_every_branch():
     # weak but real branches (the (1, 1) weight is about 6e-23) stay above the floor
     pair = ReflectionPair.from_params(CavityParams(g=1e-3))
@@ -629,41 +750,46 @@ def test_small_coupling_keeps_every_branch():
     assert all(run.branch_probability > BRANCH_FLOOR for run in runs)
 
 
+def assert_one_read_only_stack(states):
+    # the states hold the rows of one stack, and neither a row nor any array
+    # under it is writeable
+    stack = states[0].amplitudes.base
+    assert isinstance(stack, np.ndarray)
+    for state in states:
+        assert state.amplitudes.base is stack
+        array = state.amplitudes
+        while array is not None:
+            assert not array.flags.writeable
+            array = array.base
+
+
 @pytest.mark.parametrize(
     "pair", [None, ReflectionPair.from_params(CavityParams(g=1.56, kappa_s=0.2))], ids=["ideal", "physical"]
 )
 def test_gate_builds_one_state_per_run(pair, monkeypatch, rng):
     # a photon-major input is used as it is, and the runs' final states are
-    # the only states the call validates, all in one stack through the one
-    # row validator: each final state holds its row of the validated copy
+    # built from the branch weights without a second validation pass: no
+    # call reaches the row validator, and each call's states share one
+    # read-only stack
     joint = random_state(PHOTON_REGS, rng)
     protocols._cluster_input()  # built once per process, before the spy
-    stacks = []
+    checked = []
     check = hilbert._checked_rows
 
     def counted(amplitudes, rows, n):
-        checked = check(amplitudes, rows, n)
-        stacks.append(checked)  # the validated copy
-        return checked
+        checked.append(rows)
+        return check(amplitudes, rows, n)
 
     monkeypatch.setattr(hilbert, "_checked_rows", counted)
     runs = hyper_cnot_state(joint, pair)
     assert len(runs) == 4
-    assert [len(stack) for stack in stacks] == [4]
-    for run, row in zip(runs, stacks[0]):
-        assert np.shares_memory(run.final_state.amplitudes, stacks[0])
-        assert np.array_equal(run.final_state.amplitudes, row)
-    stacks.clear()
+    assert_one_read_only_stack([run.final_state for run in runs])
     run = hyper_cnot_state(joint, pair, branch_mode="sample", seed=5)
-    assert [len(stack) for stack in stacks] == [1]
-    assert np.shares_memory(run.final_state.amplitudes, stacks[0])
-    # the cluster preparation validates its four stages as one stack
-    stacks.clear()
+    assert_one_read_only_stack([run.final_state])
+    # the cluster preparation builds its four stages as one stack
     stages = prepare_cluster_stages(pair)
-    assert [len(stack) for stack in stacks] == [4]
-    for state, row in zip(vars(stages).values(), stacks[0], strict=True):
-        assert np.shares_memory(state.amplitudes, stacks[0])
-        assert np.array_equal(state.amplitudes, row)
+    assert_one_read_only_stack(list(vars(stages).values()))
+    assert checked == []
 
 
 def test_permuted_input_with_a_spectator_matches_step_path(rng):
